@@ -3,22 +3,22 @@
 The exclusion-process self-duality function is a nested product of
 q-Krawtchouk polynomials evaluated on intermediate configurations, times a
 square-root ground-state correction G; the conserved correction C pairs with
-it in the orthogonality relations.  Degenerating the site capacities yields
-the zero-range duality functions: a base-q^2 hypergeometric form with an
-integer exponent h, and an equivalent half-power form that lives in the
-quadratic field Q(s), s^2 = q, so it stays exact whenever the base is a
-perfect square.
+it in the orthogonality relations.  C is the form derived from the
+orthogonality weights.  Degenerating the site capacities yields the
+zero-range duality `qhahn_D`, a half-power form that lives in the quadratic
+field Q(s), s^2 = q, so it stays exact for every rational base.  The
+q-TAZRP duality at asymmetry q is `qhahn_D` at base q^2, with the left
+process as the first argument.
 
 Conventions:
 - public entry points take the exclusion asymmetry parameter q and run the
   hypergeometric series in base q^2; `DualityParams(convention="q")` accepts
   the squared base directly and takes its square root (exactly if possible).
-- two inequivalent forms of the zero-range exponent h circulate (the suffix
-  count on the xi term starts at the site itself or strictly right of it);
-  both are implemented and the generator intertwining check fixes the
-  default.  The same goes for the conserved correction C, where the closed
-  Pochhammer-ratio forms disagree with the form derived from the
-  orthogonality weights; the derived form is the default.
+- the zero-range exponent h counts the xi suffix in the eta term from the
+  site itself; the generator intertwining check fails for the suffix that
+  starts strictly right of it.  That "strict" form, the closed
+  Pochhammer-ratio form of C and the finite-product form of `qhahn_D` live
+  in the tests as oracles.
 """
 
 import math
@@ -31,14 +31,6 @@ from .lattice import Config, charge_parity, intermediate_configs, is_feasible
 from .models import mixture_measure, reversible_measure, single_species_measure
 from .qcalc import phi10, q_krawtchouk, q_poch, q_poch_ratio
 from .scalars import SNum, exact_sqrt, is_exact, to_mpf
-
-H_VARIANTS = ("inclusive", "strict")
-C_VARIANTS = ("derived", "pochhammer-q", "pochhammer-q2")
-
-# Module defaults; the verify-layer checks resolve these empirically and the
-# test suite freezes the outcome.
-DEFAULT_H_VARIANT = "inclusive"
-DEFAULT_C_VARIANT = "derived"
 
 
 def _as_scalar(v):
@@ -267,16 +259,10 @@ def correction_G(xi, eta, params):
                          "ground-state correction")
 
 
-def correction_C_sq(xi, eta, params, variant=None):
-    """Radicand of the conserved correction C.
-
-    variant "derived" divides the orthogonality weight ratio by the
-    single-species measures (this is the form the orthogonality relation
-    guarantees); the "pochhammer-q"/"pochhammer-q2" variants evaluate the
-    closed Pochhammer-ratio expression with the stated base.
-    """
-    variant = variant or DEFAULT_C_VARIANT
-    assert variant in C_VARIANTS, "unknown C variant %r" % (variant,)
+def correction_C_sq(xi, eta, params):
+    """Radicand of the conserved correction C: the orthogonality weight ratio
+    divided by the single-species measures, which is the form the
+    orthogonality relation guarantees."""
     _check_pair(xi, eta, params)
     q = params.q
     intermediates = intermediate_configs(xi, eta)
@@ -286,38 +272,16 @@ def correction_C_sq(xi, eta, params, variant=None):
     for iv in intermediates:
         a = params.alpha[iv.i]
         zeta_row = iv.rows[iv.i]
-        if variant == "derived":
-            num = w_over_h(xi.row(iv.i), zeta_row, iv.theta, 1 / (a * q), q * q)
-            den = (single_species_measure(xi.row(iv.i), iv.theta, a, q)
-                   * single_species_measure(zeta_row, iv.theta, a, q))
-            value = value * num / den
-            continue
-        n_xi = sum(xi.row(iv.i))
-        n_zeta = sum(zeta_row)
-        # species-count jumps across the nesting step
-        upper = sum(eta.range_count(x, 0, iv.i + 1) - xi.range_count(x, 0, iv.i)
-                    for x in range(1, xi.L + 1))
-        lower = n_zeta
-        value = value * q ** (math.comb(n_xi, 2) - math.comb(n_zeta, 2))
-        if variant == "pochhammer-q":
-            value = value * q_poch_ratio(a, q, 1 - upper, 1 - lower)
-        else:
-            if (upper - lower) % 2 == 0:
-                value = value * q_poch_ratio(a * q ** (1 - upper), q * q,
-                                             0, (upper - lower) // 2)
-            elif not is_exact(q):
-                value = value * (q_poch(a * q ** (1 - upper), q * q, math.inf)
-                                 / q_poch(a * q ** (1 - lower), q * q, math.inf))
-            else:
-                raise DomainError(
-                    "pochhammer-q2 correction needs the float backend when the "
-                    "count difference %d is odd" % (upper - lower))
+        num = w_over_h(xi.row(iv.i), zeta_row, iv.theta, 1 / (a * q), q * q)
+        den = (single_species_measure(xi.row(iv.i), iv.theta, a, q)
+               * single_species_measure(zeta_row, iv.theta, a, q))
+        value = value * num / den
     return value
 
 
-def correction_C(xi, eta, params, variant=None):
+def correction_C(xi, eta, params):
     """Conserved correction C: square root of `correction_C_sq`."""
-    return _checked_sqrt(correction_C_sq(xi, eta, params, variant), params.q,
+    return _checked_sqrt(correction_C_sq(xi, eta, params), params.q,
                          "conserved correction")
 
 
@@ -394,48 +358,41 @@ def _check_zrp_pair(xi, eta):
 
 
 def _species_suffix(cfg, m, start):
-    """Total occupancy of species 0..m at sites >= start (0 when m < 0)."""
-    if m < 0:
-        return 0
+    """Total occupancy of species 0..m at sites >= start."""
     return sum(cfg.range_count(y, 0, m) for y in range(start, cfg.L + 1))
 
 
-def h_exponent(xi, eta, variant=None):
-    """Integer exponent h coupling the two zero-range configurations.
-
-    variant picks where the suffix count of xi starts in the eta term: at the
-    site itself ("inclusive", default) or strictly right of it ("strict").
-    """
-    variant = variant or DEFAULT_H_VARIANT
-    assert variant in H_VARIANTS, "unknown h variant %r" % (variant,)
+def h_exponent(xi, eta):
+    """Integer exponent h coupling the two zero-range configurations; the
+    suffix count of xi in the eta term starts at the site itself."""
     _check_zrp_pair(xi, eta)
     n, L = xi.n, xi.L
     total = 0
     for x in range(1, L + 1):
-        for i in range(n):
+        for i in range(n - 1):
             m = n - 2 - i
-            if m < 0:
-                continue
             c = xi.count(i, x)
             if c:
                 total -= c * _species_suffix(eta, m, x + 1)
             e = eta.count(i, x)
             if e:
-                start = x if variant == "inclusive" else x + 1
-                total += e * _species_suffix(xi, m, start)
+                total += e * _species_suffix(xi, m, x)
     return total
 
 
-def qtazrp_D(xi, eta, q, variant=None):
-    """Zero-range duality value (series form, base q^2).
+def qhahn_D(eta, xi, q):
+    """Half-power duality value for the zero-range chains in base q.
 
-    xi is the right-moving process configuration, eta the left-moving dual.
+    Argument order follows the left process first: eta moves left, xi moves
+    right.  For rational q the value is exact in Q(s), s^2 = q, and rational
+    when q is a perfect square.  It is also the duality of the single-jump
+    chains `qtazrp_generator` at the same base.
     """
     _check_zrp_pair(xi, eta)
     q = _as_scalar(q)
-    q2 = q * q
+    s = _sqrt_param(q)
     n, L = xi.n, xi.L
-    value = q ** h_exponent(xi, eta, variant)
+    value = s ** h_exponent(xi, eta)
     for i in range(n):
         partner = eta.row(n - 1 - i)  # species-reversed dual row
         left = 0
@@ -443,52 +400,7 @@ def qtazrp_D(xi, eta, q, variant=None):
             c = xi.count(i, x)
             if c:
                 right = sum(partner[x:])
-                value = value * phi10(q2 ** (-c), q2,
-                                      q ** (-2 * (left + right) + 1))
-            left += xi.count(i, x)
-    return value
-
-
-def qtazrp_D_pochhammer(xi, eta, q, variant=None):
-    """Same value as `qtazrp_D` through the finite q-Pochhammer product, with
-    the site-inclusive left count absorbing the series argument."""
-    _check_zrp_pair(xi, eta)
-    q = _as_scalar(q)
-    q2 = q * q
-    n, L = xi.n, xi.L
-    value = q ** h_exponent(xi, eta, variant)
-    for i in range(n):
-        partner = eta.row(n - 1 - i)
-        left = 0
-        for x in range(1, L + 1):
-            c = xi.count(i, x)
-            left += c  # inclusive count
-            if c:
-                right = sum(partner[x:])
-                value = value * q_poch(q ** (-2 * (left + right) + 1), q2, c)
-    return value
-
-
-def qhahn_D(eta, xi, q, variant=None):
-    """Half-power duality value for the zero-range chains in base q.
-
-    Argument order follows the left process first: eta moves left, xi moves
-    right.  Exactness requires q to be a perfect square (the value lives in
-    Q(s) with s = q^{1/2}); substituting q -> q^2 recovers `qtazrp_D`.
-    """
-    _check_zrp_pair(xi, eta)
-    q = _as_scalar(q)
-    s = _sqrt_param(q)
-    n, L = xi.n, xi.L
-    value = s ** h_exponent(xi, eta, variant)
-    for i in range(n):
-        partner = eta.row(n - 1 - i)
-        left = 0
-        for x in range(1, L + 1):
-            c = xi.count(i, x)
-            if c:
-                right = sum(partner[x:])
                 value = value * phi10(q ** (-c), q,
                                       s ** (-2 * (left + right) + 1))
-            left += xi.count(i, x)
+            left += c
     return value

@@ -11,7 +11,3 @@ class DomainError(ValueError):
 
 class NonTerminatingError(DomainError):
     """A basic hypergeometric series did not terminate."""
-
-
-class NumericalError(ArithmeticError):
-    """A numerical procedure failed to converge within its budget."""

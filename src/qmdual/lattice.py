@@ -137,12 +137,6 @@ def n_total(cfg, i):
     return sum(cfg.counts[i])
 
 
-def theta_left(cfg, x):
-    """N^-_{x-1}(theta): total capacity strictly left of site x."""
-    assert cfg.theta is not None
-    return sum(cfg.theta[:x - 1])
-
-
 def charge_parity(cfg):
     """T: (T xi)_i^x = xi_{n-i}^x, swapping species i with species n-i."""
     if cfg.is_zero_range:

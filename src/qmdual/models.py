@@ -31,15 +31,16 @@ from .scalars import SNum, parse_scalar
 
 
 class GeneratorMatrix:
-    """Sector block of a generator or stochastic kernel, column convention."""
+    """Sector block of a generator or stochastic kernel, column convention;
+    index maps each configuration of the basis to its position."""
 
     __slots__ = ("sector", "basis", "index", "entries", "kind")
 
-    def __init__(self, sector, basis, entries, kind="generator"):
+    def __init__(self, sector, basis, index, entries, kind="generator"):
         assert kind in ("generator", "kernel")
         self.sector = sector
         self.basis = tuple(basis)
-        self.index = {cfg: i for i, cfg in enumerate(self.basis)}
+        self.index = index
         self.entries = entries
         self.kind = kind
 
@@ -57,6 +58,28 @@ class GeneratorMatrix:
 
     def __repr__(self):
         return "GeneratorMatrix(kind=%s, size=%d)" % (self.kind, self.size)
+
+
+def assemble(sector, basis, moves, kind="generator"):
+    """The chain on `basis` as a GeneratorMatrix with dense entries.
+
+    moves(cfg) yields (target, value) pairs; each value is added at entry
+    (target, cfg).  For a generator it is also taken off the diagonal entry
+    (cfg, cfg), so that every column sums to zero.
+    """
+    index = {cfg: i for i, cfg in enumerate(basis)}
+    N = len(basis)
+    mat = np.zeros((N, N), dtype=object)
+    for j, cfg in enumerate(basis):
+        for target, value in moves(cfg):
+            i = index.get(target)
+            if i is None:
+                raise DomainError("move %r -> %r leaves the basis"
+                                  % (cfg, target))
+            mat[i, j] += value
+            if kind == "generator":
+                mat[j, j] -= value
+    return GeneratorMatrix(sector, basis, index, mat, kind)
 
 
 # -- exclusion chain ---------------------------------------------------------
@@ -104,21 +127,18 @@ def _swap(site_x, site_x1, a, b):
     return tuple(new_x), tuple(new_x1)
 
 
+def asep_moves(cfg, q):
+    """The exclusion chain's moves out of cfg: (target, rate) per bond swap."""
+    for x in range(1, cfg.L):
+        for (new_x, new_x1), rate in asep_two_site_rates(
+                cfg.site(x), cfg.site(x + 1), q):
+            yield _replace_sites(cfg, x, new_x, new_x1), rate
+
+
 def asep_generator(sector, q, cap=200_000):
     """Generator block on one conserved-counts sector, column convention."""
     basis = enumerate_sector(sector, cap=cap)
-    index = {cfg: i for i, cfg in enumerate(basis)}
-    N = len(basis)
-    mat = np.zeros((N, N), dtype=object)
-    for j, cfg in enumerate(basis):
-        for x in range(1, cfg.L):
-            for (new_x, new_x1), rate in asep_two_site_rates(
-                    cfg.site(x), cfg.site(x + 1), q):
-                target = _replace_sites(cfg, x, new_x, new_x1)
-                assert target in index, "bond move left the sector"
-                mat[index[target], j] += rate
-                mat[j, j] -= rate
-    return GeneratorMatrix(sector, basis, mat)
+    return assemble(sector, basis, lambda cfg: asep_moves(cfg, q))
 
 
 def _replace_sites(cfg, x, new_x, new_x1):
@@ -294,14 +314,6 @@ def qtazrp_rates(beta, q):
 
 # -- zero-range kernels and generators ---------------------------------------
 
-def _emitting_sites(L, direction):
-    if direction == "left":
-        return range(2, L + 1), -1
-    if direction == "right":
-        return range(1, L), +1
-    raise DomainError("direction must be left or right, got %r" % (direction,))
-
-
 def _move_batch(cfg, x, gamma, step):
     rows = [list(row) for row in cfg.counts]
     for i, g in enumerate(gamma):
@@ -311,7 +323,9 @@ def _move_batch(cfg, x, gamma, step):
     return Config.zero_range(rows)
 
 
-def _zrp_window_check(window):
+def _zrp_window(window, direction):
+    """Basis, sector label (totals, L), emitting sites and batch step of a
+    zero-range window; the direction picks the sites and the step."""
     basis = list(window)
     assert basis and all(cfg.is_zero_range for cfg in basis)
     L = basis[0].L
@@ -319,7 +333,11 @@ def _zrp_window_check(window):
     for cfg in basis:
         assert cfg.L == L and cfg.rows == basis[0].rows
         assert tuple(n_total(cfg, i) for i in range(cfg.rows)) == totals
-    return basis, L, totals
+    if direction == "left":
+        return basis, (totals, L), range(2, L + 1), -1
+    if direction == "right":
+        return basis, (totals, L), range(1, L), +1
+    raise DomainError("direction must be left or right, got %r" % (direction,))
 
 
 def qhahn_discrete_kernel(window, lam, mu, q, direction):
@@ -331,13 +349,9 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
     one site up.  Every site emits simultaneously, so one step multiplies
     independent per-site weights.
     """
-    basis, L, totals = _zrp_window_check(window)
-    emit, step = _emitting_sites(L, direction)
-    emit = list(emit)
-    index = {cfg: i for i, cfg in enumerate(basis)}
-    N = len(basis)
-    mat = np.zeros((N, N), dtype=object)
-    for j, cfg in enumerate(basis):
+    basis, sector, emit, step = _zrp_window(window, direction)
+
+    def moves(cfg):
         choices = [
             list(itertools.product(*(range(c + 1) for c in cfg.site(x))))
             for x in emit
@@ -350,27 +364,21 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
                 if prob == 0:
                     break
                 target = _move_batch(target, x, gamma, step)
-            if prob == 0:
-                continue
-            assert target in index, "batch move left the window"
-            mat[index[target], j] += prob
-    return GeneratorMatrix((totals, L), basis, mat, kind="kernel")
+            if prob != 0:
+                yield target, prob
+
+    return assemble(sector, basis, moves, "kernel")
 
 
 def _zrp_generator(window, direction, site_rates):
-    basis, L, totals = _zrp_window_check(window)
-    emit, step = _emitting_sites(L, direction)
-    index = {cfg: i for i, cfg in enumerate(basis)}
-    N = len(basis)
-    mat = np.zeros((N, N), dtype=object)
-    for j, cfg in enumerate(basis):
+    basis, sector, emit, step = _zrp_window(window, direction)
+
+    def moves(cfg):
         for x in emit:
             for gamma, rate in site_rates(cfg.site(x)).items():
-                target = _move_batch(cfg, x, gamma, step)
-                assert target in index, "batch move left the window"
-                mat[index[target], j] += rate
-                mat[j, j] -= rate
-    return GeneratorMatrix((totals, L), basis, mat)
+                yield _move_batch(cfg, x, gamma, step), rate
+
+    return assemble(sector, basis, moves)
 
 
 def qhahn_continuous_generator(window, mu, q, direction):

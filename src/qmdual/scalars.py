@@ -18,17 +18,6 @@ DEFAULT_DPS = int(os.environ.get("QMDUAL_PRECISION", "60"))
 mpmath.mp.dps = DEFAULT_DPS
 
 
-def set_precision(dps):
-    """Set float-backend precision in significant digits (returns old value)."""
-    old = mpmath.mp.dps
-    mpmath.mp.dps = int(dps)
-    return old
-
-
-def get_precision():
-    return mpmath.mp.dps
-
-
 def rational_sqrt(r):
     """Exact square root of a Fraction/int, or None when not a perfect square."""
     r = Fraction(r)
@@ -219,11 +208,6 @@ class SNum:
 
     def __repr__(self):
         return "SNum(%s)" % format_exact(self)
-
-    def as_fraction(self):
-        if self.b != 0:
-            raise ValueError("%r has an irrational s-part" % (self,))
-        return self.a
 
 
 def exact_sqrt(x, sbase=None):

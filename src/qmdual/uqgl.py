@@ -4,10 +4,14 @@ Builds the weight-basis matrices of the rank-n q-deformed gl algebra on the
 finite modules V_m^(n), their tensor products over a chain, the Casimir
 element, the *-structure and inner product, the diagonal ground-state
 transform, nilpotent q-exponentials, and the unitary symmetry built from
-them.  The bridge functions at the bottom translate tensor-basis states to
+them.  Every root vector comes from one nested q-commutator recursion, and
+every diagonal rescaling (the *-structure, the ground-state transform, the
+dressed unitary and the duality matrix) goes through `conjugate_diag`.  The
+weight diagonals are `weight_matrix` on a module and `coproduct_weight` on a
+chain.  The bridge functions at the bottom translate tensor-basis states to
 lattice configurations (slot i = species i for i < n, slot n = holes) and
-assemble the matching Markov generator, which is what the conjugation and
-duality checks run against.
+assemble the matching Markov generator with the models module's loop; the
+conjugation and duality checks run against it.
 
 All matrices are numpy object arrays over exact scalars unless stated
 otherwise.  Column convention throughout: entry (r, c) is the coefficient
@@ -20,12 +24,13 @@ from fractions import Fraction
 from functools import reduce
 from math import comb
 
+import mpmath
 import numpy as np
 
 from . import lattice, models
 from .errors import DomainError
 from .lattice import ResourceError
-from .qcalc import brace_fact, q_int, q_poch
+from .qcalc import INF, brace_fact, q_exp_E, q_exp_e, q_int, q_poch
 from .scalars import exact_sqrt, to_mpf
 
 TENSOR_DIM_CAP = 10_000
@@ -144,27 +149,24 @@ def is_zero_matrix(M):
 # ---------------------------------------------------------------------------
 # single-module generator action
 
-_KINDS = ("raise", "lower", "weight")
+def _check_kind(kind):
+    if kind not in ("raise", "lower"):
+        raise DomainError("ladder kind must be raise or lower, got %r"
+                          % (kind,))
 
 
 def generator_matrix(kind, i, basis, q):
-    """Matrix of one Chevalley generator on a RepBasis.
+    """Matrix of one ladder generator on a RepBasis.
 
     kind "raise": moves one unit from slot i+1 to slot i, coefficient
     [mu_{i+1}]_q.  kind "lower": slot i to i+1, coefficient [mu_i]_q.
-    kind "weight": diagonal q^{mu_i}.
+    The weight diagonals are `weight_matrix`.
     """
-    assert kind in _KINDS, kind
-    if kind == "weight":
-        assert 0 <= i <= basis.n, "weight index out of range"
-    else:
-        assert 0 <= i < basis.n, "ladder index out of range"
+    _check_kind(kind)
+    assert 0 <= i < basis.n, "ladder index out of range"
     N = len(basis)
     M = zeros(N)
     for k, mu in enumerate(basis.states):
-        if kind == "weight":
-            M[k, k] = q ** mu[i]
-            continue
         src, dst = (i + 1, i) if kind == "raise" else (i, i + 1)
         if mu[src] > 0:
             tgt = list(mu)
@@ -183,44 +185,35 @@ def weight_matrix(i, basis, q, power=1):
     return M
 
 
-def root_vector(i, j, basis, q, k=None):
-    """Off-diagonal algebra element E_{ij} via the nested q-commutator
-    E_{ij} = E_{ik}E_{kj} - q^{-1} E_{kj}E_{ik}; k defaults to the neighbor
-    of i toward j.  The result is independent of the chain of intermediates.
-    """
-    assert 0 <= i <= basis.n and 0 <= j <= basis.n and i != j
-    if j == i + 1:
-        return generator_matrix("raise", i, basis, q)
-    if j == i - 1:
-        return generator_matrix("lower", j, basis, q)
+def _nested_root(i, j, adjacent, q, k=None):
+    """E_{ij} by the nested q-commutator E_{ij} = E_{ik}E_{kj} - q^{-1}
+    E_{kj}E_{ik}, from adjacent(a, b) = E_{ab} for |a - b| = 1; k defaults
+    to the neighbor of i toward j."""
+    if abs(i - j) == 1:
+        return adjacent(i, j)
     if k is None:
         k = i + 1 if i < j else i - 1
-    assert (i < k < j) or (i > k > j), "intermediate must sit between i and j"
-    A = root_vector(i, k, basis, q)
-    B = root_vector(k, j, basis, q)
+    if not (i < k < j or i > k > j):
+        raise DomainError("intermediate %d must sit between %d and %d"
+                          % (k, i, j))
+    A = _nested_root(i, k, adjacent, q)
+    B = _nested_root(k, j, adjacent, q)
     return A @ B - (1 / q) * (B @ A)
 
 
-def root_vector_closed(i, j, basis, q):
-    """Same element from the closed-form action: for i < j the matrix sends
-    mu to mu with one unit moved j -> i, coefficient
-    q^{mu_{i+1}+...+mu_{j-1}} [mu_j]_q (and symmetrically for i > j)."""
-    assert 0 <= i <= basis.n and 0 <= j <= basis.n and i != j
-    lo, hi = (i, j) if i < j else (j, i)
-    # one unit moves slot j -> slot i; the q-power runs over the slots
-    # strictly between them
-    src, dst = j, i
-    N = len(basis)
-    M = zeros(N)
-    for kk, mu in enumerate(basis.states):
-        if mu[src] == 0:
-            continue
-        tgt = list(mu)
-        tgt[src] -= 1
-        tgt[dst] += 1
-        coeff = q ** sum(mu[lo + 1:hi]) * q_int(mu[src], q)
-        M[basis.index[tuple(tgt)], kk] = coeff
-    return M
+def root_vector(i, j, basis, q, k=None):
+    """Off-diagonal algebra element E_{ij} on a RepBasis via the nested
+    q-commutator through the intermediate k.  The result is independent of
+    the chain of intermediates."""
+    if not (0 <= i <= basis.n and 0 <= j <= basis.n and i != j):
+        raise DomainError("no root vector E_{%d%d} at rank %d"
+                          % (i, j, basis.n))
+
+    def adjacent(a, b):
+        return generator_matrix("raise" if b == a + 1 else "lower",
+                                min(a, b), basis, q)
+
+    return _nested_root(i, j, adjacent, q, k)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +225,10 @@ def coproduct_apply(kind, i, tbasis, q):
 
     raise: sum over legs x of (K_i K_{i+1}^{-1}) on legs y<x, the raise
     matrix at x, identity on y>x.  lower: identity left, lower at x,
-    (K_i^{-1} K_{i+1}) right.  weight: q^{E_ii} on every leg.
+    (K_i^{-1} K_{i+1}) right.  The weight diagonals are `coproduct_weight`.
     """
-    assert kind in _KINDS, kind
+    _check_kind(kind)
     legs = tbasis.legs
-    if kind == "weight":
-        return kron_all([weight_matrix(i, leg, q) for leg in legs])
     total = None
     for x in range(len(legs)):
         factors = []
@@ -265,25 +256,21 @@ def coproduct_weight(i, tbasis, q, power=1):
 # Casimir
 
 
-def _casimir_from_ops(n, E, F, K, q, dim):
-    """First-order Casimir from generator dictionaries.
-
-    E[i], F[i] are the (co)product raise/lower matrices, K[i] the weight
-    diagonals.  Root vectors are rebuilt with the same nested commutator as
-    root_vector, so the formula applies verbatim on tensor legs.
+def _casimir(basis, q, ladder, weight):
+    """First-order Casimir from the raise/lower matrices ladder(kind, i,
+    basis, q) and the weight diagonals weight(i, basis, q): the module
+    generators on a RepBasis, their coproducts on a TensorBasis.  Root
+    vectors come from the same nested commutator as root_vector.
     """
+    n = basis.n
+    E = {i: ladder("raise", i, basis, q) for i in range(n)}
+    F = {i: ladder("lower", i, basis, q) for i in range(n)}
+    K = {i: weight(i, basis, q) for i in range(n + 1)}
 
     def rv(i, j):
-        if j == i + 1:
-            return E[i]
-        if i == j + 1:
-            return F[j]
-        k = i + 1 if i < j else i - 1
-        A = rv(i, k)
-        B = rv(k, j)
-        return A @ B - (1 / q) * (B @ A)
+        return _nested_root(i, j, lambda a, b: E[a] if b == a + 1 else F[b], q)
 
-    C = zeros(dim)
+    C = zeros(len(basis))
     for i in range(n + 1):
         C = C + q ** (2 * i - 2 * n - 1) * (K[i] @ K[i])
     coeff = (q - 1 / q) ** 2
@@ -303,11 +290,7 @@ def casimir_c1(basis, q):
     the sum still commutes with every iterated-coproduct generator.
     """
     if isinstance(basis, RepBasis):
-        n = basis.n
-        E = {i: generator_matrix("raise", i, basis, q) for i in range(n)}
-        F = {i: generator_matrix("lower", i, basis, q) for i in range(n)}
-        K = {i: weight_matrix(i, basis, q) for i in range(n + 1)}
-        return _casimir_from_ops(n, E, F, K, q, len(basis))
+        return _casimir(basis, q, generator_matrix, weight_matrix)
     assert isinstance(basis, TensorBasis)
     if basis.L == 1:
         return casimir_c1(basis.legs[0], q)
@@ -321,22 +304,10 @@ def casimir_c1(basis, q):
 def bond_casimir(tbasis, x, q):
     """Two-site coproduct Casimir on legs (x, x+1), identity elsewhere."""
     assert 0 <= x < tbasis.L - 1
-    n = tbasis.n
-    pair = TensorBasis(n, (tbasis.theta[x], tbasis.theta[x + 1]))
-    E = {i: coproduct_apply("raise", i, pair, q) for i in range(n)}
-    F = {i: coproduct_apply("lower", i, pair, q) for i in range(n)}
-    K = {i: coproduct_weight(i, pair, q) for i in range(n + 1)}
-    C2 = _casimir_from_ops(n, E, F, K, q, len(pair))
-    mats = []
-    y = 0
-    while y < tbasis.L:
-        if y == x:
-            mats.append(C2)
-            y += 2
-        else:
-            mats.append(eye(len(tbasis.legs[y])))
-            y += 1
-    return kron_all(mats)
+    pair = TensorBasis(tbasis.n, tbasis.theta[x:x + 2])
+    C2 = _casimir(pair, q, coproduct_apply, coproduct_weight)
+    ids = [eye(len(leg)) for leg in tbasis.legs]
+    return kron_all(ids[:x] + [C2] + ids[x + 2:])
 
 
 def casimir_scalar(n, m, q):
@@ -388,14 +359,8 @@ def star_transform(M, basis, q):
     """Matrix of the *-image: weighted transpose w.r.t. the inner product,
     star(M)[r, c] = M[c, r] w_c / w_r."""
     w = inner_product(basis, q)
-    N = M.shape[0]
-    assert N == len(w), "matrix does not match basis"
-    out = zeros(N)
-    for r in range(N):
-        for c in range(N):
-            if bool(M[c, r]):
-                out[r, c] = M[c, r] * w[c] / w[r]
-    return out
+    assert M.shape[0] == len(w), "matrix does not match basis"
+    return conjugate_diag(w, M.T)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +390,9 @@ def ground_state_G(tbasis, q, theta=None):
     constant would cancel in the conjugation.  Returns a list aligned with
     tbasis.states; entries are exact for exact q.
     """
-    if theta is not None:
-        assert tuple(theta) == tbasis.theta, "theta disagrees with basis"
+    if theta is not None and tuple(theta) != tbasis.theta:
+        raise DomainError("theta %s disagrees with the basis capacities %s"
+                          % (tuple(theta), tbasis.theta))
     return [q ** (-inversion_exponent(st)) for st in tbasis.states]
 
 
@@ -475,7 +441,6 @@ def nilpotent_q_exp(M, qsq, variant="e", nilcap=None):
 def diagonal_q_exp(diag_entries, qsq, variant="e"):
     """Scalar q-exponential applied entrywise to a diagonal (float backend:
     the series is infinite for nonzero entries)."""
-    from .qcalc import q_exp_e, q_exp_E
     fn = q_exp_e if variant == "e" else q_exp_E
     return [fn(to_mpf(z), to_mpf(qsq)) for z in diag_entries]
 
@@ -502,9 +467,8 @@ def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
     """
     if gamma is None:
         gamma = gamma_from_lambda(lam, q)
-    else:
-        assert lam == gamma * (1 - q ** 2) * (q - 1 / q), \
-            "lam and gamma must satisfy the coupling relation"
+    elif lam != gamma * (1 - q ** 2) * (q - 1 / q):
+        raise DomainError("lam and gamma must satisfy the coupling relation")
     MF = coproduct_apply("lower", i, tbasis, q) @ coproduct_weight(i, tbasis, q)
     ME = coproduct_weight(i + 1, tbasis, q) @ coproduct_apply("raise", i, tbasis, q)
     cap = sum(tbasis.theta) + 1
@@ -514,27 +478,10 @@ def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
         return U
     # dressed variant: sqrt of the scalar q-exponentials of the weight
     # diagonals, applied on the float backend
-    import mpmath
-    z = -gamma * lam
-    left, right = [], []
-    for st in tbasis.states:
-        ki = sum(mu[i] for mu in st)
-        ki1 = sum(mu[i + 1] for mu in st)
-        left.append(mpmath.sqrt(to_mpf(q_poch(z, q ** 2, ki))
-                                / _poch_inf(z, q)))
-        right.append(mpmath.sqrt(_poch_inf(z, q)
-                                 / to_mpf(q_poch(z, q ** 2, ki1))))
-    N = len(tbasis)
-    out = np.empty((N, N), dtype=object)
-    for r in range(N):
-        for c in range(N):
-            out[r, c] = left[r] * to_mpf(U[r, c]) * right[c]
-    return out
-
-
-def _poch_inf(z, q):
-    from .qcalc import q_poch, INF
-    return to_mpf(q_poch(to_mpf(z), to_mpf(q) ** 2, INF))
+    inf = to_mpf(q_poch(to_mpf(-gamma * lam), to_mpf(q) ** 2, INF))
+    g, h = ([mpmath.sqrt(inf / to_mpf(p)) for p in twist]
+            for twist in unitarity_twist(i, lam, tbasis, q, gamma))
+    return conjugate_diag(g, U, h)
 
 
 def unitarity_twist(i, lam, tbasis, q, gamma=None):
@@ -562,18 +509,11 @@ def state_config(state, theta):
 
 
 def chain_generator(tbasis, q):
-    """Exclusion generator on the full tensor basis, assembled per sector
-    through the models module (column convention)."""
-    N = len(tbasis)
-    Lm = zeros(N)
-    for key, idxs in tbasis.sectors().items():
-        sector = lattice.Sector(key, tbasis.theta)
-        gen = models.asep_generator(sector, q)
-        cfgs = [state_config(tbasis.states[k], tbasis.theta) for k in idxs]
-        for a, ra in enumerate(idxs):
-            for b, rb in enumerate(idxs):
-                Lm[ra, rb] = gen.rate(cfgs[b], cfgs[a])
-    return Lm
+    """Exclusion generator on the full tensor basis (column convention), from
+    the models module's assembly loop over the states' configurations."""
+    basis = [state_config(st, tbasis.theta) for st in tbasis.states]
+    return models.assemble(None, basis,
+                           lambda cfg: models.asep_moves(cfg, q)).entries
 
 
 def reversible_vector(tbasis, q):
@@ -593,7 +533,6 @@ def duality_lambda(alpha, theta, q, shift=0):
     root = exact_sqrt(alpha)
     if root is None:
         warnings.warn("alpha=%r is not an exact square; float backend" % (alpha,))
-        import mpmath
         root = mpmath.sqrt(to_mpf(alpha))
         return root * to_mpf((1 - q ** 2)) * to_mpf(q) ** (-(sum(theta) - shift))
     return root * (1 - q ** 2) * q ** (-(sum(theta) - shift))
@@ -632,41 +571,30 @@ def algebraic_duality(lambdas, tbasis, q, A=None):
     """
     n = tbasis.n
     lambdas = list(lambdas)
-    assert len(lambdas) == n, "one coupling per species"
+    if len(lambdas) != n:
+        raise DomainError("need one coupling per species, got %d for %d"
+                          % (len(lambdas), n))
     N = len(tbasis)
-    MU = eye(N)
-    for i in range(n):
-        MU = unitary_U(i, lambdas[i], tbasis, q) @ MU
-    g = gauge_vector(tbasis, q)
+    g = ground_state_G(tbasis, q)
     mu = reversible_vector(tbasis, q)
     if A is None:
         A = [Fraction(1)] * N
     else:
-        _assert_sector_constant(A, tbasis, "A")
-    D = zeros(N)
-    for r in range(N):
-        for c in range(N):
-            if bool(MU[r, c]):
-                D[r, c] = A[r] * MU[r, c] * g[c] * A[c] / (g[r] * mu[r])
+        for key, idxs in tbasis.sectors().items():
+            if len({A[k] for k in idxs}) != 1:
+                raise DomainError("A must be constant on sector %s" % (key,))
+    # D = diag(row)^-1 M_U diag(col); the orthogonality weights are the
+    # squares of these scalings times the inner product and the twists
+    row = [g[k] * mu[k] / A[k] for k in range(N)]
+    col = [g[k] * A[k] for k in range(N)]
     w = inner_product(tbasis, q)
-    start = [Fraction(1)] * N
-    end = [Fraction(1)] * N
-    for i in range(n):
-        s_i, e_i = unitarity_twist(i, lambdas[i], tbasis, q)
-        start = [a * b for a, b in zip(start, s_i)]
-        end = [a * b for a, b in zip(end, e_i)]
-    left = [mu[k] ** 2 * g[k] ** 2 * w[k] * start[k] / (A[k] ** 2)
-            for k in range(N)]
-    right = [g[k] ** 2 * w[k] * end[k] * A[k] ** 2 for k in range(N)]
-    return AlgebraicDuality(tbasis, D, lambdas, left, right)
-
-
-def gauge_vector(tbasis, q):
-    """Alias for ground_state_G without the theta cross-check."""
-    return ground_state_G(tbasis, q)
-
-
-def _assert_sector_constant(vec, tbasis, name):
-    for key, idxs in tbasis.sectors().items():
-        vals = {vec[k] for k in idxs}
-        assert len(vals) == 1, "%s must be constant on sector %s" % (name, key)
+    left = [row[k] ** 2 * w[k] for k in range(N)]
+    right = [col[k] ** 2 * w[k] for k in range(N)]
+    MU = eye(N)
+    for i, lam in enumerate(lambdas):
+        MU = unitary_U(i, lam, tbasis, q) @ MU
+        start, end = unitarity_twist(i, lam, tbasis, q)
+        left = [a * b for a, b in zip(left, start)]
+        right = [a * b for a, b in zip(right, end)]
+    return AlgebraicDuality(tbasis, conjugate_diag(row, MU, col), lambdas,
+                            left, right)

@@ -1,6 +1,7 @@
 """Duality functions: Krawtchouk products, corrections, zero-range forms."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -21,8 +22,6 @@ from qmdual.duality import (
     multi_species_D,
     orthogonality_range_report,
     qhahn_D,
-    qtazrp_D,
-    qtazrp_D_pochhammer,
     single_species_D,
     vertex_duality_D,
     w_over_h,
@@ -34,6 +33,7 @@ from qmdual.lattice import (
     charge_parity,
     enumerate_sector,
     enumerate_zrp_sector,
+    intermediate_configs,
 )
 from qmdual.models import (
     asep_generator,
@@ -42,7 +42,7 @@ from qmdual.models import (
     qtazrp_generator,
     reversible_measure,
 )
-from qmdual.qcalc import q_poch
+from qmdual.qcalc import q_poch, q_poch_ratio
 from qmdual.scalars import SNum, is_exact, to_mpf
 
 F = Fraction
@@ -115,6 +115,41 @@ def qhahn_product_oracle(eta, xi, q):
             if c:
                 right = sum(partner[x:])
                 value = value * q_poch(s ** (-2 * (left + right) + 1), q, c)
+    return value
+
+
+def strict_h_exponent(xi, eta):
+    """The zero-range exponent with the xi suffix in the eta term starting
+    strictly right of the site; `h_exponent` starts it at the site itself."""
+    n = xi.n
+
+    def suffix(cfg, m, start):
+        return sum(cfg.range_count(y, 0, m) for y in range(start, cfg.L + 1))
+
+    return sum(eta.count(i, x) * suffix(xi, n - 2 - i, x + 1)
+               - xi.count(i, x) * suffix(eta, n - 2 - i, x + 1)
+               for x in range(1, xi.L + 1) for i in range(n - 1))
+
+
+def colocation_sum(xi, eta):
+    """h_exponent minus its strict form: eta against co-located xi."""
+    n = xi.n
+    return sum(eta.count(i, x) * xi.range_count(x, 0, n - 2 - i)
+               for x in range(1, xi.L + 1) for i in range(n))
+
+
+def pochhammer_C_sq_oracle(xi, eta, params):
+    """Closed Pochhammer-ratio reading of the C radicand in base q, on a
+    feasible pair; `correction_C_sq` is the form derived from the weights."""
+    q = params.q
+    value = 1
+    for iv in intermediate_configs(xi, eta):
+        n_xi, n_zeta = sum(xi.row(iv.i)), sum(iv.rows[iv.i])
+        # species-count jump across the nesting step
+        upper = sum(eta.range_count(x, 0, iv.i + 1) - xi.range_count(x, 0, iv.i)
+                    for x in range(1, xi.L + 1))
+        value = value * q ** (math.comb(n_xi, 2) - math.comb(n_zeta, 2))
+        value = value * q_poch_ratio(params.alpha[iv.i], q, 1 - upper, 1 - n_zeta)
     return value
 
 
@@ -404,8 +439,8 @@ class TestCorrectionVariants:
             for eta in basis:
                 if kraw_chain(xi, eta, params) == 0:
                     continue
-                d = correction_C_sq(xi, eta, params, "derived")
-                p = correction_C_sq(xi, eta, params, "pochhammer-q")
+                d = correction_C_sq(xi, eta, params)
+                p = pochhammer_C_sq_oracle(xi, eta, params)
                 ratios.add(p / d)
         assert len(ratios) == 1, "ratio not constant on the sector: %s" % ratios
         assert ratios != {1}, "variants unexpectedly agree; revisit the default"
@@ -417,22 +452,9 @@ class TestCorrectionVariants:
             for eta in basis:
                 if kraw_chain(xi, eta, params) == 0:
                     continue
-                d = correction_C_sq(xi, eta, params, "derived")
-                p = correction_C_sq(xi, eta, params, "pochhammer-q")
+                d = correction_C_sq(xi, eta, params)
+                p = pochhammer_C_sq_oracle(xi, eta, params)
                 assert d == p, "unit-sector disagreement: %s vs %s" % (d, p)
-
-    def test_pochhammer_q2_even_case_and_odd_guard(self):
-        # n=1, theta=(2,), xi=eta=(1,): the count difference is even
-        th = (2,)
-        params = DualityParams((F(2),), F(1, 2))
-        xi = Config.capacity([(1,)], th)
-        val = correction_C_sq(xi, xi, params, "pochhammer-q2")
-        assert is_exact(val), "even-difference case should stay exact"
-        # theta=(1,), both empty: odd difference, exact backend must refuse
-        params1 = DualityParams((F(2),), F(1, 2))
-        empty = Config.capacity([(0,)], (1,))
-        with pytest.raises(DomainError):
-            correction_C_sq(empty, empty, params1, "pochhammer-q2")
 
     def test_derived_radicand_reference_value(self):
         # holes-only xi against a single species-0 particle: the derived
@@ -475,7 +497,9 @@ class TestRangeReport:
 
 # -- zero-range dualities --------------------------------------------------------
 
-def zrp_window_residual(counts_xi, counts_eta, L, q, variant):
+def zrp_window_residual(counts_xi, counts_eta, L, q, strict=False):
+    """Intertwining residual of the single-jump chains at base q^2; strict
+    swaps in the strict exponent, which differs by the co-location sum."""
     wx = enumerate_zrp_sector(counts_xi, L)
     we = enumerate_zrp_sector(counts_eta, L)
     Lr = qtazrp_generator(wx, q * q, "right").entries
@@ -483,7 +507,9 @@ def zrp_window_residual(counts_xi, counts_eta, L, q, variant):
     D = np.empty((len(wx), len(we)), dtype=object)
     for i, xi in enumerate(wx):
         for j, eta in enumerate(we):
-            D[i, j] = qtazrp_D(xi, eta, q, variant)
+            D[i, j] = qhahn_D(eta, xi, q * q)
+            if strict:
+                D[i, j] *= q ** (-colocation_sum(xi, eta))
     return Lr.T @ D - D @ Ll
 
 
@@ -492,12 +518,12 @@ class TestZeroRangeCrossDuality:
 
     @pytest.mark.parametrize("cx,ce,L", WINDOWS)
     def test_inclusive_variant_intertwines(self, cx, ce, L):
-        R = zrp_window_residual(cx, ce, L, F(1, 2), "inclusive")
+        R = zrp_window_residual(cx, ce, L, F(1, 2))
         assert all(v == 0 for v in R.flat), \
             "residual %s on window %s/%s" % (residual_max(R), cx, ce)
 
     def test_strict_variant_fails_with_two_species(self):
-        R = zrp_window_residual((2, 1), (1, 1), 3, F(1, 2), "strict")
+        R = zrp_window_residual((2, 1), (1, 1), 3, F(1, 2), strict=True)
         assert any(v != 0 for v in R.flat), \
             "strict variant unexpectedly intertwines; revisit the default"
 
@@ -507,13 +533,7 @@ class TestZeroRangeCrossDuality:
         we = enumerate_zrp_sector((2,), 3)
         for xi in wx:
             for eta in we:
-                assert h_exponent(xi, eta, "inclusive") == 0
-                assert qtazrp_D(xi, eta, F(1, 2), "inclusive") == \
-                    qtazrp_D(xi, eta, F(1, 2), "strict")
-
-    def test_default_variant_is_inclusive(self):
-        assert du.DEFAULT_H_VARIANT == "inclusive"
-        assert du.DEFAULT_C_VARIANT == "derived"
+                assert h_exponent(xi, eta) == strict_h_exponent(xi, eta) == 0
 
     def test_series_and_product_routes_agree(self):
         q = F(2, 3)
@@ -521,8 +541,8 @@ class TestZeroRangeCrossDuality:
         we = enumerate_zrp_sector((1, 1), 3)
         for xi in wx:
             for eta in we:
-                a = qtazrp_D(xi, eta, q)
-                b = qtazrp_D_pochhammer(xi, eta, q)
+                a = qhahn_D(eta, xi, q * q)
+                b = qhahn_product_oracle(eta, xi, q * q)
                 assert a == b, "series %s != product %s at %s %s" % (a, b, xi, eta)
 
 
@@ -556,15 +576,18 @@ class TestQHahnDuality:
             "generator duality residual %s" % residual_max(R)
 
     def test_substitution_recovers_series_form(self):
-        # at base s^2 the half-power form equals the base-q^2 form at s
+        # at base s^2 the half-power form is a rational series in base s^2,
+        # and the float backend agrees with it
         s = F(1, 3)
         wx = enumerate_zrp_sector((2, 1), 3)
         we = enumerate_zrp_sector((1, 1), 3)
         for xi in wx:
             for eta in we:
-                lhs = qhahn_D(eta, xi, s * s)
-                rhs = qtazrp_D(xi, eta, s)
-                assert lhs == rhs, "substitution mismatch at %s %s" % (xi, eta)
+                exact = qhahn_D(eta, xi, s * s)
+                approx = qhahn_D(eta, xi, to_mpf(s) ** 2)
+                assert isinstance(exact, Fraction), "left Q at %s %s" % (xi, eta)
+                assert abs(to_mpf(exact) - approx) < mpmath.mpf("1e-40"), \
+                    "float backend mismatch at %s %s" % (xi, eta)
 
     def test_product_route_oracle(self):
         # non-square base: values live in Q(s) and must match the finite
@@ -598,7 +621,7 @@ class TestTwoSpeciesReduction:
                 eta = Config.zero_range([
                     tuple(int(x == y1) for x in range(1, L + 1)),
                     tuple(int(x == y2) for x in range(1, L + 1))])
-                got = qtazrp_D(xi, eta, q)
+                got = qhahn_D(eta, xi, q * q)
                 want = two_species_case_delta(
                     two_species_case(x1, x2, y1, y2), n1, n2, q)
                 assert got == want, (
@@ -700,23 +723,24 @@ class TestStructureProperties:
     @settings(max_examples=60, deadline=None)
     def test_h_variant_gap_is_colocation_sum(self, pair):
         xi, eta = pair
-        n = xi.n
-        gap = h_exponent(xi, eta, "inclusive") - h_exponent(xi, eta, "strict")
-        want = sum(eta.count(i, x) * xi.range_count(x, 0, n - 2 - i)
-                   for x in range(1, xi.L + 1) for i in range(n))
+        gap = h_exponent(xi, eta) - strict_h_exponent(xi, eta)
+        want = colocation_sum(xi, eta)
         assert gap == want, "variant gap %s != co-location sum %s" % (gap, want)
 
     @given(zrp_config_pairs(), st.sampled_from([F(1, 2), F(1, 3), F(2, 5), F(3, 2)]))
     @settings(max_examples=40, deadline=None)
     def test_substitution_identity(self, pair, s):
         xi, eta = pair
-        assert qhahn_D(eta, xi, s * s) == qtazrp_D(xi, eta, s)
+        exact = qhahn_D(eta, xi, s * s)
+        assert isinstance(exact, Fraction)
+        assert abs(to_mpf(exact) - qhahn_D(eta, xi, to_mpf(s) ** 2)) \
+            < mpmath.mpf("1e-40") * max(1, abs(to_mpf(exact)))
 
     @given(zrp_config_pairs(), st.sampled_from([F(1, 2), F(2, 3)]))
     @settings(max_examples=40, deadline=None)
     def test_series_equals_product_route(self, pair, q):
         xi, eta = pair
-        assert qtazrp_D(xi, eta, q) == qtazrp_D_pochhammer(xi, eta, q)
+        assert qhahn_D(eta, xi, q * q) == qhahn_product_oracle(eta, xi, q * q)
 
     @given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2),
            st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
@@ -724,7 +748,7 @@ class TestStructureProperties:
     def test_empty_process_side_gives_one(self, a, b, c, d):
         xi = Config.zero_range([(0, 0), (0, 0)])
         eta = Config.zero_range([(a, b), (c, d)])
-        assert qtazrp_D(xi, eta, F(1, 2)) == 1, "empty xi must give 1"
+        assert qhahn_D(eta, xi, F(1, 4)) == 1, "empty xi must give 1"
 
     def test_empty_dual_is_sector_constant(self):
         # against the empty dual the value is harmonic, hence constant on
@@ -733,5 +757,5 @@ class TestStructureProperties:
         eta = Config.zero_range([(0, 0, 0), (0, 0, 0)])
         for counts in [(2, 1), (1, 1), (3, 0)]:
             window = enumerate_zrp_sector(counts, 3)
-            vals = {qtazrp_D(xi, eta, q) for xi in window}
+            vals = {qhahn_D(eta, xi, q * q) for xi in window}
             assert len(vals) == 1, "sector values not constant: %s" % vals

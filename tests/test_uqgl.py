@@ -2,8 +2,12 @@
 q-exponentials, the unitary symmetry, and the dualities assembled from it."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,8 +18,9 @@ from hypothesis import strategies as st
 from qmdual import uqgl as uq
 from qmdual.duality import DualityParams, multi_species_D
 from qmdual.errors import DomainError
-from qmdual.lattice import ResourceError
-from qmdual.qcalc import q_exp_E, q_exp_e, q_poch
+from qmdual.lattice import ResourceError, Sector
+from qmdual.models import asep_generator
+from qmdual.qcalc import q_exp_E, q_exp_e, q_int, q_poch
 from qmdual.scalars import to_mpf
 
 F = Fraction
@@ -35,6 +40,22 @@ def comm(A, B):
 
 def gen(kind, i, basis, q):
     return uq.generator_matrix(kind, i, basis, q)
+
+
+def root_vector_closed(i, j, basis, q):
+    """E_{ij} from its closed-form action: one unit moves slot j -> slot i,
+    coefficient q^{mu_{i+1}+...+mu_{j-1}} [mu_j]_q, the q-power running
+    over the slots strictly between i and j."""
+    lo, hi = sorted((i, j))
+    M = uq.zeros(len(basis))
+    for kk, mu in enumerate(basis.states):
+        if mu[j]:
+            tgt = list(mu)
+            tgt[j] -= 1
+            tgt[i] += 1
+            M[basis.index[tuple(tgt)], kk] = \
+                q ** sum(mu[lo + 1:hi]) * q_int(mu[j], q)
+    return M
 
 
 def closed_block(tb, alphas, q, ridx, cidx):
@@ -210,7 +231,7 @@ class TestRootVectors:
                         if i == j:
                             continue
                         got = uq.root_vector(i, j, b, q)
-                        want = uq.root_vector_closed(i, j, b, q)
+                        want = root_vector_closed(i, j, b, q)
                         assert zero(got - want), \
                             "E_{%d%d} closed form mismatch n=%d m=%d q=%s" % (i, j, n, m, q)
 
@@ -227,8 +248,15 @@ class TestRootVectors:
 
     def test_bad_intermediate_rejected(self):
         b = uq.RepBasis(3, 1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(DomainError):
             uq.root_vector(0, 2, b, F(1, 2), k=3)
+
+    def test_weight_kind_rejected(self):
+        # the weight diagonals are weight_matrix and coproduct_weight
+        with pytest.raises(DomainError):
+            gen("weight", 0, uq.RepBasis(1, 1), F(1, 2))
+        with pytest.raises(DomainError):
+            uq.coproduct_apply("weight", 0, uq.TensorBasis(1, (1,)), F(1, 2))
 
 
 # -- Casimir -----------------------------------------------------------------------
@@ -355,7 +383,7 @@ class TestStarStructure:
         w = uq.inner_product(b, q)
         for kind, i in [("raise", 0), ("raise", 1), ("lower", 0), ("lower", 1),
                         ("weight", 1)]:
-            X = gen(kind, i, b, q)
+            X = uq.weight_matrix(i, b, q) if kind == "weight" else gen(kind, i, b, q)
             S = uq.star_transform(X, b, q)
             for r in range(len(b)):
                 for c in range(len(b)):
@@ -369,10 +397,11 @@ class TestCoproduct:
     def test_single_leg_reduces_to_generator(self):
         q = F(1, 2)
         tb = uq.TensorBasis(2, (2,))
-        for kind, i in [("raise", 0), ("lower", 1), ("weight", 2)]:
+        for kind, i in [("raise", 0), ("lower", 1)]:
             got = uq.coproduct_apply(kind, i, tb, q)
             want = gen(kind, i, tb.legs[0], q)
             assert zero(got - want)
+        assert zero(uq.coproduct_weight(2, tb, q) - uq.weight_matrix(2, tb.legs[0], q))
 
     def test_chain_relations_survive(self):
         # the coproduct is an algebra map: defining relations hold on legs
@@ -479,7 +508,7 @@ class TestGroundStateTransform:
 
     def test_theta_crosscheck(self):
         tb = uq.TensorBasis(1, (2, 1))
-        with pytest.raises(AssertionError):
+        with pytest.raises(DomainError):
             uq.ground_state_G(tb, F(1, 2), theta=(2, 2))
 
     @pytest.mark.parametrize("n,theta", [(1, (1, 1)), (1, (2, 1)), (1, (2, 2)),
@@ -615,6 +644,21 @@ class TestLatticeBridge:
                 if tb.sector_key(sr) != tb.sector_key(sc):
                     assert not bool(L[r, c]), "cross-sector rate at (%d,%d)" % (r, c)
 
+    @pytest.mark.parametrize("n,theta", [(2, (2, 2)), (1, (2, 1, 1))])
+    def test_chain_generator_sectors_match_models(self, n, theta):
+        # the exclusion generator of the models module, sector by sector
+        q = F(1, 3)
+        tb = uq.TensorBasis(n, theta)
+        L = uq.chain_generator(tb, q)
+        for key, idxs in tb.sectors().items():
+            gen_ = asep_generator(Sector(key, theta), q)
+            pos = [gen_.index[uq.state_config(tb.states[k], theta)]
+                   for k in idxs]
+            assert sorted(pos) == list(range(gen_.size)), key
+            want = gen_.entries[np.ix_(pos, pos)]
+            assert zero(L[np.ix_(idxs, idxs)] - want), \
+                "sector %s differs from models.asep_generator" % (key,)
+
     def test_reversible_vector_positive(self):
         tb = uq.TensorBasis(1, (2, 2))
         mu = uq.reversible_vector(tb, F(1, 2))
@@ -681,7 +725,7 @@ class TestUnitary:
 
     def test_coupling_relation_enforced(self):
         tb = uq.TensorBasis(1, (1, 1))
-        with pytest.raises(AssertionError):
+        with pytest.raises(DomainError):
             uq.unitary_U(0, F(1, 3), tb, F(1, 2), gamma=F(1))
 
     def test_pochhammer_twisted_unitarity(self):
@@ -887,7 +931,7 @@ class TestAlgebraicDuality:
         q = F(1, 2)
         tb = uq.TensorBasis(1, (1, 1))
         A = [F(k + 1) for k in range(len(tb))]
-        with pytest.raises(AssertionError):
+        with pytest.raises(DomainError):
             uq.algebraic_duality([uq.duality_lambda(4, tb.theta, q)], tb, q, A=A)
 
     def test_sector_block_accessor(self):
@@ -896,3 +940,43 @@ class TestAlgebraicDuality:
         ad = uq.algebraic_duality([uq.duality_lambda(4, tb.theta, q)], tb, q)
         blk = ad.sector_block((1, 1), (1, 1))
         assert blk.shape == (2, 2)
+
+
+# -- validation without asserts -----------------------------------------------------
+
+_INPUT_CHECKS = """
+import sys
+from fractions import Fraction as F
+from qmdual import uqgl as uq
+from qmdual.errors import DomainError
+q = F(1, 2)
+tb = uq.TensorBasis(1, (1, 1))
+checks = {
+    "root vector intermediate":
+        lambda: uq.root_vector(0, 2, uq.RepBasis(3, 1), q, k=3),
+    "theta cross-check":
+        lambda: uq.ground_state_G(uq.TensorBasis(1, (2, 1)), q, theta=(2, 2)),
+    "coupling relation":
+        lambda: uq.unitary_U(0, F(1, 3), tb, q, gamma=F(1)),
+    "sector-constant A":
+        lambda: uq.algebraic_duality([uq.duality_lambda(4, tb.theta, q)], tb, q,
+                                     A=[F(k + 1) for k in range(len(tb))]),
+}
+for name, call in checks.items():
+    try:
+        call()
+    except DomainError:
+        continue
+    print("accepted:", name)
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_input_checks_raise_under_python_O():
+    # python -O strips asserts; input validation must not rest on them
+    src = str(Path(uq.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _INPUT_CHECKS],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["optimize 1"], proc.stdout
