@@ -27,14 +27,16 @@ class Config:
 
     def __init__(self, counts, theta=None, n=None):
         counts = tuple(tuple(int(c) for c in row) for row in counts)
-        assert counts, "need at least one species row"
+        if not counts or any(len(row) != len(counts[0]) for row in counts):
+            raise DomainError("counts must be a nonempty rectangular grid")
         L = len(counts[0])
-        assert all(len(row) == L for row in counts), "ragged counts grid"
         if theta is not None:
             theta = tuple(int(t) for t in theta)
-            assert len(theta) == L
+            if len(theta) != L:
+                raise DomainError("%d capacities for %d sites" % (len(theta), L))
             n = len(counts) - 1
-            assert n >= 1, "capacity mode stores species rows plus a hole row"
+            if n < 1:
+                raise DomainError("capacity mode needs a hole row")
             for x in range(L):
                 col = sum(row[x] for row in counts)
                 if col != theta[x] or any(row[x] < 0 for row in counts):
@@ -42,7 +44,8 @@ class Config:
                         "site %d holds %d of capacity %d" % (x + 1, col, theta[x]))
         else:
             n = len(counts) if n is None else n
-            assert n == len(counts)
+            if n != len(counts):
+                raise DomainError("n=%d for %d species rows" % (n, len(counts)))
             if any(c < 0 for row in counts for c in row):
                 raise DomainError("negative occupation number")
         self.L = L
@@ -119,7 +122,8 @@ class Config:
             obj = json.loads(obj)
         cfg = cls(obj["counts"], theta=obj.get("theta"),
                   n=obj.get("n") if obj.get("theta") is None else None)
-        assert cfg.L == obj["L"] and cfg.n == obj["n"], "inconsistent header"
+        if cfg.L != obj["L"] or cfg.n != obj["n"]:
+            raise DomainError("inconsistent header")
         return cfg
 
 

@@ -5,17 +5,18 @@ finite modules V_m^(n), their tensor products over a chain, the Casimir
 element, the *-structure and inner product, the diagonal ground-state
 transform, nilpotent q-exponentials, and the unitary symmetry built from
 them.  Every root vector comes from one nested q-commutator recursion, and
-every diagonal rescaling (the *-structure, the ground-state transform, the
-dressed unitary and the duality matrix) goes through `conjugate_diag`.  The
-weight diagonals are `weight_matrix` on a module and `coproduct_weight` on a
-chain.  The bridge functions at the bottom translate tensor-basis states to
-lattice configurations (slot i = species i for i < n, slot n = holes) and
-assemble the matching Markov generator with the models module's loop; the
+every diagonal rescaling goes through `_scaled`.  The weight diagonals are
+`weight_matrix` on a module and `coproduct_weight` on a chain.  The bridge
+functions at the bottom translate tensor-basis states to lattice
+configurations (slot i = species i for i < n, slot n = holes) and assemble
+the matching Markov generator with the models module's loop; the
 conjugation and duality checks run against it.
 
-All matrices are numpy object arrays over exact scalars unless stated
-otherwise.  Column convention throughout: entry (r, c) is the coefficient
-of basis vector r in the image of basis vector c.
+Public functions take and return numpy object arrays over exact scalars
+unless stated otherwise.  The chain operators are built on a private sparse
+form {row: {col: value}} and densified on return: each factor shifts the
+weight by a known amount, so a dense product is almost all 0 * x.  Entry
+(r, c) is the coefficient of basis vector r in the image of basis vector c.
 """
 
 import itertools
@@ -47,7 +48,8 @@ class RepBasis:
     __slots__ = ("n", "m", "states", "index")
 
     def __init__(self, n, m):
-        assert n >= 1 and m >= 0
+        if n < 1 or m < 0:
+            raise DomainError("no module V_%r^(%r)" % (m, n))
         states = []
 
         def fill(prefix, left, slots):
@@ -82,7 +84,8 @@ class TensorBasis:
 
     def __init__(self, n, theta):
         theta = tuple(int(t) for t in theta)
-        assert len(theta) >= 1 and all(t >= 1 for t in theta)
+        if not theta or min(theta) < 1:
+            raise DomainError("capacities %s must be positive" % (theta,))
         legs = [RepBasis(n, m) for m in theta]
         dim = 1
         for leg in legs:
@@ -132,27 +135,74 @@ def zeros(nrows, ncols=None):
 
 
 def eye(nrows):
-    M = zeros(nrows)
-    for i in range(nrows):
-        M[i, i] = Fraction(1)
-    return M
+    return _dense(_identity(nrows), nrows)
 
 
 def kron_all(mats):
     return reduce(np.kron, mats)
 
 
-def is_zero_matrix(M):
-    return all(not bool(v) for v in M.flat)
+# ---------------------------------------------------------------------------
+# sparse exact matrices: {row: {col: value}} over the nonzero entries
+
+
+def _sparse(M):
+    return {r: {c: v for c, v in enumerate(M[r]) if v}
+            for r in range(M.shape[0])}
+
+
+def _dense(A, N):
+    M = zeros(N)
+    for r, row in A.items():
+        for c, v in row.items():
+            M[r, c] = v
+    return M
+
+
+def _identity(N):
+    return {k: {k: Fraction(1)} for k in range(N)}
+
+
+def _mul(A, B):
+    """A B without its zero entries and empty rows."""
+    out = {}
+    for r, arow in A.items():
+        acc = {}
+        for k, a in arow.items():
+            for c, b in B.get(k, {}).items():
+                acc[c] = acc[c] + a * b if c in acc else a * b
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _scaled(A, row, col):
+    """diag(row) A diag(col)."""
+    return {r: {c: row[r] * v * col[c] for c, v in arow.items()}
+            for r, arow in A.items()}
 
 
 # ---------------------------------------------------------------------------
 # single-module generator action
 
-def _check_kind(kind):
+def _check_ladder(kind, i, n):
     if kind not in ("raise", "lower"):
-        raise DomainError("ladder kind must be raise or lower, got %r"
-                          % (kind,))
+        raise DomainError("no ladder kind %r" % (kind,))
+    if not 0 <= i < n:
+        raise DomainError("ladder index %r out of range for rank %d" % (i, n))
+
+
+def _ladder(kind, i, mu, q):
+    """(image, coefficient) of the weight vector mu under one ladder
+    generator, or None where it vanishes."""
+    src, dst = (i + 1, i) if kind == "raise" else (i, i + 1)
+    if not mu[src]:
+        return None
+    tgt = list(mu)
+    tgt[src] -= 1
+    tgt[dst] += 1
+    return tuple(tgt), q_int(mu[src], q)
 
 
 def generator_matrix(kind, i, basis, q):
@@ -162,27 +212,19 @@ def generator_matrix(kind, i, basis, q):
     [mu_{i+1}]_q.  kind "lower": slot i to i+1, coefficient [mu_i]_q.
     The weight diagonals are `weight_matrix`.
     """
-    _check_kind(kind)
-    assert 0 <= i < basis.n, "ladder index out of range"
-    N = len(basis)
-    M = zeros(N)
+    _check_ladder(kind, i, basis.n)
+    M = zeros(len(basis))
     for k, mu in enumerate(basis.states):
-        src, dst = (i + 1, i) if kind == "raise" else (i, i + 1)
-        if mu[src] > 0:
-            tgt = list(mu)
-            tgt[src] -= 1
-            tgt[dst] += 1
-            M[basis.index[tuple(tgt)], k] = q_int(mu[src], q)
+        move = _ladder(kind, i, mu, q)
+        if move:
+            M[basis.index[move[0]], k] = move[1]
     return M
 
 
 def weight_matrix(i, basis, q, power=1):
     """Diagonal q^{power * mu_i}."""
-    N = len(basis)
-    M = zeros(N)
-    for k, mu in enumerate(basis.states):
-        M[k, k] = q ** (power * mu[i])
-    return M
+    return _dense({k: {k: q ** (power * mu[i])}
+                   for k, mu in enumerate(basis.states)}, len(basis))
 
 
 def _nested_root(i, j, adjacent, q, k=None):
@@ -220,6 +262,24 @@ def root_vector(i, j, basis, q, k=None):
 # coproduct on a chain
 
 
+def _coproduct(kind, i, tbasis, q):
+    """Sparse coproduct_apply: the ladder acts on each leg x of a tensor
+    state, times q^{+-sum_y (mu_i^y - mu_{i+1}^y)} over the legs y on the
+    K side (y < x with + for raise, y > x with - for lower)."""
+    _check_ladder(kind, i, tbasis.n)
+    sign = 1 if kind == "raise" else -1
+    out = {}
+    for c, st in enumerate(tbasis.states):
+        diffs = [mu[i] - mu[i + 1] for mu in st]
+        for x, mu in enumerate(st):
+            move = _ladder(kind, i, mu, q)
+            if move:
+                side = diffs[:x] if kind == "raise" else diffs[x + 1:]
+                r = tbasis.index[st[:x] + (move[0],) + st[x + 1:]]
+                out.setdefault(r, {})[c] = q ** (sign * sum(side)) * move[1]
+    return out
+
+
 def coproduct_apply(kind, i, tbasis, q):
     """Iterated coproduct of one generator on the full chain.
 
@@ -227,23 +287,7 @@ def coproduct_apply(kind, i, tbasis, q):
     matrix at x, identity on y>x.  lower: identity left, lower at x,
     (K_i^{-1} K_{i+1}) right.  The weight diagonals are `coproduct_weight`.
     """
-    _check_kind(kind)
-    legs = tbasis.legs
-    total = None
-    for x in range(len(legs)):
-        factors = []
-        for y, leg in enumerate(legs):
-            if y == x:
-                factors.append(generator_matrix(kind, i, leg, q))
-            elif (y < x) == (kind == "raise"):
-                sign = 1 if kind == "raise" else -1
-                factors.append(weight_matrix(i, leg, q, power=sign)
-                               @ weight_matrix(i + 1, leg, q, power=-sign))
-            else:
-                factors.append(eye(len(leg)))
-        term = kron_all(factors)
-        total = term if total is None else total + term
-    return total
+    return _dense(_coproduct(kind, i, tbasis, q), len(tbasis))
 
 
 def coproduct_weight(i, tbasis, q, power=1):
@@ -303,7 +347,8 @@ def casimir_c1(basis, q):
 
 def bond_casimir(tbasis, x, q):
     """Two-site coproduct Casimir on legs (x, x+1), identity elsewhere."""
-    assert 0 <= x < tbasis.L - 1
+    if not 0 <= x < tbasis.L - 1:
+        raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
     pair = TensorBasis(tbasis.n, tbasis.theta[x:x + 2])
     C2 = _casimir(pair, q, coproduct_apply, coproduct_weight)
     ids = [eye(len(leg)) for leg in tbasis.legs]
@@ -359,7 +404,8 @@ def star_transform(M, basis, q):
     """Matrix of the *-image: weighted transpose w.r.t. the inner product,
     star(M)[r, c] = M[c, r] w_c / w_r."""
     w = inner_product(basis, q)
-    assert M.shape[0] == len(w), "matrix does not match basis"
+    if M.shape != (len(w), len(w)):
+        raise DomainError("matrix %s does not match the basis" % (M.shape,))
     return conjugate_diag(w, M.T)
 
 
@@ -398,15 +444,8 @@ def ground_state_G(tbasis, q, theta=None):
 
 def conjugate_diag(g, M, h=None):
     """diag(g)^-1 M diag(h) entrywise (h defaults to g)."""
-    if h is None:
-        h = g
-    N = M.shape[0]
-    out = zeros(N)
-    for r in range(N):
-        for c in range(N):
-            if bool(M[r, c]):
-                out[r, c] = M[r, c] * h[c] / g[r]
-    return out
+    return _dense(_scaled(_sparse(M), [1 / x for x in g],
+                          g if h is None else h), M.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +460,28 @@ def nilpotent_q_exp(M, qsq, variant="e", nilcap=None):
     qsq^{k(k-1)/2}.  Nilpotency is checked by the series terminating within
     nilcap steps (default: matrix dimension).
     """
-    assert variant in ("e", "E")
+    if variant not in ("e", "E"):
+        raise DomainError("no q-exponential variant %r" % (variant,))
     N = M.shape[0]
-    if nilcap is None:
-        nilcap = N
-    total = eye(N)
-    term = eye(N)
+    return _dense(_q_exp(_sparse(M), N, qsq, variant,
+                         N if nilcap is None else nilcap), N)
+
+
+def _q_exp(M, N, qsq, variant, nilcap):
+    """nilpotent_q_exp on the sparse form: the series stops at the first
+    power of M with no nonzero entry."""
+    total, term = _identity(N), _identity(N)
     denom = 1
     for k in range(1, nilcap + 2):
-        term = term @ M
-        if is_zero_matrix(term):
+        term = _mul(term, M)
+        if not term:
             return total
         denom = denom * (1 - qsq ** k)
-        scale = (qsq ** (k * (k - 1) // 2)) if variant == "E" else 1
-        total = total + (scale / denom) * term
+        w = (qsq ** (k * (k - 1) // 2) if variant == "E" else 1) / denom
+        for r, row in term.items():
+            acc = total.setdefault(r, {})
+            for c, v in row.items():
+                acc[c] = acc[c] + w * v if c in acc else w * v
     raise DomainError("matrix is not nilpotent within the cap")
 
 
@@ -469,11 +516,7 @@ def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
         gamma = gamma_from_lambda(lam, q)
     elif lam != gamma * (1 - q ** 2) * (q - 1 / q):
         raise DomainError("lam and gamma must satisfy the coupling relation")
-    MF = coproduct_apply("lower", i, tbasis, q) @ coproduct_weight(i, tbasis, q)
-    ME = coproduct_weight(i + 1, tbasis, q) @ coproduct_apply("raise", i, tbasis, q)
-    cap = sum(tbasis.theta) + 1
-    U = nilpotent_q_exp(lam * MF, q ** 2, "e", nilcap=cap) \
-        @ nilpotent_q_exp(-lam * ME, q ** 2, "E", nilcap=cap)
+    U = _dense(_unitary(i, lam, tbasis, q), len(tbasis))
     if not half_powers:
         return U
     # dressed variant: sqrt of the scalar q-exponentials of the weight
@@ -482,6 +525,19 @@ def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
     g, h = ([mpmath.sqrt(inf / to_mpf(p)) for p in twist]
             for twist in unitarity_twist(i, lam, tbasis, q, gamma))
     return conjugate_diag(g, U, h)
+
+
+def _unitary(i, lam, tbasis, q):
+    """Sparse core of unitary_U; F K_i and K_{i+1} E are the lower and raise
+    coproducts with their columns and rows scaled by the weight diagonals."""
+    N = len(tbasis)
+    k_i, k_next = ([q ** tbasis.slot_total(st, j) for st in tbasis.states]
+                   for j in (i, i + 1))
+    MF = _scaled(_coproduct("lower", i, tbasis, q), [lam] * N, k_i)
+    ME = _scaled(_coproduct("raise", i, tbasis, q),
+                 [-lam * k for k in k_next], [1] * N)
+    cap = sum(tbasis.theta) + 1
+    return _mul(_q_exp(MF, N, q ** 2, "e", cap), _q_exp(ME, N, q ** 2, "E", cap))
 
 
 def unitarity_twist(i, lam, tbasis, q, gamma=None):
@@ -590,11 +646,11 @@ def algebraic_duality(lambdas, tbasis, q, A=None):
     w = inner_product(tbasis, q)
     left = [row[k] ** 2 * w[k] for k in range(N)]
     right = [col[k] ** 2 * w[k] for k in range(N)]
-    MU = eye(N)
+    MU = _identity(N)
     for i, lam in enumerate(lambdas):
-        MU = unitary_U(i, lam, tbasis, q) @ MU
+        MU = _mul(_unitary(i, lam, tbasis, q), MU)
         start, end = unitarity_twist(i, lam, tbasis, q)
         left = [a * b for a, b in zip(left, start)]
         right = [a * b for a, b in zip(right, end)]
-    return AlgebraicDuality(tbasis, conjugate_diag(row, MU, col), lambdas,
-                            left, right)
+    D = _dense(_scaled(MU, [1 / x for x in row], col), N)
+    return AlgebraicDuality(tbasis, D, lambdas, left, right)

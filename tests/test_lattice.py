@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +43,38 @@ class TestConfig:
         assert Config.from_json(cfg.to_json()) == cfg
         zrp = Config.zero_range([[3, 0, 1], [0, 2, 0]])
         assert Config.from_json(zrp.to_json()) == zrp
+
+    def test_input_checks_raise_under_python_O(self):
+        # python -O strips asserts; input validation must not rest on them
+        src = str(Path(lattice.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", _CONFIG_CHECKS],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["optimize 1"], proc.stdout
+
+
+_CONFIG_CHECKS = """
+import sys
+from qmdual.errors import DomainError
+from qmdual.lattice import Config
+checks = {
+    "no rows": lambda: Config([]),
+    "ragged grid": lambda: Config([(1, 2), (3,)]),
+    "theta length": lambda: Config([(1, 0), (0, 1)], theta=(1, 1, 1)),
+    "hole row count": lambda: Config([(1, 1)], theta=(1, 1)),
+    "zero-range row count": lambda: Config([(1, 1)], n=2),
+    "header mismatch": lambda: Config.from_json(
+        {"L": 3, "n": 1, "counts": [[1, 0], [0, 1]], "theta": [1, 1]}),
+}
+for name, call in checks.items():
+    try:
+        call()
+    except DomainError:
+        continue
+    print("accepted:", name)
+print("optimize", sys.flags.optimize)
+"""
 
 
 class TestCounters:

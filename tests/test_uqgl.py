@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import mpmath
@@ -31,7 +31,7 @@ QGRID = [F(1, 2), F(2, 3), F(3, 2)]
 # -- helpers ---------------------------------------------------------------------
 
 def zero(M):
-    return uq.is_zero_matrix(M)
+    return all(not bool(v) for v in M.flat)
 
 
 def comm(A, B):
@@ -68,6 +68,44 @@ def closed_block(tb, alphas, q, ridx, cidx):
         for b, c in enumerate(cidx):
             D[a, b] = multi_species_D(cfgs[r], cfgs[c], params)
     return D
+
+
+def kron_coproduct_oracle(kind, i, tbasis, q):
+    """coproduct_apply as the sum over legs x of kron products: the weight
+    factor K_i K_{i+1}^{-1} on the legs left of x (raise) or its inverse on
+    the legs right of x (lower), the ladder at x, identities elsewhere."""
+    total = None
+    for x in range(tbasis.L):
+        factors = []
+        for y, leg in enumerate(tbasis.legs):
+            if y == x:
+                factors.append(gen(kind, i, leg, q))
+            elif (y < x) == (kind == "raise"):
+                sign = 1 if kind == "raise" else -1
+                factors.append(uq.weight_matrix(i, leg, q, power=sign)
+                               @ uq.weight_matrix(i + 1, leg, q, power=-sign))
+            else:
+                factors.append(uq.eye(len(leg)))
+        term = uq.kron_all(factors)
+        total = term if total is None else total + term
+    return total
+
+
+def dense_q_exp_oracle(M, qsq, variant, nilcap):
+    """nilpotent_q_exp as the dense series: add the powers of M with their
+    q-factorial weights until a power is the zero matrix."""
+    N = M.shape[0]
+    total = uq.eye(N)
+    term = np.eye(N, dtype=int).astype(object)
+    denom = 1
+    for k in range(1, nilcap + 2):
+        term = term @ M
+        if zero(term):
+            return total
+        denom = denom * (1 - qsq ** k)
+        scale = (qsq ** (k * (k - 1) // 2)) if variant == "E" else 1
+        total = total + (scale / denom) * term
+    raise DomainError("matrix is not nilpotent within the cap")
 
 
 def ratio_classes(A, B):
@@ -468,6 +506,14 @@ class TestCoproduct:
                 assert zero(flat - right), \
                     "right fold differs (%s_%d, theta=%s)" % (kind, i, theta)
 
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2)])
+    def test_matches_kron_sum_oracle(self, q):
+        tb = uq.TensorBasis(2, (2, 1, 1))
+        for kind in ("raise", "lower"):
+            for i in range(tb.n):
+                assert zero(uq.coproduct_apply(kind, i, tb, q)
+                            - kron_coproduct_oracle(kind, i, tb, q)), (kind, i)
+
 
 # -- ground-state transform -----------------------------------------------------------
 
@@ -706,6 +752,27 @@ class TestQExponentials:
         with pytest.raises(DomainError):
             uq.nilpotent_q_exp(uq.eye(2), F(1, 4))
 
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2)])
+    def test_matches_dense_series_oracle(self, q):
+        # the two factors of every unitary_U on the chain, each scaled to
+        # integer entries so that the dense powers run on ints; the series
+        # weights stay exact fractions
+        tb = uq.TensorBasis(2, (2, 1, 1))
+        cap = sum(tb.theta) + 1
+        for i in range(tb.n):
+            k_i = np.diag(uq.coproduct_weight(i, tb, q))
+            k_next = np.diag(uq.coproduct_weight(i + 1, tb, q))
+            MF = uq.coproduct_apply("lower", i, tb, q) * k_i[None, :]
+            ME = k_next[:, None] * uq.coproduct_apply("raise", i, tb, q)
+            for M in (MF, ME):
+                lam = lcm(*(v.denominator for v in M.flat))
+                M = np.array([[int(lam * v) for v in row] for row in M],
+                             dtype=object)
+                for variant in ("e", "E"):
+                    got = uq.nilpotent_q_exp(M, q ** 2, variant, nilcap=cap)
+                    want = dense_q_exp_oracle(M, q ** 2, variant, cap)
+                    assert zero(got - want), (i, variant)
+
     def test_diagonal_scalar_inverse_pair(self):
         q = mpmath.mpf("0.5")
         z = mpmath.mpf("0.3")
@@ -934,6 +1001,28 @@ class TestAlgebraicDuality:
         with pytest.raises(DomainError):
             uq.algebraic_duality([uq.duality_lambda(4, tb.theta, q)], tb, q, A=A)
 
+    def test_two_species_dim_81_exact(self):
+        # L is block-diagonal over sectors, so L^T D = D L holds iff it
+        # holds on every (row sector, column sector) block of D
+        q = F(1, 2)
+        tb = uq.TensorBasis(2, (1, 1, 1, 1))
+        assert len(tb) == 81
+        lams = [uq.duality_lambda(4, tb.theta, q, shift=1),
+                uq.duality_lambda(9, tb.theta, q, shift=2)]
+        ad = uq.algebraic_duality(lams, tb, q)
+        L = uq.chain_generator(tb, q)
+        D = ad.entries
+        key = [tb.sector_key(st_) for st_ in tb.states]
+        assert all(key[r] == key[c] for r, c in zip(*np.nonzero(L != 0)))
+        groups = list(tb.sectors().values())
+        for a in groups:
+            for b in groups:
+                Dab = D[np.ix_(a, b)]
+                assert zero(L[np.ix_(a, a)].T @ Dab - Dab @ L[np.ix_(b, b)])
+        left = np.array(ad.left_weight, dtype=object)
+        right = np.diag(np.array(ad.right_weight, dtype=object))
+        assert zero((D.T * left) @ D - right)
+
     def test_sector_block_accessor(self):
         q = F(1, 2)
         tb = uq.TensorBasis(1, (1, 1))
@@ -961,6 +1050,16 @@ checks = {
     "sector-constant A":
         lambda: uq.algebraic_duality([uq.duality_lambda(4, tb.theta, q)], tb, q,
                                      A=[F(k + 1) for k in range(len(tb))]),
+    "module rank": lambda: uq.RepBasis(0, 2),
+    "module degree": lambda: uq.RepBasis(1, -1),
+    "tensor capacities": lambda: uq.TensorBasis(1, (2, 0)),
+    "empty chain": lambda: uq.TensorBasis(1, ()),
+    "ladder index": lambda: uq.generator_matrix("raise", 1, uq.RepBasis(1, 2), q),
+    "coproduct ladder index": lambda: uq.coproduct_apply("lower", 1, tb, q),
+    "q-exponential variant":
+        lambda: uq.nilpotent_q_exp(uq.zeros(2), F(1, 4), "x"),
+    "bond index": lambda: uq.bond_casimir(tb, 1, q),
+    "star shape": lambda: uq.star_transform(uq.zeros(3), tb, q),
 }
 for name, call in checks.items():
     try:
