@@ -132,12 +132,18 @@ class DualityParams:
 
 def _as_row(cfg, theta):
     if isinstance(cfg, Config):
-        assert not cfg.is_zero_range, "capacity configuration expected"
-        assert cfg.n == 1, "single-species helper got %d species" % cfg.n
+        if cfg.is_zero_range:
+            raise DomainError("capacity configuration expected")
+        if cfg.n != 1:
+            raise DomainError("single-species helper got %d species" % cfg.n)
         return cfg.row(0), cfg.theta
-    row = tuple(int(c) for c in cfg)
-    assert theta is not None, "per-site capacities required with a bare tuple"
-    return row, tuple(int(t) for t in theta)
+    if theta is None:
+        raise DomainError("per-site capacities required with a bare tuple")
+    row, theta = tuple(int(c) for c in cfg), tuple(int(t) for t in theta)
+    if len(row) != len(theta):
+        raise DomainError("occupancies %s do not match capacities %s"
+                          % (row, theta))
+    return row, theta
 
 
 def _site_p_values(xi_row, eta_row, theta_row, p, q):
@@ -179,10 +185,12 @@ def single_species_D(xi, eta, theta=None, alpha=1, q=None):
     one-species capacity Configs.  alpha shifts the Krawtchouk parameter as
     p = 1/(alpha q).
     """
-    assert q is not None, "asymmetry parameter q is required"
+    if q is None:
+        raise DomainError("asymmetry parameter q is required")
     xi_row, th = _as_row(xi, theta)
     eta_row, th2 = _as_row(eta, theta)
-    assert th == th2, "mismatched capacities %s vs %s" % (th, th2)
+    if th != th2:
+        raise DomainError("mismatched capacities %s vs %s" % (th, th2))
     alpha, q = _as_scalar(alpha), _as_scalar(q)
     if not is_exact(alpha) or not is_exact(q):
         alpha, q = to_mpf(alpha), to_mpf(q)
@@ -220,9 +228,10 @@ def w_over_h(xi_row, eta_row, theta_row, p, q):
 
 
 def _check_pair(xi, eta, params):
-    assert isinstance(xi, Config) and isinstance(eta, Config)
-    assert not xi.is_zero_range and not eta.is_zero_range, \
-        "capacity-mode configurations expected"
+    if not (isinstance(xi, Config) and isinstance(eta, Config)):
+        raise DomainError("configurations expected")
+    if xi.is_zero_range or eta.is_zero_range:
+        raise DomainError("capacity-mode configurations expected")
     if xi.theta != eta.theta:
         raise DomainError("configurations live on different capacity profiles")
     if xi.n != params.n or eta.n != params.n:
@@ -350,9 +359,10 @@ def orthogonality_range_report(xi, eta, params):
 
 
 def _check_zrp_pair(xi, eta):
-    assert isinstance(xi, Config) and isinstance(eta, Config)
-    assert xi.is_zero_range and eta.is_zero_range, \
-        "zero-range configurations expected"
+    if not (isinstance(xi, Config) and isinstance(eta, Config)):
+        raise DomainError("configurations expected")
+    if not (xi.is_zero_range and eta.is_zero_range):
+        raise DomainError("zero-range configurations expected")
     if xi.n != eta.n or xi.L != eta.L:
         raise DomainError("zero-range configs disagree in species count or length")
 

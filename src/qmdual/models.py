@@ -53,8 +53,8 @@ class GeneratorMatrix:
         return self.entries[self.index[target]][self.index[source]]
 
     def column_sums(self):
-        N = self.size
-        return [sum(self.entries[i][j] for i in range(N)) for j in range(N)]
+        """Exact sum of each column over its nonzero entries."""
+        return [sum(filter(None, col)) for col in self.entries.T]
 
     def __repr__(self):
         return "GeneratorMatrix(kind=%s, size=%d)" % (self.kind, self.size)
@@ -135,9 +135,9 @@ def asep_moves(cfg, q):
             yield _replace_sites(cfg, x, new_x, new_x1), rate
 
 
-def asep_generator(sector, q, cap=200_000):
+def asep_generator(sector, q):
     """Generator block on one conserved-counts sector, column convention."""
-    basis = enumerate_sector(sector, cap=cap)
+    basis = enumerate_sector(sector)
     return assemble(sector, basis, lambda cfg: asep_moves(cfg, q))
 
 

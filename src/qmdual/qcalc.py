@@ -209,17 +209,16 @@ def q_krawtchouk_weight(x, p, c, q):
                 q_poch(q, q, x) * q_poch(q, q, c - x)) * q ** math.comb(x, 2)
 
 
-def q_exp_e(z, q, trunc=None):
+def q_exp_e(z, q):
     """e_q(z) = sum z^n/(q;q)_n = 1/(z;q)_inf for |z| < 1 (float backend)."""
     z, q = to_mpf(z), to_mpf(q)
     _check_q(q)
     if abs(z) >= 1:
         raise DomainError("e_q(z) needs |z| < 1")
     eps = mpmath.mpf(10) ** (-mpmath.mp.dps - 5)
-    cap = trunc if trunc is not None else _SERIES_CAP
     term = mpmath.mpf(1)
     total = term
-    for n in range(1, cap + 1):
+    for n in range(1, _SERIES_CAP + 1):
         term = term * z / (1 - q ** n)
         total += term
         if abs(term) < eps:
@@ -227,17 +226,16 @@ def q_exp_e(z, q, trunc=None):
     raise NonTerminatingError("q_exp_e truncation cap reached")
 
 
-def q_exp_E(z, q, trunc=None):
+def q_exp_E(z, q):
     """E_q(z) = sum q^{n(n-1)/2} z^n/(q;q)_n = (-z; q)_inf (float backend)."""
     z, q = to_mpf(z), to_mpf(q)
     _check_q(q)
     if abs(q) >= 1:
         raise DomainError("E_q(z) series needs |q| < 1")
     eps = mpmath.mpf(10) ** (-mpmath.mp.dps - 5)
-    cap = trunc if trunc is not None else _SERIES_CAP
     term = mpmath.mpf(1)
     total = term
-    for n in range(1, cap + 1):
+    for n in range(1, _SERIES_CAP + 1):
         term = term * z * q ** (n - 1) / (1 - q ** n)
         total += term
         if abs(term) < eps:

@@ -1,28 +1,30 @@
 """Quantum-group matrix engine behind the exclusion generators.
 
 Builds the weight-basis matrices of the rank-n q-deformed gl algebra on the
-finite modules V_m^(n), their tensor products over a chain, the Casimir
-element, the *-structure and inner product, the diagonal ground-state
-transform, nilpotent q-exponentials, and the unitary symmetry built from
-them.  Every root vector comes from one nested q-commutator recursion, and
-every diagonal rescaling goes through `_scaled`.  The weight diagonals are
-`weight_matrix` on a module and `coproduct_weight` on a chain.  The bridge
-functions at the bottom translate tensor-basis states to lattice
-configurations (slot i = species i for i < n, slot n = holes) and assemble
-the matching Markov generator with the models module's loop; the
-conjugation and duality checks run against it.
+finite modules V_m^(n) and on their tensor products over a chain: the ladder
+generators and their coproducts, the weight diagonals, the Casimir, the
+*-structure and inner product, the diagonal ground-state transform,
+nilpotent q-exponentials, and the unitary symmetry built from them.  A
+module is a one-leg chain, so `coproduct_apply`, `weight_matrix`,
+`inner_product` and `casimir_c1` take either basis.  Every operator comes
+from one ladder move (`_ladder`, applied leg by leg in `_coproduct`), every
+root vector from one nested q-commutator recursion, and every diagonal
+rescaling goes through `_scaled`.  The bridge functions at the bottom
+translate tensor-basis states to lattice configurations (slot i = species i
+for i < n, slot n = holes) and assemble the matching Markov generator with
+the models module's loop; the conjugation and duality checks run against it.
 
 Public functions take and return numpy object arrays over exact scalars
-unless stated otherwise.  The chain operators are built on a private sparse
-form {row: {col: value}} and densified on return: each factor shifts the
-weight by a known amount, so a dense product is almost all 0 * x.  Entry
-(r, c) is the coefficient of basis vector r in the image of basis vector c.
+unless stated otherwise.  Every operator is built on a private sparse form
+{row: {col: value}} and densified only where a public function returns: each
+factor shifts the weight by a known amount, so a dense product is almost all
+0 * x.  Entry (r, c) is the coefficient of basis vector r in the image of
+basis vector c.
 """
 
 import itertools
 import warnings
 from fractions import Fraction
-from functools import reduce
 from math import comb
 
 import mpmath
@@ -125,25 +127,13 @@ class TensorBasis:
 
 
 # ---------------------------------------------------------------------------
-# object-matrix helpers
+# sparse exact matrices: {row: {col: value}} over the nonzero entries
 
 
 def zeros(nrows, ncols=None):
     M = np.empty((nrows, nrows if ncols is None else ncols), dtype=object)
     M[:] = Fraction(0)
     return M
-
-
-def eye(nrows):
-    return _dense(_identity(nrows), nrows)
-
-
-def kron_all(mats):
-    return reduce(np.kron, mats)
-
-
-# ---------------------------------------------------------------------------
-# sparse exact matrices: {row: {col: value}} over the nonzero entries
 
 
 def _sparse(M):
@@ -159,8 +149,12 @@ def _dense(A, N):
     return M
 
 
+def _diag(values):
+    return {k: {k: v} for k, v in enumerate(values)}
+
+
 def _identity(N):
-    return {k: {k: Fraction(1)} for k in range(N)}
+    return _diag([Fraction(1)] * N)
 
 
 def _mul(A, B):
@@ -177,6 +171,17 @@ def _mul(A, B):
     return out
 
 
+def _add(A, B, w=1):
+    """A + w B without its zero entries and empty rows."""
+    out = {r: dict(row) for r, row in A.items()}
+    for r, brow in B.items():
+        acc = out.setdefault(r, {})
+        for c, v in brow.items():
+            acc[c] = acc[c] + w * v if c in acc else w * v
+    out = {r: {c: v for c, v in row.items() if v} for r, row in out.items()}
+    return {r: row for r, row in out.items() if row}
+
+
 def _scaled(A, row, col):
     """diag(row) A diag(col)."""
     return {r: {c: row[r] * v * col[c] for c, v in arow.items()}
@@ -184,7 +189,16 @@ def _scaled(A, row, col):
 
 
 # ---------------------------------------------------------------------------
-# single-module generator action
+# generators on a chain; a RepBasis is a one-leg chain
+
+
+def _chain(basis):
+    """(states, index) with every state a tuple of per-leg weights."""
+    if isinstance(basis, TensorBasis):
+        return basis.states, basis.index
+    return ([(mu,) for mu in basis.states],
+            {(mu,): k for mu, k in basis.index.items()})
+
 
 def _check_ladder(kind, i, n):
     if kind not in ("raise", "lower"):
@@ -205,123 +219,111 @@ def _ladder(kind, i, mu, q):
     return tuple(tgt), q_int(mu[src], q)
 
 
-def generator_matrix(kind, i, basis, q):
-    """Matrix of one ladder generator on a RepBasis.
-
-    kind "raise": moves one unit from slot i+1 to slot i, coefficient
-    [mu_{i+1}]_q.  kind "lower": slot i to i+1, coefficient [mu_i]_q.
-    The weight diagonals are `weight_matrix`.
-    """
+def _coproduct(kind, i, basis, q, window=None):
+    """Sparse coproduct_apply on the legs lo <= x < hi of window = (lo, hi)
+    (default: every leg), identity on the others.  The ladder acts on leg x,
+    times q^{+-sum_y (mu_i^y - mu_{i+1}^y)} over the window legs y on the K
+    side (y < x with + for raise, y > x with - for lower)."""
     _check_ladder(kind, i, basis.n)
-    M = zeros(len(basis))
-    for k, mu in enumerate(basis.states):
-        move = _ladder(kind, i, mu, q)
-        if move:
-            M[basis.index[move[0]], k] = move[1]
-    return M
+    states, index = _chain(basis)
+    lo, hi = window or (0, len(states[0]))
+    sign = 1 if kind == "raise" else -1
+    out = {}
+    for c, st in enumerate(states):
+        diffs = [mu[i] - mu[i + 1] for mu in st]
+        for x in range(lo, hi):
+            move = _ladder(kind, i, st[x], q)
+            if move:
+                side = diffs[lo:x] if kind == "raise" else diffs[x + 1:hi]
+                r = index[st[:x] + (move[0],) + st[x + 1:]]
+                out.setdefault(r, {})[c] = q ** (sign * sum(side)) * move[1]
+    return out
+
+
+def _weight(i, basis, q, power=1, window=None):
+    """Diagonal entries q^{power * sum_x mu_i^x} over the window legs x."""
+    lo, hi = window or (0, None)
+    return [q ** (power * sum(mu[i] for mu in st[lo:hi]))
+            for st in _chain(basis)[0]]
+
+
+def coproduct_apply(kind, i, basis, q):
+    """One ladder generator on a RepBasis, or its iterated coproduct on a
+    TensorBasis.
+
+    kind "raise" moves one unit from slot i+1 to slot i, coefficient
+    [mu_{i+1}]_q; kind "lower" moves one from slot i to i+1, coefficient
+    [mu_i]_q.  On a chain, raise is the sum over legs x of
+    (K_i K_{i+1}^{-1}) on legs y<x, the raise matrix at x, identity on y>x;
+    lower is identity left, lower at x, (K_i^{-1} K_{i+1}) right.  The
+    weight diagonals are `weight_matrix`.
+    """
+    return _dense(_coproduct(kind, i, basis, q), len(basis))
 
 
 def weight_matrix(i, basis, q, power=1):
-    """Diagonal q^{power * mu_i}."""
-    return _dense({k: {k: q ** (power * mu[i])}
-                   for k, mu in enumerate(basis.states)}, len(basis))
+    """Diagonal q^{power * mu_i} on a RepBasis, q^{power * sum_x mu_i^x} on
+    a TensorBasis."""
+    return _dense(_diag(_weight(i, basis, q, power)), len(basis))
 
 
-def _nested_root(i, j, adjacent, q, k=None):
+def _ladders(basis, q, window=None):
+    """The adjacent root vectors by slot pair: (a, a+1) raises, (a+1, a)
+    lowers."""
+    out = {}
+    for a in range(basis.n):
+        out[a, a + 1] = _coproduct("raise", a, basis, q, window)
+        out[a + 1, a] = _coproduct("lower", a, basis, q, window)
+    return out
+
+
+def _nested_root(i, j, ladders, q, k=None):
     """E_{ij} by the nested q-commutator E_{ij} = E_{ik}E_{kj} - q^{-1}
-    E_{kj}E_{ik}, from adjacent(a, b) = E_{ab} for |a - b| = 1; k defaults
-    to the neighbor of i toward j."""
+    E_{kj}E_{ik}, from the adjacent ones in `_ladders`; k defaults to the
+    neighbor of i toward j."""
     if abs(i - j) == 1:
-        return adjacent(i, j)
+        return ladders[i, j]
     if k is None:
         k = i + 1 if i < j else i - 1
     if not (i < k < j or i > k > j):
         raise DomainError("intermediate %d must sit between %d and %d"
                           % (k, i, j))
-    A = _nested_root(i, k, adjacent, q)
-    B = _nested_root(k, j, adjacent, q)
-    return A @ B - (1 / q) * (B @ A)
+    A = _nested_root(i, k, ladders, q)
+    B = _nested_root(k, j, ladders, q)
+    return _add(_mul(A, B), _mul(B, A), -1 / q)
 
 
 def root_vector(i, j, basis, q, k=None):
-    """Off-diagonal algebra element E_{ij} on a RepBasis via the nested
-    q-commutator through the intermediate k.  The result is independent of
-    the chain of intermediates."""
+    """Off-diagonal algebra element E_{ij} via the nested q-commutator
+    through the intermediate k.  The result is independent of the chain of
+    intermediates."""
     if not (0 <= i <= basis.n and 0 <= j <= basis.n and i != j):
         raise DomainError("no root vector E_{%d%d} at rank %d"
                           % (i, j, basis.n))
-
-    def adjacent(a, b):
-        return generator_matrix("raise" if b == a + 1 else "lower",
-                                min(a, b), basis, q)
-
-    return _nested_root(i, j, adjacent, q, k)
-
-
-# ---------------------------------------------------------------------------
-# coproduct on a chain
-
-
-def _coproduct(kind, i, tbasis, q):
-    """Sparse coproduct_apply: the ladder acts on each leg x of a tensor
-    state, times q^{+-sum_y (mu_i^y - mu_{i+1}^y)} over the legs y on the
-    K side (y < x with + for raise, y > x with - for lower)."""
-    _check_ladder(kind, i, tbasis.n)
-    sign = 1 if kind == "raise" else -1
-    out = {}
-    for c, st in enumerate(tbasis.states):
-        diffs = [mu[i] - mu[i + 1] for mu in st]
-        for x, mu in enumerate(st):
-            move = _ladder(kind, i, mu, q)
-            if move:
-                side = diffs[:x] if kind == "raise" else diffs[x + 1:]
-                r = tbasis.index[st[:x] + (move[0],) + st[x + 1:]]
-                out.setdefault(r, {})[c] = q ** (sign * sum(side)) * move[1]
-    return out
-
-
-def coproduct_apply(kind, i, tbasis, q):
-    """Iterated coproduct of one generator on the full chain.
-
-    raise: sum over legs x of (K_i K_{i+1}^{-1}) on legs y<x, the raise
-    matrix at x, identity on y>x.  lower: identity left, lower at x,
-    (K_i^{-1} K_{i+1}) right.  The weight diagonals are `coproduct_weight`.
-    """
-    return _dense(_coproduct(kind, i, tbasis, q), len(tbasis))
-
-
-def coproduct_weight(i, tbasis, q, power=1):
-    """Diagonal q^{power * sum_x mu_i^x} on the chain."""
-    return kron_all([weight_matrix(i, leg, q, power=power)
-                     for leg in tbasis.legs])
+    return _dense(_nested_root(i, j, _ladders(basis, q), q, k), len(basis))
 
 
 # ---------------------------------------------------------------------------
 # Casimir
 
 
-def _casimir(basis, q, ladder, weight):
-    """First-order Casimir from the raise/lower matrices ladder(kind, i,
-    basis, q) and the weight diagonals weight(i, basis, q): the module
-    generators on a RepBasis, their coproducts on a TensorBasis.  Root
-    vectors come from the same nested commutator as root_vector.
-    """
+def _casimir(basis, q, window=None):
+    """First-order Casimir of the window legs (default: every leg), identity
+    elsewhere: sum_i q^{2i-2n-1} K_i^2 plus (q - q^{-1})^2 times
+    sum_{i<j} q^{2j-2n-2} K_i K_j E_{ij} E_{ji}, on the window coproducts."""
     n = basis.n
-    E = {i: ladder("raise", i, basis, q) for i in range(n)}
-    F = {i: ladder("lower", i, basis, q) for i in range(n)}
-    K = {i: weight(i, basis, q) for i in range(n + 1)}
-
-    def rv(i, j):
-        return _nested_root(i, j, lambda a, b: E[a] if b == a + 1 else F[b], q)
-
-    C = zeros(len(basis))
-    for i in range(n + 1):
-        C = C + q ** (2 * i - 2 * n - 1) * (K[i] @ K[i])
+    ladders = _ladders(basis, q, window)
+    K = [_weight(i, basis, q, window=window) for i in range(n + 1)]
+    C = _diag([sum(q ** (2 * i - 2 * n - 1) * k[i] ** 2 for i in range(n + 1))
+               for k in zip(*K)])
     coeff = (q - 1 / q) ** 2
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            C = C + (coeff * q ** (2 * j - 2 * n - 2)) * (
-                K[i] @ K[j] @ rv(i, j) @ rv(j, i))
+            P = _mul(_nested_root(i, j, ladders, q),
+                     _nested_root(j, i, ladders, q))
+            scale = [coeff * q ** (2 * j - 2 * n - 2) * a * b
+                     for a, b in zip(K[i], K[j])]
+            C = _add(C, _scaled(P, scale, [1] * len(scale)))
     return C
 
 
@@ -331,28 +333,21 @@ def casimir_c1(basis, q):
 
     The bond sum is the operative chain element: the full iterated coproduct
     of the Casimir is not nearest-neighbor, while each bond embedding is, and
-    the sum still commutes with every iterated-coproduct generator.
+    the sum still commutes with every iterated-coproduct generator.  A
+    single leg is its own module.
     """
-    if isinstance(basis, RepBasis):
-        return _casimir(basis, q, generator_matrix, weight_matrix)
-    assert isinstance(basis, TensorBasis)
-    if basis.L == 1:
-        return casimir_c1(basis.legs[0], q)
-    total = None
-    for x in range(basis.L - 1):
-        term = bond_casimir(basis, x, q)
-        total = term if total is None else total + term
-    return total
+    legs = len(_chain(basis)[0][0])
+    C = {}
+    for window in [(x, x + 2) for x in range(legs - 1)] or [None]:
+        C = _add(C, _casimir(basis, q, window))
+    return _dense(C, len(basis))
 
 
 def bond_casimir(tbasis, x, q):
     """Two-site coproduct Casimir on legs (x, x+1), identity elsewhere."""
     if not 0 <= x < tbasis.L - 1:
         raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
-    pair = TensorBasis(tbasis.n, tbasis.theta[x:x + 2])
-    C2 = _casimir(pair, q, coproduct_apply, coproduct_weight)
-    ids = [eye(len(leg)) for leg in tbasis.legs]
-    return kron_all(ids[:x] + [C2] + ids[x + 2:])
+    return _dense(_casimir(tbasis, q, (x, x + 2)), len(tbasis))
 
 
 def casimir_scalar(n, m, q):
@@ -386,12 +381,8 @@ def inner_product(basis, q):
     constant factor per module, which drops out of every adjointness and
     star computation.
     """
-    if isinstance(basis, RepBasis):
-        states = [(mu,) for mu in basis.states]
-    else:
-        states = basis.states
     out = []
-    for st in states:
+    for st in _chain(basis)[0]:
         val = Fraction(1)
         for mu in st:
             val = val * _leg_weight(mu, q)
@@ -478,10 +469,7 @@ def _q_exp(M, N, qsq, variant, nilcap):
             return total
         denom = denom * (1 - qsq ** k)
         w = (qsq ** (k * (k - 1) // 2) if variant == "E" else 1) / denom
-        for r, row in term.items():
-            acc = total.setdefault(r, {})
-            for c, v in row.items():
-                acc[c] = acc[c] + w * v if c in acc else w * v
+        total = _add(total, term, w)
     raise DomainError("matrix is not nilpotent within the cap")
 
 
@@ -531,8 +519,7 @@ def _unitary(i, lam, tbasis, q):
     """Sparse core of unitary_U; F K_i and K_{i+1} E are the lower and raise
     coproducts with their columns and rows scaled by the weight diagonals."""
     N = len(tbasis)
-    k_i, k_next = ([q ** tbasis.slot_total(st, j) for st in tbasis.states]
-                   for j in (i, i + 1))
+    k_i, k_next = (_weight(j, tbasis, q) for j in (i, i + 1))
     MF = _scaled(_coproduct("lower", i, tbasis, q), [lam] * N, k_i)
     ME = _scaled(_coproduct("raise", i, tbasis, q),
                  [-lam * k for k in k_next], [1] * N)

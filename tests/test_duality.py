@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -759,3 +763,52 @@ class TestStructureProperties:
             window = enumerate_zrp_sector(counts, 3)
             vals = {qhahn_D(eta, xi, q * q) for xi in window}
             assert len(vals) == 1, "sector values not constant: %s" % vals
+
+
+# -- validation without asserts -----------------------------------------------------
+
+_INPUT_CHECKS = """
+import sys
+from fractions import Fraction as F
+from qmdual import duality as du
+from qmdual.errors import DomainError
+from qmdual.lattice import Config
+q = F(1, 2)
+one = Config.capacity([(1, 0)], (1, 1))
+wide = Config.capacity([(1, 0)], (2, 1))
+two = Config.capacity([(1, 0), (0, 1)], (1, 1))
+zrp = Config.zero_range([(1, 0)])
+params = du.DualityParams((F(4),), q)
+checks = {
+    "bare tuple without capacities":
+        lambda: du.single_species_D((1, 0), (0, 1, 0), q=q),
+    "missing q": lambda: du.single_species_D((1, 0), (0, 1), theta=(1, 1)),
+    "occupancies vs capacities":
+        lambda: du.single_species_D((1, 0), (0, 1, 0), theta=(1, 1), q=q),
+    "capacity mismatch": lambda: du.single_species_D(one, wide, q=q),
+    "single-species helper species count":
+        lambda: du.single_species_D(two, two, q=q),
+    "single-species helper mode": lambda: du.single_species_D(zrp, zrp, q=q),
+    "pair type": lambda: du.multi_species_D((1, 0), one, params),
+    "pair mode": lambda: du.multi_species_D(zrp, zrp, params),
+    "zero-range pair type": lambda: du.h_exponent((1, 0), zrp),
+    "zero-range pair mode": lambda: du.h_exponent(one, one),
+}
+for name, call in checks.items():
+    try:
+        call()
+    except DomainError:
+        continue
+    print("accepted:", name)
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_input_checks_raise_under_python_O():
+    # python -O strips asserts; input validation must not rest on them
+    src = str(Path(du.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _INPUT_CHECKS],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["optimize 1"], proc.stdout

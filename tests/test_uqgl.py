@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import comb, lcm
 from pathlib import Path
 
@@ -39,7 +40,15 @@ def comm(A, B):
 
 
 def gen(kind, i, basis, q):
-    return uq.generator_matrix(kind, i, basis, q)
+    return uq.coproduct_apply(kind, i, basis, q)
+
+
+def eye(N):
+    return np.identity(N, dtype=object)
+
+
+def kron_all(mats):
+    return reduce(np.kron, mats)
 
 
 def root_vector_closed(i, j, basis, q):
@@ -85,17 +94,46 @@ def kron_coproduct_oracle(kind, i, tbasis, q):
                 factors.append(uq.weight_matrix(i, leg, q, power=sign)
                                @ uq.weight_matrix(i + 1, leg, q, power=-sign))
             else:
-                factors.append(uq.eye(len(leg)))
-        term = uq.kron_all(factors)
+                factors.append(eye(len(leg)))
+        term = kron_all(factors)
         total = term if total is None else total + term
     return total
+
+
+def dense_casimir_oracle(basis, q, bond=None):
+    """casimir_c1 on a RepBasis, or bond_casimir(basis, bond, q) on a
+    TensorBasis, by dense products: the Casimir of the module, or of the
+    two-leg chain on the bond kron'ed with identities on the other legs.
+    The root vectors are nested q-commutators of the dense ladders."""
+    if bond is not None:
+        pair = uq.TensorBasis(basis.n, basis.theta[bond:bond + 2])
+        ids = [eye(len(leg)) for leg in basis.legs]
+        return kron_all(ids[:bond] + [dense_casimir_oracle(pair, q)]
+                        + ids[bond + 2:])
+    n = basis.n
+    K = [uq.weight_matrix(i, basis, q) for i in range(n + 1)]
+
+    def rv(i, j):
+        if abs(i - j) == 1:
+            return gen("raise" if j == i + 1 else "lower", min(i, j), basis, q)
+        k = i + 1 if i < j else i - 1
+        A, B = rv(i, k), rv(k, j)
+        return A @ B - (1 / q) * (B @ A)
+
+    C = sum(q ** (2 * i - 2 * n - 1) * (K[i] @ K[i]) for i in range(n + 1))
+    coeff = (q - 1 / q) ** 2
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            C = C + (coeff * q ** (2 * j - 2 * n - 2)) * (
+                K[i] @ K[j] @ rv(i, j) @ rv(j, i))
+    return C
 
 
 def dense_q_exp_oracle(M, qsq, variant, nilcap):
     """nilpotent_q_exp as the dense series: add the powers of M with their
     q-factorial weights until a power is the zero matrix."""
     N = M.shape[0]
-    total = uq.eye(N)
+    total = eye(N)
     term = np.eye(N, dtype=int).astype(object)
     denom = 1
     for k in range(1, nilcap + 2):
@@ -290,9 +328,9 @@ class TestRootVectors:
             uq.root_vector(0, 2, b, F(1, 2), k=3)
 
     def test_weight_kind_rejected(self):
-        # the weight diagonals are weight_matrix and coproduct_weight
+        # the weight diagonals are weight_matrix
         with pytest.raises(DomainError):
-            gen("weight", 0, uq.RepBasis(1, 1), F(1, 2))
+            uq.coproduct_apply("weight", 0, uq.RepBasis(1, 1), F(1, 2))
         with pytest.raises(DomainError):
             uq.coproduct_apply("weight", 0, uq.TensorBasis(1, (1,)), F(1, 2))
 
@@ -303,11 +341,11 @@ class TestCasimir:
     def test_scalar_on_irreducible(self):
         for q in QGRID:
             for n in (1, 2):
-                for m in (1, 2, 3):
+                for m in (0, 1, 2, 3):
                     b = uq.RepBasis(n, m)
                     C = uq.casimir_c1(b, q)
                     lam = uq.casimir_scalar(n, m, q)
-                    assert zero(C - lam * uq.eye(len(b))), \
+                    assert zero(C - lam * eye(len(b))), \
                         "Casimir not scalar %s on V_%d^(%d) at q=%s" % (lam, m, n, q)
 
     def test_scalar_hand_values(self):
@@ -330,7 +368,7 @@ class TestCasimir:
                     assert zero(comm(C, X)), \
                         "chain Casimir vs %s_%d at n=%d theta=%s" % (kind, i, n, theta)
             for i in range(n + 1):
-                W = uq.coproduct_weight(i, tb, q)
+                W = uq.weight_matrix(i, tb, q)
                 assert zero(comm(C, W))
 
     def test_casimir_star_invariant(self):
@@ -341,6 +379,16 @@ class TestCasimir:
         tb = uq.TensorBasis(1, (2, 1))
         Ct = uq.casimir_c1(tb, q)
         assert zero(uq.star_transform(Ct, tb, q) - Ct), "C* != C on the chain"
+
+    @pytest.mark.parametrize("q", [F(1, 2), F(3, 2)])
+    def test_matches_dense_casimir_oracle(self, q):
+        tb = uq.TensorBasis(2, (2, 1, 1))
+        bonds = [dense_casimir_oracle(tb, q, bond=x) for x in range(tb.L - 1)]
+        for x, want in enumerate(bonds):
+            assert zero(uq.bond_casimir(tb, x, q) - want), x
+        assert zero(uq.casimir_c1(tb, q) - sum(bonds[1:], bonds[0]))
+        for leg in tb.legs:
+            assert zero(uq.casimir_c1(leg, q) - dense_casimir_oracle(leg, q))
 
     def test_single_site_chain_equals_module(self):
         q = F(1, 2)
@@ -408,7 +456,7 @@ class TestStarStructure:
         b = uq.RepBasis(2, 2)
         A = gen("raise", 0, b, q)
         B = gen("lower", 1, b, q) @ uq.weight_matrix(1, b, q)
-        M = A @ B + 3 * uq.eye(len(b))
+        M = A @ B + 3 * eye(len(b))
         assert zero(uq.star_transform(uq.star_transform(M, b, q), b, q) - M)
         left = uq.star_transform(A @ B, b, q)
         right = uq.star_transform(B, b, q) @ uq.star_transform(A, b, q)
@@ -439,7 +487,7 @@ class TestCoproduct:
             got = uq.coproduct_apply(kind, i, tb, q)
             want = gen(kind, i, tb.legs[0], q)
             assert zero(got - want)
-        assert zero(uq.coproduct_weight(2, tb, q) - uq.weight_matrix(2, tb.legs[0], q))
+        assert zero(uq.weight_matrix(2, tb, q) - uq.weight_matrix(2, tb.legs[0], q))
 
     def test_chain_relations_survive(self):
         # the coproduct is an algebra map: defining relations hold on legs
@@ -449,10 +497,10 @@ class TestCoproduct:
                 for i in range(n):
                     E = uq.coproduct_apply("raise", i, tb, q)
                     Fl = uq.coproduct_apply("lower", i, tb, q)
-                    Ki = uq.coproduct_weight(i, tb, q)
-                    Ki1I = uq.coproduct_weight(i + 1, tb, q, power=-1)
-                    KiI = uq.coproduct_weight(i, tb, q, power=-1)
-                    Ki1 = uq.coproduct_weight(i + 1, tb, q)
+                    Ki = uq.weight_matrix(i, tb, q)
+                    Ki1I = uq.weight_matrix(i + 1, tb, q, power=-1)
+                    KiI = uq.weight_matrix(i, tb, q, power=-1)
+                    Ki1 = uq.weight_matrix(i + 1, tb, q)
                     want = (Ki @ Ki1I - KiI @ Ki1) * (1 / (q - 1 / q))
                     assert zero(comm(E, Fl) - want), (n, theta, i, q)
 
@@ -482,23 +530,23 @@ class TestCoproduct:
                 X3 = gen(kind, i, leg3, q)
                 X1 = gen(kind, i, leg1, q)
                 if kind == "raise":
-                    Kt12 = uq.coproduct_weight(i, pair12, q) \
-                        @ uq.coproduct_weight(i + 1, pair12, q, power=-1)
+                    Kt12 = uq.weight_matrix(i, pair12, q) \
+                        @ uq.weight_matrix(i + 1, pair12, q, power=-1)
                     Kt1 = uq.weight_matrix(i, leg1, q) \
                         @ uq.weight_matrix(i + 1, leg1, q, power=-1)
-                    left = uq.kron_all([Dp12, uq.eye(len(leg3))]) \
-                        + uq.kron_all([Kt12, X3])
-                    right = uq.kron_all([X1, uq.eye(len(pair23))]) \
-                        + uq.kron_all([Kt1, Dp23])
+                    left = kron_all([Dp12, eye(len(leg3))]) \
+                        + kron_all([Kt12, X3])
+                    right = kron_all([X1, eye(len(pair23))]) \
+                        + kron_all([Kt1, Dp23])
                 else:
-                    Kt12I = uq.coproduct_weight(i, pair12, q, power=-1) \
-                        @ uq.coproduct_weight(i + 1, pair12, q)
+                    Kt12I = uq.weight_matrix(i, pair12, q, power=-1) \
+                        @ uq.weight_matrix(i + 1, pair12, q)
                     Kt3I = uq.weight_matrix(i, leg3, q, power=-1) \
                         @ uq.weight_matrix(i + 1, leg3, q)
-                    left = uq.kron_all([uq.eye(len(pair12)), X3]) \
-                        + uq.kron_all([Dp12, Kt3I])
-                    right = uq.kron_all([uq.eye(len(leg1)), Dp23]) \
-                        + uq.kron_all([X1, uq.kron_all(
+                    left = kron_all([eye(len(pair12)), X3]) \
+                        + kron_all([Dp12, Kt3I])
+                    right = kron_all([eye(len(leg1)), Dp23]) \
+                        + kron_all([X1, kron_all(
                             [uq.weight_matrix(i, tb.legs[1], q, power=-1)
                              @ uq.weight_matrix(i + 1, tb.legs[1], q), Kt3I])])
                 assert zero(flat - left), \
@@ -717,7 +765,7 @@ class TestQExponentials:
     def test_zero_matrix_gives_identity(self):
         for variant in ("e", "E"):
             got = uq.nilpotent_q_exp(uq.zeros(3), F(1, 4), variant)
-            assert zero(got - uq.eye(3))
+            assert zero(got - eye(3))
 
     def test_inverse_pairing(self):
         # e(M) E(-M) = Id = E(-M) e(M) for nilpotent M
@@ -727,8 +775,8 @@ class TestQExponentials:
         qq = q ** 2
         A = uq.nilpotent_q_exp(M, qq, "e") @ uq.nilpotent_q_exp(-M, qq, "E")
         B = uq.nilpotent_q_exp(-M, qq, "E") @ uq.nilpotent_q_exp(M, qq, "e")
-        assert zero(A - uq.eye(len(tb))), "right inverse fails"
-        assert zero(B - uq.eye(len(tb))), "left inverse fails"
+        assert zero(A - eye(len(tb))), "right inverse fails"
+        assert zero(B - eye(len(tb))), "left inverse fails"
 
     def test_factorization_under_q_commutation(self):
         # xy = q^2 yx splits the q-exponential of x + y
@@ -736,8 +784,8 @@ class TestQExponentials:
             leg = uq.RepBasis(1, 2)
             Kt = uq.weight_matrix(0, leg, q) @ uq.weight_matrix(1, leg, q, power=-1)
             E = gen("raise", 0, leg, q)
-            x = uq.kron_all([Kt, E])
-            y = uq.kron_all([E, uq.eye(len(leg))])
+            x = kron_all([Kt, E])
+            y = kron_all([E, eye(len(leg))])
             assert zero(x @ y - q ** 2 * (y @ x)), "pair must q-commute"
             lam, qq = F(2, 5), q ** 2
             ex = uq.nilpotent_q_exp
@@ -750,7 +798,7 @@ class TestQExponentials:
 
     def test_non_nilpotent_rejected(self):
         with pytest.raises(DomainError):
-            uq.nilpotent_q_exp(uq.eye(2), F(1, 4))
+            uq.nilpotent_q_exp(eye(2), F(1, 4))
 
     @pytest.mark.parametrize("q", [F(1, 2), F(3, 2)])
     def test_matches_dense_series_oracle(self, q):
@@ -760,8 +808,8 @@ class TestQExponentials:
         tb = uq.TensorBasis(2, (2, 1, 1))
         cap = sum(tb.theta) + 1
         for i in range(tb.n):
-            k_i = np.diag(uq.coproduct_weight(i, tb, q))
-            k_next = np.diag(uq.coproduct_weight(i + 1, tb, q))
+            k_i = np.diag(uq.weight_matrix(i, tb, q))
+            k_next = np.diag(uq.weight_matrix(i + 1, tb, q))
             MF = uq.coproduct_apply("lower", i, tb, q) * k_i[None, :]
             ME = k_next[:, None] * uq.coproduct_apply("raise", i, tb, q)
             for M in (MF, ME):
@@ -788,7 +836,7 @@ class TestUnitary:
     def test_zero_coupling_is_identity(self):
         tb = uq.TensorBasis(1, (2, 2))
         U = uq.unitary_U(0, F(0), tb, F(1, 2))
-        assert zero(U - uq.eye(len(tb)))
+        assert zero(U - eye(len(tb)))
 
     def test_coupling_relation_enforced(self):
         tb = uq.TensorBasis(1, (1, 1))
@@ -1054,7 +1102,7 @@ checks = {
     "module degree": lambda: uq.RepBasis(1, -1),
     "tensor capacities": lambda: uq.TensorBasis(1, (2, 0)),
     "empty chain": lambda: uq.TensorBasis(1, ()),
-    "ladder index": lambda: uq.generator_matrix("raise", 1, uq.RepBasis(1, 2), q),
+    "ladder index": lambda: uq.coproduct_apply("raise", 1, uq.RepBasis(1, 2), q),
     "coproduct ladder index": lambda: uq.coproduct_apply("lower", 1, tb, q),
     "q-exponential variant":
         lambda: uq.nilpotent_q_exp(uq.zeros(2), F(1, 4), "x"),
