@@ -19,10 +19,31 @@ Conventions:
   starts strictly right of it.  That "strict" form, the closed
   Pochhammer-ratio form of C and the finite-product form of `qhahn_D` live
   in the tests as oracles.
+
+Memo: a `DualityParams` object is what a caller builds once per duality
+matrix, and the exclusion-duality functions that take it read their
+pair-independent invariants through a private memo on it:
+- the measure of each configuration's sector (reversible or mixture);
+- the single-species measure of each (species, row, capacities) that an
+  intermediate configuration shows;
+- each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2), keyed by
+  species, degree e, argument c, capacity t and shift s, and its shifted
+  parameter p q^{2s}.
+No key names a pair.  On a sector of N configurations with n species,
+`multi_species_D` and `correction_C_sq` read measures only on pairs whose
+intermediate configurations are all feasible; each such configuration lies
+in the sector and fixes its (row, capacities) keys, so they store at most
+N sector measures and 2nN species measures.  The site factors and shifted
+parameters are bounded by the capacities alone.  Every key carries the
+working precision, so a float entry is never reused at another one.  The
+memo lives and dies with the params object, which is immutable; nothing is
+cached at module level.
 """
 
 import math
 from fractions import Fraction
+from functools import partial
+from types import MappingProxyType
 
 import mpmath
 
@@ -95,10 +116,16 @@ class DualityParams:
     squared (zero-range) base instead and its square root is taken.
     weights: optional mixture weights for the reversible measure in the
     ground-state correction, keyed by the full species-count tuple (holes
-    included); None means the unnormalized per-sector measure.
+    included); None means the unnormalized per-sector measure.  A read-only
+    copy is kept, so later changes to the caller's dict have no effect.
+
+    The object is immutable and carries the memo of pair-independent
+    invariants described in the module docstring; it grows with the number
+    of configurations passed in, never with the number of pairs, and is
+    freed with the object.
     """
 
-    __slots__ = ("alpha", "q", "convention", "weights")
+    __slots__ = ("alpha", "q", "convention", "weights", "_memo")
 
     def __init__(self, alpha, q, convention="q2", weights=None):
         if convention not in ("q2", "q"):
@@ -117,11 +144,25 @@ class DualityParams:
         self.alpha = alpha
         self.q = q
         self.convention = convention
-        self.weights = weights
+        self.weights = None if weights is None else MappingProxyType(dict(weights))
+        self._memo = {}
+
+    def __setattr__(self, name, value):
+        if hasattr(self, "_memo"):
+            raise AttributeError("DualityParams is immutable")
+        object.__setattr__(self, name, value)
 
     @property
     def n(self):
         return len(self.alpha)
+
+    def _cached(self, key, compute):
+        """compute(), once per key and working precision."""
+        key = (mpmath.mp.prec,) + key
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute()
+        return value
 
     def __repr__(self):
         return "DualityParams(alpha=%r, q=%r)" % (self.alpha, self.q)
@@ -146,19 +187,37 @@ def _as_row(cfg, theta):
     return row, theta
 
 
-def _site_p_values(xi_row, eta_row, theta_row, p, q):
-    """Per-site second Krawtchouk parameter p * q^{left(theta)-left(xi)+right(eta)}."""
-    L = len(theta_row)
+def _site_shifts(xi_row, eta_row, theta_row):
+    """Per-site exponent left(theta) - left(xi) + right(eta) of the shifted
+    Krawtchouk parameter p_x = p q^{shift}."""
     eta_right = sum(eta_row)
     theta_cum = 0
     xi_cum = 0
     out = []
-    for x in range(L):
-        eta_right -= eta_row[x]
-        out.append(p * q ** (theta_cum - xi_cum + eta_right))
-        theta_cum += theta_row[x]
-        xi_cum += xi_row[x]
+    for c, e, t in zip(xi_row, eta_row, theta_row):
+        eta_right -= e
+        out.append(theta_cum - xi_cum + eta_right)
+        theta_cum += t
+        xi_cum += c
     return out
+
+
+def _kraw_sites(xi_row, eta_row, theta_row, factor):
+    """prod_x factor(eta^x, xi^x, theta^x, shift_x) over the sites where xi
+    or eta is occupied (an empty site contributes K_0(1) = 1); 0 when an
+    index exceeds its site capacity."""
+    if not len(xi_row) == len(eta_row) == len(theta_row):
+        raise DomainError("rows %s, %s do not match capacities %s"
+                          % (xi_row, eta_row, theta_row))
+    for c, e, t in zip(xi_row, eta_row, theta_row):
+        if not (0 <= c <= t and 0 <= e <= t):
+            return 0
+    value = 1
+    for x, shift in enumerate(_site_shifts(xi_row, eta_row, theta_row)):
+        if eta_row[x] == 0 and xi_row[x] == 0:
+            continue
+        value = value * factor(eta_row[x], xi_row[x], theta_row[x], shift)
+    return value
 
 
 def kraw_product(xi_row, eta_row, theta_row, p, q):
@@ -166,16 +225,8 @@ def kraw_product(xi_row, eta_row, theta_row, p, q):
     p_x = p q^{left(theta) - left(xi) + right(eta)}; returns 0 when an index
     exceeds its site capacity instead of erroring.
     """
-    assert len(xi_row) == len(eta_row) == len(theta_row)
-    for c, e, t in zip(xi_row, eta_row, theta_row):
-        if not (0 <= c <= t and 0 <= e <= t):
-            return 0
-    value = 1
-    for x, p_x in enumerate(_site_p_values(xi_row, eta_row, theta_row, p, q)):
-        if eta_row[x] == 0 and xi_row[x] == 0:
-            continue
-        value = value * q_krawtchouk(eta_row[x], xi_row[x], p_x, theta_row[x], q)
-    return value
+    return _kraw_sites(xi_row, eta_row, theta_row,
+                       lambda e, c, t, shift: q_krawtchouk(e, c, p * q ** shift, t, q))
 
 
 def single_species_D(xi, eta, theta=None, alpha=1, q=None):
@@ -205,6 +256,9 @@ def w_over_h(xi_row, eta_row, theta_row, p, q):
     ratio, so the result is a finite product and stays exact on the exact
     backend.
     """
+    if not len(xi_row) == len(eta_row) == len(theta_row):
+        raise DomainError("rows %s, %s do not match capacities %s"
+                          % (xi_row, eta_row, theta_row))
     n_th, n_xi, n_eta = sum(theta_row), sum(xi_row), sum(eta_row)
     value = _as_scalar((-1) ** (n_th - n_xi + n_eta))
     value = value * q_poch_ratio(p, q, n_eta + 1, n_th - n_xi + 1)
@@ -213,7 +267,9 @@ def w_over_h(xi_row, eta_row, theta_row, p, q):
     eta_right = n_eta
     for x in range(len(theta_row)):
         c, e, t = xi_row[x], eta_row[x], theta_row[x]
-        assert 0 <= c <= t and 0 <= e <= t, "out-of-range occupancy"
+        if not (0 <= c <= t and 0 <= e <= t):
+            raise DomainError("occupancy %s or %s outside 0..%s at site %d"
+                              % (c, e, t, x + 1))
         value = value * q_poch(q, q, t) ** 2
         value = value * q ** (math.comb(c, 2) + math.comb(e + 1, 2)
                               + t * (xi_left - eta_right))
@@ -240,25 +296,47 @@ def _check_pair(xi, eta, params):
 
 
 def _sector_measure(cfg, params):
-    if params.weights is None:
-        value = reversible_measure(cfg, params.q)
-    else:
-        value = mixture_measure(cfg, params.weights, params.q)
-    if not value:
-        raise DomainError("reversible-measure mixture vanishes on the sector "
-                          "of %r; weights must be positive on occupied sectors" % (cfg,))
-    return value
+    """Measure of cfg in the ground-state correction, once per configuration."""
+    def measure():
+        if params.weights is None:
+            value = reversible_measure(cfg, params.q)
+        else:
+            value = mixture_measure(cfg, params.weights, params.q)
+        if not value:
+            raise DomainError("reversible-measure mixture vanishes on the sector "
+                              "of %r; weights must be positive on occupied sectors"
+                              % (cfg,))
+        return value
+    return params._cached(("sector", cfg), measure)
+
+
+def _species_measure(params, i, row, theta):
+    """Single-species measure of species i's row on capacities theta."""
+    return params._cached(("species", i, row, theta), lambda: single_species_measure(
+        row, theta, params.alpha[i], params.q))
+
+
+def _site_p(params, i, shift):
+    """Shifted Krawtchouk parameter p q^{2 shift} of species i, p = 1/(alpha_i q)."""
+    q = params.q
+    return params._cached(("p", i, shift),
+                          lambda: 1 / (params.alpha[i] * q) * (q * q) ** shift)
+
+
+def _site_factor(params, i, e, c, t, shift):
+    """K_e(q^{-2c}; p q^{2 shift}, t; q^2) of species i."""
+    q = params.q
+    return params._cached(("kraw", i, e, c, t, shift), lambda: q_krawtchouk(
+        e, c, _site_p(params, i, shift), t, q * q))
 
 
 def correction_G_sq(xi, eta, params):
     """Radicand of the ground-state correction G (exact-friendly)."""
     _check_pair(xi, eta, params)
-    q = params.q
     num = 1
     for iv in intermediate_configs(xi, eta):
-        a = params.alpha[iv.i]
-        num = num * single_species_measure(xi.row(iv.i), iv.theta, a, q)
-        num = num * single_species_measure(iv.rows[iv.i], iv.theta, a, q)
+        num = num * _species_measure(params, iv.i, xi.row(iv.i), iv.theta)
+        num = num * _species_measure(params, iv.i, iv.rows[iv.i], iv.theta)
     return num / (_sector_measure(xi, params) * _sector_measure(eta, params))
 
 
@@ -279,11 +357,11 @@ def correction_C_sq(xi, eta, params):
         return 0
     value = 1
     for iv in intermediates:
-        a = params.alpha[iv.i]
-        zeta_row = iv.rows[iv.i]
-        num = w_over_h(xi.row(iv.i), zeta_row, iv.theta, 1 / (a * q), q * q)
-        den = (single_species_measure(xi.row(iv.i), iv.theta, a, q)
-               * single_species_measure(zeta_row, iv.theta, a, q))
+        xi_row, zeta_row = xi.row(iv.i), iv.rows[iv.i]
+        num = w_over_h(xi_row, zeta_row, iv.theta,
+                       1 / (params.alpha[iv.i] * q), q * q)
+        den = (_species_measure(params, iv.i, xi_row, iv.theta)
+               * _species_measure(params, iv.i, zeta_row, iv.theta))
         value = value * num / den
     return value
 
@@ -298,15 +376,12 @@ def kraw_chain(xi, eta, params):
     """The nested q-Krawtchouk product over intermediate configurations,
     without the ground-state correction; 0 on infeasible pairs."""
     _check_pair(xi, eta, params)
-    q = params.q
-    q2 = q * q
     value = 1
     for iv in intermediate_configs(xi, eta):
         if not is_feasible(iv):
             return 0
-        a = params.alpha[iv.i]
-        factor = kraw_product(xi.row(iv.i), iv.rows[iv.i], iv.theta,
-                              1 / (a * q), q2)
+        factor = _kraw_sites(xi.row(iv.i), iv.rows[iv.i], iv.theta,
+                             partial(_site_factor, params, iv.i))
         if not factor:
             return 0
         value = value * factor
@@ -343,11 +418,9 @@ def orthogonality_range_report(xi, eta, params):
     for iv in intermediate_configs(xi, eta):
         if not is_feasible(iv):
             continue
-        a = params.alpha[iv.i]
-        p_values = _site_p_values(xi.row(iv.i), iv.rows[iv.i], iv.theta,
-                                  1 / (a * q), q2)
-        for x, p_x in enumerate(p_values, start=1):
-            bound = p_x * q2 ** iv.theta[x - 1]
+        shifts = _site_shifts(xi.row(iv.i), iv.rows[iv.i], iv.theta)
+        for x, (shift, t) in enumerate(zip(shifts, iv.theta), start=1):
+            bound = _site_p(params, iv.i, shift) * q2 ** t
             ok = bound.sign() > 0 and bound > 1 if isinstance(bound, SNum) else bound > 1
             if not ok:
                 report.append("species %d site %d: p q^(2 theta) = %s <= 1"

@@ -260,26 +260,28 @@ def intermediate_configs(xi, eta):
     be negative; that marks the pair infeasible (duality value 0), it is not
     an error.
     """
-    assert not xi.is_zero_range and not eta.is_zero_range
-    assert xi.theta == eta.theta and xi.n == eta.n
-    L, n = xi.L, xi.n
+    if xi.is_zero_range or eta.is_zero_range:
+        raise DomainError("intermediate configurations need capacity mode")
+    if xi.theta != eta.theta or xi.n != eta.n:
+        raise DomainError("configurations disagree in capacities or species count")
+    xi_upto, eta_upto = _species_prefix_sums(xi), _species_prefix_sums(eta)
     result = []
-    for i in range(n):
-        rows = []
-        for k in range(n + 1):
-            if k < i:
-                rows.append(xi.row(k))
-            elif k > i:
-                rows.append(eta.row(k))
-            else:
-                rows.append(tuple(
-                    eta.range_count(x, 0, i) - xi.range_count(x, 0, i - 1)
-                    for x in range(1, L + 1)))
-        theta_i = tuple(
-            eta.range_count(x, 0, i + 1) - xi.range_count(x, 0, i - 1)
-            for x in range(1, L + 1))
-        result.append(Intermediate(i, tuple(rows), theta_i))
+    for i in range(xi.n):
+        # xi_{[0,i-1]} per site; the empty range for i = 0
+        left = xi_upto[i - 1] if i else (0,) * xi.L
+        zeta_i = tuple(e - c for e, c in zip(eta_upto[i], left))
+        theta_i = tuple(e - c for e, c in zip(eta_upto[i + 1], left))
+        rows = xi.counts[:i] + (zeta_i,) + eta.counts[i + 1:]
+        result.append(Intermediate(i, rows, theta_i))
     return result
+
+
+def _species_prefix_sums(cfg):
+    """Per-site partial sums over species: entry k is cfg_{[0,k]}."""
+    out = [cfg.counts[0]]
+    for row in cfg.counts[1:]:
+        out.append(tuple(a + b for a, b in zip(out[-1], row)))
+    return out
 
 
 def is_feasible(intermediate):

@@ -704,6 +704,119 @@ class TestParamsAndDomain:
                 assert abs(to_mpf(e) - to_mpf(f)) < mpmath.mpf("1e-40"), \
                     "float path diverged at %s %s" % (xi, eta)
 
+    def test_params_are_immutable(self):
+        params = DualityParams((F(2), F(3)), F(1, 2), weights={(1, 1, 2): F(1)})
+        with pytest.raises(AttributeError):
+            params.alpha = (F(5), F(3))
+        with pytest.raises(TypeError):
+            params.weights[(1, 1, 2)] = F(4)
+
+
+# -- the params memo ---------------------------------------------------------------
+
+MEMO_QUANTITIES = (multi_species_D, correction_C_sq, orthogonality_range_report)
+
+
+def mixture_params():
+    theta = (2, 1)
+    ks = sorted({tuple(sum(r) for r in c.counts)
+                 for c in all_capacity_configs(theta, 2)})
+    weights = {k: F(i + 2, 3) for i, k in enumerate(ks)}
+    return DualityParams((F(1, 2), F(1, 3)), F(2), weights=weights)
+
+
+MEMO_CASES = {
+    # theta = (2,2,2), two species: Fraction values
+    "theta222": (lambda: enumerate_sector(Sector((2, 2, 2), (2, 2, 2))),
+                 lambda: DualityParams((F(1, 2), F(3)), F(1, 3))),
+    # odd counts put the sector measures, and D, in Q(sqrt(q))
+    "odd-counts": (lambda: enumerate_sector(Sector((1, 1, 1), (1, 1, 1))),
+                   lambda: DualityParams((F(2), F(5)), F(1, 2))),
+    # every sector on theta = (2,1), each with its own mixture weight
+    "mixture": (lambda: all_capacity_configs((2, 1), 2), mixture_params),
+}
+
+
+def memo_kinds(params):
+    """Number of memo entries per kind (sector, species, p, kraw)."""
+    kinds = {}
+    for key in params._memo:
+        kinds[key[1]] = kinds.get(key[1], 0) + 1
+    return kinds
+
+
+class TestParamsMemo:
+    """One params object serves a whole matrix; what it returns for a pair
+    must be what a params object used for that pair alone returns."""
+
+    @pytest.mark.parametrize("case", sorted(MEMO_CASES))
+    def test_shared_params_match_fresh_per_pair(self, case):
+        make_basis, make_params = MEMO_CASES[case]
+        basis = make_basis()
+        shared = make_params()
+        for xi in basis:
+            for eta in basis:
+                for f in MEMO_QUANTITIES:
+                    got, want = f(xi, eta, shared), f(xi, eta, make_params())
+                    assert type(got) is type(want) and got == want, \
+                        "%s differs at %s %s: %r vs %r" % (f.__name__, xi, eta,
+                                                           got, want)
+        if case == "odd-counts":
+            assert any(isinstance(multi_species_D(xi, eta, shared), SNum)
+                       for xi in basis for eta in basis)
+        # no entry is per pair: measures grow with the basis, not its square
+        kinds = memo_kinds(shared)
+        assert kinds["sector"] <= len(basis)
+        assert kinds["species"] <= 2 * shared.n * len(basis)
+
+    def test_params_with_different_alpha_share_no_entries(self):
+        basis = enumerate_sector(Sector((2, 2, 2), (2, 2, 2)))
+        first = DualityParams((F(4), F(9)), F(1, 3))
+        second = DualityParams((F(5), F(9)), F(1, 3))
+        for params in (first, second):
+            for xi in basis:
+                for eta in basis:
+                    multi_species_D(xi, eta, params)
+        assert first._memo is not second._memo
+        # the shifted Krawtchouk parameters of species 0 depend on alpha_0
+        shifted = [key for key in first._memo if key[1:3] == ("p", 0)]
+        assert shifted and all(first._memo[key] != second._memo[key]
+                               for key in shifted)
+        for xi in basis:
+            for eta in basis:
+                fresh = DualityParams((F(5), F(9)), F(1, 3))
+                assert multi_species_D(xi, eta, second) == multi_species_D(xi, eta, fresh)
+
+    def test_caller_weights_mutation_changes_nothing(self):
+        weights = {(1, 1, 2): F(1)}
+        params = DualityParams((F(2), F(3)), F(1, 2), weights=weights)
+        basis = printed_basis()
+        before = multi_species_D(basis[0], basis[1], params)
+        weights[(1, 1, 2)] = F(16)
+        # pairs met before and after the change both keep the old weights
+        fresh = DualityParams((F(2), F(3)), F(1, 2), weights={(1, 1, 2): F(1)})
+        for xi in basis:
+            for eta in basis:
+                assert multi_species_D(xi, eta, params) == \
+                    multi_species_D(xi, eta, fresh), (xi, eta)
+        assert multi_species_D(basis[0], basis[1], DualityParams(
+            (F(2), F(3)), F(1, 2), weights=weights)) != before
+
+    def test_float_entries_follow_the_working_precision(self):
+        basis = enumerate_sector(Sector((1, 2, 1), (2, 1, 1)))
+        reused = DualityParams((2.0, 3.0), 0.5)
+        low = {(xi, eta): multi_species_D(xi, eta, reused)
+               for xi in basis for eta in basis}
+        with mpmath.workdps(120):
+            fresh = DualityParams((2.0, 3.0), 0.5)
+            high = {(xi, eta): multi_species_D(xi, eta, fresh)
+                    for xi in basis for eta in basis}
+            for pair, value in high.items():
+                again = multi_species_D(*pair, reused)
+                assert type(again) is type(value) and again == value, pair
+        # the check has teeth: some value moves past the 60th digit
+        assert any(low[pair] != high[pair] for pair in high)
+
 
 # -- structural properties ---------------------------------------------------------
 
@@ -793,6 +906,12 @@ checks = {
     "pair mode": lambda: du.multi_species_D(zrp, zrp, params),
     "zero-range pair type": lambda: du.h_exponent((1, 0), zrp),
     "zero-range pair mode": lambda: du.h_exponent(one, one),
+    "Krawtchouk product row lengths":
+        lambda: du.kraw_product((1, 0), (0, 1, 0), (1, 1), 2, F(1, 4)),
+    "weight ratio row lengths":
+        lambda: du.w_over_h((1, 0), (0, 1, 0), (1, 1), 2, F(1, 4)),
+    "weight ratio occupancy above capacity":
+        lambda: du.w_over_h((2, 0), (0, 1), (1, 1), 2, F(1, 4)),
 }
 for name, call in checks.items():
     try:

@@ -57,8 +57,13 @@ class TestConfig:
 _CONFIG_CHECKS = """
 import sys
 from qmdual.errors import DomainError
-from qmdual.lattice import Config
+from qmdual.lattice import Config, intermediate_configs
+zrp = Config([(1, 0)])
 checks = {
+    "intermediate mode": lambda: intermediate_configs(zrp, zrp),
+    "intermediate capacities": lambda: intermediate_configs(
+        Config([(1, 0), (0, 1)], theta=(1, 1)),
+        Config([(1, 0), (1, 1)], theta=(2, 1))),
     "no rows": lambda: Config([]),
     "ragged grid": lambda: Config([(1, 2), (3,)]),
     "theta length": lambda: Config([(1, 0), (0, 1)], theta=(1, 1, 1)),
