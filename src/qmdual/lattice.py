@@ -97,7 +97,9 @@ class Config:
         """xi^x_{[lo,hi]} = sum of species lo..hi at site x; empty range -> 0."""
         if hi < lo:
             return 0
-        assert 0 <= lo and hi < self.rows
+        if lo < 0 or hi >= self.rows:
+            raise DomainError("species range [%r, %r] outside 0..%d"
+                              % (lo, hi, self.rows - 1))
         return sum(self.counts[k][x - 1] for k in range(lo, hi + 1))
 
     def __eq__(self, other):
@@ -216,7 +218,9 @@ def enumerate_zrp_sector(counts, L, cap=200_000):
     site-major species key.
     """
     counts = tuple(int(c) for c in counts)
-    assert all(c >= 0 for c in counts) and L >= 1
+    if min(counts, default=0) < 0 or L < 1:
+        raise DomainError("need counts >= 0 and L >= 1, got %r and L = %r"
+                          % (counts, L))
     nsp = len(counts)
     out = []
 

@@ -5,7 +5,8 @@ with per-site capacities, the discrete-time zero-range chain driven by the
 Phi weight, and its continuous-time derivative including the single-jump
 limit.  Reversible product measures for the exclusion chain live here too.
 
-All matrices use the column convention: entry (i, j) is the rate
+Every generator and kernel is a GeneratorMatrix whose entries are an
+`ops.SparseMatrix` in the column convention: entry (i, j) is the rate
 (continuous time) or probability (discrete time) of moving from basis
 state j to basis state i, so columns sum to 0 resp. 1.  Column sums are
 exact on the rational backend, not a floating-point aspiration.
@@ -22,22 +23,22 @@ from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
+from .ops import SparseMatrix
 from .qcalc import brace_int, q_binom, q_fact, q_poch, qq_binom
 from .scalars import SNum, parse_scalar
 
 
 class GeneratorMatrix:
-    """Sector block of a generator or stochastic kernel, column convention;
-    index maps each configuration of the basis to its position."""
+    """Sector block of a generator or stochastic kernel, column convention:
+    its entries as a SparseMatrix, plus the basis, the index that maps each
+    configuration of the basis to its position, and the kind."""
 
     __slots__ = ("sector", "basis", "index", "entries", "kind")
 
-    def __init__(self, sector, basis, index, entries, kind="generator"):
-        assert kind in ("generator", "kernel")
+    def __init__(self, sector, basis, index, entries, kind):
         self.sector = sector
         self.basis = tuple(basis)
         self.index = index
@@ -50,36 +51,41 @@ class GeneratorMatrix:
 
     def rate(self, source, target):
         """Entry for the move source -> target, addressed by configuration."""
-        return self.entries[self.index[target]][self.index[source]]
+        return self.entries[self.index[target], self.index[source]]
 
     def column_sums(self):
-        """Exact sum of each column over its nonzero entries."""
-        return [sum(filter(None, col)) for col in self.entries.T]
+        """Exact sum of each column over its stored entries."""
+        return self.entries.column_sums()
 
     def __repr__(self):
         return "GeneratorMatrix(kind=%s, size=%d)" % (self.kind, self.size)
 
 
 def assemble(sector, basis, moves, kind="generator"):
-    """The chain on `basis` as a GeneratorMatrix with dense entries.
+    """The chain on `basis` as a GeneratorMatrix.
 
     moves(cfg) yields (target, value) pairs; each value is added at entry
     (target, cfg).  For a generator it is also taken off the diagonal entry
-    (cfg, cfg), so that every column sums to zero.
+    (cfg, cfg), so that every column sums to zero.  Only the entries that
+    some move reaches are stored.
     """
+    if kind not in ("generator", "kernel"):
+        raise DomainError("no matrix kind %r" % (kind,))
     index = {cfg: i for i, cfg in enumerate(basis)}
-    N = len(basis)
-    mat = np.zeros((N, N), dtype=object)
+    rows = {}
     for j, cfg in enumerate(basis):
         for target, value in moves(cfg):
             i = index.get(target)
             if i is None:
                 raise DomainError("move %r -> %r leaves the basis"
                                   % (cfg, target))
-            mat[i, j] += value
+            row = rows.setdefault(i, {})
+            row[j] = row[j] + value if j in row else value
             if kind == "generator":
-                mat[j, j] -= value
-    return GeneratorMatrix(sector, basis, index, mat, kind)
+                diag = rows.setdefault(j, {})
+                diag[j] = diag[j] - value if j in diag else -value
+    entries = SparseMatrix(rows, (len(basis), len(basis)))
+    return GeneratorMatrix(sector, basis, index, entries, kind)
 
 
 # -- exclusion chain ---------------------------------------------------------
@@ -95,7 +101,9 @@ def asep_two_site_rates(site_x, site_x1, q):
 
     Returns a list of ((new site_x, new site_x1), rate) pairs.
     """
-    assert len(site_x) == len(site_x1), "bond ends disagree on species count"
+    if len(site_x) != len(site_x1):
+        raise DomainError("bond ends %r and %r disagree on the species count"
+                          % (site_x, site_x1))
     rows = len(site_x)
     out = []
     for k in range(rows):
@@ -127,18 +135,26 @@ def _swap(site_x, site_x1, a, b):
     return tuple(new_x), tuple(new_x1)
 
 
-def asep_moves(cfg, q):
-    """The exclusion chain's moves out of cfg: (target, rate) per bond swap."""
-    for x in range(1, cfg.L):
-        for (new_x, new_x1), rate in asep_two_site_rates(
-                cfg.site(x), cfg.site(x + 1), q):
-            yield _replace_sites(cfg, x, new_x, new_x1), rate
+def asep_moves(q):
+    """moves(cfg) for `assemble`: the exclusion chain's (target, rate) per
+    bond swap out of cfg.  Each closure computes the rates of a distinct
+    (site x, site x+1) pair once and reuses them for every configuration."""
+    bond_rates = {}
+
+    def moves(cfg):
+        for x in range(1, cfg.L):
+            pair = cfg.site(x), cfg.site(x + 1)
+            if pair not in bond_rates:
+                bond_rates[pair] = asep_two_site_rates(*pair, q)
+            for (new_x, new_x1), rate in bond_rates[pair]:
+                yield _replace_sites(cfg, x, new_x, new_x1), rate
+
+    return moves
 
 
 def asep_generator(sector, q):
     """Generator block on one conserved-counts sector, column convention."""
-    basis = enumerate_sector(sector)
-    return assemble(sector, basis, lambda cfg: asep_moves(cfg, q))
+    return assemble(sector, enumerate_sector(sector), asep_moves(q))
 
 
 def _replace_sites(cfg, x, new_x, new_x1):
@@ -157,7 +173,8 @@ def reversible_measure(cfg, q):
     Exact backend: pass q as a Fraction; the q^{(count^2)/2} factor puts the
     value in Q(s) with s^2 = q, so an SNum comes back when any count is odd.
     """
-    assert not cfg.is_zero_range, "reversible measure needs capacity mode"
+    if cfg.is_zero_range:
+        raise DomainError("the reversible measure needs capacity mode")
     halves = 0  # exponent of q in units of 1/2
     value = 1
     for x in range(1, cfg.L + 1):
@@ -207,12 +224,14 @@ def single_species_measure(xi, theta, alpha, q):
     counts outside [0, theta^x].  Uses the symmetric Gaussian binomial.
     """
     if isinstance(xi, Config):
-        assert not xi.is_zero_range and xi.n == 1
+        if xi.is_zero_range or xi.n != 1:
+            raise DomainError("need a one-species capacity-mode Config")
         theta = xi.theta
         xi = xi.row(0)
     xi = tuple(xi)
     theta = tuple(theta)
-    assert len(xi) == len(theta)
+    if len(xi) != len(theta):
+        raise DomainError("%d counts for %d capacities" % (len(xi), len(theta)))
     value = 1
     cap_left = 0  # capacity strictly to the left
     for c, t in zip(xi, theta):
@@ -240,7 +259,9 @@ def phi_weight(gamma, beta, lam, mu, q):
     """
     gamma = tuple(int(g) for g in gamma)
     beta = tuple(int(b) for b in beta)
-    assert len(gamma) == len(beta)
+    if len(gamma) != len(beta):
+        raise DomainError("batch %r and site %r disagree on the species count"
+                          % (gamma, beta))
     if lam == 0:
         raise DomainError("lambda = 0 collapses the weight")
     if not all(0 <= g <= b for g, b in zip(gamma, beta)):
@@ -269,7 +290,9 @@ def phi_weight_dlambda(gamma, beta, mu, q):
     if not all(0 <= g <= b for g, b in zip(gamma, beta)):
         return 0
     g, b = sum(gamma), sum(beta)
-    assert g >= 1, "the lambda-derivative at the diagonal is minus the rest"
+    if g < 1:
+        raise DomainError("the lambda-derivative at the empty batch is minus "
+                          "the rest")
     value = (-(q ** _chi(beta, gamma)) * mu ** g * q_poch(q, q, g - 1)
              * q_poch(mu, q, b - g) / q_poch(mu, q, b))
     for bi, gi in zip(beta, gamma):
@@ -327,12 +350,16 @@ def _zrp_window(window, direction):
     """Basis, sector label (totals, L), emitting sites and batch step of a
     zero-range window; the direction picks the sites and the step."""
     basis = list(window)
-    assert basis and all(cfg.is_zero_range for cfg in basis)
+    if not basis or not all(cfg.is_zero_range for cfg in basis):
+        raise DomainError("a window is a nonempty list of zero-range "
+                          "configurations")
     L = basis[0].L
     totals = tuple(n_total(basis[0], i) for i in range(basis[0].rows))
     for cfg in basis:
-        assert cfg.L == L and cfg.rows == basis[0].rows
-        assert tuple(n_total(cfg, i) for i in range(cfg.rows)) == totals
+        if cfg.L != L or cfg.rows != basis[0].rows:
+            raise DomainError("window configurations differ in shape")
+        if tuple(n_total(cfg, i) for i in range(cfg.rows)) != totals:
+            raise DomainError("window configurations differ in totals")
     if direction == "left":
         return basis, (totals, L), range(2, L + 1), -1
     if direction == "right":

@@ -9,17 +9,16 @@ module is a one-leg chain, so `coproduct_apply`, `weight_matrix`,
 `inner_product` and `casimir_c1` take either basis.  Every operator comes
 from one ladder move (`_ladder`, applied leg by leg in `_coproduct`), every
 root vector from one nested q-commutator recursion, and every diagonal
-rescaling goes through `_scaled`.  The bridge functions at the bottom
-translate tensor-basis states to lattice configurations (slot i = species i
-for i < n, slot n = holes) and assemble the matching Markov generator with
-the models module's loop; the conjugation and duality checks run against it.
+rescaling goes through `SparseMatrix.scaled`.  The bridge functions at the
+bottom translate tensor-basis states to lattice configurations (slot i =
+species i for i < n, slot n = holes) and assemble the matching Markov
+generator with the models module's loop; the conjugation and duality checks
+run against it.
 
-Public functions take and return numpy object arrays over exact scalars
-unless stated otherwise.  Every operator is built on a private sparse form
-{row: {col: value}} and densified only where a public function returns: each
-factor shifts the weight by a known amount, so a dense product is almost all
-0 * x.  Entry (r, c) is the coefficient of basis vector r in the image of
-basis vector c.
+Every matrix taken or returned is a `qmdual.ops.SparseMatrix` over exact
+scalars unless stated otherwise: each ladder factor shifts the weight by a
+known amount, so the operators stay sparse through every product.  Entry
+(r, c) is the coefficient of basis vector r in the image of basis vector c.
 """
 
 import itertools
@@ -28,11 +27,11 @@ from fractions import Fraction
 from math import comb
 
 import mpmath
-import numpy as np
 
 from . import lattice, models
 from .errors import DomainError
 from .lattice import ResourceError
+from .ops import SparseMatrix
 from .qcalc import INF, brace_fact, q_exp_E, q_exp_e, q_int, q_poch
 from .scalars import exact_sqrt, to_mpf
 
@@ -127,68 +126,6 @@ class TensorBasis:
 
 
 # ---------------------------------------------------------------------------
-# sparse exact matrices: {row: {col: value}} over the nonzero entries
-
-
-def zeros(nrows, ncols=None):
-    M = np.empty((nrows, nrows if ncols is None else ncols), dtype=object)
-    M[:] = Fraction(0)
-    return M
-
-
-def _sparse(M):
-    return {r: {c: v for c, v in enumerate(M[r]) if v}
-            for r in range(M.shape[0])}
-
-
-def _dense(A, N):
-    M = zeros(N)
-    for r, row in A.items():
-        for c, v in row.items():
-            M[r, c] = v
-    return M
-
-
-def _diag(values):
-    return {k: {k: v} for k, v in enumerate(values)}
-
-
-def _identity(N):
-    return _diag([Fraction(1)] * N)
-
-
-def _mul(A, B):
-    """A B without its zero entries and empty rows."""
-    out = {}
-    for r, arow in A.items():
-        acc = {}
-        for k, a in arow.items():
-            for c, b in B.get(k, {}).items():
-                acc[c] = acc[c] + a * b if c in acc else a * b
-        acc = {c: v for c, v in acc.items() if v}
-        if acc:
-            out[r] = acc
-    return out
-
-
-def _add(A, B, w=1):
-    """A + w B without its zero entries and empty rows."""
-    out = {r: dict(row) for r, row in A.items()}
-    for r, brow in B.items():
-        acc = out.setdefault(r, {})
-        for c, v in brow.items():
-            acc[c] = acc[c] + w * v if c in acc else w * v
-    out = {r: {c: v for c, v in row.items() if v} for r, row in out.items()}
-    return {r: row for r, row in out.items() if row}
-
-
-def _scaled(A, row, col):
-    """diag(row) A diag(col)."""
-    return {r: {c: row[r] * v * col[c] for c, v in arow.items()}
-            for r, arow in A.items()}
-
-
-# ---------------------------------------------------------------------------
 # generators on a chain; a RepBasis is a one-leg chain
 
 
@@ -237,7 +174,7 @@ def _coproduct(kind, i, basis, q, window=None):
                 side = diffs[lo:x] if kind == "raise" else diffs[x + 1:hi]
                 r = index[st[:x] + (move[0],) + st[x + 1:]]
                 out.setdefault(r, {})[c] = q ** (sign * sum(side)) * move[1]
-    return out
+    return SparseMatrix(out, (len(states), len(states)))
 
 
 def _weight(i, basis, q, power=1, window=None):
@@ -258,13 +195,13 @@ def coproduct_apply(kind, i, basis, q):
     lower is identity left, lower at x, (K_i^{-1} K_{i+1}) right.  The
     weight diagonals are `weight_matrix`.
     """
-    return _dense(_coproduct(kind, i, basis, q), len(basis))
+    return _coproduct(kind, i, basis, q)
 
 
 def weight_matrix(i, basis, q, power=1):
     """Diagonal q^{power * mu_i} on a RepBasis, q^{power * sum_x mu_i^x} on
     a TensorBasis."""
-    return _dense(_diag(_weight(i, basis, q, power)), len(basis))
+    return SparseMatrix.diag(_weight(i, basis, q, power))
 
 
 def _ladders(basis, q, window=None):
@@ -290,7 +227,7 @@ def _nested_root(i, j, ladders, q, k=None):
                           % (k, i, j))
     A = _nested_root(i, k, ladders, q)
     B = _nested_root(k, j, ladders, q)
-    return _add(_mul(A, B), _mul(B, A), -1 / q)
+    return A @ B + (-1 / q) * (B @ A)
 
 
 def root_vector(i, j, basis, q, k=None):
@@ -300,7 +237,7 @@ def root_vector(i, j, basis, q, k=None):
     if not (0 <= i <= basis.n and 0 <= j <= basis.n and i != j):
         raise DomainError("no root vector E_{%d%d} at rank %d"
                           % (i, j, basis.n))
-    return _dense(_nested_root(i, j, _ladders(basis, q), q, k), len(basis))
+    return _nested_root(i, j, _ladders(basis, q), q, k)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +251,16 @@ def _casimir(basis, q, window=None):
     n = basis.n
     ladders = _ladders(basis, q, window)
     K = [_weight(i, basis, q, window=window) for i in range(n + 1)]
-    C = _diag([sum(q ** (2 * i - 2 * n - 1) * k[i] ** 2 for i in range(n + 1))
-               for k in zip(*K)])
+    C = SparseMatrix.diag(
+        [sum(q ** (2 * i - 2 * n - 1) * k[i] ** 2 for i in range(n + 1))
+         for k in zip(*K)])
     coeff = (q - 1 / q) ** 2
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            P = _mul(_nested_root(i, j, ladders, q),
-                     _nested_root(j, i, ladders, q))
+            P = _nested_root(i, j, ladders, q) @ _nested_root(j, i, ladders, q)
             scale = [coeff * q ** (2 * j - 2 * n - 2) * a * b
                      for a, b in zip(K[i], K[j])]
-            C = _add(C, _scaled(P, scale, [1] * len(scale)))
+            C = C + P.scaled(scale, [1] * len(scale))
     return C
 
 
@@ -337,17 +274,15 @@ def casimir_c1(basis, q):
     single leg is its own module.
     """
     legs = len(_chain(basis)[0][0])
-    C = {}
-    for window in [(x, x + 2) for x in range(legs - 1)] or [None]:
-        C = _add(C, _casimir(basis, q, window))
-    return _dense(C, len(basis))
+    bonds = [_casimir(basis, q, (x, x + 2)) for x in range(legs - 1)]
+    return sum(bonds[1:], bonds[0]) if bonds else _casimir(basis, q)
 
 
 def bond_casimir(tbasis, x, q):
     """Two-site coproduct Casimir on legs (x, x+1), identity elsewhere."""
     if not 0 <= x < tbasis.L - 1:
         raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
-    return _dense(_casimir(tbasis, q, (x, x + 2)), len(tbasis))
+    return _casimir(tbasis, q, (x, x + 2))
 
 
 def casimir_scalar(n, m, q):
@@ -435,8 +370,7 @@ def ground_state_G(tbasis, q, theta=None):
 
 def conjugate_diag(g, M, h=None):
     """diag(g)^-1 M diag(h) entrywise (h defaults to g)."""
-    return _dense(_scaled(_sparse(M), [1 / x for x in g],
-                          g if h is None else h), M.shape[0])
+    return M.scaled([1 / x for x in g], g if h is None else h)
 
 
 # ---------------------------------------------------------------------------
@@ -448,28 +382,22 @@ def nilpotent_q_exp(M, qsq, variant="e", nilcap=None):
 
     variant "e": sum_k M^k / ((qsq;qsq)_k normalization written as the
     running product of (1 - qsq^j)); variant "E" carries the extra
-    qsq^{k(k-1)/2}.  Nilpotency is checked by the series terminating within
-    nilcap steps (default: matrix dimension).
+    qsq^{k(k-1)/2}.  The series stops at the first power of M with no
+    stored entry; nilpotency is checked by that happening within nilcap
+    steps (default: matrix dimension).
     """
     if variant not in ("e", "E"):
         raise DomainError("no q-exponential variant %r" % (variant,))
     N = M.shape[0]
-    return _dense(_q_exp(_sparse(M), N, qsq, variant,
-                         N if nilcap is None else nilcap), N)
-
-
-def _q_exp(M, N, qsq, variant, nilcap):
-    """nilpotent_q_exp on the sparse form: the series stops at the first
-    power of M with no nonzero entry."""
-    total, term = _identity(N), _identity(N)
+    total = term = SparseMatrix.diag([Fraction(1)] * N)
     denom = 1
-    for k in range(1, nilcap + 2):
-        term = _mul(term, M)
-        if not term:
+    for k in range(1, (N if nilcap is None else nilcap) + 2):
+        term = term @ M
+        if not term.rows:
             return total
         denom = denom * (1 - qsq ** k)
         w = (qsq ** (k * (k - 1) // 2) if variant == "E" else 1) / denom
-        total = _add(total, term, w)
+        total = total + w * term
     raise DomainError("matrix is not nilpotent within the cap")
 
 
@@ -504,7 +432,16 @@ def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
         gamma = gamma_from_lambda(lam, q)
     elif lam != gamma * (1 - q ** 2) * (q - 1 / q):
         raise DomainError("lam and gamma must satisfy the coupling relation")
-    U = _dense(_unitary(i, lam, tbasis, q), len(tbasis))
+    # F K_i and K_{i+1} E: the lower and raise coproducts with their columns
+    # and rows scaled by the weight diagonals
+    N = len(tbasis)
+    k_i, k_next = (_weight(j, tbasis, q) for j in (i, i + 1))
+    MF = _coproduct("lower", i, tbasis, q).scaled([lam] * N, k_i)
+    ME = _coproduct("raise", i, tbasis, q).scaled(
+        [-lam * k for k in k_next], [1] * N)
+    cap = sum(tbasis.theta) + 1
+    U = (nilpotent_q_exp(MF, q ** 2, "e", cap)
+         @ nilpotent_q_exp(ME, q ** 2, "E", cap))
     if not half_powers:
         return U
     # dressed variant: sqrt of the scalar q-exponentials of the weight
@@ -513,18 +450,6 @@ def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
     g, h = ([mpmath.sqrt(inf / to_mpf(p)) for p in twist]
             for twist in unitarity_twist(i, lam, tbasis, q, gamma))
     return conjugate_diag(g, U, h)
-
-
-def _unitary(i, lam, tbasis, q):
-    """Sparse core of unitary_U; F K_i and K_{i+1} E are the lower and raise
-    coproducts with their columns and rows scaled by the weight diagonals."""
-    N = len(tbasis)
-    k_i, k_next = (_weight(j, tbasis, q) for j in (i, i + 1))
-    MF = _scaled(_coproduct("lower", i, tbasis, q), [lam] * N, k_i)
-    ME = _scaled(_coproduct("raise", i, tbasis, q),
-                 [-lam * k for k in k_next], [1] * N)
-    cap = sum(tbasis.theta) + 1
-    return _mul(_q_exp(MF, N, q ** 2, "e", cap), _q_exp(ME, N, q ** 2, "E", cap))
 
 
 def unitarity_twist(i, lam, tbasis, q, gamma=None):
@@ -555,8 +480,7 @@ def chain_generator(tbasis, q):
     """Exclusion generator on the full tensor basis (column convention), from
     the models module's assembly loop over the states' configurations."""
     basis = [state_config(st, tbasis.theta) for st in tbasis.states]
-    return models.assemble(None, basis,
-                           lambda cfg: models.asep_moves(cfg, q)).entries
+    return models.assemble(None, basis, models.asep_moves(q)).entries
 
 
 def reversible_vector(tbasis, q):
@@ -597,8 +521,14 @@ class AlgebraicDuality:
     def sector_block(self, row_key, col_key):
         groups = self.tbasis.sectors()
         rows = groups[row_key]
-        cols = groups[col_key]
-        return self.entries[np.ix_(rows, cols)]
+        cols = {c: b for b, c in enumerate(groups[col_key])}
+        block = {}
+        for a, r in enumerate(rows):
+            row = self.entries.rows.get(r, {})
+            kept = {cols[c]: v for c, v in row.items() if c in cols}
+            if kept:
+                block[a] = kept
+        return SparseMatrix(block, (len(rows), len(cols)))
 
 
 def algebraic_duality(lambdas, tbasis, q, A=None):
@@ -633,11 +563,11 @@ def algebraic_duality(lambdas, tbasis, q, A=None):
     w = inner_product(tbasis, q)
     left = [row[k] ** 2 * w[k] for k in range(N)]
     right = [col[k] ** 2 * w[k] for k in range(N)]
-    MU = _identity(N)
+    MU = SparseMatrix.diag([Fraction(1)] * N)
     for i, lam in enumerate(lambdas):
-        MU = _mul(_unitary(i, lam, tbasis, q), MU)
+        MU = unitary_U(i, lam, tbasis, q) @ MU
         start, end = unitarity_twist(i, lam, tbasis, q)
         left = [a * b for a, b in zip(left, start)]
         right = [a * b for a, b in zip(right, end)]
-    D = _dense(_scaled(MU, [1 / x for x in row], col), N)
+    D = MU.scaled([1 / x for x in row], col)
     return AlgebraicDuality(tbasis, D, lambdas, left, right)

@@ -57,8 +57,9 @@ class TestConfig:
 _CONFIG_CHECKS = """
 import sys
 from qmdual.errors import DomainError
-from qmdual.lattice import Config, intermediate_configs
+from qmdual.lattice import Config, enumerate_zrp_sector, intermediate_configs
 zrp = Config([(1, 0)])
+cap = Config([(1, 0), (0, 1)], theta=(1, 1))
 checks = {
     "intermediate mode": lambda: intermediate_configs(zrp, zrp),
     "intermediate capacities": lambda: intermediate_configs(
@@ -71,6 +72,10 @@ checks = {
     "zero-range row count": lambda: Config([(1, 1)], n=2),
     "header mismatch": lambda: Config.from_json(
         {"L": 3, "n": 1, "counts": [[1, 0], [0, 1]], "theta": [1, 1]}),
+    "species range above": lambda: cap.range_count(1, 0, 2),
+    "species range below": lambda: cap.range_count(1, -1, 0),
+    "zero-range counts": lambda: enumerate_zrp_sector((-1,), 2),
+    "zero-range length": lambda: enumerate_zrp_sector((1,), 0),
 }
 for name, call in checks.items():
     try:

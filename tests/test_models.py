@@ -1,13 +1,18 @@
 """Generator assembly, reversible measures, Phi weights, zero-range kernels."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmdual import models
 from qmdual.errors import DomainError
 from qmdual.lattice import Config, Sector, enumerate_sector, enumerate_zrp_sector
 from qmdual.models import (
@@ -448,3 +453,58 @@ class TestModelSpec:
     def test_zero_range_needs_direction(self):
         with pytest.raises(DomainError):
             parse_model_spec({"model": "qtazrp", "L": 2, "n": 1, "q": "1/2"})
+
+
+# -- validation without asserts -----------------------------------------------------
+
+_INPUT_CHECKS = """
+import sys
+from fractions import Fraction as F
+from qmdual import models
+from qmdual.errors import DomainError
+from qmdual.lattice import Config
+q = F(1, 2)
+zrp = Config.zero_range([(1, 0)])
+one = Config.capacity([(1, 0)], (1, 1))
+two = Config.capacity([(1, 0), (0, 1)], (1, 1))
+window = lambda *rows: [Config.zero_range(r) for r in rows]
+checks = {
+    "matrix kind": lambda: models.assemble(None, [], lambda cfg: (), "matrix"),
+    "bond species count":
+        lambda: models.asep_two_site_rates((1, 0), (0, 1, 0), q),
+    "reversible measure mode": lambda: models.reversible_measure(zrp, q),
+    "one-species measure mode":
+        lambda: models.single_species_measure(zrp, None, F(4), q),
+    "one-species measure species count":
+        lambda: models.single_species_measure(two, None, F(4), q),
+    "one-species measure lengths":
+        lambda: models.single_species_measure((1, 0), (1, 1, 1), F(4), q),
+    "Phi weight lengths":
+        lambda: models.phi_weight((1,), (1, 0), F(1, 2), F(1, 3), q),
+    "Phi derivative at the empty batch":
+        lambda: models.phi_weight_dlambda((0,), (1,), F(1, 3), q),
+    "empty window": lambda: models.qtazrp_generator([], q, "left"),
+    "window mode": lambda: models.qtazrp_generator([one], q, "left"),
+    "window shapes": lambda: models.qtazrp_generator(
+        window([(1, 0)], [(1, 0, 0)]), q, "left"),
+    "window totals": lambda: models.qhahn_discrete_kernel(
+        window([(1, 0)], [(2, 0)]), F(1, 2), F(1, 3), q, "left"),
+}
+for name, call in checks.items():
+    try:
+        call()
+    except DomainError:
+        continue
+    print("accepted:", name)
+print("optimize", sys.flags.optimize)
+"""
+
+
+def test_input_checks_raise_under_python_O():
+    # python -O strips asserts; input validation must not rest on them
+    src = str(Path(models.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _INPUT_CHECKS],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["optimize 1"], proc.stdout
