@@ -51,7 +51,7 @@ from .errors import DomainError
 from .lattice import Config, charge_parity, intermediate_configs, is_feasible
 from .models import mixture_measure, reversible_measure, single_species_measure
 from .qcalc import phi10, q_krawtchouk, q_poch, q_poch_ratio
-from .scalars import SNum, exact_sqrt, is_exact, to_mpf
+from .scalars import SNum, exact_sqrt, field_base, is_exact, sqrt, to_mpf
 
 
 def _as_scalar(v):
@@ -62,50 +62,15 @@ def _as_scalar(v):
 
 
 def _sqrt_param(q):
-    """Square root of a positive scalar parameter, exact whenever possible."""
-    if is_exact(q):
-        root = exact_sqrt(q)
-        if root is not None:
-            return root
-        if isinstance(q, Fraction):
-            if q <= 0:
-                raise DomainError("parameter %s has no real square root" % q)
-            return SNum(0, 1, q)
-        raise DomainError("cannot represent sqrt(%r) exactly; "
+    """Square root of a positive scalar parameter: exact for exact q, since
+    every value built from it must share q's backend."""
+    if not is_exact(q):
+        return sqrt(q)
+    root = exact_sqrt(q, field_base(q))
+    if root is None:
+        raise DomainError("parameter %r has no exact real square root; "
                           "pass a float to use the float backend" % (q,))
-    return mpmath.sqrt(to_mpf(q))
-
-
-def _ambient_sbase(q):
-    if isinstance(q, SNum):
-        return q.sbase if q.sbase is not None else q.a
-    if isinstance(q, Fraction):
-        return q
-    return None
-
-
-def _checked_sqrt(radicand, q, what):
-    """Principal square root; exact in Q(s) when the radicand is a square there.
-
-    A negative radicand signals parameters outside the admissible range and
-    raises rather than going complex.
-    """
-    if is_exact(radicand):
-        neg = radicand.sign() < 0 if isinstance(radicand, SNum) else radicand < 0
-        if neg:
-            raise DomainError("%s has negative radicand %r; "
-                              "parameters lie outside the admissible range"
-                              % (what, radicand))
-        root = exact_sqrt(radicand, sbase=_ambient_sbase(q))
-        if root is not None:
-            return root
-        return mpmath.sqrt(to_mpf(radicand))
-    v = to_mpf(radicand)
-    if v < 0:
-        raise DomainError("%s has negative radicand %s; "
-                          "parameters lie outside the admissible range"
-                          % (what, mpmath.nstr(v)))
-    return mpmath.sqrt(v)
+    return root
 
 
 class DualityParams:
@@ -342,8 +307,7 @@ def correction_G_sq(xi, eta, params):
 
 def correction_G(xi, eta, params):
     """Ground-state correction: square root of the measure ratio."""
-    return _checked_sqrt(correction_G_sq(xi, eta, params), params.q,
-                         "ground-state correction")
+    return sqrt(correction_G_sq(xi, eta, params), field_base(params.q))
 
 
 def correction_C_sq(xi, eta, params):
@@ -368,8 +332,7 @@ def correction_C_sq(xi, eta, params):
 
 def correction_C(xi, eta, params):
     """Conserved correction C: square root of `correction_C_sq`."""
-    return _checked_sqrt(correction_C_sq(xi, eta, params), params.q,
-                         "conserved correction")
+    return sqrt(correction_C_sq(xi, eta, params), field_base(params.q))
 
 
 def kraw_chain(xi, eta, params):
@@ -483,7 +446,6 @@ def qhahn_D(eta, xi, q):
             c = xi.count(i, x)
             if c:
                 right = sum(partner[x:])
-                value = value * phi10(q ** (-c), q,
-                                      s ** (-2 * (left + right) + 1))
+                value = value * phi10(c, q, s ** (-2 * (left + right) + 1))
             left += c
     return value

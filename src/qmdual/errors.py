@@ -10,4 +10,6 @@ class DomainError(ValueError):
 
 
 class NonTerminatingError(DomainError):
-    """A basic hypergeometric series did not terminate."""
+    """An infinite float q-Pochhammer did not converge within its term cap.
+
+    Terminating series take their degree, so they never raise it."""

@@ -1,9 +1,11 @@
 """q-deformed integers and factorials, q-Pochhammers, terminating basic
-hypergeometric series, q-Krawtchouk polynomials, and scalar q-exponentials.
+hypergeometric series and q-Krawtchouk polynomials.
 
 Every function is generic over the scalar backend: pass q as a Fraction or
 SNum for exact arithmetic, or as an mpmath float.  Constants are Python ints
-so they combine with either backend.
+so they combine with either backend.  A terminating series takes its degree
+m as an int and sums exactly the terms k = 0..m; no value is tested against
+a tolerance to find where it ends.
 """
 
 import math
@@ -17,10 +19,6 @@ from .scalars import is_exact, to_mpf
 INF = math.inf
 
 _SERIES_CAP = 100_000
-# terminating series at desk scale stop within tens of terms; exact-backend
-# Fractions grow quadratically in bit size with the term index, so the
-# non-termination guard trips early
-_TERM_CAP = 300
 
 
 def _check_q(q):
@@ -41,9 +39,14 @@ def q_int(n, q):
     return (q ** n - q ** (-n)) / (q - q ** (-1))
 
 
+def _check_degree(n):
+    if n < 0:
+        raise DomainError("negative degree %r" % (n,))
+
+
 def q_fact(n, q):
     """[n]_q! = [1]_q [2]_q ... [n]_q."""
-    assert n >= 0
+    _check_degree(n)
     result = 1
     for k in range(1, n + 1):
         result = result * q_int(k, q)
@@ -52,7 +55,7 @@ def q_fact(n, q):
 
 def q_binom(n, k, q):
     """Gaussian binomial; 0 outside 0 <= k <= n (infeasible configurations)."""
-    assert n >= 0
+    _check_degree(n)
     if k < 0 or k > n:
         return 0
     return _div(q_fact(n, q), q_fact(k, q) * q_fact(n - k, q))
@@ -65,19 +68,10 @@ def qq_binom(n, k, q):
     after q -> q^2.  Transition-kernel weights need this normalization,
     the measures need the symmetric one.
     """
-    assert n >= 0
+    _check_degree(n)
     if k < 0 or k > n:
         return 0
     return _div(q_poch(q, q, n), q_poch(q, q, k) * q_poch(q, q, n - k))
-
-
-def q_multinom(n, ks, q):
-    """[n]_q! / ([k_1]_q! ... [k_l]_q!)."""
-    assert all(k >= 0 for k in ks) and sum(ks) <= n
-    denom = 1
-    for k in ks:
-        denom = denom * q_fact(k, q)
-    return _div(q_fact(n, q), denom)
 
 
 def brace_int(n, q):
@@ -88,7 +82,7 @@ def brace_int(n, q):
 
 def brace_fact(n, q):
     """{n}_{q^2}! = {1}_{q^2} ... {n}_{q^2}."""
-    assert n >= 0
+    _check_degree(n)
     result = 1
     for k in range(1, n + 1):
         result = result * brace_int(k, q)
@@ -113,7 +107,8 @@ def q_poch(a, q, n):
             if abs(a * power) < eps:
                 return result
         raise NonTerminatingError("infinite q-Pochhammer did not converge")
-    assert n >= 0 and isinstance(n, int)
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("q-Pochhammer length %r is not an int >= 0" % (n,))
     result = 1
     for k in range(n):
         result = result * (1 - a * q ** k)
@@ -126,7 +121,8 @@ def q_poch_ratio(a, q, shift1, shift2):
     Valid for integer shifts; exact backend allowed since the infinite tails
     cancel.
     """
-    assert isinstance(shift1, int) and isinstance(shift2, int)
+    if not (isinstance(shift1, int) and isinstance(shift2, int)):
+        raise DomainError("shifts %r, %r are not ints" % (shift1, shift2))
     if shift1 <= shift2:
         result = 1
         for k in range(shift1, shift2):
@@ -135,109 +131,36 @@ def q_poch_ratio(a, q, shift1, shift2):
     return _div(1, q_poch_ratio(a, q, shift2, shift1))
 
 
-def _is_zero_factor(value, exact):
-    if exact:
-        return value == 0
-    return abs(value) < mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
-
-
-def _phi_series(nums, dens, q, z):
-    """Terminating sum_k (prod (a;q)_k / prod (b;q)_k) z^k / (q;q)_k."""
+def _phi_series(m, nums, dens, q, z):
+    """sum_{k=0}^{m} (prod (a;q)_k / prod (b;q)_k) z^k / (q;q)_k."""
     _check_q(q)
-    exact = is_exact(q)
-    term = 1
-    total = term
-    k = 0
-    while True:
+    term = total = 1
+    for k in range(m):
         # factor picked up when passing from term k to term k+1
         num = 1
-        terminated = False
         for a in nums:
-            f = 1 - a * q ** k
-            if _is_zero_factor(f, exact):
-                terminated = True
-            num = num * f
-        if terminated:
-            return total
-        den = (1 - q ** (k + 1))
+            num = num * (1 - a * q ** k)
+        den = 1 - q ** (k + 1)
         for b in dens:
-            f = 1 - b * q ** k
-            if _is_zero_factor(f, exact):
-                raise DomainError("lower parameter truncates before the series terminates")
-            den = den * f
+            den = den * (1 - b * q ** k)
         term = term * num * z / den
         total = total + term
-        k += 1
-        if k > _TERM_CAP:
-            raise NonTerminatingError("series has no q^{-m} numerator parameter")
+    return total
 
 
-def phi10(a, q, z):
-    """1phi0(a; -; q, z), terminating: a = q^{-m}."""
-    return _phi_series([a], [], q, z)
-
-
-def phi21(a, b, c, q, z):
-    """2phi1(a, b; c; q, z), terminating."""
-    return _phi_series([a, b], [c], q, z)
-
-
-def phi32(a1, a2, a3, b1, b2, q, z):
-    """3phi2(a1, a2, a3; b1, b2; q, z), terminating."""
-    return _phi_series([a1, a2, a3], [b1, b2], q, z)
+def phi10(m, q, z):
+    """1phi0(q^{-m}; -; q, z), the series of degree m (an int >= 0)."""
+    if not isinstance(m, int) or m < 0:
+        raise DomainError("1phi0 degree %r is not an int >= 0" % (m,))
+    return _phi_series(m, [q ** (-m)], [], q, z)
 
 
 def q_krawtchouk(n, x, p, c, q):
-    """K_n(q^{-x}; p, c; q) = 2phi1(q^{-x}, q^{-n}; q^{-c}; q, p q^{n+1})."""
+    """K_n(q^{-x}; p, c; q) = 2phi1(q^{-x}, q^{-n}; q^{-c}; q, p q^{n+1}),
+    a series of degree min(n, x)."""
     if not 0 <= n <= c:
         raise DomainError("q-Krawtchouk degree n=%s outside 0..c=%s" % (n, c))
     if not 0 <= x <= c:
         raise DomainError("q-Krawtchouk argument x=%s outside 0..c=%s" % (x, c))
-    return phi21(q ** (-x), q ** (-n), q ** (-c), q, p * q ** (n + 1))
-
-
-def q_krawtchouk_norm(n, p, c, q):
-    """Squared norm in the orthogonality relation of the q-Krawtchouk family."""
-    return ((-1) ** n * p ** c * q_poch(q, q, c - n) * q_poch(q, q, n)
-            * q_poch(p * q, q, n) / q_poch(q, q, c) ** 2
-            * q ** (math.comb(c + 1, 2) - math.comb(n + 1, 2) + c * n))
-
-
-def q_krawtchouk_weight(x, p, c, q):
-    """Orthogonality weight at the point x."""
-    return _div(q_poch(p * q, q, c - x) * (-1) ** (c - x),
-                q_poch(q, q, x) * q_poch(q, q, c - x)) * q ** math.comb(x, 2)
-
-
-def q_exp_e(z, q):
-    """e_q(z) = sum z^n/(q;q)_n = 1/(z;q)_inf for |z| < 1 (float backend)."""
-    z, q = to_mpf(z), to_mpf(q)
-    _check_q(q)
-    if abs(z) >= 1:
-        raise DomainError("e_q(z) needs |z| < 1")
-    eps = mpmath.mpf(10) ** (-mpmath.mp.dps - 5)
-    term = mpmath.mpf(1)
-    total = term
-    for n in range(1, _SERIES_CAP + 1):
-        term = term * z / (1 - q ** n)
-        total += term
-        if abs(term) < eps:
-            return total
-    raise NonTerminatingError("q_exp_e truncation cap reached")
-
-
-def q_exp_E(z, q):
-    """E_q(z) = sum q^{n(n-1)/2} z^n/(q;q)_n = (-z; q)_inf (float backend)."""
-    z, q = to_mpf(z), to_mpf(q)
-    _check_q(q)
-    if abs(q) >= 1:
-        raise DomainError("E_q(z) series needs |q| < 1")
-    eps = mpmath.mpf(10) ** (-mpmath.mp.dps - 5)
-    term = mpmath.mpf(1)
-    total = term
-    for n in range(1, _SERIES_CAP + 1):
-        term = term * z * q ** (n - 1) / (1 - q ** n)
-        total += term
-        if abs(term) < eps:
-            return total
-    raise NonTerminatingError("q_exp_E truncation cap reached")
+    return _phi_series(min(n, x), [q ** (-x), q ** (-n)], [q ** (-c)], q,
+                       p * q ** (n + 1))

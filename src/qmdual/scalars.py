@@ -2,20 +2,24 @@
 
 The exact backend works in the quadratic field Q(s) where s^2 = q is the
 (rational) deformation parameter, so half-integer powers of q stay exact.
-Square roots of rationals that happen to be perfect squares in that field are
-recognized; everything else falls back to the float backend, which runs at 50+
-significant digits.
+The float backend is mpmath at the caller's working precision: the library
+never sets `mpmath.mp.dps`, so wrap a computation in `mpmath.workdps` to
+choose the digits.
+
+`sqrt` is the one place that decides whether a square root stays exact.
+An exact radicand that is a square in the field of q gets an exact root.
+Any other exact radicand falls back to an mpf, and that fallback always
+emits a `UserWarning` naming the radicand; it is never silent.
 """
 
 import math
-import os
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath
 
-DEFAULT_DPS = int(os.environ.get("QMDUAL_PRECISION", "60"))
-mpmath.mp.dps = DEFAULT_DPS
+from .errors import DomainError
 
 
 def rational_sqrt(r):
@@ -247,6 +251,38 @@ def exact_sqrt(x, sbase=None):
     return None
 
 
+def field_base(q):
+    """The rational s^2 of the field Q(s) that q lives in: q itself for a
+    Fraction, or None for a float q (no field to look for roots in)."""
+    if isinstance(q, SNum):
+        return q.sbase if q.sbase is not None else q.a
+    if isinstance(q, Fraction):
+        return q
+    return None
+
+
+def sqrt(x, sbase=None):
+    """Principal square root, exact whenever x is a square in Q(s), s^2 = sbase.
+
+    A negative radicand raises `DomainError`.  An exact x with no root in
+    that field returns an mpf and warns with a `UserWarning` naming x; a
+    float x returns an mpf.
+    """
+    exact = is_exact(x)
+    if not exact:
+        x = to_mpf(x)
+    if x.sign() < 0 if isinstance(x, SNum) else x < 0:
+        raise DomainError("negative radicand %r has no real square root" % (x,))
+    if exact:
+        root = exact_sqrt(x, sbase)
+        if root is not None:
+            return root
+        field = "Q" if sbase is None else "Q(sqrt(%s))" % sbase
+        warnings.warn("%r is not a square in %s; falling back to mpf"
+                      % (x, field), stacklevel=2)
+    return mpmath.sqrt(to_mpf(x))
+
+
 def to_mpf(x):
     """Convert any supported scalar to an mpmath number at current precision."""
     if isinstance(x, SNum):
@@ -276,7 +312,8 @@ _RAT = r"[+-]?\d+(?:/\d+)?"
 def format_exact(x):
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
-    assert isinstance(x, SNum)
+    if not isinstance(x, SNum):
+        raise DomainError("%r is not an exact scalar" % (x,))
     if x.b == 0:
         return str(x.a)
     bpart = "%s@s" % x.b if x.a == 0 else (

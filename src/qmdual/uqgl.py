@@ -22,7 +22,6 @@ known amount, so the operators stay sparse through every product.  Entry
 """
 
 import itertools
-import warnings
 from fractions import Fraction
 from math import comb
 
@@ -32,8 +31,8 @@ from . import lattice, models
 from .errors import DomainError
 from .lattice import ResourceError
 from .ops import SparseMatrix
-from .qcalc import INF, brace_fact, q_exp_E, q_exp_e, q_int, q_poch
-from .scalars import exact_sqrt, to_mpf
+from .qcalc import INF, brace_fact, q_int, q_poch
+from .scalars import is_exact, sqrt, to_mpf
 
 TENSOR_DIM_CAP = 10_000
 
@@ -322,7 +321,8 @@ def inner_product(basis, q):
         for mu in st:
             val = val * _leg_weight(mu, q)
         out.append(val)
-    assert all(v > 0 for v in out), "inner product must be positive definite"
+    if not all(v > 0 for v in out):
+        raise DomainError("inner product at q=%r is not positive definite" % (q,))
     return out
 
 
@@ -399,13 +399,6 @@ def nilpotent_q_exp(M, qsq, variant="e", nilcap=None):
         w = (qsq ** (k * (k - 1) // 2) if variant == "E" else 1) / denom
         total = total + w * term
     raise DomainError("matrix is not nilpotent within the cap")
-
-
-def diagonal_q_exp(diag_entries, qsq, variant="e"):
-    """Scalar q-exponential applied entrywise to a diagonal (float backend:
-    the series is infinite for nonzero entries)."""
-    fn = q_exp_e if variant == "e" else q_exp_E
-    return [fn(to_mpf(z), to_mpf(qsq)) for z in diag_entries]
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +488,11 @@ def reversible_vector(tbasis, q):
 
 def duality_lambda(alpha, theta, q, shift=0):
     """Coupling for one species: sqrt(alpha) (1-q^2) q^{-(N(theta)-shift)},
-    N(theta) = total capacity.  Non-square alpha falls back to the float
-    backend with a warning."""
-    root = exact_sqrt(alpha)
-    if root is None:
-        warnings.warn("alpha=%r is not an exact square; float backend" % (alpha,))
-        root = mpmath.sqrt(to_mpf(alpha))
-        return root * to_mpf((1 - q ** 2)) * to_mpf(q) ** (-(sum(theta) - shift))
-    return root * (1 - q ** 2) * q ** (-(sum(theta) - shift))
+    N(theta) = total capacity.  A non-square exact alpha falls back to the
+    float backend through `scalars.sqrt`, which warns."""
+    root = sqrt(alpha)
+    value = (1 - q ** 2) * q ** (-(sum(theta) - shift))
+    return root * (value if is_exact(root) else to_mpf(value))
 
 
 class AlgebraicDuality:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from qmdual.models import (
     reversible_measure,
 )
 from qmdual.qcalc import q_poch, q_poch_ratio
-from qmdual.scalars import SNum, is_exact, to_mpf
+from qmdual.scalars import SNum, field_base, is_exact, sqrt, to_mpf
 
 F = Fraction
 
@@ -350,7 +351,8 @@ class TestSelfDuality:
         bx, be = enumerate_sector(s_xi), enumerate_sector(s_eta)
         Lx = asep_generator(s_xi, q).entries
         Le = asep_generator(s_eta, q).entries
-        D = d_matrix(bx, be, params)
+        with pytest.warns(UserWarning, match="falling back to mpf"):
+            D = d_matrix(bx, be, params)
         if not all(is_exact(v) for v in D.flat):
             D = np.array([[to_mpf(v) for v in row] for row in D], dtype=object)
             Lx = np.array([[to_mpf(v) for v in row] for row in Lx], dtype=object)
@@ -358,6 +360,27 @@ class TestSelfDuality:
         R = Lx.T @ D - D @ Le
         assert residual_max(R) < mpmath.mpf("1e-30"), \
             "cross-sector residual %s" % residual_max(R)
+
+    def test_non_square_radicand_warns(self):
+        # an exact pair whose G radicand has no root in Q(sqrt(q)) leaves the
+        # exact backend, and says so
+        params = DualityParams((F(2), F(3)), F(1, 2))
+        xi = Config.capacity([(1, 0), (1, 0)], (2, 2))
+        eta = Config.capacity([(2, 0), (0, 1)], (2, 2))
+        assert correction_G_sq(xi, eta, params) == 2211840000
+        with pytest.warns(UserWarning, match="2211840000"):
+            g = correction_G(xi, eta, params)
+        assert isinstance(g, mpmath.mpf)
+        assert abs(g ** 2 - 2211840000) < mpmath.mpf(10) ** -40
+
+    def test_square_alpha_sector_stays_exact_and_silent(self):
+        # the benchmark's parameters: every radicand is a square in Q(sqrt(q))
+        params = DualityParams((F(4), F(9)), F(1, 3))
+        basis = enumerate_sector(Sector((2, 2, 2), (2, 2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            D = d_matrix(basis, basis, params)
+        assert all(is_exact(v) for v in D.flat)
 
 
 # -- orthogonality ---------------------------------------------------------------
@@ -386,8 +409,8 @@ def orthogonality_errors(theta, n, params):
                 k1, k2 = K[xi, eta], K[xi, etab]
                 if k1 == 0 or k2 == 0:
                     continue
-                root = du._checked_sqrt(rCG[xi, eta] * rCG[xi, etab],
-                                        params.q, "orthogonality addend")
+                root = sqrt(rCG[xi, eta] * rCG[xi, etab],
+                            field_base(params.q))
                 if is_exact(root):
                     exact_tot = exact_tot + mu[xi] * root * k1 * k2
                 else:
@@ -410,7 +433,8 @@ def orthogonality_errors(theta, n, params):
 class TestOrthogonality:
     def test_unweighted_theta11(self):
         params = DualityParams((F(1, 2), F(1, 3)), F(2))
-        wd, wo = orthogonality_errors((1, 1), 2, params)
+        with pytest.warns(UserWarning, match="falling back to mpf"):
+            wd, wo = orthogonality_errors((1, 1), 2, params)
         assert wd == 0, "diagonal worst error %s" % wd
         assert wo < mpmath.mpf("1e-30"), "off-diagonal worst error %s" % wo
 
@@ -420,13 +444,15 @@ class TestOrthogonality:
                      for c in all_capacity_configs(theta, n)})
         weights = {k: F(i + 2, 3) for i, k in enumerate(ks)}
         params = DualityParams((F(1, 2), F(1, 3)), F(2), weights=weights)
-        wd, wo = orthogonality_errors(theta, n, params)
+        with pytest.warns(UserWarning, match="falling back to mpf"):
+            wd, wo = orthogonality_errors(theta, n, params)
         assert wd == 0, "weighted diagonal worst error %s" % wd
         assert wo < mpmath.mpf("1e-30"), "weighted off-diagonal worst error %s" % wo
 
     def test_single_species_theta21(self):
         params = DualityParams((F(1, 3),), F(2))
-        wd, wo = orthogonality_errors((2, 1), 1, params)
+        with pytest.warns(UserWarning, match="falling back to mpf"):
+            wd, wo = orthogonality_errors((2, 1), 1, params)
         assert wd == 0 and wo < mpmath.mpf("1e-30"), \
             "single-species orthogonality errors %s / %s" % (wd, wo)
 
@@ -638,12 +664,14 @@ class TestVertexReversal:
         # the reversal runs over every class, holes included: row i -> n - i
         params = DualityParams((F(2), F(3)), F(1, 2))
         basis = printed_basis()
-        for xi in basis:
-            for eta in basis:
-                stack = [eta.row(i) for i in range(eta.rows - 1, -1, -1)]
-                rev = Config(stack, theta=eta.theta)
-                assert vertex_duality_D(xi, eta, params) == \
-                    multi_species_D(xi, rev, params)
+        # the reversed eta lies in another sector: those blocks float
+        with pytest.warns(UserWarning, match="falling back to mpf"):
+            for xi in basis:
+                for eta in basis:
+                    stack = [eta.row(i) for i in range(eta.rows - 1, -1, -1)]
+                    rev = Config(stack, theta=eta.theta)
+                    assert vertex_duality_D(xi, eta, params) == \
+                        multi_species_D(xi, rev, params)
 
     def test_reversal_is_involutive_on_duality(self):
         params = DualityParams((F(2), F(3)), F(1, 2))
@@ -668,6 +696,12 @@ class TestParamsAndDomain:
         assert p.q == F(1, 2)
         p2 = DualityParams((F(1),), F(1, 3), convention="q")
         assert isinstance(p2.q, SNum) and p2.q * p2.q == F(1, 3)
+
+    def test_convention_q_rejects_a_negative_base(self):
+        # a negative base has no real square root on either backend
+        for base in (F(-1, 4), mpmath.mpf("-0.25")):
+            with pytest.raises(DomainError):
+                DualityParams((F(1),), base, convention="q")
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(DomainError):
@@ -754,13 +788,18 @@ class TestParamsMemo:
         make_basis, make_params = MEMO_CASES[case]
         basis = make_basis()
         shared = make_params()
-        for xi in basis:
-            for eta in basis:
-                for f in MEMO_QUANTITIES:
-                    got, want = f(xi, eta, shared), f(xi, eta, make_params())
-                    assert type(got) is type(want) and got == want, \
-                        "%s differs at %s %s: %r vs %r" % (f.__name__, xi, eta,
-                                                           got, want)
+        with warnings.catch_warnings(record=True) as fallbacks:
+            warnings.simplefilter("always")
+            for xi in basis:
+                for eta in basis:
+                    for f in MEMO_QUANTITIES:
+                        got, want = f(xi, eta, shared), f(xi, eta, make_params())
+                        assert type(got) is type(want) and got == want, \
+                            "%s differs at %s %s: %r vs %r" % (
+                                f.__name__, xi, eta, got, want)
+        # only the mixture's basis spans several sectors; its cross-sector
+        # radicands are the only ones without an exact root
+        assert bool(fallbacks) == (case == "mixture")
         if case == "odd-counts":
             assert any(isinstance(multi_species_D(xi, eta, shared), SNum)
                        for xi in basis for eta in basis)

@@ -22,7 +22,7 @@ from qmdual.errors import DomainError
 from qmdual.lattice import ResourceError, Sector
 from qmdual.models import asep_generator
 from qmdual.ops import SparseMatrix
-from qmdual.qcalc import q_exp_E, q_exp_e, q_int, q_poch
+from qmdual.qcalc import q_int, q_poch
 from qmdual.scalars import to_mpf
 
 F = Fraction
@@ -840,14 +840,6 @@ class TestQExponentials:
                     want = dense_q_exp_oracle(M, q ** 2, variant, cap)
                     assert zero(np.asarray(got) - want), (i, variant)
 
-    def test_diagonal_scalar_inverse_pair(self):
-        q = mpmath.mpf("0.5")
-        z = mpmath.mpf("0.3")
-        prod = q_exp_e(z, q) * q_exp_E(-z, q)
-        assert abs(prod - 1) < mpmath.mpf("1e-40")
-        got = uq.diagonal_q_exp([F(3, 10)], F(1, 2), "e")
-        assert abs(got[0] - q_exp_e(z, q)) < mpmath.mpf("1e-40")
-
 
 # -- the unitary symmetry --------------------------------------------------------------
 
@@ -1131,6 +1123,7 @@ checks = {
     "bond index": lambda: uq.bond_casimir(tb, 1, q),
     "star shape":
         lambda: uq.star_transform(SparseMatrix({}, (3, 3)), tb, q),
+    "positive inner product": lambda: uq.inner_product(uq.RepBasis(1, 1), -q),
 }
 for name, call in checks.items():
     try:
