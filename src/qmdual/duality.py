@@ -298,8 +298,12 @@ def _site_factor(params, i, e, c, t, shift):
 def correction_G_sq(xi, eta, params):
     """Radicand of the ground-state correction G (exact-friendly)."""
     _check_pair(xi, eta, params)
+    return _G_sq(xi, eta, params, intermediate_configs(xi, eta))
+
+
+def _G_sq(xi, eta, params, intermediates):
     num = 1
-    for iv in intermediate_configs(xi, eta):
+    for iv in intermediates:
         num = num * _species_measure(params, iv.i, xi.row(iv.i), iv.theta)
         num = num * _species_measure(params, iv.i, iv.rows[iv.i], iv.theta)
     return num / (_sector_measure(xi, params) * _sector_measure(eta, params))
@@ -339,8 +343,12 @@ def kraw_chain(xi, eta, params):
     """The nested q-Krawtchouk product over intermediate configurations,
     without the ground-state correction; 0 on infeasible pairs."""
     _check_pair(xi, eta, params)
+    return _kraw_chain(xi, params, intermediate_configs(xi, eta))
+
+
+def _kraw_chain(xi, params, intermediates):
     value = 1
-    for iv in intermediate_configs(xi, eta):
+    for iv in intermediates:
         if not is_feasible(iv):
             return 0
         factor = _kraw_sites(xi.row(iv.i), iv.rows[iv.i], iv.theta,
@@ -353,10 +361,12 @@ def kraw_chain(xi, eta, params):
 
 def multi_species_D(xi, eta, params):
     """Self-duality value for the multi-species exclusion chain."""
-    value = kraw_chain(xi, eta, params)
+    _check_pair(xi, eta, params)
+    intermediates = intermediate_configs(xi, eta)
+    value = _kraw_chain(xi, params, intermediates)
     if not value:
         return 0
-    g = correction_G(xi, eta, params)
+    g = sqrt(_G_sq(xi, eta, params, intermediates), field_base(params.q))
     if not is_exact(g):
         value = to_mpf(value)  # mpf refuses mixed arithmetic with SNum
     return g * value

@@ -48,15 +48,27 @@ class Config:
                 raise DomainError("n=%d for %d species rows" % (n, len(counts)))
             if any(c < 0 for row in counts for c in row):
                 raise DomainError("negative occupation number")
-        self.L = L
-        self.n = n
-        self.counts = counts
-        self.theta = theta
+        self._fill(counts, theta, n)
+
+    @classmethod
+    def _unchecked(cls, counts, theta, n):
+        """A Config from parts already known to be valid: counts a
+        rectangular tuple of int tuples that satisfies theta as `__init__`
+        requires, and n its species count."""
+        cfg = object.__new__(cls)
+        cfg._fill(counts, theta, n)
+        return cfg
+
+    def _fill(self, counts, theta, n):
+        # the one writer of the slots; `__setattr__` refuses every other
+        init = object.__setattr__
+        init(self, "L", len(counts[0]))
+        init(self, "n", n)
+        init(self, "counts", counts)
+        init(self, "theta", theta)
 
     def __setattr__(self, name, value):
-        if hasattr(self, "theta"):
-            raise AttributeError("Config is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError("Config is immutable")
 
     @classmethod
     def capacity(cls, species_counts, theta):

@@ -142,8 +142,9 @@ def asep_moves(q):
     bond_rates = {}
 
     def moves(cfg):
+        sites = tuple(zip(*cfg.counts))
         for x in range(1, cfg.L):
-            pair = cfg.site(x), cfg.site(x + 1)
+            pair = sites[x - 1], sites[x]
             if pair not in bond_rates:
                 bond_rates[pair] = asep_two_site_rates(*pair, q)
             for (new_x, new_x1), rate in bond_rates[pair]:
@@ -158,11 +159,11 @@ def asep_generator(sector, q):
 
 
 def _replace_sites(cfg, x, new_x, new_x1):
-    rows = [list(row) for row in cfg.counts]
-    for i in range(len(rows)):
-        rows[i][x - 1] = new_x[i]
-        rows[i][x] = new_x1[i]
-    return Config(rows, theta=cfg.theta)
+    # a bond swap keeps every column sum and sign, so the target needs no
+    # second validation
+    counts = tuple(row[:x - 1] + (a, b) + row[x + 1:]
+                   for row, a, b in zip(cfg.counts, new_x, new_x1))
+    return Config._unchecked(counts, cfg.theta, cfg.n)
 
 
 # -- reversible measures -----------------------------------------------------

@@ -12,7 +12,11 @@ a float residual must never read as an exact one.
 
 Interop with numpy object arrays:
 - `op @ op` is a SparseMatrix; `op @ a` and `a @ op`, for an ndarray `a`,
-  are ndarrays of scalars built from the stored entries alone;
+  are ndarrays of scalars built from the stored entries alone.  The exact
+  zeros of `a` are skipped like absent entries, so a product with a
+  diagonal makes one multiplication per stored entry; an inexact entry of
+  `a`, an mpf 0 included, is always multiplied, so a float product never
+  reads as an exact one.  An entry that no product reaches is the int 0;
 - `toarray` is the only densifier, and `__array__` delegates to it, so that
   `np.asarray`, `np.kron` and `np.diag` see the dense matrix.
 
@@ -22,6 +26,8 @@ for a SparseMatrix operand.  Without it, `a @ op` would densify `op` through
 `__rmatmul__`, and a mixed `+`, `-` or elementwise `*` raises TypeError
 instead of densifying in silence.
 """
+
+import math
 
 import numpy as np
 
@@ -33,6 +39,19 @@ ZERO = 0
 def _kept(row):
     """The row without its exact zeros."""
     return {c: v for c, v in row.items() if v or not is_exact(v)}
+
+
+def _product(arows, brows):
+    """(r, {c: sum_k a[r][k] b[k][c]}) over the stored entries alone, for
+    each row r of a that meets a stored entry of b; sums run in k order and
+    keep the entries that cancel."""
+    for r, arow in arows.items():
+        acc = {}
+        for k, a in arow.items():
+            for c, b in brows.get(k, {}).items():
+                acc[c] = acc[c] + a * b if c in acc else a * b
+        if acc:
+            yield r, acc
 
 
 class SparseMatrix:
@@ -93,26 +112,23 @@ class SparseMatrix:
         if isinstance(other, SparseMatrix):
             self._inner(other.shape[0])
             out = {}
-            for r, arow in self.rows.items():
-                acc = {}
-                for k, a in arow.items():
-                    for c, b in other.rows.get(k, {}).items():
-                        acc[c] = acc[c] + a * b if c in acc else a * b
+            for r, acc in _product(self.rows, other.rows):
                 acc = _kept(acc)
                 if acc:
                     out[r] = acc
             return SparseMatrix(out, (self.shape[0], other.shape[1]))
         if isinstance(other, np.ndarray):
             self._inner(other.shape[0])
-            out = np.full(self.shape[:1] + other.shape[1:], ZERO, dtype=object)
-            for r, row in self.rows.items():
-                acc = None
-                for k, a in row.items():
-                    term = a * other[k]
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    out[r] = acc
-            return out
+            # one path for every ndim: the trailing axes flatten to columns
+            flat = other.reshape(other.shape[0], math.prod(other.shape[1:]))
+            brows = {k: {c: v for c, v in enumerate(row)
+                         if v or not is_exact(v)}
+                     for k, row in enumerate(flat.tolist())}
+            out = np.full((self.shape[0], flat.shape[1]), ZERO, dtype=object)
+            for r, acc in _product(self.rows, brows):
+                for c, v in acc.items():
+                    out[r, c] = v
+            return out.reshape(self.shape[:1] + other.shape[1:])
         return NotImplemented
 
     def __rmatmul__(self, other):

@@ -10,6 +10,13 @@ choose the digits.
 An exact radicand that is a square in the field of q gets an exact root.
 Any other exact radicand falls back to an mpf, and that fallback always
 emits a `UserWarning` naming the radicand; it is never silent.
+
+Construction: the public `SNum(a, b, sbase)` validates its input.  It
+coerces both parts to Fraction, requires sbase > 0, and folds a
+perfect-square sbase into the rational part.  Arithmetic results skip that
+work: they come from the private `SNum._make`, which relies on the
+invariants every SNum already holds (Fraction parts, sbase positive and not
+a square) and redoes only the fold b == 0 => sbase = None.
 """
 
 import math
@@ -20,6 +27,9 @@ from fractions import Fraction
 import mpmath
 
 from .errors import DomainError
+
+
+_ZERO = Fraction(0)
 
 
 def rational_sqrt(r):
@@ -62,6 +72,16 @@ class SNum:
             sbase = None
         self.a, self.b, self.sbase = a, b, sbase
 
+    @classmethod
+    def _make(cls, a, b, sbase):
+        """Arithmetic result from parts that already satisfy the invariants:
+        a and b Fractions, sbase positive and not a square.  Only the fold
+        b == 0 => sbase = None is redone."""
+        x = object.__new__(cls)
+        x.a, x.b = a, b
+        x.sbase = sbase if b else None
+        return x
+
     # -- coercion -----------------------------------------------------------
 
     @staticmethod
@@ -69,7 +89,8 @@ class SNum:
         if isinstance(x, SNum):
             return x
         if isinstance(x, (int, Fraction)):
-            return SNum(x)
+            return SNum._make(x if type(x) is Fraction else Fraction(x),
+                              _ZERO, None)
         return None
 
     def _join(self, other):
@@ -88,18 +109,18 @@ class SNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SNum(self.a + o.a, self.b + o.b, self._join(o))
+        return SNum._make(self.a + o.a, self.b + o.b, self._join(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SNum(-self.a, -self.b, self.sbase)
+        return SNum._make(-self.a, -self.b, self.sbase)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return SNum(self.a - o.a, self.b - o.b, self._join(o))
+        return SNum._make(self.a - o.a, self.b - o.b, self._join(o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -108,13 +129,15 @@ class SNum:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return SNum._make(self.a * other, self.b * other, self.sbase)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         base = self._join(o)
         a = self.a * o.a + (self.b * o.b * base if base is not None else 0)
         b = self.a * o.b + self.b * o.a
-        return SNum(a, b, base)
+        return SNum._make(a, b, base)
 
     __rmul__ = __mul__
 
@@ -122,13 +145,16 @@ class SNum:
         if self.b == 0:
             if self.a == 0:
                 raise ZeroDivisionError("division by zero SNum")
-            return SNum(1 / self.a)
+            return SNum._make(1 / self.a, _ZERO, None)
         # (a + b s)^-1 = (a - b s) / (a^2 - b^2 s^2); nonzero since sbase is
         # not a perfect square, hence s irrational.
         d = self.a * self.a - self.b * self.b * self.sbase
-        return SNum(self.a / d, -self.b / d, self.sbase)
+        return SNum._make(self.a / d, -self.b / d, self.sbase)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a zero other raises ZeroDivisionError from the Fraction division
+            return SNum._make(self.a / other, self.b / other, self.sbase)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -145,7 +171,7 @@ class SNum:
             return NotImplemented
         if n < 0:
             return self._inverse() ** (-n)
-        result = SNum(1)
+        result = SNum._make(Fraction(1), _ZERO, None)
         square = self
         while n:
             if n & 1:

@@ -25,8 +25,6 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-import mpmath
-
 from . import lattice, models
 from .errors import DomainError
 from .lattice import ResourceError
@@ -419,7 +417,8 @@ def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
     Pochhammer diagonals (z; q^2)_{k_i}, z = -gamma*lam, which is what the
     omitted half-power factors square to.  half_powers=True multiplies the
     float-backend diagonal square roots back in, giving a fully unitary
-    matrix at working precision.
+    matrix at working precision; it raises `DomainError` where a twist
+    makes a root's radicand negative.
     """
     if gamma is None:
         gamma = gamma_from_lambda(lam, q)
@@ -440,7 +439,7 @@ def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
     # dressed variant: sqrt of the scalar q-exponentials of the weight
     # diagonals, applied on the float backend
     inf = to_mpf(q_poch(to_mpf(-gamma * lam), to_mpf(q) ** 2, INF))
-    g, h = ([mpmath.sqrt(inf / to_mpf(p)) for p in twist]
+    g, h = ([sqrt(inf / to_mpf(p)) for p in twist]
             for twist in unitarity_twist(i, lam, tbasis, q, gamma))
     return conjugate_diag(g, U, h)
 

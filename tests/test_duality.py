@@ -808,6 +808,27 @@ class TestParamsMemo:
         assert kinds["sector"] <= len(basis)
         assert kinds["species"] <= 2 * shared.n * len(basis)
 
+    def test_intermediates_built_once_per_pair(self, monkeypatch):
+        # the chain and the correction share one list of intermediates,
+        # and their product is still the value of the public pieces
+        built = []
+
+        def counted(xi, eta):
+            built.append((xi, eta))
+            return intermediate_configs(xi, eta)
+
+        basis = enumerate_sector(Sector((1, 2, 3), (2, 2, 2)))
+        params = DualityParams((F(4), F(9)), F(1, 3))
+        monkeypatch.setattr(du, "intermediate_configs", counted)
+        values = {(xi, eta): multi_species_D(xi, eta, params)
+                  for xi in basis for eta in basis}
+        assert len(built) == len(values)
+        assert any(values.values())
+        for (xi, eta), value in values.items():
+            chain = kraw_chain(xi, eta, params)
+            want = correction_G(xi, eta, params) * chain if chain else 0
+            assert type(value) is type(want) and value == want, (xi, eta)
+
     def test_params_with_different_alpha_share_no_entries(self):
         basis = enumerate_sector(Sector((2, 2, 2), (2, 2, 2)))
         first = DualityParams((F(4), F(9)), F(1, 3))

@@ -132,6 +132,25 @@ class TestGeneratorAssembly:
                     if i != j:
                         assert gen.entries[i][j] >= 0
 
+    @pytest.mark.parametrize("sector", [
+        Sector((1, 1, 2), (2, 2)), Sector((1, 3, 4), (2, 2, 2, 2)),
+        Sector((2, 1, 1), (1, 1, 1, 1)), Sector((2, 2, 2), (1, 3, 2)),
+        Sector((1, 1, 1, 2), (2, 1, 2))])
+    def test_move_targets_equal_validated_configs(self, sector):
+        # bond swaps build their targets without re-validating them
+        moves = models.asep_moves(F(1, 3))
+        for cfg in enumerate_sector(sector):
+            for target, _ in moves(cfg):
+                want = Config(target.counts, theta=sector.theta)
+                assert target == want and hash(target) == hash(want)
+                assert (target.counts, target.theta, target.L, target.n) \
+                    == (want.counts, want.theta, want.L, want.n)
+                assert all(type(row) is tuple and all(type(c) is int
+                                                      for c in row)
+                           for row in target.counts)
+                with pytest.raises(AttributeError):
+                    target.theta = None
+
     @pytest.mark.parametrize("q", Q_GRID)
     def test_reference_example_reproduced(self, q):
         # the worked example's display is row convention and carries a

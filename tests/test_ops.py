@@ -191,3 +191,89 @@ def test_inexact_zero_stays_stored():
     for R in (Ae @ Be, Ae - Ae):
         assert R.rows == {}
         assert all(is_exact(v) and v == 0 for v in R.flat)
+
+
+# -- ndarray operands full of exact zeros -------------------------------------------
+
+def diagonal(values):
+    """Dense diagonal with exact Fraction zeros off the diagonal."""
+    M = np.full((len(values), len(values)), F(0), dtype=object)
+    for k, v in enumerate(values):
+        M[k, k] = v
+    return M
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sandwich_with_a_diagonal_matches_dense(kind):
+    # D^T diag(w) D on 36 x 36, the shape of the algebraic orthogonality
+    # check: 35 of every 36 entries of the diagonal are exact zeros
+    P, _, _, _, _ = triple(0, kind, 36, 18)
+    rng = random.Random(7)
+    W = diagonal([F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(36)])
+    op = sparse(P)
+    want = P.T @ W @ P
+    for got in (op.T @ W @ op, (op.T @ W) @ op, op.T @ (W @ op)):
+        assert_scalar_array(got)
+        assert_same(got, want)
+    assert_same(op @ W, P @ W)
+    assert_same(W @ op, W @ P)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_dimensional_operand(kind):
+    P, _, _, _, _ = triple(1, kind, 7, 7)
+    v = np.array([F(0), F(2, 3), F(0), F(0), F(-1), F(0), F(5)], dtype=object)
+    op = sparse(P)
+    for got, want in ((op @ v, P @ v), (v @ op, v @ P)):
+        assert isinstance(got, np.ndarray) and got.shape == (7,)
+        assert all(g == w for g, w in zip(got, want))
+    zeros = np.full(7, F(0), dtype=object)
+    assert all(is_exact(g) and g == 0 for g in op @ zeros)
+
+
+def test_inexact_entries_of_an_ndarray_stay_inexact():
+    # an mpf 0 is multiplied like any float: the product is a float zero,
+    # never the exact zero that an absent or exact-zero entry gives
+    zero, two = mpmath.mpf(0), mpmath.mpf(2)
+    op = SparseMatrix({0: {0: F(1, 2)}, 1: {1: F(3)}}, (2, 2))
+    A = np.array([[zero, F(0)], [F(0), two]], dtype=object)
+    for got, want in ((op @ A, np.asarray(op) @ A), (A @ op, A @ np.asarray(op))):
+        assert_same(got, want)
+        assert not is_exact(got[0, 0]) and got[0, 0] == 0
+        assert is_exact(got[0, 1]) and is_exact(got[1, 0])
+        assert not is_exact(got[1, 1]) and got[1, 1] == 6
+    v = np.array([zero, F(0)], dtype=object)
+    got = op @ v
+    assert not is_exact(got[0]) and got[0] == 0 and is_exact(got[1])
+
+
+class Counted(Fraction):
+    """A Fraction that counts the scalar products it is the left factor of;
+    a product with an ndarray goes elementwise, one count per element."""
+
+    products = 0
+
+    def __mul__(self, other):
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        Counted.products += 1
+        return Fraction.__mul__(self, other)
+
+
+def test_product_with_a_diagonal_multiplies_stored_entries_only():
+    # op @ diag(v) costs nnz(op) products, not nnz(op) * cols
+    n = 24
+    rng = random.Random(3)
+    rows = {}
+    for r in range(n):
+        for c in rng.sample(range(n), 5):
+            rows.setdefault(r, {})[c] = Counted(rng.randint(1, 9), rng.randint(1, 9))
+    op = SparseMatrix(rows, (n, n))
+    nnz = sum(len(row) for row in rows.values())
+    W = diagonal([F(k + 1, 2) for k in range(n)])
+    dense = np.asarray(op)
+    for product, want in ((lambda: op @ W, dense @ W), (lambda: W @ op, W @ dense)):
+        Counted.products = 0
+        got = product()
+        assert Counted.products == nnz
+        assert_same(got, want)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmdual import scalars
 from qmdual.errors import DomainError
@@ -62,3 +64,106 @@ def test_import_leaves_the_precision_alone():
                                    QMDUAL_PRECISION="200"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["25"]
+
+
+# -- arithmetic against the validating constructor ------------------------------
+
+rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+nonsquares = st.fractions(min_value=F(1, 50), max_value=50,
+                          max_denominator=50).filter(
+    lambda r: scalars.rational_sqrt(r) is None)
+ints_or_fractions = st.one_of(st.integers(-20, 20), rationals)
+
+
+def textbook_mul(x, y, s):
+    """(a1 + b1 s)(a2 + b2 s) through the validating constructor."""
+    return SNum(x.a * y.a + x.b * y.b * s, x.a * y.b + x.b * y.a, s)
+
+
+def textbook_inv(x, s):
+    d = x.a * x.a - x.b * x.b * s
+    return SNum(x.a / d, -x.b / d, s)
+
+
+def textbook_pow(x, n, s):
+    if n < 0:
+        x, n = textbook_inv(x, s), -n
+    out = SNum(1)
+    for _ in range(n):
+        out = textbook_mul(out, x, s)
+    return out
+
+
+def assert_same_snum(got, want):
+    assert type(got) is SNum
+    assert (got.a, got.b, got.sbase) == (want.a, want.b, want.sbase)
+    assert type(got.a) is type(want.a) is F
+    assert type(got.b) is type(want.b) is F
+    assert type(got.sbase) is type(want.sbase)
+    if got.b == 0:
+        assert got.sbase is None
+
+
+class TestArithmetic:
+    """Arithmetic results skip the validation of the public constructor; they
+    must be exactly what it gives for the textbook formula."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rationals, rationals, rationals, rationals, nonsquares)
+    def test_field_operations(self, a1, b1, a2, b2, s):
+        x, y = SNum(a1, b1, s), SNum(a2, b2, s)
+        assert_same_snum(x + y, SNum(a1 + a2, b1 + b2, s))
+        assert_same_snum(x - y, SNum(a1 - a2, b1 - b2, s))
+        assert_same_snum(-x, SNum(-a1, -b1, s))
+        assert_same_snum(x * y, textbook_mul(x, y, s))
+        if y:
+            assert_same_snum(x / y, textbook_mul(x, textbook_inv(y, s), s))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rationals, rationals, ints_or_fractions, nonsquares)
+    def test_rational_operand_on_either_side(self, a, b, r, s):
+        x = SNum(a, b, s)
+        assert_same_snum(x + r, SNum(a + r, b, s))
+        assert_same_snum(r + x, SNum(r + a, b, s))
+        assert_same_snum(x - r, SNum(a - r, b, s))
+        assert_same_snum(r - x, SNum(r - a, -b, s))
+        assert_same_snum(x * r, SNum(a * r, b * r, s))
+        assert_same_snum(r * x, SNum(r * a, r * b, s))
+        if r:
+            assert_same_snum(x / r, SNum(F(a) / r, F(b) / r, s))
+        if x:
+            assert_same_snum(r / x, textbook_mul(SNum(r), textbook_inv(x, s), s))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rationals, rationals, nonsquares, st.integers(-4, 5))
+    def test_powers(self, a, b, s, n):
+        x = SNum(a, b, s)
+        if n < 0 and not x:
+            return
+        assert_same_snum(x ** n, textbook_pow(x, n, s))
+
+    def test_public_constructor_still_validates(self):
+        # a perfect-square base folds into the rational part
+        x = SNum(1, 2, F(9, 4))
+        assert (x.a, x.b, x.sbase) == (4, 0, None) and type(x.a) is F
+        assert SNum(3, 0, F(1, 3)).sbase is None
+        for base in (0, F(-1, 3)):
+            with pytest.raises(ValueError, match="positive"):
+                SNum(1, 1, base)
+        with pytest.raises(ValueError, match="needs sbase"):
+            SNum(1, 1)
+
+    def test_division_by_a_rational_zero_raises(self):
+        x = SNum(1, 2, F(1, 3))
+        for zero in (0, F(0), SNum(0)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / SNum(0)
+
+    def test_mixing_fields_raises(self):
+        x, y = SNum(1, 2, F(1, 3)), SNum(1, 2, F(2, 3))
+        for mixed in (lambda: x + y, lambda: x - y, lambda: x * y,
+                      lambda: x / y):
+            with pytest.raises(ValueError, match="incompatible"):
+                mixed()

@@ -906,6 +906,13 @@ class TestUnitary:
         finally:
             mpmath.mp.dps = old
 
+    def test_dressed_negative_twist_raises(self):
+        # at lam = 3, q = 1/2 a twist (z; q^2)_k is negative; its root used
+        # to come back as an mpc mixed among mpf entries
+        tb = uq.TensorBasis(1, (1, 1))
+        with pytest.raises(DomainError, match="negative radicand"):
+            uq.unitary_U(0, F(3), tb, F(1, 2), half_powers=True)
+
     def test_braid_identity_single_leg(self):
         # e(lam K1 E) diag(poch mu_0) e(lam F K0)
         #   = e(lam F K0) diag(poch mu_1) e(lam K1 E)
