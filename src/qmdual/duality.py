@@ -12,8 +12,7 @@ process as the first argument.
 
 Conventions:
 - public entry points take the exclusion asymmetry parameter q and run the
-  hypergeometric series in base q^2; `DualityParams(convention="q")` accepts
-  the squared base directly and takes its square root (exactly if possible).
+  hypergeometric series in base q^2.
 - the zero-range exponent h counts the xi suffix in the eta term from the
   site itself; the generator intertwining check fails for the suffix that
   starts strictly right of it.  That "strict" form, the closed
@@ -77,8 +76,8 @@ class DualityParams:
     """Per-species parameters of the nested duality function.
 
     alpha: positive scalar per species (length n, species 0..n-1).
-    q: the asymmetry parameter; with convention="q" the value is read as the
-    squared (zero-range) base instead and its square root is taken.
+    q: the asymmetry parameter, a rational or a float.  An SNum q is refused:
+    the sector measures carry q^(1/2), which has no place in the field of q.
     weights: optional mixture weights for the reversible measure in the
     ground-state correction, keyed by the full species-count tuple (holes
     included); None means the unnormalized per-sector measure.  A read-only
@@ -90,15 +89,13 @@ class DualityParams:
     freed with the object.
     """
 
-    __slots__ = ("alpha", "q", "convention", "weights", "_memo")
+    __slots__ = ("alpha", "q", "weights", "_memo")
 
-    def __init__(self, alpha, q, convention="q2", weights=None):
-        if convention not in ("q2", "q"):
-            raise DomainError("unknown convention %r" % (convention,))
+    def __init__(self, alpha, q, weights=None):
         alpha = tuple(_as_scalar(a) for a in alpha)
         q = _as_scalar(q)
-        if convention == "q":
-            q = _sqrt_param(q)
+        if isinstance(q, SNum):
+            raise DomainError("q=%r must be a rational or a float" % (q,))
         if any(not is_exact(v) for v in alpha + (q,)):
             alpha = tuple(to_mpf(a) for a in alpha)
             q = to_mpf(q)
@@ -108,7 +105,6 @@ class DualityParams:
                 raise DomainError("species parameter alpha=%r must be positive" % (a,))
         self.alpha = alpha
         self.q = q
-        self.convention = convention
         self.weights = None if weights is None else MappingProxyType(dict(weights))
         self._memo = {}
 
@@ -134,22 +130,6 @@ class DualityParams:
 
 
 # -- single-species building block --------------------------------------------
-
-
-def _as_row(cfg, theta):
-    if isinstance(cfg, Config):
-        if cfg.is_zero_range:
-            raise DomainError("capacity configuration expected")
-        if cfg.n != 1:
-            raise DomainError("single-species helper got %d species" % cfg.n)
-        return cfg.row(0), cfg.theta
-    if theta is None:
-        raise DomainError("per-site capacities required with a bare tuple")
-    row, theta = tuple(int(c) for c in cfg), tuple(int(t) for t in theta)
-    if len(row) != len(theta):
-        raise DomainError("occupancies %s do not match capacities %s"
-                          % (row, theta))
-    return row, theta
 
 
 def _site_shifts(xi_row, eta_row, theta_row):
@@ -183,35 +163,6 @@ def _kraw_sites(xi_row, eta_row, theta_row, factor):
             continue
         value = value * factor(eta_row[x], xi_row[x], theta_row[x], shift)
     return value
-
-
-def kraw_product(xi_row, eta_row, theta_row, p, q):
-    """prod_x K_{eta^x}(q^{-xi^x}; p_x, theta^x, q) with the shifted parameter
-    p_x = p q^{left(theta) - left(xi) + right(eta)}; returns 0 when an index
-    exceeds its site capacity instead of erroring.
-    """
-    return _kraw_sites(xi_row, eta_row, theta_row,
-                       lambda e, c, t, shift: q_krawtchouk(e, c, p * q ** shift, t, q))
-
-
-def single_species_D(xi, eta, theta=None, alpha=1, q=None):
-    """Single-species duality value: the q-Krawtchouk product in base q^2.
-
-    xi, eta may be per-site occupancy tuples (with theta supplied) or
-    one-species capacity Configs.  alpha shifts the Krawtchouk parameter as
-    p = 1/(alpha q).
-    """
-    if q is None:
-        raise DomainError("asymmetry parameter q is required")
-    xi_row, th = _as_row(xi, theta)
-    eta_row, th2 = _as_row(eta, theta)
-    if th != th2:
-        raise DomainError("mismatched capacities %s vs %s" % (th, th2))
-    alpha, q = _as_scalar(alpha), _as_scalar(q)
-    if not is_exact(alpha) or not is_exact(q):
-        alpha, q = to_mpf(alpha), to_mpf(q)
-    p = 1 / (alpha * q)
-    return kraw_product(xi_row, eta_row, th, p, q * q)
 
 
 def w_over_h(xi_row, eta_row, theta_row, p, q):

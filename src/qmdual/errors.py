@@ -8,8 +8,3 @@ class DegenerateQError(ValueError):
 class DomainError(ValueError):
     """Input outside the mathematical domain of the operation."""
 
-
-class NonTerminatingError(DomainError):
-    """An infinite float q-Pochhammer did not converge within its term cap.
-
-    Terminating series take their degree, so they never raise it."""

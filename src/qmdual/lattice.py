@@ -183,19 +183,24 @@ def enumerate_sector(sector, cap=200_000):
 
     Order: descending lexicographic on the site-major species key
     (site 1 species 0, site 1 species 1, ..., site 2 species 0, ...),
-    holes excluded.  This reproduces the printed 4x4 example basis.
+    holes excluded.  This reproduces the printed 4x4 example basis.  More
+    than cap configurations raise `ResourceError`.
     """
     k, theta = sector.k, sector.theta
     L = len(theta)
     nsp = len(k) - 1  # species rows, excluding holes
-    out = []
+    configs = []
 
     def fill(x, remaining):
-        if len(out) > cap:
-            raise ResourceError("sector larger than cap=%d" % cap)
         if x > L:
             if all(r == 0 for r in remaining):
-                out.append([list(site) for site in sites])
+                if len(configs) == cap:
+                    raise ResourceError("sector larger than cap=%d" % cap)
+                # every site composition fills its capacity with
+                # nonnegative ints, so the grid needs no validation
+                counts = tuple(tuple(site[i] for site in sites)
+                               for i in range(nsp + 1))
+                configs.append(Config._unchecked(counts, theta, nsp))
             return
         m = theta[x - 1]
 
@@ -216,10 +221,6 @@ def enumerate_sector(sector, cap=200_000):
 
     sites = []
     fill(1, list(k))
-    configs = []
-    for grid in out:
-        rows = [[grid[x][i] for x in range(L)] for i in range(nsp + 1)]
-        configs.append(Config(rows, theta=theta))
     return configs
 
 
@@ -227,20 +228,23 @@ def enumerate_zrp_sector(counts, L, cap=200_000):
     """All zero-range configurations with the given per-species totals.
 
     Same order as enumerate_sector: descending lexicographic on the
-    site-major species key.
+    site-major species key.  More than cap configurations raise
+    `ResourceError`.
     """
     counts = tuple(int(c) for c in counts)
     if min(counts, default=0) < 0 or L < 1:
         raise DomainError("need counts >= 0 and L >= 1, got %r and L = %r"
                           % (counts, L))
     nsp = len(counts)
-    out = []
+    configs = []
 
     def fill(x, remaining):
-        if len(out) > cap:
-            raise ResourceError("sector larger than cap=%d" % cap)
         if x == L:
-            out.append([list(site) for site in sites] + [list(remaining)])
+            if len(configs) == cap:
+                raise ResourceError("sector larger than cap=%d" % cap)
+            grid = sites + [remaining]
+            configs.append(Config.zero_range(
+                [[site[i] for site in grid] for i in range(nsp)]))
             return
         for comp in _site_loads(remaining, nsp):
             sites.append(comp)
@@ -257,10 +261,6 @@ def enumerate_zrp_sector(counts, L, cap=200_000):
 
     sites = []
     fill(1, counts)
-    configs = []
-    for grid in out:
-        rows = [[grid[x][i] for x in range(L)] for i in range(nsp)]
-        configs.append(Config.zero_range(rows))
     return configs
 
 

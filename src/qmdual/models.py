@@ -173,9 +173,12 @@ def reversible_measure(cfg, q):
 
     Exact backend: pass q as a Fraction; the q^{(count^2)/2} factor puts the
     value in Q(s) with s^2 = q, so an SNum comes back when any count is odd.
+    An SNum q is refused, since that root lies outside its field.
     """
     if cfg.is_zero_range:
         raise DomainError("the reversible measure needs capacity mode")
+    if isinstance(q, SNum):
+        raise DomainError("q=%r must be a rational or a float" % (q,))
     halves = 0  # exponent of q in units of 1/2
     value = 1
     for x in range(1, cfg.L + 1):

@@ -2,7 +2,8 @@
 quantum-group operator.
 
 A `SparseMatrix` stores {row: {col: value}} over its stored entries plus a
-shape (rows, cols); entry (r, c) is addressed as in an ndarray, and an
+shape (rows, cols).  Entry (r, c) is addressed as in an ndarray, but an
+index outside the shape, a negative one included, raises IndexError.  An
 absent entry reads as the exact zero int 0, which mixes with every scalar
 backend (a Fraction zero cannot divide by an mpf).  Products and sums drop
 the entries that come out as an exact zero (int, Fraction or SNum), so a
@@ -94,6 +95,9 @@ class SparseMatrix:
         """[r, c] is one entry; [r] is row r as a dense ndarray."""
         if isinstance(key, tuple):
             r, c = key
+            if not (0 <= r < self.shape[0] and 0 <= c < self.shape[1]):
+                raise IndexError("entry %r out of range for shape %s"
+                                 % (key, self.shape))
             return self.rows.get(r, {}).get(c, ZERO)
         if not 0 <= key < self.shape[0]:
             raise IndexError("row %r out of range for %d rows"

@@ -8,17 +8,9 @@ m as an int and sums exactly the terms k = 0..m; no value is tested against
 a tolerance to find where it ends.
 """
 
-import math
 from fractions import Fraction
 
-import mpmath
-
-from .errors import DegenerateQError, DomainError, NonTerminatingError
-from .scalars import is_exact, to_mpf
-
-INF = math.inf
-
-_SERIES_CAP = 100_000
+from .errors import DegenerateQError, DomainError
 
 
 def _check_q(q):
@@ -90,23 +82,9 @@ def brace_fact(n, q):
 
 
 def q_poch(a, q, n):
-    """(a; q)_n = (1-a)(1-aq)...(1-aq^{n-1}); n may be INF (float backend)."""
-    if n is INF:
-        if is_exact(q) or abs(to_mpf(q)) >= 1:
-            if is_exact(q):
-                raise DomainError("infinite q-Pochhammer needs the float backend")
-            raise DomainError("infinite q-Pochhammer needs |q| < 1")
-        a, q = to_mpf(a), to_mpf(q)
-        result = mpmath.mpf(1)
-        eps = mpmath.mpf(10) ** (-mpmath.mp.dps - 5)
-        power = mpmath.mpf(1)
-        for _ in range(_SERIES_CAP):
-            factor = 1 - a * power
-            result *= factor
-            power *= q
-            if abs(a * power) < eps:
-                return result
-        raise NonTerminatingError("infinite q-Pochhammer did not converge")
+    """(a; q)_n = (1-a)(1-aq)...(1-aq^{n-1}) for an int n >= 0.  The
+    library needs (a; q)_inf only in ratios, which `q_poch_ratio` forms
+    exactly; the product itself is mpmath's `qp(a, q)`."""
     if not isinstance(n, int) or n < 0:
         raise DomainError("q-Pochhammer length %r is not an int >= 0" % (n,))
     result = 1

@@ -20,6 +20,7 @@ a square) and redoes only the fold b == 0 => sbase = None.
 """
 
 import math
+import operator
 import re
 import warnings
 from fractions import Fraction
@@ -42,6 +43,15 @@ def rational_sqrt(r):
     if a * a == num and b * b == den:
         return Fraction(a, b)
     return None
+
+
+def _ordering(test):
+    """The SNum comparison test(sign(self - other), 0); an operand of
+    another backend gets NotImplemented, so a mixed comparison raises."""
+    def compare(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else test((self - o).sign(), 0)
+    return compare
 
 
 class SNum:
@@ -218,23 +228,8 @@ class SNum:
             return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
         return 1 if lhs < rhs else (-1 if lhs > rhs else 0)
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __le__(self, other):
-        return not self.__gt__(other)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
+    __lt__, __le__ = _ordering(operator.lt), _ordering(operator.le)
+    __gt__, __ge__ = _ordering(operator.gt), _ordering(operator.ge)
 
     def __repr__(self):
         return "SNum(%s)" % format_exact(self)

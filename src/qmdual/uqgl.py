@@ -29,7 +29,7 @@ from . import lattice, models
 from .errors import DomainError
 from .lattice import ResourceError
 from .ops import SparseMatrix
-from .qcalc import INF, brace_fact, q_int, q_poch
+from .qcalc import brace_fact, q_int, q_poch
 from .scalars import is_exact, sqrt, to_mpf
 
 TENSOR_DIM_CAP = 10_000
@@ -352,7 +352,7 @@ def inversion_exponent(state):
     return expo
 
 
-def ground_state_G(tbasis, q, theta=None):
+def ground_state_G(tbasis, q):
     """Diagonal entries of the gauge that turns the chain Casimir into the
     exclusion generator: g(state) = q^{-inversion_exponent(state)}.
 
@@ -360,43 +360,40 @@ def ground_state_G(tbasis, q, theta=None):
     constant would cancel in the conjugation.  Returns a list aligned with
     tbasis.states; entries are exact for exact q.
     """
-    if theta is not None and tuple(theta) != tbasis.theta:
-        raise DomainError("theta %s disagrees with the basis capacities %s"
-                          % (tuple(theta), tbasis.theta))
     return [q ** (-inversion_exponent(st)) for st in tbasis.states]
 
 
-def conjugate_diag(g, M, h=None):
-    """diag(g)^-1 M diag(h) entrywise (h defaults to g)."""
-    return M.scaled([1 / x for x in g], g if h is None else h)
+def conjugate_diag(g, M):
+    """diag(g)^-1 M diag(g) entrywise."""
+    return M.scaled([1 / x for x in g], g)
 
 
 # ---------------------------------------------------------------------------
 # nilpotent q-exponentials
 
 
-def nilpotent_q_exp(M, qsq, variant="e", nilcap=None):
+def nilpotent_q_exp(M, qsq, variant="e"):
     """Finite q-exponential of a nilpotent matrix, base qsq.
 
     variant "e": sum_k M^k / ((qsq;qsq)_k normalization written as the
     running product of (1 - qsq^j)); variant "E" carries the extra
     qsq^{k(k-1)/2}.  The series stops at the first power of M with no
-    stored entry; nilpotency is checked by that happening within nilcap
-    steps (default: matrix dimension).
+    stored entry.  An N x N nilpotent M has M^N = 0, so a power that is
+    still nonzero past N raises `DomainError`.
     """
     if variant not in ("e", "E"):
         raise DomainError("no q-exponential variant %r" % (variant,))
     N = M.shape[0]
     total = term = SparseMatrix.diag([Fraction(1)] * N)
     denom = 1
-    for k in range(1, (N if nilcap is None else nilcap) + 2):
+    for k in range(1, N + 2):
         term = term @ M
         if not term.rows:
             return total
         denom = denom * (1 - qsq ** k)
         w = (qsq ** (k * (k - 1) // 2) if variant == "E" else 1) / denom
         total = total + w * term
-    raise DomainError("matrix is not nilpotent within the cap")
+    raise DomainError("matrix is not nilpotent")
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +405,15 @@ def gamma_from_lambda(lam, q):
     return lam / ((1 - q ** 2) * (q - 1 / q))
 
 
-def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
+def unitary_U(i, lam, tbasis, q):
     """Unitary symmetry for species slot pair (i, i+1) at coupling lam.
 
-    Core product: e_{q^2}(lam * M_lower K_i) E_{q^2}(-lam * K_{i+1} M_raise)
-    on the chain coproduct matrices.  half_powers=False returns this exact
-    core; unitarity then holds against the inner product twisted by the
-    Pochhammer diagonals (z; q^2)_{k_i}, z = -gamma*lam, which is what the
-    omitted half-power factors square to.  half_powers=True multiplies the
-    float-backend diagonal square roots back in, giving a fully unitary
-    matrix at working precision; it raises `DomainError` where a twist
-    makes a root's radicand negative.
+    The exact core product e_{q^2}(lam * M_lower K_i)
+    E_{q^2}(-lam * K_{i+1} M_raise) on the chain coproduct matrices.  It is
+    unitary against the inner product twisted by the Pochhammer diagonals
+    of `unitarity_twist`, which is what the half-power factors of the fully
+    unitary form square to; that form is the float image of this core.
     """
-    if gamma is None:
-        gamma = gamma_from_lambda(lam, q)
-    elif lam != gamma * (1 - q ** 2) * (q - 1 / q):
-        raise DomainError("lam and gamma must satisfy the coupling relation")
     # F K_i and K_{i+1} E: the lower and raise coproducts with their columns
     # and rows scaled by the weight diagonals
     N = len(tbasis)
@@ -431,25 +421,14 @@ def unitary_U(i, lam, tbasis, q, gamma=None, half_powers=False):
     MF = _coproduct("lower", i, tbasis, q).scaled([lam] * N, k_i)
     ME = _coproduct("raise", i, tbasis, q).scaled(
         [-lam * k for k in k_next], [1] * N)
-    cap = sum(tbasis.theta) + 1
-    U = (nilpotent_q_exp(MF, q ** 2, "e", cap)
-         @ nilpotent_q_exp(ME, q ** 2, "E", cap))
-    if not half_powers:
-        return U
-    # dressed variant: sqrt of the scalar q-exponentials of the weight
-    # diagonals, applied on the float backend
-    inf = to_mpf(q_poch(to_mpf(-gamma * lam), to_mpf(q) ** 2, INF))
-    g, h = ([sqrt(inf / to_mpf(p)) for p in twist]
-            for twist in unitarity_twist(i, lam, tbasis, q, gamma))
-    return conjugate_diag(g, U, h)
+    return nilpotent_q_exp(MF, q ** 2, "e") @ nilpotent_q_exp(ME, q ** 2, "E")
 
 
-def unitarity_twist(i, lam, tbasis, q, gamma=None):
+def unitarity_twist(i, lam, tbasis, q):
     """Pochhammer diagonals (start, end) that make the core U exactly
-    unitary: star(U) diag(start) U = diag(end)."""
-    if gamma is None:
-        gamma = gamma_from_lambda(lam, q)
-    z = -gamma * lam
+    unitary: star(U) diag(start) U = diag(end), with the base point
+    z = -gamma * lam and gamma = `gamma_from_lambda(lam, q)`."""
+    z = -gamma_from_lambda(lam, q) * lam
     start, end = [], []
     for st in tbasis.states:
         start.append(q_poch(z, q ** 2, sum(mu[i] for mu in st)))
@@ -520,16 +499,16 @@ class AlgebraicDuality:
         return SparseMatrix(block, (len(rows), len(cols)))
 
 
-def algebraic_duality(lambdas, tbasis, q, A=None):
-    """Duality matrix diag(A/mu) G^-1 M_U G diag(A), with M_U the product of
+def algebraic_duality(lambdas, tbasis, q):
+    """Duality matrix diag(1/mu) G^-1 M_U G, with M_U the product of
     per-species unitaries (descending species order) and G the ground-state
     gauge.
 
     Satisfies L^T D = D L exactly, and the orthogonality identity
     D^T diag(left_weight) D = diag(right_weight) with the returned exact
     diagonals (mu times sector constants times the unitarity Pochhammers).
-    A, if given, must be a sector-constant positive diagonal (list aligned
-    with tbasis.states); it transforms both weights accordingly.
+    For any sector-constant positive diagonal A, diag(A) D diag(A) is a
+    duality too, with weights left_weight / A^2 and right_weight * A^2.
     """
     n = tbasis.n
     lambdas = list(lambdas)
@@ -539,24 +518,17 @@ def algebraic_duality(lambdas, tbasis, q, A=None):
     N = len(tbasis)
     g = ground_state_G(tbasis, q)
     mu = reversible_vector(tbasis, q)
-    if A is None:
-        A = [Fraction(1)] * N
-    else:
-        for key, idxs in tbasis.sectors().items():
-            if len({A[k] for k in idxs}) != 1:
-                raise DomainError("A must be constant on sector %s" % (key,))
-    # D = diag(row)^-1 M_U diag(col); the orthogonality weights are the
+    # D = diag(row)^-1 M_U diag(g); the orthogonality weights are the
     # squares of these scalings times the inner product and the twists
-    row = [g[k] * mu[k] / A[k] for k in range(N)]
-    col = [g[k] * A[k] for k in range(N)]
+    row = [g[k] * mu[k] for k in range(N)]
     w = inner_product(tbasis, q)
     left = [row[k] ** 2 * w[k] for k in range(N)]
-    right = [col[k] ** 2 * w[k] for k in range(N)]
+    right = [g[k] ** 2 * w[k] for k in range(N)]
     MU = SparseMatrix.diag([Fraction(1)] * N)
     for i, lam in enumerate(lambdas):
         MU = unitary_U(i, lam, tbasis, q) @ MU
         start, end = unitarity_twist(i, lam, tbasis, q)
         left = [a * b for a, b in zip(left, start)]
         right = [a * b for a, b in zip(right, end)]
-    D = MU.scaled([1 / x for x in row], col)
+    D = MU.scaled([1 / x for x in row], g)
     return AlgebraicDuality(tbasis, D, lambdas, left, right)

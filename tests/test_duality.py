@@ -27,7 +27,6 @@ from qmdual.duality import (
     multi_species_D,
     orthogonality_range_report,
     qhahn_D,
-    single_species_D,
     vertex_duality_D,
     w_over_h,
 )
@@ -47,7 +46,7 @@ from qmdual.models import (
     qtazrp_generator,
     reversible_measure,
 )
-from qmdual.qcalc import q_poch, q_poch_ratio
+from qmdual.qcalc import q_krawtchouk, q_poch, q_poch_ratio
 from qmdual.scalars import SNum, field_base, is_exact, sqrt, to_mpf
 
 F = Fraction
@@ -194,27 +193,53 @@ def sp_at(theta, species, site, count=1):
 
 # -- single-species building block ----------------------------------------------
 
+def kraw_product(xi_row, eta_row, theta_row, p, q):
+    """Oracle: prod_x K_{eta^x}(q^{-xi^x}; p q^{s_x}, theta^x; q) with the
+    shift s_x = (capacity left of x) - (xi left of x) + (eta right of x);
+    0 when a count exceeds its site capacity."""
+    value = 1
+    for x, (c, e, t) in enumerate(zip(xi_row, eta_row, theta_row)):
+        if not (0 <= c <= t and 0 <= e <= t):
+            return 0
+        shift = sum(theta_row[:x]) - sum(xi_row[:x]) + sum(eta_row[x + 1:])
+        value = value * q_krawtchouk(e, c, p * q ** shift, t, q)
+    return value
+
+
+def single_species_D(xi_row, eta_row, theta_row, alpha, q):
+    """Oracle: the one-species duality value, the q-Krawtchouk product in
+    base q^2 with p = 1/(alpha q)."""
+    return kraw_product(xi_row, eta_row, theta_row, 1 / (alpha * q), q * q)
+
+
+def one_species(row, theta):
+    return Config.capacity([row], theta)
+
+
 class TestSingleSpeciesD:
+    # kraw_chain on one-species Configs is the library's single-species value
     def test_hand_value_one_site(self):
         # theta=(1): K_1(q^{-2}; p, 1, q^2) = 1 - p q^2 = 1 - q/alpha
+        cfg = one_species((1,), (1,))
         for q, a in [(F(1, 2), F(2)), (F(2, 3), F(5)), (F(3, 2), F(1))]:
-            got = single_species_D((1,), (1,), theta=(1,), alpha=a, q=q)
+            got = kraw_chain(cfg, cfg, DualityParams((a,), q))
             assert got == 1 - q / a, "D((1),(1)) = %s, want 1 - q/alpha" % got
 
     def test_degree_zero_rows_give_one(self):
-        got = single_species_D((1, 2), (0, 0), theta=(2, 2), alpha=F(3), q=F(1, 2))
+        got = kraw_chain(one_species((1, 2), (2, 2)), one_species((0, 0), (2, 2)),
+                         DualityParams((F(3),), F(1, 2)))
         assert got == 1, "eta = 0 must give the constant polynomial, got %s" % got
 
     def test_out_of_range_counts_give_zero(self):
-        assert single_species_D((1,), (3,), theta=(2,), alpha=F(2), q=F(1, 2)) == 0
-        assert single_species_D((3,), (1,), theta=(2,), alpha=F(2), q=F(1, 2)) == 0
+        # no Config holds these counts; the oracle's convention is pinned
+        assert single_species_D((1,), (3,), (2,), F(2), F(1, 2)) == 0
+        assert single_species_D((3,), (1,), (2,), F(2), F(1, 2)) == 0
 
     def test_accepts_single_species_config(self):
         th = (2, 1)
-        cfg_xi = Config.capacity([(1, 1)], th)
-        cfg_eta = Config.capacity([(2, 0)], th)
-        via_cfg = single_species_D(cfg_xi, cfg_eta, alpha=F(2), q=F(1, 2))
-        via_rows = single_species_D((1, 1), (2, 0), theta=th, alpha=F(2), q=F(1, 2))
+        via_cfg = kraw_chain(one_species((1, 1), th), one_species((2, 0), th),
+                             DualityParams((F(2),), F(1, 2)))
+        via_rows = single_species_D((1, 1), (2, 0), th, F(2), F(1, 2))
         assert via_cfg == via_rows
 
     def test_matches_n1_nested_chain(self):
@@ -233,10 +258,11 @@ class TestSingleSpeciesD:
                             % (chain, bare, xi, eta))
 
     def test_float_backend_tracks_exact(self):
-        q, a = F(1, 2), F(3)
-        exact = single_species_D((1, 2), (2, 1), theta=(2, 2), alpha=a, q=q)
-        approx = single_species_D((1, 2), (2, 1), theta=(2, 2),
-                                  alpha=mpmath.mpf(3), q=mpmath.mpf("0.5"))
+        xi, eta = one_species((1, 2), (2, 2)), one_species((2, 1), (2, 2))
+        exact = kraw_chain(xi, eta, DualityParams((F(3),), F(1, 2)))
+        approx = kraw_chain(xi, eta, DualityParams((mpmath.mpf(3),),
+                                                   mpmath.mpf("0.5")))
+        assert isinstance(approx, mpmath.mpf)
         assert abs(approx - to_mpf(exact)) < mpmath.mpf("1e-45")
 
 
@@ -253,8 +279,8 @@ class TestOrthogonalityWeightRatio:
             for e2 in range(4):
                 tot = 0
                 for c in range(4):
-                    k1 = du.kraw_product((c,), (e1,), th, p, q)
-                    k2 = du.kraw_product((c,), (e2,), th, p, q)
+                    k1 = kraw_product((c,), (e1,), th, p, q)
+                    k2 = kraw_product((c,), (e2,), th, p, q)
                     tot += w_over_h((c,), (e1,), th, p, q) * k1 * k2
                 want = 1 if e1 == e2 else 0
                 assert tot == want, "sum %s != %s at eta=(%d,%d)" % (tot, want, e1, e2)
@@ -691,21 +717,15 @@ class TestParamsAndDomain:
         with pytest.raises(DomainError):
             DualityParams((F(-2),), F(1, 2))
 
-    def test_convention_q_takes_square_root(self):
-        p = DualityParams((F(1),), F(1, 4), convention="q")
-        assert p.q == F(1, 2)
-        p2 = DualityParams((F(1),), F(1, 3), convention="q")
-        assert isinstance(p2.q, SNum) and p2.q * p2.q == F(1, 3)
-
-    def test_convention_q_rejects_a_negative_base(self):
-        # a negative base has no real square root on either backend
-        for base in (F(-1, 4), mpmath.mpf("-0.25")):
-            with pytest.raises(DomainError):
-                DualityParams((F(1),), base, convention="q")
-
-    def test_unknown_convention_rejected(self):
+    def test_snum_q_rejected(self):
+        # the sector measures need q^(1/2), which has no place in the field
+        # of an SNum q; the refusal comes before any value is computed
+        s = SNum(0, 1, F(1, 3))
         with pytest.raises(DomainError):
-            DualityParams((F(1),), F(1, 2), convention="base")
+            DualityParams((F(4), F(9)), s)
+        cfg = Config.capacity([(1, 0), (0, 1)], (1, 1))
+        with pytest.raises(DomainError):
+            reversible_measure(cfg, s)
 
     def test_float_input_floats_everything(self):
         p = DualityParams((F(2), mpmath.mpf(3)), F(1, 2))
@@ -946,28 +966,17 @@ from fractions import Fraction as F
 from qmdual import duality as du
 from qmdual.errors import DomainError
 from qmdual.lattice import Config
+from qmdual.scalars import SNum
 q = F(1, 2)
 one = Config.capacity([(1, 0)], (1, 1))
-wide = Config.capacity([(1, 0)], (2, 1))
-two = Config.capacity([(1, 0), (0, 1)], (1, 1))
 zrp = Config.zero_range([(1, 0)])
 params = du.DualityParams((F(4),), q)
 checks = {
-    "bare tuple without capacities":
-        lambda: du.single_species_D((1, 0), (0, 1, 0), q=q),
-    "missing q": lambda: du.single_species_D((1, 0), (0, 1), theta=(1, 1)),
-    "occupancies vs capacities":
-        lambda: du.single_species_D((1, 0), (0, 1, 0), theta=(1, 1), q=q),
-    "capacity mismatch": lambda: du.single_species_D(one, wide, q=q),
-    "single-species helper species count":
-        lambda: du.single_species_D(two, two, q=q),
-    "single-species helper mode": lambda: du.single_species_D(zrp, zrp, q=q),
+    "SNum q": lambda: du.DualityParams((F(4), F(9)), SNum(0, 1, F(1, 3))),
     "pair type": lambda: du.multi_species_D((1, 0), one, params),
     "pair mode": lambda: du.multi_species_D(zrp, zrp, params),
     "zero-range pair type": lambda: du.h_exponent((1, 0), zrp),
     "zero-range pair mode": lambda: du.h_exponent(one, one),
-    "Krawtchouk product row lengths":
-        lambda: du.kraw_product((1, 0), (0, 1, 0), (1, 1), 2, F(1, 4)),
     "weight ratio row lengths":
         lambda: du.w_over_h((1, 0), (0, 1, 0), (1, 1), 2, F(1, 4)),
     "weight ratio occupancy above capacity":

@@ -170,6 +170,33 @@ class TestEnumerateSector:
         with pytest.raises(lattice.ResourceError):
             enumerate_sector(Sector(k=(6, 6, 6), theta=(3,) * 6), cap=5)
 
+    @pytest.mark.parametrize("sector", [Sector((1, 1), (1, 1)),
+                                        Sector((1, 1, 2), (2, 2)),
+                                        Sector((2, 2, 2), (1,) * 6)])
+    def test_cap_boundary(self, sector):
+        # the cap counts configurations: N fit in cap = N, not in N - 1
+        N = len(enumerate_sector(sector))
+        assert len(enumerate_sector(sector, cap=N)) == N
+        with pytest.raises(lattice.ResourceError):
+            enumerate_sector(sector, cap=N - 1)
+
+    @pytest.mark.parametrize("sector", [Sector((1, 1, 2), (2, 2)),
+                                        Sector((1, 3, 4), (2, 2, 2, 2)),
+                                        Sector((0, 0, 4), (2, 2)),
+                                        Sector((3, 3, 2), (1,) * 8),
+                                        Sector((4, 3, 3), (1,) * 10)])
+    def test_configs_equal_validated_configs(self, sector):
+        # the enumeration builds its configurations without re-validating
+        # them; each must be what the validating constructor gives
+        for cfg in enumerate_sector(sector):
+            want = Config(cfg.counts, theta=sector.theta)
+            assert cfg == want and hash(cfg) == hash(want)
+            assert (cfg.counts, cfg.theta, cfg.L, cfg.n) \
+                == (want.counts, want.theta, want.L, want.n)
+            assert all(type(row) is tuple and all(type(c) is int for c in row)
+                       for row in cfg.counts)
+            assert type(cfg.theta) is tuple
+
 
 class TestIntermediates:
     def test_single_species_collapse(self):
@@ -235,3 +262,10 @@ class TestZRPEnumeration:
     def test_cap_guard(self):
         with pytest.raises(lattice.ResourceError):
             lattice.enumerate_zrp_sector((6, 6), 6, cap=10)
+
+    @pytest.mark.parametrize("counts,L", [((1,), 3), ((2, 1), 3)])
+    def test_cap_boundary(self, counts, L):
+        N = len(lattice.enumerate_zrp_sector(counts, L))
+        assert len(lattice.enumerate_zrp_sector(counts, L, cap=N)) == N
+        with pytest.raises(lattice.ResourceError):
+            lattice.enumerate_zrp_sector(counts, L, cap=N - 1)

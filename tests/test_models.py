@@ -482,6 +482,7 @@ from fractions import Fraction as F
 from qmdual import models
 from qmdual.errors import DomainError
 from qmdual.lattice import Config
+from qmdual.scalars import SNum
 q = F(1, 2)
 zrp = Config.zero_range([(1, 0)])
 one = Config.capacity([(1, 0)], (1, 1))
@@ -492,6 +493,8 @@ checks = {
     "bond species count":
         lambda: models.asep_two_site_rates((1, 0), (0, 1, 0), q),
     "reversible measure mode": lambda: models.reversible_measure(zrp, q),
+    "reversible measure SNum q":
+        lambda: models.reversible_measure(one, SNum(0, 1, F(1, 3))),
     "one-species measure mode":
         lambda: models.single_species_measure(zrp, None, F(4), q),
     "one-species measure species count":

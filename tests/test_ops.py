@@ -156,6 +156,17 @@ def test_ndarray_matmul_defers_to_the_class(monkeypatch):
         assert_same(got, want)
 
 
+def test_entry_outside_the_shape_raises():
+    # no entry outside the shape reads as 0, a negative index included
+    op = SparseMatrix({0: {1: Fraction(3)}}, (2, 2))
+    assert op[0, 1] == 3 and op[1, 1] == 0
+    for key in ((5, 5), (-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(IndexError):
+            op[key]
+    with pytest.raises(IndexError):
+        op[-1]
+
+
 def test_mixed_elementwise_operators_refuse():
     D = dense_random(random.Random(4), (3, 3), "fraction")
     op = sparse(D)

@@ -161,6 +161,25 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             1 / SNum(0)
 
+    def test_comparison_with_a_float_raises(self):
+        # all four orderings refuse an mpf operand: mixing exact and float
+        # values is never silent, and no NotImplemented is read as a bool
+        x = mpmath.mpf(2)
+        s = SNum(0, 1, F(1, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for compare in (lambda: s < x, lambda: s <= x, lambda: s > x,
+                            lambda: s >= x, lambda: x <= s, lambda: x >= s):
+                with pytest.raises(TypeError):
+                    compare()
+
+    def test_orderings_agree_with_the_sign(self):
+        s = SNum(0, 1, F(1, 3))  # 0.577...
+        for other, below in ((1, True), (F(1, 2), False), (SNum(1, -1, F(1, 3)), False)):
+            assert (s < other, s <= other, s > other, s >= other) \
+                == (below, below, not below, not below)
+        assert s <= s and s >= s and not s < s and not s > s
+
     def test_mixing_fields_raises(self):
         x, y = SNum(1, 2, F(1, 3)), SNum(1, 2, F(2, 3))
         for mixed in (lambda: x + y, lambda: x - y, lambda: x * y,
