@@ -10,7 +10,6 @@ Two storage modes share one type:
 Sites are 1-indexed in the public API to match the usual chain notation.
 """
 
-import json
 from collections import namedtuple
 
 from .errors import DomainError
@@ -124,32 +123,6 @@ class Config:
     def __repr__(self):
         return "Config(counts=%r, theta=%r)" % (self.counts, self.theta)
 
-    def to_json(self):
-        obj = {"L": self.L, "n": self.n, "counts": [list(r) for r in self.counts]}
-        if self.theta is not None:
-            obj["theta"] = list(self.theta)
-        return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        cfg = cls(obj["counts"], theta=obj.get("theta"),
-                  n=obj.get("n") if obj.get("theta") is None else None)
-        if cfg.L != obj["L"] or cfg.n != obj["n"]:
-            raise DomainError("inconsistent header")
-        return cfg
-
-
-def n_left(cfg, i, x):
-    """N^-_{x-1}(xi_i): particles of species i strictly left of site x."""
-    return sum(cfg.counts[i][:x - 1])
-
-
-def n_right(cfg, i, x):
-    """N^+_{x+1}(xi_i): particles of species i strictly right of site x."""
-    return sum(cfg.counts[i][x:])
-
 
 def n_total(cfg, i):
     return sum(cfg.counts[i])
@@ -168,6 +141,10 @@ class Sector(namedtuple("Sector", ["k", "theta"])):
     def __new__(cls, k, theta):
         k = tuple(int(v) for v in k)
         theta = tuple(int(t) for t in theta)
+        if len(k) < 2 or min(k + theta) < 0:
+            raise DomainError("a sector needs nonnegative counts for at least "
+                              "one species and the holes, and nonnegative "
+                              "capacities; got %s on %s" % (k, theta))
         if sum(k) != sum(theta):
             raise DomainError("sector counts %s do not fill capacities %s"
                               % (k, theta))

@@ -18,8 +18,6 @@ stochasticity; both facts are pinned by tests.
 """
 
 import itertools
-import json
-from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +26,7 @@ from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
 from .ops import SparseMatrix
 from .qcalc import brace_int, q_binom, q_fact, q_poch, qq_binom
-from .scalars import SNum, parse_scalar
+from .scalars import SNum
 
 
 class GeneratorMatrix:
@@ -108,18 +106,14 @@ def asep_two_site_rates(site_x, site_x1, q):
     out = []
     for k in range(rows):
         for l in range(k + 1, rows):
-            if site_x[k] > 0 and site_x1[l] > 0:
-                rate = (q ** (-1)
-                        * q ** (2 * sum(site_x[:k])) * brace_int(site_x[k], q)
-                        * q ** (2 * sum(site_x1[l + 1:]))
-                        * brace_int(site_x1[l], q))
-                out.append((_swap(site_x, site_x1, k, l), rate))
-            if site_x[l] > 0 and site_x1[k] > 0:
-                rate = (q
-                        * q ** (2 * sum(site_x[:l])) * brace_int(site_x[l], q)
-                        * q ** (2 * sum(site_x1[k + 1:]))
-                        * brace_int(site_x1[k], q))
-                out.append((_swap(site_x, site_x1, l, k), rate))
+            for a, b, sign in ((k, l, -1), (l, k, 1)):
+                if site_x[a] > 0 and site_x1[b] > 0:
+                    rate = (q ** sign
+                            * q ** (2 * sum(site_x[:a]))
+                            * brace_int(site_x[a], q)
+                            * q ** (2 * sum(site_x1[b + 1:]))
+                            * brace_int(site_x1[b], q))
+                    out.append((_swap(site_x, site_x1, a, b), rate))
     return out
 
 
@@ -253,6 +247,25 @@ def _chi(beta, gamma):
                for i in range(len(beta)) for j in range(i + 1, len(beta)))
 
 
+def _phi(gamma, beta, lead, ratio, mu, q):
+    """q^chi ratio^|gamma| lead(|gamma|) (ratio; q)_{|beta|-|gamma|}
+    / (mu; q)_{|beta|} times the (q;q)-binomials, the product shared by the
+    Phi weight and its lambda-derivative; 0 outside 0 <= gamma <= beta."""
+    gamma = tuple(int(g) for g in gamma)
+    beta = tuple(int(b) for b in beta)
+    if len(gamma) != len(beta):
+        raise DomainError("batch %r and site %r disagree on the species count"
+                          % (gamma, beta))
+    if not all(0 <= g <= b for g, b in zip(gamma, beta)):
+        return 0
+    g, b = sum(gamma), sum(beta)
+    value = (q ** _chi(beta, gamma) * ratio ** g * lead(g)
+             * q_poch(ratio, q, b - g) / q_poch(mu, q, b))
+    for bi, gi in zip(beta, gamma):
+        value = value * qq_binom(bi, gi, q)
+    return value
+
+
 def phi_weight(gamma, beta, lam, mu, q):
     """Probability that batch gamma leaves a site holding beta.
 
@@ -261,25 +274,13 @@ def phi_weight(gamma, beta, lam, mu, q):
     the reversibility lemma additionally wants 0 < lam <= 1, 0 <= mu < 1,
     which is not enforced here (derivative checks step past lam = 1).
     """
-    gamma = tuple(int(g) for g in gamma)
-    beta = tuple(int(b) for b in beta)
-    if len(gamma) != len(beta):
-        raise DomainError("batch %r and site %r disagree on the species count"
-                          % (gamma, beta))
     if lam == 0:
         raise DomainError("lambda = 0 collapses the weight")
-    if not all(0 <= g <= b for g, b in zip(gamma, beta)):
-        return 0
-    g, b = sum(gamma), sum(beta)
     if isinstance(mu, int) and isinstance(lam, int):
         ratio = Fraction(mu, lam)
     else:
         ratio = mu / lam
-    value = (q ** _chi(beta, gamma) * ratio ** g * q_poch(lam, q, g)
-             * q_poch(ratio, q, b - g) / q_poch(mu, q, b))
-    for bi, gi in zip(beta, gamma):
-        value = value * qq_binom(bi, gi, q)
-    return value
+    return _phi(gamma, beta, lambda g: q_poch(lam, q, g), ratio, mu, q)
 
 
 def phi_weight_dlambda(gamma, beta, mu, q):
@@ -289,19 +290,13 @@ def phi_weight_dlambda(gamma, beta, mu, q):
     differentiating that factor survives: replace it by -(q; q)_{|gamma|-1}
     and evaluate everything else at lambda = 1.
     """
-    gamma = tuple(int(g) for g in gamma)
-    beta = tuple(int(b) for b in beta)
-    if not all(0 <= g <= b for g, b in zip(gamma, beta)):
-        return 0
-    g, b = sum(gamma), sum(beta)
-    if g < 1:
-        raise DomainError("the lambda-derivative at the empty batch is minus "
-                          "the rest")
-    value = (-(q ** _chi(beta, gamma)) * mu ** g * q_poch(q, q, g - 1)
-             * q_poch(mu, q, b - g) / q_poch(mu, q, b))
-    for bi, gi in zip(beta, gamma):
-        value = value * qq_binom(bi, gi, q)
-    return value
+    def lead(g):
+        if g < 1:
+            raise DomainError("the lambda-derivative at the empty batch is "
+                              "minus the rest")
+        return -q_poch(q, q, g - 1)
+
+    return _phi(gamma, beta, lead, mu, mu, q)
 
 
 def qhahn_continuous_rates(beta, mu, q):
@@ -422,59 +417,3 @@ def qtazrp_generator(window, q, direction):
     """Generator of the single-jump chain (vanishing-mu limit, per unit mu)."""
     return _zrp_generator(window, direction,
                           lambda beta: qtazrp_rates(beta, q))
-
-
-# -- model descriptions ------------------------------------------------------
-
-ModelSpec = namedtuple("ModelSpec",
-                       ["model", "L", "n", "theta", "q", "lam", "mu",
-                        "direction"])
-
-_MODELS = ("asep", "qhahn_d", "qhahn_c", "qtazrp")
-
-
-def parse_model_spec(obj):
-    """Validate a model description {model, L, n, theta?, q, lambda?, mu?,
-    direction?} given as a dict or JSON text."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    model = obj["model"]
-    if model not in _MODELS:
-        raise DomainError("unknown model %r, expected one of %s"
-                          % (model, ", ".join(_MODELS)))
-    L = int(obj["L"])
-    n = int(obj["n"])
-    if L < 1 or n < 1:
-        raise DomainError("need L >= 1 and n >= 1")
-    theta = obj.get("theta")
-    if theta is not None:
-        theta = tuple(int(t) for t in theta)
-        if len(theta) != L:
-            raise DomainError("theta length %d != L = %d" % (len(theta), L))
-    if model == "asep" and theta is None:
-        raise DomainError("the exclusion chain needs per-site capacities")
-    direction = obj.get("direction")
-    if direction not in (None, "left", "right"):
-        raise DomainError("direction must be left or right")
-    if model in ("qhahn_d", "qhahn_c", "qtazrp") and direction is None:
-        raise DomainError("zero-range models need a direction")
-    q = _parse_number(obj["q"])
-    lam = _parse_number(obj.get("lambda"))
-    mu = _parse_number(obj.get("mu"))
-    if model == "qhahn_d" and (lam is None or mu is None):
-        raise DomainError("the discrete chain needs lambda and mu")
-    if model == "qhahn_c" and mu is None:
-        raise DomainError("the continuous chain needs mu")
-    return ModelSpec(model, L, n, theta, q, lam, mu, direction)
-
-
-def _parse_number(v):
-    if v is None:
-        return None
-    if isinstance(v, str):
-        return parse_scalar(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return mpmath.mpf(v)
-    return v

@@ -9,7 +9,7 @@ choose the digits.
 `sqrt` is the one place that decides whether a square root stays exact.
 An exact radicand that is a square in the field of q gets an exact root.
 Any other exact radicand falls back to an mpf, and that fallback always
-emits a `UserWarning` naming the radicand; it is never silent.
+emits a `UserWarning` naming the field; it is never silent.
 
 Construction: the public `SNum(a, b, sbase)` validates its input.  It
 coerces both parts to Fraction, requires sbase > 0, and folds a
@@ -21,7 +21,6 @@ a square) and redoes only the fold b == 0 => sbase = None.
 
 import math
 import operator
-import re
 import warnings
 from fractions import Fraction
 
@@ -232,7 +231,13 @@ class SNum:
     __gt__, __ge__ = _ordering(operator.gt), _ordering(operator.ge)
 
     def __repr__(self):
-        return "SNum(%s)" % format_exact(self)
+        """SNum(a), SNum(b@s) or SNum(a+b@s): the parts of a + b*s."""
+        if self.b == 0:
+            return "SNum(%s)" % self.a
+        if self.a == 0:
+            return "SNum(%s@s)" % self.b
+        return "SNum(%s%s%s@s)" % (self.a, "+" if self.b > 0 else "-",
+                                   abs(self.b))
 
 
 def exact_sqrt(x, sbase=None):
@@ -286,8 +291,8 @@ def sqrt(x, sbase=None):
     """Principal square root, exact whenever x is a square in Q(s), s^2 = sbase.
 
     A negative radicand raises `DomainError`.  An exact x with no root in
-    that field returns an mpf and warns with a `UserWarning` naming x; a
-    float x returns an mpf.
+    that field returns an mpf and warns with a `UserWarning` naming the
+    field; a float x returns an mpf.
     """
     exact = is_exact(x)
     if not exact:
@@ -298,9 +303,11 @@ def sqrt(x, sbase=None):
         root = exact_sqrt(x, sbase)
         if root is not None:
             return root
+        # the text names the field, not x, so that the default filter
+        # reports once per call site and field rather than once per radicand
         field = "Q" if sbase is None else "Q(sqrt(%s))" % sbase
-        warnings.warn("%r is not a square in %s; falling back to mpf"
-                      % (x, field), stacklevel=2)
+        warnings.warn("exact radicand is not a square in %s; falling back "
+                      "to mpf" % field, stacklevel=2)
     return mpmath.sqrt(to_mpf(x))
 
 
@@ -319,40 +326,3 @@ def to_mpf(x):
 
 def is_exact(x):
     return isinstance(x, (int, Fraction, SNum))
-
-
-# -- serialization ------------------------------------------------------------
-#
-# Exact grammar:  "3/4"  |  "3/4@s"  |  "1/2+3/4@s"  |  "1/2-3/4@s"
-# meaning a, b*s, a + b*s in the s-field with q = s^2.  Anything with a
-# decimal point parses to the float backend.
-
-_RAT = r"[+-]?\d+(?:/\d+)?"
-
-
-def format_exact(x):
-    if isinstance(x, (int, Fraction)):
-        return str(Fraction(x))
-    if not isinstance(x, SNum):
-        raise DomainError("%r is not an exact scalar" % (x,))
-    if x.b == 0:
-        return str(x.a)
-    bpart = "%s@s" % x.b if x.a == 0 else (
-        "%s+%s@s" % (x.a, x.b) if x.b > 0 else "%s-%s@s" % (x.a, -x.b))
-    return bpart
-
-
-def parse_scalar(text, sbase=None):
-    """Parse a CLI scalar: exact rationals/s-field values, or decimal floats."""
-    text = text.strip()
-    if "@s" in text:
-        if sbase is None:
-            raise ValueError("value %r needs an ambient s-field (q not yet known)" % text)
-        body = text[:-2]
-        m = re.match(r"^(%(r)s)(?=[+-])(%(r)s)$" % {"r": _RAT}, body)
-        if m:
-            return SNum(Fraction(m.group(1)), Fraction(m.group(2)), sbase)
-        return SNum(0, Fraction(body), sbase)
-    if re.match(r"^%s$" % _RAT, text):
-        return Fraction(text)
-    return mpmath.mpf(text)

@@ -394,10 +394,27 @@ class TestSelfDuality:
         xi = Config.capacity([(1, 0), (1, 0)], (2, 2))
         eta = Config.capacity([(2, 0), (0, 1)], (2, 2))
         assert correction_G_sq(xi, eta, params) == 2211840000
-        with pytest.warns(UserWarning, match="2211840000"):
+        with pytest.warns(UserWarning, match="falling back to mpf"):
             g = correction_G(xi, eta, params)
         assert isinstance(g, mpmath.mpf)
         assert abs(g ** 2 - 2211840000) < mpmath.mpf(10) ** -40
+
+    def test_fallback_warns_once_per_call_site(self):
+        # a cross-sector block meets several distinct non-square radicands;
+        # the warning names only the field, so the default filter reports it
+        # once, not once per radicand
+        params = DualityParams((F(2), F(3)), F(1, 2))
+        bx = enumerate_sector(Sector((1, 2, 3), (2, 2, 2)))
+        be = enumerate_sector(Sector((2, 2, 2), (2, 2, 2)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            D = d_matrix(bx, be, params)
+        radicands = {correction_G_sq(xi, eta, params)
+                     for (i, xi), (j, eta) in itertools.product(enumerate(bx),
+                                                                enumerate(be))
+                     if not is_exact(D[i, j])}
+        assert D.shape == (15, 21) and len(radicands) > 1
+        assert len(caught) == 1
 
     def test_square_alpha_sector_stays_exact_and_silent(self):
         # the benchmark's parameters: every radicand is a square in Q(sqrt(q))

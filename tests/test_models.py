@@ -19,7 +19,6 @@ from qmdual.models import (
     asep_generator,
     asep_two_site_rates,
     mixture_measure,
-    parse_model_spec,
     phi_weight,
     phi_weight_dlambda,
     qhahn_continuous_generator,
@@ -453,27 +452,6 @@ class TestDiscreteKernel:
                 assert ker.entries[i][j] >= 0
 
 
-class TestModelSpec:
-    def test_round_trip(self):
-        spec = parse_model_spec(
-            '{"model": "qhahn_d", "L": 3, "n": 2, "q": "1/2",'
-            ' "lambda": "1/2", "mu": "1/3", "direction": "left"}')
-        assert spec.model == "qhahn_d" and spec.L == 3
-        assert spec.q == F(1, 2) and spec.lam == F(1, 2) and spec.mu == F(1, 3)
-
-    def test_unknown_model_rejected(self):
-        with pytest.raises(DomainError):
-            parse_model_spec({"model": "tasep", "L": 2, "n": 1, "q": "1/2"})
-
-    def test_exclusion_needs_capacities(self):
-        with pytest.raises(DomainError):
-            parse_model_spec({"model": "asep", "L": 2, "n": 1, "q": "1/2"})
-
-    def test_zero_range_needs_direction(self):
-        with pytest.raises(DomainError):
-            parse_model_spec({"model": "qtazrp", "L": 2, "n": 1, "q": "1/2"})
-
-
 # -- validation without asserts -----------------------------------------------------
 
 _INPUT_CHECKS = """
@@ -505,6 +483,10 @@ checks = {
         lambda: models.phi_weight((1,), (1, 0), F(1, 2), F(1, 3), q),
     "Phi derivative at the empty batch":
         lambda: models.phi_weight_dlambda((0,), (1,), F(1, 3), q),
+    "Phi derivative lengths, longer batch":
+        lambda: models.phi_weight_dlambda((0, 1), (1,), F(1, 3), q),
+    "Phi derivative lengths, longer site":
+        lambda: models.phi_weight_dlambda((1,), (1, 0), F(1, 3), q),
     "empty window": lambda: models.qtazrp_generator([], q, "left"),
     "window mode": lambda: models.qtazrp_generator([one], q, "left"),
     "window shapes": lambda: models.qtazrp_generator(

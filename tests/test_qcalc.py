@@ -341,8 +341,7 @@ class TestGaussianConventions:
 _INPUT_CHECKS = """
 import sys
 from fractions import Fraction as F
-import mpmath
-from qmdual import qcalc, scalars
+from qmdual import qcalc
 from qmdual.errors import DomainError
 q = F(1, 2)
 checks = {
@@ -353,7 +352,6 @@ checks = {
     "q-Pochhammer length": lambda: qcalc.q_poch(F(1, 3), q, -2),
     "q-Pochhammer integer length": lambda: qcalc.q_poch(F(1, 3), q, 2.0),
     "q-Pochhammer ratio shifts": lambda: qcalc.q_poch_ratio(F(1, 3), q, 1.0, 2),
-    "exact format of a float": lambda: scalars.format_exact(mpmath.mpf(1)),
 }
 for name, call in checks.items():
     try:

@@ -41,7 +41,8 @@ class TestSqrt:
             assert sqrt(F(4, 3), field_base(s)) == 2 * s
 
     def test_non_square_warns_and_falls_back(self):
-        with pytest.warns(UserWarning, match=r"Fraction\(2, 1\).*falling back"):
+        with pytest.warns(UserWarning, match=r"not a square in "
+                          r"Q\(sqrt\(1/3\)\); falling back to mpf"):
             root = sqrt(F(2), F(1, 3))
         assert isinstance(root, mpmath.mpf)
         assert root == mpmath.sqrt(2)
@@ -186,3 +187,10 @@ class TestArithmetic:
                       lambda: x / y):
             with pytest.raises(ValueError, match="incompatible"):
                 mixed()
+
+    def test_repr_text(self):
+        s = F(1, 3)
+        assert [repr(x) for x in (SNum(F(1, 2), F(3, 4), s), SNum(0, F(-3, 4), s),
+                                  SNum(F(1, 2), F(-3, 4), s), SNum(F(5, 7)))] \
+            == ["SNum(1/2+3/4@s)", "SNum(-3/4@s)", "SNum(1/2-3/4@s)",
+                "SNum(5/7)"]
