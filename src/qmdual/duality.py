@@ -50,7 +50,7 @@ from .errors import DomainError
 from .lattice import Config, charge_parity, intermediate_configs, is_feasible
 from .models import mixture_measure, reversible_measure, single_species_measure
 from .qcalc import phi10, q_krawtchouk, q_poch, q_poch_ratio
-from .scalars import SNum, exact_sqrt, field_base, is_exact, sqrt, to_mpf
+from .scalars import SNum, is_exact, q_root, sqrt, to_mpf
 
 
 def _as_scalar(v):
@@ -58,18 +58,6 @@ def _as_scalar(v):
     if isinstance(v, int):
         return Fraction(v)
     return v
-
-
-def _sqrt_param(q):
-    """Square root of a positive scalar parameter: exact for exact q, since
-    every value built from it must share q's backend."""
-    if not is_exact(q):
-        return sqrt(q)
-    root = exact_sqrt(q, field_base(q))
-    if root is None:
-        raise DomainError("parameter %r has no exact real square root; "
-                          "pass a float to use the float backend" % (q,))
-    return root
 
 
 class DualityParams:
@@ -100,8 +88,7 @@ class DualityParams:
             alpha = tuple(to_mpf(a) for a in alpha)
             q = to_mpf(q)
         for a in alpha:
-            positive = a.sign() > 0 if isinstance(a, SNum) else a > 0
-            if not positive:
+            if not a > 0:
                 raise DomainError("species parameter alpha=%r must be positive" % (a,))
         self.alpha = alpha
         self.q = q
@@ -262,7 +249,7 @@ def _G_sq(xi, eta, params, intermediates):
 
 def correction_G(xi, eta, params):
     """Ground-state correction: square root of the measure ratio."""
-    return sqrt(correction_G_sq(xi, eta, params), field_base(params.q))
+    return sqrt(correction_G_sq(xi, eta, params), params.q)
 
 
 def correction_C_sq(xi, eta, params):
@@ -287,7 +274,7 @@ def correction_C_sq(xi, eta, params):
 
 def correction_C(xi, eta, params):
     """Conserved correction C: square root of `correction_C_sq`."""
-    return sqrt(correction_C_sq(xi, eta, params), field_base(params.q))
+    return sqrt(correction_C_sq(xi, eta, params), params.q)
 
 
 def kraw_chain(xi, eta, params):
@@ -317,7 +304,7 @@ def multi_species_D(xi, eta, params):
     value = _kraw_chain(xi, params, intermediates)
     if not value:
         return 0
-    g = sqrt(_G_sq(xi, eta, params, intermediates), field_base(params.q))
+    g = sqrt(_G_sq(xi, eta, params, intermediates), params.q)
     if not is_exact(g):
         value = to_mpf(value)  # mpf refuses mixed arithmetic with SNum
     return g * value
@@ -345,8 +332,7 @@ def orthogonality_range_report(xi, eta, params):
         shifts = _site_shifts(xi.row(iv.i), iv.rows[iv.i], iv.theta)
         for x, (shift, t) in enumerate(zip(shifts, iv.theta), start=1):
             bound = _site_p(params, iv.i, shift) * q2 ** t
-            ok = bound.sign() > 0 and bound > 1 if isinstance(bound, SNum) else bound > 1
-            if not ok:
+            if not bound > 1:
                 report.append("species %d site %d: p q^(2 theta) = %s <= 1"
                               % (iv.i, x, bound))
     return report
@@ -392,12 +378,13 @@ def qhahn_D(eta, xi, q):
 
     Argument order follows the left process first: eta moves left, xi moves
     right.  For rational q the value is exact in Q(s), s^2 = q, and rational
-    when q is a perfect square.  It is also the duality of the single-jump
-    chains `qtazrp_generator` at the same base.
+    when q is a perfect square; an SNum q or a negative q raises
+    `DomainError`.  It is also the duality of the single-jump chains
+    `qtazrp_generator` at the same base.
     """
     _check_zrp_pair(xi, eta)
     q = _as_scalar(q)
-    s = _sqrt_param(q)
+    s = q_root(q)
     n, L = xi.n, xi.L
     value = s ** h_exponent(xi, eta)
     for i in range(n):

@@ -20,13 +20,11 @@ stochasticity; both facts are pinned by tests.
 import itertools
 from fractions import Fraction
 
-import mpmath
-
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
 from .ops import SparseMatrix
 from .qcalc import brace_int, q_binom, q_fact, q_poch, qq_binom
-from .scalars import SNum
+from .scalars import q_root
 
 
 class GeneratorMatrix:
@@ -34,10 +32,9 @@ class GeneratorMatrix:
     its entries as a SparseMatrix, plus the basis, the index that maps each
     configuration of the basis to its position, and the kind."""
 
-    __slots__ = ("sector", "basis", "index", "entries", "kind")
+    __slots__ = ("basis", "index", "entries", "kind")
 
-    def __init__(self, sector, basis, index, entries, kind):
-        self.sector = sector
+    def __init__(self, basis, index, entries, kind):
         self.basis = tuple(basis)
         self.index = index
         self.entries = entries
@@ -47,10 +44,6 @@ class GeneratorMatrix:
     def size(self):
         return len(self.basis)
 
-    def rate(self, source, target):
-        """Entry for the move source -> target, addressed by configuration."""
-        return self.entries[self.index[target], self.index[source]]
-
     def column_sums(self):
         """Exact sum of each column over its stored entries."""
         return self.entries.column_sums()
@@ -59,7 +52,7 @@ class GeneratorMatrix:
         return "GeneratorMatrix(kind=%s, size=%d)" % (self.kind, self.size)
 
 
-def assemble(sector, basis, moves, kind="generator"):
+def assemble(basis, moves, kind="generator"):
     """The chain on `basis` as a GeneratorMatrix.
 
     moves(cfg) yields (target, value) pairs; each value is added at entry
@@ -83,7 +76,7 @@ def assemble(sector, basis, moves, kind="generator"):
                 diag = rows.setdefault(j, {})
                 diag[j] = diag[j] - value if j in diag else -value
     entries = SparseMatrix(rows, (len(basis), len(basis)))
-    return GeneratorMatrix(sector, basis, index, entries, kind)
+    return GeneratorMatrix(basis, index, entries, kind)
 
 
 # -- exclusion chain ---------------------------------------------------------
@@ -149,7 +142,7 @@ def asep_moves(q):
 
 def asep_generator(sector, q):
     """Generator block on one conserved-counts sector, column convention."""
-    return assemble(sector, enumerate_sector(sector), asep_moves(q))
+    return assemble(enumerate_sector(sector), asep_moves(q))
 
 
 def _replace_sites(cfg, x, new_x, new_x1):
@@ -165,14 +158,14 @@ def _replace_sites(cfg, x, new_x, new_x1):
 def reversible_measure(cfg, q):
     """Weight of one configuration under its sector's reversible measure.
 
-    Exact backend: pass q as a Fraction; the q^{(count^2)/2} factor puts the
-    value in Q(s) with s^2 = q, so an SNum comes back when any count is odd.
-    An SNum q is refused, since that root lies outside its field.
+    Exact backend: pass q as a Fraction.  The q^{(count^2)/2} factor puts the
+    value in Q(s), s = `q_root(q)`: an SNum when the squared counts sum to an
+    odd number and q is not a square, a Fraction otherwise.  An SNum q or a
+    negative q raises `DomainError`.
     """
     if cfg.is_zero_range:
         raise DomainError("the reversible measure needs capacity mode")
-    if isinstance(q, SNum):
-        raise DomainError("q=%r must be a rational or a float" % (q,))
+    s = q_root(q)
     halves = 0  # exponent of q in units of 1/2
     value = 1
     for x in range(1, cfg.L + 1):
@@ -186,19 +179,8 @@ def reversible_measure(cfg, q):
         for y in range(1, x):
             for i in range(cfg.rows - 1):
                 cross += cfg.range_count(x, 0, i) * cfg.count(i + 1, y)
-    return value * q ** (-2 * cross) * _half_power(q, halves)
-
-
-def _half_power(q, halves):
-    """q^(halves/2) on either backend; halves is an integer."""
-    if isinstance(q, int):
-        q = Fraction(q)
-    if isinstance(q, Fraction):
-        whole = q ** (halves // 2)
-        if halves % 2 == 0:
-            return whole
-        return whole * SNum(0, 1, q)  # the leftover half is s = sqrt(q)
-    return q ** (mpmath.mpf(halves) / 2)
+    value = value * q ** (halves // 2 - 2 * cross)
+    return value * s if halves % 2 else value
 
 
 def mixture_measure(cfg, weights, q):
@@ -346,8 +328,8 @@ def _move_batch(cfg, x, gamma, step):
 
 
 def _zrp_window(window, direction):
-    """Basis, sector label (totals, L), emitting sites and batch step of a
-    zero-range window; the direction picks the sites and the step."""
+    """Basis, emitting sites and batch step of a zero-range window of one
+    sector; the direction picks the sites and the step."""
     basis = list(window)
     if not basis or not all(cfg.is_zero_range for cfg in basis):
         raise DomainError("a window is a nonempty list of zero-range "
@@ -360,9 +342,9 @@ def _zrp_window(window, direction):
         if tuple(n_total(cfg, i) for i in range(cfg.rows)) != totals:
             raise DomainError("window configurations differ in totals")
     if direction == "left":
-        return basis, (totals, L), range(2, L + 1), -1
+        return basis, range(2, L + 1), -1
     if direction == "right":
-        return basis, (totals, L), range(1, L), +1
+        return basis, range(1, L), +1
     raise DomainError("direction must be left or right, got %r" % (direction,))
 
 
@@ -375,7 +357,7 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
     one site up.  Every site emits simultaneously, so one step multiplies
     independent per-site weights.
     """
-    basis, sector, emit, step = _zrp_window(window, direction)
+    basis, emit, step = _zrp_window(window, direction)
 
     def moves(cfg):
         choices = [
@@ -393,18 +375,18 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
             if prob != 0:
                 yield target, prob
 
-    return assemble(sector, basis, moves, "kernel")
+    return assemble(basis, moves, "kernel")
 
 
 def _zrp_generator(window, direction, site_rates):
-    basis, sector, emit, step = _zrp_window(window, direction)
+    basis, emit, step = _zrp_window(window, direction)
 
     def moves(cfg):
         for x in emit:
             for gamma, rate in site_rates(cfg.site(x)).items():
                 yield _move_batch(cfg, x, gamma, step), rate
 
-    return assemble(sector, basis, moves)
+    return assemble(basis, moves)
 
 
 def qhahn_continuous_generator(window, mu, q, direction):

@@ -6,10 +6,11 @@ The float backend is mpmath at the caller's working precision: the library
 never sets `mpmath.mp.dps`, so wrap a computation in `mpmath.workdps` to
 choose the digits.
 
-`sqrt` is the one place that decides whether a square root stays exact.
-An exact radicand that is a square in the field of q gets an exact root.
-Any other exact radicand falls back to an mpf, and that fallback always
-emits a `UserWarning` naming the field; it is never silent.
+`q_root` is the one root s = sqrt(q) of the deformation parameter q.
+`sqrt` is the one place that decides whether any other square root stays
+exact.  An exact radicand that is a square in the field of q gets an exact
+root.  Any other exact radicand falls back to an mpf, and that fallback
+always emits a `UserWarning` naming the field; it is never silent.
 
 Construction: the public `SNum(a, b, sbase)` validates its input.  It
 coerces both parts to Fraction, requires sbase > 0, and folds a
@@ -30,14 +31,16 @@ from .errors import DomainError
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rational_sqrt(r):
     """Exact square root of a Fraction/int, or None when not a perfect square."""
-    r = Fraction(r)
-    if r < 0:
-        return None
+    if type(r) is not Fraction:
+        r = Fraction(r)
     num, den = r.numerator, r.denominator
+    if num < 0:
+        return None
     a, b = math.isqrt(num), math.isqrt(den)
     if a * a == num and b * b == den:
         return Fraction(a, b)
@@ -277,29 +280,22 @@ def exact_sqrt(x, sbase=None):
     return None
 
 
-def field_base(q):
-    """The rational s^2 of the field Q(s) that q lives in: q itself for a
-    Fraction, or None for a float q (no field to look for roots in)."""
-    if isinstance(q, SNum):
-        return q.sbase if q.sbase is not None else q.a
-    if isinstance(q, Fraction):
-        return q
-    return None
+def sqrt(x, q=None):
+    """Principal square root, exact whenever x is a square in Q(s), s^2 = q.
 
-
-def sqrt(x, sbase=None):
-    """Principal square root, exact whenever x is a square in Q(s), s^2 = sbase.
-
-    A negative radicand raises `DomainError`.  An exact x with no root in
+    q is the deformation parameter itself, a rational or a float; a float q
+    (or None) names no field, so only rational squares stay exact.  A
+    negative radicand raises `DomainError`.  An exact x with no root in
     that field returns an mpf and warns with a `UserWarning` naming the
     field; a float x returns an mpf.
     """
     exact = is_exact(x)
     if not exact:
         x = to_mpf(x)
-    if x.sign() < 0 if isinstance(x, SNum) else x < 0:
+    if x < 0:
         raise DomainError("negative radicand %r has no real square root" % (x,))
     if exact:
+        sbase = q if is_exact(q) else None
         root = exact_sqrt(x, sbase)
         if root is not None:
             return root
@@ -309,6 +305,24 @@ def sqrt(x, sbase=None):
         warnings.warn("exact radicand is not a square in %s; falling back "
                       "to mpf" % field, stacklevel=2)
     return mpmath.sqrt(to_mpf(x))
+
+
+def q_root(q):
+    """The root s = sqrt(q) of the deformation parameter q.
+
+    A square rational q gives a Fraction, any other rational q the generator
+    SNum(0, 1, q) of Q(s), and a float q an mpf.  An SNum q raises
+    `DomainError`, since its root lies outside its field; so does q < 0,
+    through `sqrt`'s negative-radicand check.
+    """
+    if isinstance(q, SNum):
+        raise DomainError("q=%r must be a rational or a float" % (q,))
+    if not is_exact(q) or q < 0:
+        return sqrt(q)
+    root = rational_sqrt(q)
+    if root is not None:
+        return root
+    return SNum._make(_ZERO, _ONE, q if type(q) is Fraction else Fraction(q))
 
 
 def to_mpf(x):

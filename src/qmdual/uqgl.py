@@ -451,7 +451,7 @@ def chain_generator(tbasis, q):
     """Exclusion generator on the full tensor basis (column convention), from
     the models module's assembly loop over the states' configurations."""
     basis = [state_config(st, tbasis.theta) for st in tbasis.states]
-    return models.assemble(None, basis, models.asep_moves(q)).entries
+    return models.assemble(basis, models.asep_moves(q)).entries
 
 
 def reversible_vector(tbasis, q):

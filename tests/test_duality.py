@@ -47,7 +47,7 @@ from qmdual.models import (
     reversible_measure,
 )
 from qmdual.qcalc import q_krawtchouk, q_poch, q_poch_ratio
-from qmdual.scalars import SNum, field_base, is_exact, sqrt, to_mpf
+from qmdual.scalars import SNum, is_exact, q_root, sqrt, to_mpf
 
 F = Fraction
 
@@ -107,7 +107,7 @@ def two_species_case(x1, x2, y1, y2):
 def qhahn_product_oracle(eta, xi, q):
     """Finite-product route for the half-power zero-range duality: the series
     argument absorbed into a q-Pochhammer with the site-inclusive left count."""
-    s = du._sqrt_param(q)
+    s = q_root(q)
     n, L = xi.n, xi.L
     value = s ** h_exponent(xi, eta)
     for i in range(n):
@@ -439,8 +439,7 @@ def orthogonality_errors(theta, n, params):
             K[xi, eta] = k
             if k != 0:
                 rad = correction_C_sq(xi, eta, params) * correction_G_sq(xi, eta, params)
-                sgn = rad.sign() if isinstance(rad, SNum) else (0 if rad == 0 else (1 if rad > 0 else -1))
-                assert sgn >= 0, "negative weight radicand at %s %s" % (xi, eta)
+                assert rad >= 0, "negative weight radicand at %s %s" % (xi, eta)
                 rCG[xi, eta] = rad
     worst_diag = mpmath.mpf(0)
     worst_off = mpmath.mpf(0)
@@ -452,8 +451,7 @@ def orthogonality_errors(theta, n, params):
                 k1, k2 = K[xi, eta], K[xi, etab]
                 if k1 == 0 or k2 == 0:
                     continue
-                root = sqrt(rCG[xi, eta] * rCG[xi, etab],
-                            field_base(params.q))
+                root = sqrt(rCG[xi, eta] * rCG[xi, etab], params.q)
                 if is_exact(root):
                     exact_tot = exact_tot + mu[xi] * root * k1 * k2
                 else:
@@ -550,8 +548,7 @@ class TestRangeReport:
                 if kraw_chain(xi, eta, params) == 0:
                     continue
                 rad = correction_C_sq(xi, eta, params) * correction_G_sq(xi, eta, params)
-                neg = rad.sign() < 0 if isinstance(rad, SNum) else rad < 0
-                if neg:
+                if rad < 0:
                     n_neg += 1
                     assert orthogonality_range_report(xi, eta, params), (
                         "negative radicand at %s %s escaped the range report"
@@ -743,6 +740,10 @@ class TestParamsAndDomain:
         cfg = Config.capacity([(1, 0), (0, 1)], (1, 1))
         with pytest.raises(DomainError):
             reversible_measure(cfg, s)
+        xi = Config.zero_range([(1, 0)])
+        for q in (s, SNum(F(1, 4)), (1 + s) ** 2):
+            with pytest.raises(DomainError):
+                qhahn_D(xi, xi, q)
 
     def test_float_input_floats_everything(self):
         p = DualityParams((F(2), mpmath.mpf(3)), F(1, 2))
@@ -990,6 +991,7 @@ zrp = Config.zero_range([(1, 0)])
 params = du.DualityParams((F(4),), q)
 checks = {
     "SNum q": lambda: du.DualityParams((F(4), F(9)), SNum(0, 1, F(1, 3))),
+    "zero-range SNum q": lambda: du.qhahn_D(zrp, zrp, SNum(F(1, 4))),
     "pair type": lambda: du.multi_species_D((1, 0), one, params),
     "pair mode": lambda: du.multi_species_D(zrp, zrp, params),
     "zero-range pair type": lambda: du.h_exponent((1, 0), zrp),

@@ -1,4 +1,5 @@
-"""Every name a `qmdual` module imports is read in that module."""
+"""Every name a `qmdual` module imports is read in that module, and every
+private name it defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -22,3 +23,34 @@ def test_no_unused_import(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert imported <= read, "unused in %s: %s" % (path.name,
                                                    sorted(imported - read))
+
+
+def _defined_names(body):
+    """Names that the statements of one module or class body bind."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id
+
+
+def test_no_unread_private_name():
+    # a private helper whose last caller is gone is dead code
+    defined, read = set(), set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), str(path))
+        bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        defined |= {(path.name, name) for body in bodies
+                    for name in _defined_names(body)
+                    if name.startswith("_") and not name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted("%s: %s" % pair for pair in defined if pair[1] not in read)
+    assert not unread, "private names nothing reads: %s" % unread

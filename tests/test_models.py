@@ -212,6 +212,14 @@ class TestReversibleMeasure:
         w = phi_weight((0, 0), (2, 0), F(1, 2), F(1, 3), q)
         assert isinstance(w, Fraction)
 
+    def test_square_q_gives_a_fraction_on_an_odd_half_power(self):
+        # one particle on a site of capacity 2: the squared counts sum to 3,
+        # so the measure carries q^(3/2), which is rational at q = 1/4
+        cfg = Config.capacity([(1, 0)], (2, 1))
+        w = reversible_measure(cfg, F(1, 4))
+        assert type(w) is Fraction
+        assert w == Fraction(1, 8)
+
 
 class TestMixtureMeasure:
     def test_uniform_mixture_reversible(self):
@@ -442,7 +450,8 @@ class TestDiscreteKernel:
         ker = qhahn_discrete_kernel(window, lam, mu, q, "left")
         source = Config.zero_range([(1, 1), (0, 1)])   # species rows
         target = Config.zero_range([(2, 0), (1, 0)])   # batch (1,1) moved left
-        assert ker.rate(source, target) == phi_weight((1, 1), (1, 1), lam, mu, q)
+        entry = ker.entries[ker.index[target], ker.index[source]]
+        assert entry == phi_weight((1, 1), (1, 1), lam, mu, q)
 
     def test_probabilities_nonnegative(self):
         window = enumerate_zrp_sector((2,), 2)
@@ -457,6 +466,7 @@ class TestDiscreteKernel:
 _INPUT_CHECKS = """
 import sys
 from fractions import Fraction as F
+from mpmath import mpf
 from qmdual import models
 from qmdual.errors import DomainError
 from qmdual.lattice import Config
@@ -465,14 +475,23 @@ q = F(1, 2)
 zrp = Config.zero_range([(1, 0)])
 one = Config.capacity([(1, 0)], (1, 1))
 two = Config.capacity([(1, 0), (0, 1)], (1, 1))
+odd = Config.capacity([(1, 0)], (2, 1))
 window = lambda *rows: [Config.zero_range(r) for r in rows]
 checks = {
-    "matrix kind": lambda: models.assemble(None, [], lambda cfg: (), "matrix"),
+    "matrix kind": lambda: models.assemble([], lambda cfg: (), "matrix"),
     "bond species count":
         lambda: models.asep_two_site_rates((1, 0), (0, 1, 0), q),
     "reversible measure mode": lambda: models.reversible_measure(zrp, q),
     "reversible measure SNum q":
         lambda: models.reversible_measure(one, SNum(0, 1, F(1, 3))),
+    "reversible measure float q < 0, odd half power":
+        lambda: models.reversible_measure(odd, mpf(-0.5)),
+    "reversible measure rational q < 0, odd half power":
+        lambda: models.reversible_measure(odd, F(-1, 3)),
+    "reversible measure float q < 0, even half power":
+        lambda: models.reversible_measure(two, mpf(-0.5)),
+    "reversible measure rational q < 0, even half power":
+        lambda: models.reversible_measure(two, F(-1, 3)),
     "one-species measure mode":
         lambda: models.single_species_measure(zrp, None, F(4), q),
     "one-species measure species count":

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qmdual import scalars
 from qmdual.errors import DomainError
-from qmdual.scalars import SNum, field_base, sqrt
+from qmdual.scalars import SNum, q_root, sqrt
 
 
 class TestSqrt:
@@ -36,9 +36,15 @@ class TestSqrt:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # 4/3 = (2 s)^2 and 4/3 + 2 s = (1 + s)^2
-            assert sqrt(F(4, 3), field_base(q)) == 2 * s
-            assert sqrt((1 + s) ** 2, field_base(q)) == 1 + s
-            assert sqrt(F(4, 3), field_base(s)) == 2 * s
+            assert sqrt(F(4, 3), q) == 2 * s
+            assert sqrt((1 + s) ** 2, q) == 1 + s
+            assert sqrt(12, 3) == SNum(0, 2, 3)
+
+    def test_float_q_names_no_field(self):
+        # 4/3 is a square in Q(sqrt(1/3)) but not in Q
+        with pytest.warns(UserWarning, match=r"not a square in Q;"):
+            root = sqrt(F(4, 3), mpmath.mpf(1) / 3)
+        assert isinstance(root, mpmath.mpf)
 
     def test_non_square_warns_and_falls_back(self):
         with pytest.warns(UserWarning, match=r"not a square in "
@@ -52,6 +58,28 @@ class TestSqrt:
             warnings.simplefilter("error")
             root = sqrt(mpmath.mpf(2))
         assert root == mpmath.sqrt(2)
+
+
+class TestQRoot:
+    def test_square_q_gives_a_fraction(self):
+        root = q_root(F(1, 4))
+        assert type(root) is F and root == F(1, 2)
+
+    def test_non_square_q_gives_the_generator_of_its_field(self):
+        root = q_root(F(1, 3))
+        assert type(root) is SNum and root == SNum(0, 1, F(1, 3))
+
+    def test_float_q_gives_an_mpf(self):
+        root = q_root(mpmath.mpf(1) / 3)
+        assert isinstance(root, mpmath.mpf)
+        assert root == mpmath.sqrt(mpmath.mpf(1) / 3)
+
+    @pytest.mark.parametrize("q", [SNum(0, 1, F(1, 3)), SNum(F(1, 4)),
+                                   F(-1, 3), -4, mpmath.mpf(-0.5)],
+                             ids=repr)
+    def test_snum_or_negative_q_raises(self, q):
+        with pytest.raises(DomainError):
+            q_root(q)
 
 
 def test_import_leaves_the_precision_alone():
