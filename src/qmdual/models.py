@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
 from .ops import SparseMatrix
-from .qcalc import brace_int, q_binom, q_fact, q_poch, qq_binom
+from .qcalc import _exact_q, brace_int, q_binom, q_fact, q_poch, qq_binom
 from .scalars import q_root
 
 
@@ -95,6 +95,7 @@ def asep_two_site_rates(site_x, site_x1, q):
     if len(site_x) != len(site_x1):
         raise DomainError("bond ends %r and %r disagree on the species count"
                           % (site_x, site_x1))
+    q = _exact_q(q)
     rows = len(site_x)
     out = []
     for k in range(rows):
@@ -165,6 +166,7 @@ def reversible_measure(cfg, q):
     """
     if cfg.is_zero_range:
         raise DomainError("the reversible measure needs capacity mode")
+    q = _exact_q(q)
     s = q_root(q)
     halves = 0  # exponent of q in units of 1/2
     value = 1
@@ -212,6 +214,7 @@ def single_species_measure(xi, theta, alpha, q):
     theta = tuple(theta)
     if len(xi) != len(theta):
         raise DomainError("%d counts for %d capacities" % (len(xi), len(theta)))
+    q = _exact_q(q)
     value = 1
     cap_left = 0  # capacity strictly to the left
     for c, t in zip(xi, theta):
@@ -240,7 +243,7 @@ def _phi(gamma, beta, lead, ratio, mu, q):
                           % (gamma, beta))
     if not all(0 <= g <= b for g, b in zip(gamma, beta)):
         return 0
-    g, b = sum(gamma), sum(beta)
+    g, b, q = sum(gamma), sum(beta), _exact_q(q)
     value = (q ** _chi(beta, gamma) * ratio ** g * lead(g)
              * q_poch(ratio, q, b - g) / q_poch(mu, q, b))
     for bi, gi in zip(beta, gamma):
@@ -306,6 +309,7 @@ def qtazrp_rates(beta, q):
     species i departs at rate q^{beta_[0,i-1]} (1 - q^{beta_i})/(1 - q).
     """
     beta = tuple(int(b) for b in beta)
+    q = _exact_q(q)
     rates = {}
     prefix = 0
     for i, b in enumerate(beta):

@@ -11,6 +11,14 @@ weight-graded product stays as sparse as its factors.  An inexact zero,
 such as an mpf 0 left by cancellation on the float backend, stays stored:
 a float residual must never read as an exact one.
 
+Products of exact operands, every entry exactly an int, Fraction or SNum,
+run on Python ints: the rows of the left operand and the columns of the
+right one are lifted by the lcm of their denominators, the sparse k-loop
+sums int products, and each sum is reduced once.  An SNum a + b*s enters as
+its two rational parts.  Each sum keeps the type that Python arithmetic
+gives it; an operand holding an mpf, or any other type, takes the per-entry
+loop of that arithmetic.
+
 Interop with numpy object arrays:
 - `op @ op` is a SparseMatrix; `op @ a` and `a @ op`, for an ndarray `a`,
   are ndarrays of scalars built from the stored entries alone.  The exact
@@ -29,12 +37,16 @@ instead of densifying in silence.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .scalars import is_exact
+from .scalars import SNum, is_exact
 
 ZERO = 0
+# the exact entry types by rank: a sum of products has the type of the top
+# rank among its factors
+_RANK = {int: 0, Fraction: 1, SNum: 2}
 
 
 def _kept(row):
@@ -42,7 +54,7 @@ def _kept(row):
     return {c: v for c, v in row.items() if v or not is_exact(v)}
 
 
-def _product(arows, brows):
+def _loop(arows, brows):
     """(r, {c: sum_k a[r][k] b[k][c]}) over the stored entries alone, for
     each row r of a that meets a stored entry of b; sums run in k order and
     keep the entries that cancel."""
@@ -53,6 +65,82 @@ def _product(arows, brows):
                 acc[c] = acc[c] + a * b if c in acc else a * b
         if acc:
             yield r, acc
+
+
+def _lift(rows, axis):
+    """(ranks, s-fields, lcms, a, b) of exact rows of entries a + b*s, else
+    None: a and b hold the parts times the lcm of the part denominators of
+    their row (axis 0) or column (axis 1), as ints, b without its zeros."""
+    types = {type(v) for row in rows.values() for v in row.values()}
+    if not types <= _RANK.keys():
+        return None
+    parts, fields = [rows, {}], set()
+    if SNum in types:
+        parts = [{r: {c: v.a if type(v) is SNum else v for c, v in row.items()}
+                  for r, row in rows.items()},
+                 {r: {c: v.b for c, v in row.items() if type(v) is SNum and v.b}
+                  for r, row in rows.items()}]
+        fields = {v.sbase for row in rows.values() for v in row.values()
+                  if type(v) is SNum and v.b}
+    lcms = {}
+    for part in parts:
+        for r, row in part.items():
+            for c, x in row.items():
+                i = c if axis else r
+                lcms[i] = math.lcm(lcms.get(i, 1), x.denominator)
+    return ({_RANK[t] for t in types}, fields, lcms,
+            *({r: {c: x.numerator * (lcms[c if axis else r] // x.denominator)
+                   for c, x in row.items()} for r, row in part.items()}
+              for part in parts))
+
+
+def _ranks(arows, brows):
+    """{r: {c: the top rank among the factors of sum (r, c)}}."""
+    out = {}
+    for r, arow in arows.items():
+        acc = out[r] = {}
+        for k, a in arow.items():
+            for c, b in brows.get(k, {}).items():
+                acc[c] = max(acc.get(c, 0), _RANK[type(a)], _RANK[type(b)])
+    return out
+
+
+def _product(arows, brows):
+    """_loop's sums; for exact operands, sums of their lifts, each reduced
+    once over the lcms of its row and column."""
+    left = _lift(arows, 0)
+    right = left and _lift(brows, 1)
+    if not right:
+        yield from _loop(arows, brows)
+        return
+    (ra, fa, lr, a0, a1), (rb, fb, lc, b0, b1) = left, right
+    fields = fa | fb
+    if len(fields) > 1:
+        raise ValueError("mixing incompatible s-fields: s^2=%s vs s^2=%s"
+                         % tuple(fields)[:2])
+    base = fields.pop() if fields else None
+    qn, qd = (base.numerator, base.denominator) if base else (1, 1)
+    # (a0 + a1 s)(b0 + b1 s) = a0 b0 + q a1 b1 + (a0 b1 + a1 b0) s, with the
+    # s parts of a under the keys ~k
+    a = {r: {**row, **{~k: v for k, v in a1.get(r, {}).items()}}
+         for r, row in a0.items()} if a1 else a0
+    sums = _loop(a, {**{k: {c: qd * v for c, v in row.items()}
+                        for k, row in b0.items()},
+                     **{~k: {c: qn * v for c, v in row.items()}
+                        for k, row in b1.items()}} if base else b0)
+    ssums = (dict(_loop(a, {**b1, **{~k: row for k, row in b0.items()}}))
+             if base else {})
+    top = max(ra | rb, default=0)
+    ranks = None if {top} in (ra, rb) else _ranks(arows, brows)
+    for r, acc in sums:
+        out, srow = {}, ssums.get(r, {})
+        for c, n in acc.items():
+            den = lr[r] * lc[c]
+            rank = top if ranks is None else ranks[r][c]
+            x = Fraction(n, qd * den) if rank else n // (qd * den)
+            out[c] = (SNum._make(x, Fraction(srow.get(c, 0), den), base)
+                      if rank == 2 else x)
+        yield r, out
 
 
 class SparseMatrix:

@@ -1,11 +1,12 @@
 """q-deformed integers and factorials, q-Pochhammers, terminating basic
 hypergeometric series and q-Krawtchouk polynomials.
 
-Every function is generic over the scalar backend: pass q as a Fraction or
-SNum for exact arithmetic, or as an mpmath float.  Constants are Python ints
-so they combine with either backend.  A terminating series takes its degree
-m as an int and sums exactly the terms k = 0..m; no value is tested against
-a tolerance to find where it ends.
+Every function is generic over the scalar backend: pass q as an int,
+Fraction or SNum for exact arithmetic, or as an mpmath float.  An int q
+becomes a Fraction on entry, since its negative powers would be floats.
+Constants are Python ints so they combine with either backend.  A
+terminating series takes its degree m as an int and sums exactly the terms
+k = 0..m; no value is tested against a tolerance to find where it ends.
 """
 
 from fractions import Fraction
@@ -13,9 +14,15 @@ from fractions import Fraction
 from .errors import DegenerateQError, DomainError
 
 
+def _exact_q(q):
+    """q, an int turned into a Fraction so that q ** -n stays exact."""
+    return Fraction(q) if isinstance(q, int) else q
+
+
 def _check_q(q):
     if q == 0 or q == 1 or q == -1:
         raise DegenerateQError("degenerate q = %s" % (q,))
+    return _exact_q(q)
 
 
 def _div(a, b):
@@ -27,7 +34,7 @@ def _div(a, b):
 
 def q_int(n, q):
     """[n]_q = (q^n - q^-n)/(q - q^-1)."""
-    _check_q(q)
+    q = _check_q(q)
     return (q ** n - q ** (-n)) / (q - q ** (-1))
 
 
@@ -68,7 +75,7 @@ def qq_binom(n, k, q):
 
 def brace_int(n, q):
     """{n}_{q^2} = (1 - q^{2n})/(1 - q^2)."""
-    _check_q(q)
+    q = _check_q(q)
     return (1 - q ** (2 * n)) / (1 - q ** 2)
 
 
@@ -130,6 +137,7 @@ def phi10(m, q, z):
     """1phi0(q^{-m}; -; q, z), the series of degree m (an int >= 0)."""
     if not isinstance(m, int) or m < 0:
         raise DomainError("1phi0 degree %r is not an int >= 0" % (m,))
+    q = _exact_q(q)
     return _phi_series(m, [q ** (-m)], [], q, z)
 
 
@@ -140,5 +148,6 @@ def q_krawtchouk(n, x, p, c, q):
         raise DomainError("q-Krawtchouk degree n=%s outside 0..c=%s" % (n, c))
     if not 0 <= x <= c:
         raise DomainError("q-Krawtchouk argument x=%s outside 0..c=%s" % (x, c))
+    q = _exact_q(q)
     return _phi_series(min(n, x), [q ** (-x), q ** (-n)], [q ** (-c)], q,
                        p * q ** (n + 1))

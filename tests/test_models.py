@@ -221,6 +221,27 @@ class TestReversibleMeasure:
         assert w == Fraction(1, 8)
 
 
+INT_Q_CALLS = {
+    "reversible_measure": lambda q: reversible_measure(
+        Config.capacity([(1, 0), (0, 1)], (1, 1)), q),
+    "reversible_measure, negative power": lambda q: reversible_measure(
+        Config.capacity([(0, 1), (1, 0)], (1, 1)), q),
+    "single_species_measure": lambda q: single_species_measure(
+        (1, 0), (1, 1), 4, q),
+    "asep_two_site_rates": lambda q: asep_two_site_rates((1, 0), (0, 1), q)[0][1],
+    "phi_weight_dlambda": lambda q: phi_weight_dlambda((1,), (2,), 2, q),
+    "qtazrp_rates": lambda q: qtazrp_rates((2,), q)[(1,)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_Q_CALLS))
+def test_int_q_stays_exact(name):
+    # an int q gives the value and type of the equal Fraction q, not a float
+    got, want = INT_Q_CALLS[name](3), INT_Q_CALLS[name](F(3))
+    assert type(got) is type(want) is Fraction
+    assert got == want
+
+
 class TestMixtureMeasure:
     def test_uniform_mixture_reversible(self):
         q = F(1, 2)

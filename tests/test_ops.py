@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qmdual import ops
 from qmdual.ops import SparseMatrix
 from qmdual.scalars import SNum, is_exact
 
@@ -15,7 +16,8 @@ F = Fraction
 SBASE = F(1, 3)  # s^2 of the SNum entries
 
 SEEDS = [0, 1]
-KINDS = ["fraction", "snum"]
+# "mixed" draws each entry's type from Fraction, SNum (on one field) and int
+KINDS = ["fraction", "snum", "int", "mixed"]
 # (n, m): the residual P^T D - D Q with P n x n, D n x m and Q m x m; the
 # rectangular case is the shape of the zero-range kernel duality
 SHAPES = [(7, 7), (36, 18)]
@@ -27,11 +29,16 @@ def dense_random(rng, shape, kind, density=0.3):
     for r in range(shape[0]):
         for c in range(shape[1]):
             if rng.random() < density:
+                entry = kind
+                if kind == "mixed":
+                    entry = rng.choice(["fraction", "snum", "int"])
                 a = F(rng.randint(-9, 9), rng.randint(1, 9))
-                if kind == "snum":
+                if entry == "snum":
                     b = F(rng.randint(1, 9), rng.randint(1, 9))
                     a = SNum(a, b, SBASE)
-                M[r, c] = a or F(1)
+                elif entry == "int":
+                    a = rng.randint(-9, 9)
+                M[r, c] = a or (1 if entry == "int" else F(1))
     return M
 
 
@@ -288,3 +295,74 @@ def test_product_with_a_diagonal_multiplies_stored_entries_only():
         got = product()
         assert Counted.products == nnz
         assert_same(got, want)
+
+
+# -- the integer kernel of exact products ---------------------------------------------
+
+def entries(sums):
+    """Every (r, c, type, repr) of a product's sums, in their order."""
+    return [(r, c, type(v), repr(v)) for r, acc in sums for c, v in acc.items()]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_kernel_matches_the_per_entry_loop(n, m, kind):
+    # the lifted sums give the value, type and order of the per-entry loop,
+    # an int where only ints meet and an SNum where any SNum does
+    P, D, Q, _, _ = triple(0, kind, n, m)
+    for a, b in ((sparse(P).T, sparse(D)), (sparse(D), sparse(Q)),
+                 (sparse(D).T, sparse(D))):
+        want = entries(ops._loop(a.rows, b.rows))
+        assert entries(ops._product(a.rows, b.rows)) == want
+
+
+def test_all_int_operands_give_int_entries():
+    P, D, _, _, _ = triple(0, "int", 36, 18)
+    for got in ((sparse(P).T @ sparse(D)).flat, (sparse(P).T @ D).flat):
+        assert all(type(v) is int for v in got)
+
+
+def test_two_fields_in_one_product_raise():
+    A = SparseMatrix({0: {0: SNum(1, 1, F(1, 3))}}, (1, 1))
+    B = SparseMatrix({0: {0: SNum(1, 1, F(1, 2))}}, (1, 1))
+    with pytest.raises(ValueError):
+        A @ B
+    with pytest.raises(ValueError):
+        A @ np.asarray(B)
+
+
+def test_one_mpf_entry_takes_the_per_entry_loop(monkeypatch):
+    # one inexact entry sends the whole product through the per-entry loop,
+    # whose float zero stays stored
+    calls = []
+    loop = ops._loop
+
+    def spy(arows, brows):
+        calls.append(arows)
+        return loop(arows, brows)
+
+    monkeypatch.setattr(ops, "_loop", spy)
+    A = SparseMatrix({0: {0: mpmath.mpf(1), 1: F(1)}, 1: {0: F(1, 2)}}, (2, 2))
+    B = SparseMatrix({0: {0: F(1)}, 1: {0: F(-1)}}, (2, 1))
+    R = A @ B
+    assert calls == [A.rows]
+    assert R.rows[0][0] == 0 and not is_exact(R.rows[0][0])
+    assert type(R[1, 0]) is Fraction and R[1, 0] == F(1, 2)
+
+
+def test_one_reduction_per_entry(monkeypatch):
+    # one Fraction per sum that a term reaches, cancelled or not
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(ops, "Fraction", counted)
+    P, D, _, PtD, _ = triple(0, "fraction", 36, 18)
+    a, b = sparse(P).T, sparse(D)
+    reached = {(r, c) for r, row in a.rows.items() for k in row
+               for c in b.rows.get(k, {})}
+    got = a @ b
+    assert len(built) == len(reached)
+    assert_same(got, PtD)

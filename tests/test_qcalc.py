@@ -140,6 +140,25 @@ class TestDeformedIntegers:
         assert qcalc.brace_fact(3, q) == expected
 
 
+# an int q must give the value and type of the equal Fraction q: its
+# negative powers would otherwise be floats
+INT_Q_CALLS = {
+    "q_int": lambda q: qcalc.q_int(2, q),
+    "q_fact": lambda q: qcalc.q_fact(3, q),
+    "q_binom": lambda q: qcalc.q_binom(4, 2, q),
+    "brace_fact": lambda q: qcalc.brace_fact(3, q),
+    "phi10": lambda q: qcalc.phi10(2, q, 2),
+    "q_krawtchouk": lambda q: qcalc.q_krawtchouk(1, 2, 2, 3, q),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_Q_CALLS))
+def test_int_q_stays_exact(name):
+    got, want = INT_Q_CALLS[name](3), INT_Q_CALLS[name](Fraction(3))
+    assert type(got) is type(want) is Fraction
+    assert got == want
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert qcalc.q_poch(Fraction(3, 7), Fraction(1, 2), 0) == 1

@@ -1077,6 +1077,20 @@ class TestAlgebraicDuality:
         right = np.diag(np.array(ad.right_weight, dtype=object))
         assert zero((D.T * left) @ D - right)
 
+    def test_two_species_dim_216_exact(self):
+        # both identities as whole sparse products at theta = (2, 2, 2)
+        q = F(1, 2)
+        tb = uq.TensorBasis(2, (2, 2, 2))
+        assert len(tb) == 216
+        lams = [uq.duality_lambda(4, tb.theta, q, shift=1),
+                uq.duality_lambda(9, tb.theta, q, shift=2)]
+        ad = uq.algebraic_duality(lams, tb, q)
+        L, D = uq.chain_generator(tb, q), ad.entries
+        assert (L.T @ D - D @ L).rows == {}
+        left = SparseMatrix.diag(ad.left_weight)
+        right = SparseMatrix.diag(ad.right_weight)
+        assert (D.T @ left @ D - right).rows == {}
+
     def test_sector_block_accessor(self):
         q = F(1, 2)
         tb = uq.TensorBasis(1, (1, 1))
