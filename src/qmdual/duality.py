@@ -22,7 +22,7 @@ Conventions:
 Memo: a `DualityParams` object is what a caller builds once per duality
 matrix, and the exclusion-duality functions that take it read their
 pair-independent invariants through a private memo on it:
-- the measure of each configuration's sector (reversible or mixture);
+- the reversible measure of each configuration's sector;
 - the single-species measure of each (species, row, capacities) that an
   intermediate configuration shows;
 - each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2), keyed by
@@ -40,24 +40,15 @@ cached at module level.
 """
 
 import math
-from fractions import Fraction
 from functools import partial
-from types import MappingProxyType
 
 import mpmath
 
 from .errors import DomainError
 from .lattice import Config, charge_parity, intermediate_configs, is_feasible
-from .models import mixture_measure, reversible_measure, single_species_measure
-from .qcalc import phi10, q_krawtchouk, q_poch, q_poch_ratio
+from .models import reversible_measure, single_species_measure
+from .qcalc import _exact_q, phi10, q_krawtchouk, q_poch, q_poch_ratio
 from .scalars import SNum, is_exact, q_root, sqrt, to_mpf
-
-
-def _as_scalar(v):
-    """Ints become Fractions so that division never leaves the exact backend."""
-    if isinstance(v, int):
-        return Fraction(v)
-    return v
 
 
 class DualityParams:
@@ -66,10 +57,9 @@ class DualityParams:
     alpha: positive scalar per species (length n, species 0..n-1).
     q: the asymmetry parameter, a rational or a float.  An SNum q is refused:
     the sector measures carry q^(1/2), which has no place in the field of q.
-    weights: optional mixture weights for the reversible measure in the
-    ground-state correction, keyed by the full species-count tuple (holes
-    included); None means the unnormalized per-sector measure.  A read-only
-    copy is kept, so later changes to the caller's dict have no effect.
+    The ground-state correction uses each sector's unnormalized reversible
+    measure.  Weighing sector k by a_k instead only divides D(xi, eta) by
+    sqrt(a_k(xi) a_k(eta)), the sector-constant freedom of any duality.
 
     The object is immutable and carries the memo of pair-independent
     invariants described in the module docstring; it grows with the number
@@ -77,11 +67,11 @@ class DualityParams:
     freed with the object.
     """
 
-    __slots__ = ("alpha", "q", "weights", "_memo")
+    __slots__ = ("alpha", "q", "_memo")
 
-    def __init__(self, alpha, q, weights=None):
-        alpha = tuple(_as_scalar(a) for a in alpha)
-        q = _as_scalar(q)
+    def __init__(self, alpha, q):
+        alpha = tuple(_exact_q(a) for a in alpha)
+        q = _exact_q(q)
         if isinstance(q, SNum):
             raise DomainError("q=%r must be a rational or a float" % (q,))
         if any(not is_exact(v) for v in alpha + (q,)):
@@ -92,7 +82,6 @@ class DualityParams:
                 raise DomainError("species parameter alpha=%r must be positive" % (a,))
         self.alpha = alpha
         self.q = q
-        self.weights = None if weights is None else MappingProxyType(dict(weights))
         self._memo = {}
 
     def __setattr__(self, name, value):
@@ -163,7 +152,7 @@ def w_over_h(xi_row, eta_row, theta_row, p, q):
         raise DomainError("rows %s, %s do not match capacities %s"
                           % (xi_row, eta_row, theta_row))
     n_th, n_xi, n_eta = sum(theta_row), sum(xi_row), sum(eta_row)
-    value = _as_scalar((-1) ** (n_th - n_xi + n_eta))
+    value = _exact_q((-1) ** (n_th - n_xi + n_eta))
     value = value * q_poch_ratio(p, q, n_eta + 1, n_th - n_xi + 1)
     value = value * q ** (-math.comb(n_th + 1, 2)) * p ** (-n_th)
     xi_left = 0
@@ -199,18 +188,10 @@ def _check_pair(xi, eta, params):
 
 
 def _sector_measure(cfg, params):
-    """Measure of cfg in the ground-state correction, once per configuration."""
-    def measure():
-        if params.weights is None:
-            value = reversible_measure(cfg, params.q)
-        else:
-            value = mixture_measure(cfg, params.weights, params.q)
-        if not value:
-            raise DomainError("reversible-measure mixture vanishes on the sector "
-                              "of %r; weights must be positive on occupied sectors"
-                              % (cfg,))
-        return value
-    return params._cached(("sector", cfg), measure)
+    """Reversible measure of cfg in the ground-state correction, once per
+    configuration."""
+    return params._cached(("sector", cfg),
+                          lambda: reversible_measure(cfg, params.q))
 
 
 def _species_measure(params, i, row, theta):
@@ -383,7 +364,7 @@ def qhahn_D(eta, xi, q):
     `qtazrp_generator` at the same base.
     """
     _check_zrp_pair(xi, eta)
-    q = _as_scalar(q)
+    q = _exact_q(q)
     s = q_root(q)
     n, L = xi.n, xi.L
     value = s ** h_exponent(xi, eta)

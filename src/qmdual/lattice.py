@@ -24,7 +24,7 @@ class Config:
 
     __slots__ = ("L", "n", "counts", "theta")
 
-    def __init__(self, counts, theta=None, n=None):
+    def __init__(self, counts, theta=None):
         counts = tuple(tuple(int(c) for c in row) for row in counts)
         if not counts or any(len(row) != len(counts[0]) for row in counts):
             raise DomainError("counts must be a nonempty rectangular grid")
@@ -42,9 +42,7 @@ class Config:
                     raise DomainError(
                         "site %d holds %d of capacity %d" % (x + 1, col, theta[x]))
         else:
-            n = len(counts) if n is None else n
-            if n != len(counts):
-                raise DomainError("n=%d for %d species rows" % (n, len(counts)))
+            n = len(counts)
             if any(c < 0 for row in counts for c in row):
                 raise DomainError("negative occupation number")
         self._fill(counts, theta, n)
@@ -155,6 +153,20 @@ class Sector(namedtuple("Sector", ["k", "theta"])):
         return len(self.k) - 1
 
 
+def compositions(total, bounds):
+    """The tuples c with sum(c) == total and 0 <= c[i] <= bounds[i], in
+    descending lexicographic order; bounds is a nonempty tuple."""
+    rest = bounds[1:]
+    if not rest:
+        if 0 <= total <= bounds[0]:
+            yield (total,)
+        return
+    low = max(total - sum(rest), 0)
+    for head in range(min(total, bounds[0]), low - 1, -1):
+        for tail in compositions(total - head, rest):
+            yield (head,) + tail
+
+
 def enumerate_sector(sector, cap=200_000):
     """All configurations with the sector's species counts, in a fixed order.
 
@@ -179,25 +191,13 @@ def enumerate_sector(sector, cap=200_000):
                                for i in range(nsp + 1))
                 configs.append(Config._unchecked(counts, theta, nsp))
             return
-        m = theta[x - 1]
-
-        def comps(i, left):
-            # site compositions, species-major descending
-            if i == nsp:
-                if left <= remaining[nsp]:
-                    yield (left,)
-                return
-            for c in range(min(left, remaining[i]), -1, -1):
-                for rest in comps(i + 1, left - c):
-                    yield (c,) + rest
-
-        for comp in comps(0, m):
+        for comp in compositions(theta[x - 1], remaining):
             sites.append(comp)
-            fill(x + 1, [r - c for r, c in zip(remaining, comp)])
+            fill(x + 1, tuple(r - c for r, c in zip(remaining, comp)))
             sites.pop()
 
     sites = []
-    fill(1, list(k))
+    fill(1, k)
     return configs
 
 
@@ -223,18 +223,14 @@ def enumerate_zrp_sector(counts, L, cap=200_000):
             configs.append(Config.zero_range(
                 [[site[i] for site in grid] for i in range(nsp)]))
             return
-        for comp in _site_loads(remaining, nsp):
+        # a site takes any load up to what is left; the last part is the
+        # slack that stays for the sites to its right
+        t = sum(remaining)
+        for comp in compositions(t, remaining + (t,)):
+            comp = comp[:-1]
             sites.append(comp)
             fill(x + 1, tuple(r - c for r, c in zip(remaining, comp)))
             sites.pop()
-
-    def _site_loads(remaining, i):
-        if i == 0:
-            yield ()
-            return
-        for head in range(remaining[0], -1, -1):
-            for tail in _site_loads(remaining[1:], i - 1):
-                yield (head,) + tail
 
     sites = []
     fill(1, counts)

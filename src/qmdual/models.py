@@ -18,12 +18,11 @@ stochasticity; both facts are pinned by tests.
 """
 
 import itertools
-from fractions import Fraction
 
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
 from .ops import SparseMatrix
-from .qcalc import _exact_q, brace_int, q_binom, q_fact, q_poch, qq_binom
+from .qcalc import _div, _exact_q, brace_int, q_binom, q_fact, q_poch, qq_binom
 from .scalars import q_root
 
 
@@ -185,19 +184,6 @@ def reversible_measure(cfg, q):
     return value * s if halves % 2 else value
 
 
-def mixture_measure(cfg, weights, q):
-    """Sum of sector measures with coefficients a_k, evaluated at cfg.
-
-    weights maps conserved-count tuples (including the hole row) to
-    coefficients; configurations outside the support weigh 0.
-    """
-    k = tuple(n_total(cfg, i) for i in range(cfg.rows))
-    a = weights.get(k)
-    if a is None:
-        return 0
-    return a * reversible_measure(cfg, q)
-
-
 def single_species_measure(xi, theta, alpha, q):
     """One-species product measure with fugacity alpha on capacities theta.
 
@@ -261,11 +247,7 @@ def phi_weight(gamma, beta, lam, mu, q):
     """
     if lam == 0:
         raise DomainError("lambda = 0 collapses the weight")
-    if isinstance(mu, int) and isinstance(lam, int):
-        ratio = Fraction(mu, lam)
-    else:
-        ratio = mu / lam
-    return _phi(gamma, beta, lambda g: q_poch(lam, q, g), ratio, mu, q)
+    return _phi(gamma, beta, lambda g: q_poch(lam, q, g), _div(mu, lam), mu, q)
 
 
 def phi_weight_dlambda(gamma, beta, mu, q):

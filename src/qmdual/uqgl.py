@@ -19,6 +19,7 @@ Every matrix taken or returned is a `qmdual.ops.SparseMatrix` over exact
 scalars unless stated otherwise: each ladder factor shifts the weight by a
 known amount, so the operators stay sparse through every product.  Entry
 (r, c) is the coefficient of basis vector r in the image of basis vector c.
+An int q becomes a Fraction on entry, as in `qcalc`.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from . import lattice, models
 from .errors import DomainError
 from .lattice import ResourceError
 from .ops import SparseMatrix
-from .qcalc import brace_fact, q_int, q_poch
+from .qcalc import _exact_q, brace_fact, q_int, q_poch
 from .scalars import is_exact, sqrt, to_mpf
 
 TENSOR_DIM_CAP = 10_000
@@ -41,27 +42,18 @@ TENSOR_DIM_CAP = 10_000
 
 class RepBasis:
     """Weight basis of V_m^(n): all (n+1)-tuples of nonnegative ints summing
-    to m, enumerated with the leading slot descending."""
+    to m, in descending lexicographic order (`lattice.compositions`)."""
 
     __slots__ = ("n", "m", "states", "index")
 
     def __init__(self, n, m):
         if n < 1 or m < 0:
             raise DomainError("no module V_%r^(%r)" % (m, n))
-        states = []
-
-        def fill(prefix, left, slots):
-            if slots == 1:
-                states.append(prefix + (left,))
-                return
-            for c in range(left, -1, -1):
-                fill(prefix + (c,), left - c, slots - 1)
-
-        fill((), m, n + 1)
+        states = tuple(lattice.compositions(m, (m,) * (n + 1)))
         assert len(states) == comb(m + n, n)
         self.n = n
         self.m = m
-        self.states = tuple(states)
+        self.states = states
         self.index = {mu: k for k, mu in enumerate(states)}
 
     def __len__(self):
@@ -192,13 +184,13 @@ def coproduct_apply(kind, i, basis, q):
     lower is identity left, lower at x, (K_i^{-1} K_{i+1}) right.  The
     weight diagonals are `weight_matrix`.
     """
-    return _coproduct(kind, i, basis, q)
+    return _coproduct(kind, i, basis, _exact_q(q))
 
 
 def weight_matrix(i, basis, q, power=1):
     """Diagonal q^{power * mu_i} on a RepBasis, q^{power * sum_x mu_i^x} on
     a TensorBasis."""
-    return SparseMatrix.diag(_weight(i, basis, q, power))
+    return SparseMatrix.diag(_weight(i, basis, _exact_q(q), power))
 
 
 def _ladders(basis, q, window=None):
@@ -234,6 +226,7 @@ def root_vector(i, j, basis, q, k=None):
     if not (0 <= i <= basis.n and 0 <= j <= basis.n and i != j):
         raise DomainError("no root vector E_{%d%d} at rank %d"
                           % (i, j, basis.n))
+    q = _exact_q(q)
     return _nested_root(i, j, _ladders(basis, q), q, k)
 
 
@@ -270,6 +263,7 @@ def casimir_c1(basis, q):
     the sum still commutes with every iterated-coproduct generator.  A
     single leg is its own module.
     """
+    q = _exact_q(q)
     legs = len(_chain(basis)[0][0])
     bonds = [_casimir(basis, q, (x, x + 2)) for x in range(legs - 1)]
     return sum(bonds[1:], bonds[0]) if bonds else _casimir(basis, q)
@@ -279,7 +273,7 @@ def bond_casimir(tbasis, x, q):
     """Two-site coproduct Casimir on legs (x, x+1), identity elsewhere."""
     if not 0 <= x < tbasis.L - 1:
         raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
-    return _casimir(tbasis, q, (x, x + 2))
+    return _casimir(tbasis, _exact_q(q), (x, x + 2))
 
 
 def casimir_scalar(n, m, q):
@@ -289,9 +283,9 @@ def casimir_scalar(n, m, q):
     E_{ij} E_{ji} (i < j) applies the slot i -> j mover first, which kills a
     state with nothing in slots < n, so only the diagonal part survives.
     """
+    q = _exact_q(q)
     mu = (0,) * n + (m,)
-    val = sum(q ** (2 * i - 2 * n - 1) * q ** (2 * mu[i]) for i in range(n + 1))
-    return val
+    return sum(q ** (2 * i - 2 * n - 1) * q ** (2 * mu[i]) for i in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +307,7 @@ def inner_product(basis, q):
     constant factor per module, which drops out of every adjointness and
     star computation.
     """
+    q = _exact_q(q)
     out = []
     for st in _chain(basis)[0]:
         val = Fraction(1)
@@ -360,6 +355,7 @@ def ground_state_G(tbasis, q):
     constant would cancel in the conjugation.  Returns a list aligned with
     tbasis.states; entries are exact for exact q.
     """
+    q = _exact_q(q)
     return [q ** (-inversion_exponent(st)) for st in tbasis.states]
 
 
@@ -383,6 +379,7 @@ def nilpotent_q_exp(M, qsq, variant="e"):
     """
     if variant not in ("e", "E"):
         raise DomainError("no q-exponential variant %r" % (variant,))
+    qsq = _exact_q(qsq)
     N = M.shape[0]
     total = term = SparseMatrix.diag([Fraction(1)] * N)
     denom = 1
@@ -402,6 +399,7 @@ def nilpotent_q_exp(M, qsq, variant="e"):
 
 def gamma_from_lambda(lam, q):
     """Invert lambda = gamma (1-q^2)(q - q^{-1})."""
+    q = _exact_q(q)
     return lam / ((1 - q ** 2) * (q - 1 / q))
 
 
@@ -416,10 +414,11 @@ def unitary_U(i, lam, tbasis, q):
     """
     # F K_i and K_{i+1} E: the lower and raise coproducts with their columns
     # and rows scaled by the weight diagonals
+    q = _exact_q(q)
     N = len(tbasis)
     k_i, k_next = (_weight(j, tbasis, q) for j in (i, i + 1))
-    MF = _coproduct("lower", i, tbasis, q).scaled([lam] * N, k_i)
-    ME = _coproduct("raise", i, tbasis, q).scaled(
+    MF = coproduct_apply("lower", i, tbasis, q).scaled([lam] * N, k_i)
+    ME = coproduct_apply("raise", i, tbasis, q).scaled(
         [-lam * k for k in k_next], [1] * N)
     return nilpotent_q_exp(MF, q ** 2, "e") @ nilpotent_q_exp(ME, q ** 2, "E")
 
@@ -428,6 +427,7 @@ def unitarity_twist(i, lam, tbasis, q):
     """Pochhammer diagonals (start, end) that make the core U exactly
     unitary: star(U) diag(start) U = diag(end), with the base point
     z = -gamma * lam and gamma = `gamma_from_lambda(lam, q)`."""
+    q = _exact_q(q)
     z = -gamma_from_lambda(lam, q) * lam
     start, end = [], []
     for st in tbasis.states:
@@ -469,6 +469,7 @@ def duality_lambda(alpha, theta, q, shift=0):
     N(theta) = total capacity.  A non-square exact alpha falls back to the
     float backend through `scalars.sqrt`, which warns."""
     root = sqrt(alpha)
+    q = _exact_q(q)
     value = (1 - q ** 2) * q ** (-(sum(theta) - shift))
     return root * (value if is_exact(root) else to_mpf(value))
 
@@ -510,7 +511,7 @@ def algebraic_duality(lambdas, tbasis, q):
     For any sector-constant positive diagonal A, diag(A) D diag(A) is a
     duality too, with weights left_weight / A^2 and right_weight * A^2.
     """
-    n = tbasis.n
+    n, q = tbasis.n, _exact_q(q)
     lambdas = list(lambdas)
     if len(lambdas) != n:
         raise DomainError("need one coupling per species, got %d for %d"

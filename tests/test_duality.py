@@ -428,17 +428,28 @@ class TestSelfDuality:
 
 # -- orthogonality ---------------------------------------------------------------
 
-def orthogonality_errors(theta, n, params):
-    """Worst diagonal/off-diagonal error of the biorthogonality sum."""
+def sector_key(cfg):
+    return tuple(sum(row) for row in cfg.counts)
+
+
+def orthogonality_errors(theta, n, params, weights=None):
+    """Worst diagonal/off-diagonal error of the biorthogonality sum.
+
+    weights, if given, maps each sector key k to a_k > 0.  The sum then runs
+    against the mixture measure a_k mu, with D_a(xi, eta) = D(xi, eta) /
+    sqrt(a_k(xi) a_k(eta)): the sector-constant rescaling of the duality.
+    """
     basis = all_capacity_configs(theta, n)
-    mu = {c: du._sector_measure(c, params) for c in basis}
+    a = {c: 1 if weights is None else weights[sector_key(c)] for c in basis}
+    mu = {c: a[c] * du._sector_measure(c, params) for c in basis}
     K, rCG = {}, {}
     for xi in basis:
         for eta in basis:
             k = kraw_chain(xi, eta, params)
             K[xi, eta] = k
             if k != 0:
-                rad = correction_C_sq(xi, eta, params) * correction_G_sq(xi, eta, params)
+                rad = (correction_C_sq(xi, eta, params)
+                       * correction_G_sq(xi, eta, params) / (a[xi] * a[eta]))
                 assert rad >= 0, "negative weight radicand at %s %s" % (xi, eta)
                 rCG[xi, eta] = rad
     worst_diag = mpmath.mpf(0)
@@ -481,12 +492,11 @@ class TestOrthogonality:
 
     def test_weighted_mixture_theta11(self):
         theta, n = (1, 1), 2
-        ks = sorted({tuple(sum(r) for r in c.counts)
-                     for c in all_capacity_configs(theta, n)})
+        ks = sorted({sector_key(c) for c in all_capacity_configs(theta, n)})
         weights = {k: F(i + 2, 3) for i, k in enumerate(ks)}
-        params = DualityParams((F(1, 2), F(1, 3)), F(2), weights=weights)
+        params = DualityParams((F(1, 2), F(1, 3)), F(2))
         with pytest.warns(UserWarning, match="falling back to mpf"):
-            wd, wo = orthogonality_errors(theta, n, params)
+            wd, wo = orthogonality_errors(theta, n, params, weights)
         assert wd == 0, "weighted diagonal worst error %s" % wd
         assert wo < mpmath.mpf("1e-30"), "weighted off-diagonal worst error %s" % wo
 
@@ -750,14 +760,6 @@ class TestParamsAndDomain:
         assert all(isinstance(a, mpmath.mpf) for a in p.alpha)
         assert isinstance(p.q, mpmath.mpf)
 
-    def test_missing_mixture_weight_raises(self):
-        params = DualityParams((F(2), F(3)), F(1, 2), weights={(1, 1, 2): F(1)})
-        basis = printed_basis()
-        other = Config.capacity([(2, 0), (0, 1)], (2, 2))  # sector (2,1,1)
-        assert multi_species_D(basis[0], basis[1], params) != 0
-        with pytest.raises(DomainError, match="mixture"):
-            correction_G_sq(other, basis[0], params)
-
     def test_mismatched_profiles_raise(self):
         params = DualityParams((F(2), F(3)), F(1, 2))
         a = Config.capacity([(1, 0), (0, 0)], (1, 1))
@@ -777,24 +779,14 @@ class TestParamsAndDomain:
                     "float path diverged at %s %s" % (xi, eta)
 
     def test_params_are_immutable(self):
-        params = DualityParams((F(2), F(3)), F(1, 2), weights={(1, 1, 2): F(1)})
+        params = DualityParams((F(2), F(3)), F(1, 2))
         with pytest.raises(AttributeError):
             params.alpha = (F(5), F(3))
-        with pytest.raises(TypeError):
-            params.weights[(1, 1, 2)] = F(4)
 
 
 # -- the params memo ---------------------------------------------------------------
 
 MEMO_QUANTITIES = (multi_species_D, correction_C_sq, orthogonality_range_report)
-
-
-def mixture_params():
-    theta = (2, 1)
-    ks = sorted({tuple(sum(r) for r in c.counts)
-                 for c in all_capacity_configs(theta, 2)})
-    weights = {k: F(i + 2, 3) for i, k in enumerate(ks)}
-    return DualityParams((F(1, 2), F(1, 3)), F(2), weights=weights)
 
 
 MEMO_CASES = {
@@ -804,8 +796,9 @@ MEMO_CASES = {
     # odd counts put the sector measures, and D, in Q(sqrt(q))
     "odd-counts": (lambda: enumerate_sector(Sector((1, 1, 1), (1, 1, 1))),
                    lambda: DualityParams((F(2), F(5)), F(1, 2))),
-    # every sector on theta = (2,1), each with its own mixture weight
-    "mixture": (lambda: all_capacity_configs((2, 1), 2), mixture_params),
+    # every sector on theta = (2,1): pairs across sectors
+    "multi-sector": (lambda: all_capacity_configs((2, 1), 2),
+                     lambda: DualityParams((F(1, 2), F(1, 3)), F(2))),
 }
 
 
@@ -835,9 +828,9 @@ class TestParamsMemo:
                         assert type(got) is type(want) and got == want, \
                             "%s differs at %s %s: %r vs %r" % (
                                 f.__name__, xi, eta, got, want)
-        # only the mixture's basis spans several sectors; its cross-sector
+        # only the multi-sector basis spans several sectors; its cross-sector
         # radicands are the only ones without an exact root
-        assert bool(fallbacks) == (case == "mixture")
+        assert bool(fallbacks) == (case == "multi-sector")
         if case == "odd-counts":
             assert any(isinstance(multi_species_D(xi, eta, shared), SNum)
                        for xi in basis for eta in basis)
@@ -884,21 +877,6 @@ class TestParamsMemo:
             for eta in basis:
                 fresh = DualityParams((F(5), F(9)), F(1, 3))
                 assert multi_species_D(xi, eta, second) == multi_species_D(xi, eta, fresh)
-
-    def test_caller_weights_mutation_changes_nothing(self):
-        weights = {(1, 1, 2): F(1)}
-        params = DualityParams((F(2), F(3)), F(1, 2), weights=weights)
-        basis = printed_basis()
-        before = multi_species_D(basis[0], basis[1], params)
-        weights[(1, 1, 2)] = F(16)
-        # pairs met before and after the change both keep the old weights
-        fresh = DualityParams((F(2), F(3)), F(1, 2), weights={(1, 1, 2): F(1)})
-        for xi in basis:
-            for eta in basis:
-                assert multi_species_D(xi, eta, params) == \
-                    multi_species_D(xi, eta, fresh), (xi, eta)
-        assert multi_species_D(basis[0], basis[1], DualityParams(
-            (F(2), F(3)), F(1, 2), weights=weights)) != before
 
     def test_float_entries_follow_the_working_precision(self):
         basis = enumerate_sector(Sector((1, 2, 1), (2, 1, 1)))

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmdual import lattice
@@ -63,7 +63,6 @@ checks = {
     "ragged grid": lambda: Config([(1, 2), (3,)]),
     "theta length": lambda: Config([(1, 0), (0, 1)], theta=(1, 1, 1)),
     "hole row count": lambda: Config([(1, 1)], theta=(1, 1)),
-    "zero-range row count": lambda: Config([(1, 1)], n=2),
     "sector negative count": lambda: Sector((-1, 3), (1, 1)),
     "sector negative hole count": lambda: Sector((3, -1), (1, 1)),
     "sector negative capacity": lambda: Sector((0, 0), (1, -1)),
@@ -115,6 +114,17 @@ class TestChargeParity:
         for cfg in enumerate_sector(example_sector()):
             out = charge_parity(cfg)
             assert tuple(sum(out.row(i)) for i in range(3)) == (2, 1, 1)
+
+
+class TestCompositions:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-2, 10), st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    @example(5, [1, 2])  # a total above the sum of the bounds
+    @example(-1, [2])
+    def test_matches_product_oracle(self, total, bounds):
+        grid = itertools.product(*(range(b + 1) for b in bounds))
+        want = sorted((c for c in grid if sum(c) == total), reverse=True)
+        assert list(lattice.compositions(total, tuple(bounds))) == want
 
 
 class TestEnumerateSector:

@@ -1099,6 +1099,56 @@ class TestAlgebraicDuality:
         assert blk.shape == (2, 2)
 
 
+# -- exact int q ---------------------------------------------------------------------
+
+INT_Q_BASIS = uq.TensorBasis(2, (1, 1))
+INT_Q_RAISE = uq.coproduct_apply("raise", 0, INT_Q_BASIS, F(2))
+
+INT_Q_CALLS = {
+    "coproduct_apply": lambda q: uq.coproduct_apply("lower", 0, INT_Q_BASIS, q),
+    "weight_matrix": lambda q: uq.weight_matrix(1, INT_Q_BASIS, q, power=-1),
+    "root_vector": lambda q: uq.root_vector(0, 2, INT_Q_BASIS, q),
+    "casimir_c1": lambda q: uq.casimir_c1(INT_Q_BASIS, q),
+    "bond_casimir": lambda q: uq.bond_casimir(INT_Q_BASIS, 0, q),
+    "casimir_scalar": lambda q: uq.casimir_scalar(2, 1, q),
+    "inner_product": lambda q: uq.inner_product(INT_Q_BASIS, q),
+    "star_transform": lambda q: uq.star_transform(INT_Q_RAISE, INT_Q_BASIS, q),
+    "ground_state_G": lambda q: uq.ground_state_G(INT_Q_BASIS, q),
+    "nilpotent_q_exp": lambda q: uq.nilpotent_q_exp(INT_Q_RAISE, q),
+    "gamma_from_lambda": lambda q: uq.gamma_from_lambda(2, q),
+    "unitary_U": lambda q: uq.unitary_U(0, 2, INT_Q_BASIS, q),
+    "unitarity_twist": lambda q: uq.unitarity_twist(0, 2, INT_Q_BASIS, q),
+    "chain_generator": lambda q: uq.chain_generator(INT_Q_BASIS, q),
+    "reversible_vector": lambda q: uq.reversible_vector(INT_Q_BASIS, q),
+    "duality_lambda": lambda q: uq.duality_lambda(4, (1, 1), q),
+    "algebraic_duality": lambda q: uq.algebraic_duality([2, 3], INT_Q_BASIS, q),
+}
+
+
+def placed_scalars(value):
+    """(place, scalar) pairs of a uqgl result, in a fixed order."""
+    if isinstance(value, SparseMatrix):
+        return [((r, c), v) for r, row in sorted(value.rows.items())
+                for c, v in sorted(row.items())]
+    if isinstance(value, uq.AlgebraicDuality):
+        value = (value.entries, value.left_weight, value.right_weight)
+    if isinstance(value, (list, tuple)):
+        return [((k,) + place, v) for k, item in enumerate(value)
+                for place, v in placed_scalars(item)]
+    return [((), value)]
+
+
+@pytest.mark.parametrize("name", sorted(INT_Q_CALLS))
+def test_int_q_stays_exact(name):
+    # an int q gives the values and types of the equal Fraction q, not floats
+    got = placed_scalars(INT_Q_CALLS[name](3))
+    want = placed_scalars(INT_Q_CALLS[name](F(3)))
+    assert [place for place, _ in got] == [place for place, _ in want]
+    for (place, g), (_, w) in zip(got, want):
+        assert type(g) is type(w) and g == w, (place, g, w)
+    assert not any(isinstance(v, float) for _, v in got)
+
+
 # -- validation without asserts -----------------------------------------------------
 
 _INPUT_CHECKS = """
