@@ -45,9 +45,9 @@ from functools import partial
 import mpmath
 
 from .errors import DomainError
-from .lattice import Config, charge_parity, intermediate_configs, is_feasible
+from .lattice import Config, intermediate_configs, is_feasible
 from .models import reversible_measure, single_species_measure
-from .qcalc import _exact_q, phi10, q_krawtchouk, q_poch, q_poch_ratio
+from .qcalc import _check_q, _exact_q, phi10, q_krawtchouk, q_poch, q_poch_ratio
 from .scalars import SNum, is_exact, q_root, sqrt, to_mpf
 
 
@@ -71,7 +71,7 @@ class DualityParams:
 
     def __init__(self, alpha, q):
         alpha = tuple(_exact_q(a) for a in alpha)
-        q = _exact_q(q)
+        q = _check_q(q)
         if isinstance(q, SNum):
             raise DomainError("q=%r must be a rational or a float" % (q,))
         if any(not is_exact(v) for v in alpha + (q,)):
@@ -127,9 +127,6 @@ def _kraw_sites(xi_row, eta_row, theta_row, factor):
     """prod_x factor(eta^x, xi^x, theta^x, shift_x) over the sites where xi
     or eta is occupied (an empty site contributes K_0(1) = 1); 0 when an
     index exceeds its site capacity."""
-    if not len(xi_row) == len(eta_row) == len(theta_row):
-        raise DomainError("rows %s, %s do not match capacities %s"
-                          % (xi_row, eta_row, theta_row))
     for c, e, t in zip(xi_row, eta_row, theta_row):
         if not (0 <= c <= t and 0 <= e <= t):
             return 0
@@ -176,13 +173,10 @@ def w_over_h(xi_row, eta_row, theta_row, p, q):
 
 
 def _check_pair(xi, eta, params):
+    """Types and species count; `intermediate_configs` checks the rest."""
     if not (isinstance(xi, Config) and isinstance(eta, Config)):
         raise DomainError("configurations expected")
-    if xi.is_zero_range or eta.is_zero_range:
-        raise DomainError("capacity-mode configurations expected")
-    if xi.theta != eta.theta:
-        raise DomainError("configurations live on different capacity profiles")
-    if xi.n != params.n or eta.n != params.n:
+    if xi.n != params.n:
         raise DomainError("params carry %d species but configs have %d"
                           % (params.n, xi.n))
 
@@ -291,12 +285,6 @@ def multi_species_D(xi, eta, params):
     return g * value
 
 
-def vertex_duality_D(xi, eta, params):
-    """Duality value for the right-moving stochastic vertex dynamics: the
-    exclusion duality function composed with the species reversal of eta."""
-    return multi_species_D(xi, charge_parity(eta), params)
-
-
 def orthogonality_range_report(xi, eta, params):
     """Sites where the q-Krawtchouk orthogonality constraint p q^{2c} > 1 fails.
 
@@ -359,12 +347,12 @@ def qhahn_D(eta, xi, q):
 
     Argument order follows the left process first: eta moves left, xi moves
     right.  For rational q the value is exact in Q(s), s^2 = q, and rational
-    when q is a perfect square; an SNum q or a negative q raises
-    `DomainError`.  It is also the duality of the single-jump chains
-    `qtazrp_generator` at the same base.
+    when q is a perfect square.  An SNum q or a negative q raises
+    `DomainError`, and q in {-1, 0, 1} `DegenerateQError`.  It is also the
+    duality of the single-jump chains `qtazrp_generator` at the same base.
     """
     _check_zrp_pair(xi, eta)
-    q = _exact_q(q)
+    q = _check_q(q)
     s = q_root(q)
     n, L = xi.n, xi.L
     value = s ** h_exponent(xi, eta)

@@ -126,13 +126,6 @@ def n_total(cfg, i):
     return sum(cfg.counts[i])
 
 
-def charge_parity(cfg):
-    """T: (T xi)_i^x = xi_{n-i}^x, swapping species i with species n-i."""
-    if cfg.is_zero_range:
-        raise DomainError("charge parity needs the hole species (capacity mode)")
-    return Config(tuple(reversed(cfg.counts)), theta=cfg.theta)
-
-
 class Sector(namedtuple("Sector", ["k", "theta"])):
     """Conserved species counts k = (k_0..k_n) on capacities theta."""
 

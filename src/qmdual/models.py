@@ -22,7 +22,7 @@ import itertools
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
 from .ops import SparseMatrix
-from .qcalc import _div, _exact_q, brace_int, q_binom, q_fact, q_poch, qq_binom
+from .qcalc import _check_q, _div, _exact_q, brace_int, q_binom, q_fact, q_poch, qq_binom
 from .scalars import q_root
 
 
@@ -187,15 +187,9 @@ def reversible_measure(cfg, q):
 def single_species_measure(xi, theta, alpha, q):
     """One-species product measure with fugacity alpha on capacities theta.
 
-    xi may be a per-site count tuple, or an n=1 capacity-mode Config (then
-    theta is ignored in favor of the stored capacities).  Returns 0 on
-    counts outside [0, theta^x].  Uses the symmetric Gaussian binomial.
+    xi is the per-site count tuple of the species.  Returns 0 on counts
+    outside [0, theta^x].  Uses the symmetric Gaussian binomial.
     """
-    if isinstance(xi, Config):
-        if xi.is_zero_range or xi.n != 1:
-            raise DomainError("need a one-species capacity-mode Config")
-        theta = xi.theta
-        xi = xi.row(0)
     xi = tuple(xi)
     theta = tuple(theta)
     if len(xi) != len(theta):
@@ -222,6 +216,7 @@ def _phi(gamma, beta, lead, ratio, mu, q):
     """q^chi ratio^|gamma| lead(|gamma|) (ratio; q)_{|beta|-|gamma|}
     / (mu; q)_{|beta|} times the (q;q)-binomials, the product shared by the
     Phi weight and its lambda-derivative; 0 outside 0 <= gamma <= beta."""
+    q = _check_q(q)
     gamma = tuple(int(g) for g in gamma)
     beta = tuple(int(b) for b in beta)
     if len(gamma) != len(beta):
@@ -229,7 +224,7 @@ def _phi(gamma, beta, lead, ratio, mu, q):
                           % (gamma, beta))
     if not all(0 <= g <= b for g, b in zip(gamma, beta)):
         return 0
-    g, b, q = sum(gamma), sum(beta), _exact_q(q)
+    g, b = sum(gamma), sum(beta)
     value = (q ** _chi(beta, gamma) * ratio ** g * lead(g)
              * q_poch(ratio, q, b - g) / q_poch(mu, q, b))
     for bi, gi in zip(beta, gamma):
@@ -291,7 +286,7 @@ def qtazrp_rates(beta, q):
     species i departs at rate q^{beta_[0,i-1]} (1 - q^{beta_i})/(1 - q).
     """
     beta = tuple(int(b) for b in beta)
-    q = _exact_q(q)
+    q = _check_q(q)
     rates = {}
     prefix = 0
     for i, b in enumerate(beta):
@@ -341,20 +336,25 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
     (one conserved-counts sector).  direction "left": sites 2..L emit and
     batches land one site down; "right": sites 1..L-1 emit, batches land
     one site up.  Every site emits simultaneously, so one step multiplies
-    independent per-site weights.
+    independent per-site weights, each computed once per site content.
     """
     basis, emit, step = _zrp_window(window, direction)
+    site_weights = {}
+
+    def weights(beta):
+        if beta not in site_weights:
+            site_weights[beta] = [
+                (gamma, phi_weight(gamma, beta, lam, mu, q))
+                for gamma in itertools.product(*(range(c + 1) for c in beta))]
+        return site_weights[beta]
 
     def moves(cfg):
-        choices = [
-            list(itertools.product(*(range(c + 1) for c in cfg.site(x))))
-            for x in emit
-        ]
+        choices = [weights(cfg.site(x)) for x in emit]
         for batches in itertools.product(*choices):
             prob = 1
             target = cfg
-            for x, gamma in zip(emit, batches):
-                prob = prob * phi_weight(gamma, cfg.site(x), lam, mu, q)
+            for x, (gamma, weight) in zip(emit, batches):
+                prob = prob * weight
                 if prob == 0:
                     break
                 target = _move_batch(target, x, gamma, step)

@@ -118,7 +118,6 @@ def q_poch_ratio(a, q, shift1, shift2):
 
 def _phi_series(m, nums, dens, q, z):
     """sum_{k=0}^{m} (prod (a;q)_k / prod (b;q)_k) z^k / (q;q)_k."""
-    _check_q(q)
     term = total = 1
     for k in range(m):
         # factor picked up when passing from term k to term k+1
@@ -137,7 +136,7 @@ def phi10(m, q, z):
     """1phi0(q^{-m}; -; q, z), the series of degree m (an int >= 0)."""
     if not isinstance(m, int) or m < 0:
         raise DomainError("1phi0 degree %r is not an int >= 0" % (m,))
-    q = _exact_q(q)
+    q = _check_q(q)
     return _phi_series(m, [q ** (-m)], [], q, z)
 
 
@@ -148,6 +147,6 @@ def q_krawtchouk(n, x, p, c, q):
         raise DomainError("q-Krawtchouk degree n=%s outside 0..c=%s" % (n, c))
     if not 0 <= x <= c:
         raise DomainError("q-Krawtchouk argument x=%s outside 0..c=%s" % (x, c))
-    q = _exact_q(q)
+    q = _check_q(q)
     return _phi_series(min(n, x), [q ** (-x), q ** (-n)], [q ** (-c)], q,
                        p * q ** (n + 1))

@@ -30,7 +30,7 @@ from . import lattice, models
 from .errors import DomainError
 from .lattice import ResourceError
 from .ops import SparseMatrix
-from .qcalc import _exact_q, brace_fact, q_int, q_poch
+from .qcalc import _check_q, _exact_q, brace_fact, q_int, q_poch
 from .scalars import is_exact, sqrt, to_mpf
 
 TENSOR_DIM_CAP = 10_000
@@ -203,31 +203,27 @@ def _ladders(basis, q, window=None):
     return out
 
 
-def _nested_root(i, j, ladders, q, k=None):
+def _nested_root(i, j, ladders, q):
     """E_{ij} by the nested q-commutator E_{ij} = E_{ik}E_{kj} - q^{-1}
-    E_{kj}E_{ik}, from the adjacent ones in `_ladders`; k defaults to the
-    neighbor of i toward j."""
+    E_{kj}E_{ik}, from the adjacent ones in `_ladders`, with k the neighbor
+    of i toward j."""
     if abs(i - j) == 1:
         return ladders[i, j]
-    if k is None:
-        k = i + 1 if i < j else i - 1
-    if not (i < k < j or i > k > j):
-        raise DomainError("intermediate %d must sit between %d and %d"
-                          % (k, i, j))
+    k = i + 1 if i < j else i - 1
     A = _nested_root(i, k, ladders, q)
     B = _nested_root(k, j, ladders, q)
     return A @ B + (-1 / q) * (B @ A)
 
 
-def root_vector(i, j, basis, q, k=None):
+def root_vector(i, j, basis, q):
     """Off-diagonal algebra element E_{ij} via the nested q-commutator
-    through the intermediate k.  The result is independent of the chain of
-    intermediates."""
+    through the slots between i and j, taken from i's side.  Any other
+    chain of intermediates gives the same element."""
     if not (0 <= i <= basis.n and 0 <= j <= basis.n and i != j):
         raise DomainError("no root vector E_{%d%d} at rank %d"
                           % (i, j, basis.n))
     q = _exact_q(q)
-    return _nested_root(i, j, _ladders(basis, q), q, k)
+    return _nested_root(i, j, _ladders(basis, q), q)
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +270,6 @@ def bond_casimir(tbasis, x, q):
     if not 0 <= x < tbasis.L - 1:
         raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
     return _casimir(tbasis, _exact_q(q), (x, x + 2))
-
-
-def casimir_scalar(n, m, q):
-    """Eigenvalue of the Casimir on the irreducible V_m^(n).
-
-    Evaluated on the lowest-weight vector mu = (0, ..., 0, m): every product
-    E_{ij} E_{ji} (i < j) applies the slot i -> j mover first, which kills a
-    state with nothing in slots < n, so only the diagonal part survives.
-    """
-    q = _exact_q(q)
-    mu = (0,) * n + (m,)
-    return sum(q ** (2 * i - 2 * n - 1) * q ** (2 * mu[i]) for i in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +365,8 @@ def nilpotent_q_exp(M, qsq, variant="e"):
         raise DomainError("no q-exponential variant %r" % (variant,))
     qsq = _exact_q(qsq)
     N = M.shape[0]
+    if M.shape != (N, N):
+        raise DomainError("matrix %s is not square" % (M.shape,))
     total = term = SparseMatrix.diag([Fraction(1)] * N)
     denom = 1
     for k in range(1, N + 2):
@@ -399,7 +385,7 @@ def nilpotent_q_exp(M, qsq, variant="e"):
 
 def gamma_from_lambda(lam, q):
     """Invert lambda = gamma (1-q^2)(q - q^{-1})."""
-    q = _exact_q(q)
+    q = _check_q(q)
     return lam / ((1 - q ** 2) * (q - 1 / q))
 
 
@@ -414,6 +400,7 @@ def unitary_U(i, lam, tbasis, q):
     """
     # F K_i and K_{i+1} E: the lower and raise coproducts with their columns
     # and rows scaled by the weight diagonals
+    _check_ladder("raise", i, tbasis.n)
     q = _exact_q(q)
     N = len(tbasis)
     k_i, k_next = (_weight(j, tbasis, q) for j in (i, i + 1))
@@ -427,6 +414,7 @@ def unitarity_twist(i, lam, tbasis, q):
     """Pochhammer diagonals (start, end) that make the core U exactly
     unitary: star(U) diag(start) U = diag(end), with the base point
     z = -gamma * lam and gamma = `gamma_from_lambda(lam, q)`."""
+    _check_ladder("raise", i, tbasis.n)
     q = _exact_q(q)
     z = -gamma_from_lambda(lam, q) * lam
     start, end = [], []
@@ -469,7 +457,7 @@ def duality_lambda(alpha, theta, q, shift=0):
     N(theta) = total capacity.  A non-square exact alpha falls back to the
     float backend through `scalars.sqrt`, which warns."""
     root = sqrt(alpha)
-    q = _exact_q(q)
+    q = _check_q(q)
     value = (1 - q ** 2) * q ** (-(sum(theta) - shift))
     return root * (value if is_exact(root) else to_mpf(value))
 
@@ -486,18 +474,6 @@ class AlgebraicDuality:
         self.lambdas = tuple(lambdas)
         self.left_weight = left_weight
         self.right_weight = right_weight
-
-    def sector_block(self, row_key, col_key):
-        groups = self.tbasis.sectors()
-        rows = groups[row_key]
-        cols = {c: b for b, c in enumerate(groups[col_key])}
-        block = {}
-        for a, r in enumerate(rows):
-            row = self.entries.rows.get(r, {})
-            kept = {cols[c]: v for c, v in row.items() if c in cols}
-            if kept:
-                block[a] = kept
-        return SparseMatrix(block, (len(rows), len(cols)))
 
 
 def algebraic_duality(lambdas, tbasis, q):

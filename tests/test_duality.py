@@ -27,14 +27,12 @@ from qmdual.duality import (
     multi_species_D,
     orthogonality_range_report,
     qhahn_D,
-    vertex_duality_D,
     w_over_h,
 )
 from qmdual.errors import DomainError
 from qmdual.lattice import (
     Config,
     Sector,
-    charge_parity,
     enumerate_sector,
     enumerate_zrp_sector,
     intermediate_configs,
@@ -707,29 +705,6 @@ class TestTwoSpeciesReduction:
                 assert got == want, (
                     "case %d at y=(%d,%d): %s != %s"
                     % (two_species_case(x1, x2, y1, y2), y1, y2, got, want))
-
-
-class TestVertexReversal:
-    def test_species_reversal_wiring(self):
-        # the reversal runs over every class, holes included: row i -> n - i
-        params = DualityParams((F(2), F(3)), F(1, 2))
-        basis = printed_basis()
-        # the reversed eta lies in another sector: those blocks float
-        with pytest.warns(UserWarning, match="falling back to mpf"):
-            for xi in basis:
-                for eta in basis:
-                    stack = [eta.row(i) for i in range(eta.rows - 1, -1, -1)]
-                    rev = Config(stack, theta=eta.theta)
-                    assert vertex_duality_D(xi, eta, params) == \
-                        multi_species_D(xi, rev, params)
-
-    def test_reversal_is_involutive_on_duality(self):
-        params = DualityParams((F(2), F(3)), F(1, 2))
-        basis = printed_basis()
-        for xi in basis:
-            for eta in basis:
-                assert vertex_duality_D(xi, charge_parity(eta), params) == \
-                    multi_species_D(xi, eta, params)
 
 
 # -- parameters and domain handling ----------------------------------------------

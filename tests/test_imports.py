@@ -1,5 +1,6 @@
-"""Every name a `qmdual` module imports is read in that module, and every
-private name it defines is read somewhere in the package."""
+"""Every name a `qmdual` module imports is read in that module, every
+private name it defines is read somewhere in the package, and the package
+stays within its line budget."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,16 @@ def test_no_unread_private_name():
                 read.add(node.attr)
     unread = sorted("%s: %s" % pair for pair in defined if pair[1] not in read)
     assert not unread, "private names nothing reads: %s" % unread
+
+
+# the src line budget of ROADMAP.md; the report modules checks.py and cli.py
+# are exempt.  A change that raises it says why in CHANGES.md.
+SRC_LINE_BUDGET = 2331
+
+
+def test_src_line_budget():
+    paths = Path(qmdual.__file__).parent.glob("*.py")
+    lines = sum(p.read_text().count("\n") for p in paths
+                if p.name not in ("checks.py", "cli.py"))
+    assert lines <= SRC_LINE_BUDGET, (
+        "src has %d lines, over the budget of %d" % (lines, SRC_LINE_BUDGET))

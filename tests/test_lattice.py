@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qmdual import lattice
 from qmdual.errors import DomainError
-from qmdual.lattice import (Config, Sector, charge_parity, enumerate_sector,
+from qmdual.lattice import (Config, Sector, enumerate_sector,
                             intermediate_configs, is_feasible, n_total)
 
 
@@ -94,26 +94,6 @@ class TestCounters:
         cfg = Config.zero_range(rows)
         for i in range(2):
             assert sum(cfg.count(i, x) for x in range(1, 4)) == n_total(cfg, i)
-
-
-class TestChargeParity:
-    def test_single_species_swaps_holes(self):
-        cfg = Config([[0, 0], [2, 2]], theta=(2, 2))  # n=1, all holes
-        flipped = charge_parity(cfg)
-        assert flipped.row(0) == (2, 2) and flipped.row(1) == (0, 0)
-
-    def test_involution_on_sector(self):
-        for cfg in enumerate_sector(example_sector()):
-            assert charge_parity(charge_parity(cfg)) == cfg
-
-    def test_zero_range_rejected(self):
-        with pytest.raises(DomainError):
-            charge_parity(Config.zero_range([[1, 0]]))
-
-    def test_sector_reversal(self):
-        for cfg in enumerate_sector(example_sector()):
-            out = charge_parity(cfg)
-            assert tuple(sum(out.row(i)) for i in range(3)) == (2, 1, 1)
 
 
 class TestCompositions:

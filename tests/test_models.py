@@ -1,6 +1,7 @@
 """Generator assembly, reversible measures, Phi weights, zero-range kernels."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -282,12 +283,6 @@ class TestSingleSpeciesMeasure:
             assert all(w > 0 for w in weights)
             check_detailed_balance(gen, weights)
 
-    def test_config_argument_matches_tuple_form(self):
-        q, alpha = F(2, 3), F(1, 3)
-        cfg = Config.capacity([(1, 2, 0)], theta=(2, 2, 1))
-        assert (single_species_measure(cfg, None, alpha, q)
-                == single_species_measure((1, 2, 0), (2, 2, 1), alpha, q))
-
 
 class TestPhiWeight:
     def test_empty_batch_value(self):
@@ -478,6 +473,25 @@ class TestDiscreteKernel:
             for j in range(ker.size):
                 assert ker.entries[i][j] >= 0
 
+    def test_weights_computed_once_per_site_content(self, monkeypatch):
+        # one phi_weight call per batch of each distinct emitting site
+        # content beta, that is prod_i (beta_i + 1) calls per content
+        calls = []
+
+        def counted(gamma, beta, *args):
+            calls.append(beta)
+            return phi_weight(gamma, beta, *args)
+
+        monkeypatch.setattr(models, "phi_weight", counted)
+        want = 0
+        for counts, direction, emit in (((2, 2), "right", (1, 2)),
+                                        ((2, 1), "left", (2, 3))):
+            window = enumerate_zrp_sector(counts, 3)
+            contents = {cfg.site(x) for cfg in window for x in emit}
+            want += sum(math.prod(b + 1 for b in beta) for beta in contents)
+            qhahn_discrete_kernel(window, F(1, 2), F(1, 3), F(1, 3), direction)
+        assert len(calls) == want == 54
+
 
 # -- validation without asserts -----------------------------------------------------
 
@@ -510,10 +524,6 @@ checks = {
         lambda: models.reversible_measure(two, mpf(-0.5)),
     "reversible measure rational q < 0, even half power":
         lambda: models.reversible_measure(two, F(-1, 3)),
-    "one-species measure mode":
-        lambda: models.single_species_measure(zrp, None, F(4), q),
-    "one-species measure species count":
-        lambda: models.single_species_measure(two, None, F(4), q),
     "one-species measure lengths":
         lambda: models.single_species_measure((1, 0), (1, 1, 1), F(4), q),
     "Phi weight lengths":

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmdual import qcalc
+from qmdual import duality, models, qcalc, uqgl
 from qmdual.errors import DegenerateQError, DomainError
+from qmdual.lattice import Config
 from qmdual.scalars import SNum, to_mpf
 
 Q_GRID = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
@@ -157,6 +158,33 @@ def test_int_q_stays_exact(name):
     got, want = INT_Q_CALLS[name](3), INT_Q_CALLS[name](Fraction(3))
     assert type(got) is type(want) is Fraction
     assert got == want
+
+
+# q in {-1, 0, 1} is refused where a q enters, before a negative power of
+# q = 0 divides by zero or a vanishing factor of q = 1 gives a silent value
+_ZRP = Config.zero_range([(1, 0)])
+_CAP = Config.capacity([(1, 0), (0, 1)], (1, 1))
+DEGENERATE_Q_CALLS = {
+    "phi10 q=0": lambda: qcalc.phi10(2, 0, Fraction(1, 2)),
+    "q_krawtchouk q=0": lambda: qcalc.q_krawtchouk(1, 1, Fraction(1, 2), 2, 0),
+    "qhahn_D q=0": lambda: duality.qhahn_D(_ZRP, _ZRP, 0),
+    "multi_species_D q=0": lambda: duality.multi_species_D(
+        _CAP, _CAP, duality.DualityParams((4,), 0)),
+    "duality_lambda q=1": lambda: uqgl.duality_lambda(4, (1, 1), 1),
+    "gamma_from_lambda q=1": lambda: uqgl.gamma_from_lambda(2, 1),
+    "gamma_from_lambda q=-1": lambda: uqgl.gamma_from_lambda(2, -1),
+    "phi_weight q=1": lambda: models.phi_weight(
+        (1,), (2,), Fraction(1, 2), Fraction(1, 3), 1),
+    "qhahn_continuous_rates q=1":
+        lambda: models.qhahn_continuous_rates((2,), Fraction(1, 3), 1),
+    "qtazrp_rates q=1": lambda: models.qtazrp_rates((2,), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_Q_CALLS))
+def test_degenerate_q_raises_at_entry(name):
+    with pytest.raises(DegenerateQError):
+        DEGENERATE_Q_CALLS[name]()
 
 
 class TestPochhammer:

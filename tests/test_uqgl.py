@@ -80,6 +80,18 @@ def root_vector_closed(i, j, basis, q):
     return M
 
 
+def casimir_scalar(n, m, q):
+    """Eigenvalue of the Casimir on the irreducible V_m^(n), the closed-form
+    oracle of `casimir_c1`.
+
+    Evaluated on the lowest-weight vector mu = (0, ..., 0, m): every product
+    E_{ij} E_{ji} (i < j) applies the slot i -> j mover first, which kills a
+    state with nothing in slots < n, so only the diagonal part survives.
+    """
+    mu = (0,) * n + (m,)
+    return sum(q ** (2 * i - 2 * n - 1) * q ** (2 * mu[i]) for i in range(n + 1))
+
+
 def closed_block(tb, alphas, q, ridx, cidx):
     """Closed-form duality entries on a (rows x cols) index block."""
     params = DualityParams(tuple(alphas), q)
@@ -326,20 +338,18 @@ class TestRootVectors:
                             "E_{%d%d} closed form mismatch n=%d m=%d q=%s" % (i, j, n, m, q)
 
     def test_intermediate_independence(self):
-        # E_{03} and E_{30} through either middle slot
-        b = uq.RepBasis(3, 1)
-        for q in QGRID:
-            via1 = uq.root_vector(0, 3, b, q, k=1)
-            via2 = uq.root_vector(0, 3, b, q, k=2)
-            assert zero(via1 - via2), "raising chain depends on intermediate"
-            lo1 = uq.root_vector(3, 0, b, q, k=1)
-            lo2 = uq.root_vector(3, 0, b, q, k=2)
-            assert zero(lo1 - lo2), "lowering chain depends on intermediate"
-
-    def test_bad_intermediate_rejected(self):
-        b = uq.RepBasis(3, 1)
-        with pytest.raises(DomainError):
-            uq.root_vector(0, 2, b, F(1, 2), k=3)
+        # E_{03} and E_{30} as E_{ik}E_{kj} - q^{-1} E_{kj}E_{ik} through
+        # either middle slot k, from the root vectors on both sides of k
+        for m in (1, 2):
+            b = uq.RepBasis(3, m)
+            for q in QGRID:
+                for i, j in ((0, 3), (3, 0)):
+                    want = uq.root_vector(i, j, b, q)
+                    for k in (1, 2):
+                        A = uq.root_vector(i, k, b, q)
+                        B = uq.root_vector(k, j, b, q)
+                        assert zero(A @ B + (-1 / q) * (B @ A) - want), \
+                            "E_{%d%d} via %d differs at m=%d q=%s" % (i, j, k, m, q)
 
     def test_weight_kind_rejected(self):
         # the weight diagonals are weight_matrix
@@ -358,17 +368,17 @@ class TestCasimir:
                 for m in (0, 1, 2, 3):
                     b = uq.RepBasis(n, m)
                     C = uq.casimir_c1(b, q)
-                    lam = uq.casimir_scalar(n, m, q)
+                    lam = casimir_scalar(n, m, q)
                     assert zero(np.asarray(C) - lam * eye(len(b))), \
                         "Casimir not scalar %s on V_%d^(%d) at q=%s" % (lam, m, n, q)
 
     def test_scalar_hand_values(self):
         # lowest-weight evaluation: sum_{i<n} q^{2i-2n-1} + q^{2m-1}
         q = F(1, 2)
-        assert uq.casimir_scalar(1, 1, q) == F(17, 2)
-        assert uq.casimir_scalar(1, 2, q) == F(65, 8)
-        assert uq.casimir_scalar(2, 1, q) == F(81, 2)
-        assert uq.casimir_scalar(2, 2, q) == F(321, 8)
+        assert casimir_scalar(1, 1, q) == F(17, 2)
+        assert casimir_scalar(1, 2, q) == F(65, 8)
+        assert casimir_scalar(2, 1, q) == F(81, 2)
+        assert casimir_scalar(2, 2, q) == F(321, 8)
 
     def test_bond_casimir_commutes_with_chain_coproducts(self):
         cases = [(1, (1, 1)), (1, (2, 1)), (2, (1, 1)), (1, (1, 1, 1))]
@@ -1091,13 +1101,6 @@ class TestAlgebraicDuality:
         right = SparseMatrix.diag(ad.right_weight)
         assert (D.T @ left @ D - right).rows == {}
 
-    def test_sector_block_accessor(self):
-        q = F(1, 2)
-        tb = uq.TensorBasis(1, (1, 1))
-        ad = uq.algebraic_duality([uq.duality_lambda(4, tb.theta, q)], tb, q)
-        blk = ad.sector_block((1, 1), (1, 1))
-        assert blk.shape == (2, 2)
-
 
 # -- exact int q ---------------------------------------------------------------------
 
@@ -1110,7 +1113,6 @@ INT_Q_CALLS = {
     "root_vector": lambda q: uq.root_vector(0, 2, INT_Q_BASIS, q),
     "casimir_c1": lambda q: uq.casimir_c1(INT_Q_BASIS, q),
     "bond_casimir": lambda q: uq.bond_casimir(INT_Q_BASIS, 0, q),
-    "casimir_scalar": lambda q: uq.casimir_scalar(2, 1, q),
     "inner_product": lambda q: uq.inner_product(INT_Q_BASIS, q),
     "star_transform": lambda q: uq.star_transform(INT_Q_RAISE, INT_Q_BASIS, q),
     "ground_state_G": lambda q: uq.ground_state_G(INT_Q_BASIS, q),
@@ -1160,8 +1162,6 @@ from qmdual.ops import SparseMatrix
 q = F(1, 2)
 tb = uq.TensorBasis(1, (1, 1))
 checks = {
-    "root vector intermediate":
-        lambda: uq.root_vector(0, 2, uq.RepBasis(3, 1), q, k=3),
     "module rank": lambda: uq.RepBasis(0, 2),
     "module degree": lambda: uq.RepBasis(1, -1),
     "tensor capacities": lambda: uq.TensorBasis(1, (2, 0)),
@@ -1170,6 +1170,10 @@ checks = {
     "coproduct ladder index": lambda: uq.coproduct_apply("lower", 1, tb, q),
     "q-exponential variant":
         lambda: uq.nilpotent_q_exp(SparseMatrix({}, (2, 2)), F(1, 4), "x"),
+    "q-exponential shape":
+        lambda: uq.nilpotent_q_exp(SparseMatrix({}, (2, 3)), F(1, 4)),
+    "unitary ladder index": lambda: uq.unitary_U(1, 2, tb, q),
+    "twist ladder index": lambda: uq.unitarity_twist(1, 2, tb, q),
     "bond index": lambda: uq.bond_casimir(tb, 1, q),
     "star shape":
         lambda: uq.star_transform(SparseMatrix({}, (3, 3)), tb, q),
