@@ -40,7 +40,6 @@ cached at module level.
 """
 
 import math
-from functools import partial
 
 import mpmath
 
@@ -123,10 +122,10 @@ def _site_shifts(xi_row, eta_row, theta_row):
     return out
 
 
-def _kraw_sites(xi_row, eta_row, theta_row, factor):
-    """prod_x factor(eta^x, xi^x, theta^x, shift_x) over the sites where xi
-    or eta is occupied (an empty site contributes K_0(1) = 1); 0 when an
-    index exceeds its site capacity."""
+def _kraw_sites(xi_row, eta_row, theta_row, params, i):
+    """prod_x `_site_factor`(params, i, eta^x, xi^x, theta^x, shift_x) over
+    the sites where xi or eta is occupied (an empty site contributes
+    K_0(1) = 1); 0 when an index exceeds its site capacity."""
     for c, e, t in zip(xi_row, eta_row, theta_row):
         if not (0 <= c <= t and 0 <= e <= t):
             return 0
@@ -134,7 +133,8 @@ def _kraw_sites(xi_row, eta_row, theta_row, factor):
     for x, shift in enumerate(_site_shifts(xi_row, eta_row, theta_row)):
         if eta_row[x] == 0 and xi_row[x] == 0:
             continue
-        value = value * factor(eta_row[x], xi_row[x], theta_row[x], shift)
+        value = value * _site_factor(params, i, eta_row[x], xi_row[x],
+                                     theta_row[x], shift)
     return value
 
 
@@ -265,7 +265,7 @@ def _kraw_chain(xi, params, intermediates):
         if not is_feasible(iv):
             return 0
         factor = _kraw_sites(xi.row(iv.i), iv.rows[iv.i], iv.theta,
-                             partial(_site_factor, params, iv.i))
+                             params, iv.i)
         if not factor:
             return 0
         value = value * factor

@@ -197,37 +197,20 @@ def enumerate_sector(sector, cap=200_000):
 def enumerate_zrp_sector(counts, L, cap=200_000):
     """All zero-range configurations with the given per-species totals.
 
-    Same order as enumerate_sector: descending lexicographic on the
-    site-major species key.  More than cap configurations raise
+    The species rows of the capacity sector with capacity N = sum(counts)
+    at every site and the holes that fill them: a site of capacity N takes
+    any load, so that walk meets each zero-range configuration once, in
+    `enumerate_sector`'s order.  More than cap configurations raise
     `ResourceError`.
     """
     counts = tuple(int(c) for c in counts)
     if min(counts, default=0) < 0 or L < 1:
         raise DomainError("need counts >= 0 and L >= 1, got %r and L = %r"
                           % (counts, L))
-    nsp = len(counts)
-    configs = []
-
-    def fill(x, remaining):
-        if x == L:
-            if len(configs) == cap:
-                raise ResourceError("sector larger than cap=%d" % cap)
-            grid = sites + [remaining]
-            configs.append(Config.zero_range(
-                [[site[i] for site in grid] for i in range(nsp)]))
-            return
-        # a site takes any load up to what is left; the last part is the
-        # slack that stays for the sites to its right
-        t = sum(remaining)
-        for comp in compositions(t, remaining + (t,)):
-            comp = comp[:-1]
-            sites.append(comp)
-            fill(x + 1, tuple(r - c for r, c in zip(remaining, comp)))
-            sites.pop()
-
-    sites = []
-    fill(1, counts)
-    return configs
+    N, nsp = sum(counts), len(counts)
+    sector = Sector(counts + ((L - 1) * N,), (N,) * L)
+    return [Config._unchecked(cfg.counts[:nsp], None, nsp)
+            for cfg in enumerate_sector(sector, cap)]
 
 
 Intermediate = namedtuple("Intermediate", ["i", "rows", "theta"])

@@ -267,6 +267,7 @@ def qhahn_continuous_rates(beta, mu, q):
     Returns {gamma: rate}; rates are nonnegative for mu in [0, 1),
     q in (0, 1), and every rate carries a factor mu^{|gamma|}.
     """
+    q = _check_q(q)
     beta = tuple(int(b) for b in beta)
     rates = {}
     for gamma in itertools.product(*(range(b + 1) for b in beta)):

@@ -5,15 +5,14 @@ finite modules V_m^(n) and on their tensor products over a chain: the ladder
 generators and their coproducts, the weight diagonals, the Casimir, the
 *-structure and inner product, the diagonal ground-state transform,
 nilpotent q-exponentials, and the unitary symmetry built from them.  A
-module is a one-leg chain, so `coproduct_apply`, `weight_matrix`,
-`inner_product` and `casimir_c1` take either basis.  Every operator comes
-from one ladder move (`_ladder`, applied leg by leg in `_coproduct`), every
-root vector from one nested q-commutator recursion, and every diagonal
-rescaling goes through `SparseMatrix.scaled`.  The bridge functions at the
-bottom translate tensor-basis states to lattice configurations (slot i =
-species i for i < n, slot n = holes) and assemble the matching Markov
-generator with the models module's loop; the conjugation and duality checks
-run against it.
+module V_m is the one-site chain `TensorBasis(n, (m,))`.  Every operator
+comes from one ladder move (`_ladder`, applied site by site in
+`_coproduct`), every root vector from one nested q-commutator recursion,
+and every diagonal rescaling goes through `SparseMatrix.scaled`.  The
+bridge functions at the bottom translate tensor-basis states to lattice
+configurations (slot i = species i for i < n, slot n = holes) and assemble
+the matching Markov generator with the models module's loop; the
+conjugation and duality checks run against it.
 
 Every matrix taken or returned is a `qmdual.ops.SparseMatrix` over exact
 scalars unless stated otherwise: each ladder factor shifts the weight by a
@@ -24,7 +23,7 @@ An int q becomes a Fraction on entry, as in `qcalc`.
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from . import lattice, models
 from .errors import DomainError
@@ -40,67 +39,43 @@ TENSOR_DIM_CAP = 10_000
 # bases
 
 
-class RepBasis:
-    """Weight basis of V_m^(n): all (n+1)-tuples of nonnegative ints summing
-    to m, in descending lexicographic order (`lattice.compositions`)."""
-
-    __slots__ = ("n", "m", "states", "index")
-
-    def __init__(self, n, m):
-        if n < 1 or m < 0:
-            raise DomainError("no module V_%r^(%r)" % (m, n))
-        states = tuple(lattice.compositions(m, (m,) * (n + 1)))
-        assert len(states) == comb(m + n, n)
-        self.n = n
-        self.m = m
-        self.states = states
-        self.index = {mu: k for k, mu in enumerate(states)}
-
-    def __len__(self):
-        return len(self.states)
-
-    def __repr__(self):
-        return "RepBasis(n=%d, m=%d, dim=%d)" % (self.n, self.m, len(self))
-
-
 class TensorBasis:
-    """Ordered tensor product of per-site weight bases (site x gets V_{theta^x}).
+    """Weight basis of the chain V_{theta^1} (x) ... (x) V_{theta^L} of
+    rank-n modules; a module V_m is the one-site chain TensorBasis(n, (m,)).
 
-    States are L-tuples of (n+1)-tuples; kron index order matches
-    itertools.product over the legs.
+    The basis of V_m is the (n+1)-tuples of nonnegative ints summing to m,
+    in descending lexicographic order (`lattice.compositions`).  States are
+    L-tuples of these, ordered as itertools.product over the sites, which
+    is the kron index order.
     """
 
-    __slots__ = ("n", "theta", "legs", "states", "index")
+    __slots__ = ("n", "theta", "states", "index")
 
     def __init__(self, n, theta):
         theta = tuple(int(t) for t in theta)
+        if n < 1:
+            raise DomainError("no modules of rank %r" % (n,))
         if not theta or min(theta) < 1:
             raise DomainError("capacities %s must be positive" % (theta,))
-        legs = [RepBasis(n, m) for m in theta]
-        dim = 1
-        for leg in legs:
-            dim *= len(leg)
+        dim = prod(comb(m + n, n) for m in theta)
         if dim > TENSOR_DIM_CAP:
             raise ResourceError("tensor dimension %d exceeds cap %d"
                                 % (dim, TENSOR_DIM_CAP))
         self.n = n
         self.theta = theta
-        self.legs = tuple(legs)
-        self.states = tuple(itertools.product(*(leg.states for leg in legs)))
+        self.states = tuple(itertools.product(
+            *(lattice.compositions(m, (m,) * (n + 1)) for m in theta)))
         self.index = {st: k for k, st in enumerate(self.states)}
 
     @property
     def L(self):
-        return len(self.legs)
+        return len(self.theta)
 
     def __len__(self):
         return len(self.states)
 
-    def slot_total(self, state, i):
-        return sum(mu[i] for mu in state)
-
     def sector_key(self, state):
-        return tuple(self.slot_total(state, i) for i in range(self.n + 1))
+        return tuple(sum(mu[i] for mu in state) for i in range(self.n + 1))
 
     def sectors(self):
         """Map sector key -> list of state indices, in enumeration order."""
@@ -115,15 +90,7 @@ class TensorBasis:
 
 
 # ---------------------------------------------------------------------------
-# generators on a chain; a RepBasis is a one-leg chain
-
-
-def _chain(basis):
-    """(states, index) with every state a tuple of per-leg weights."""
-    if isinstance(basis, TensorBasis):
-        return basis.states, basis.index
-    return ([(mu,) for mu in basis.states],
-            {(mu,): k for mu, k in basis.index.items()})
+# generators on a chain
 
 
 def _check_ladder(kind, i, n):
@@ -146,13 +113,13 @@ def _ladder(kind, i, mu, q):
 
 
 def _coproduct(kind, i, basis, q, window=None):
-    """Sparse coproduct_apply on the legs lo <= x < hi of window = (lo, hi)
-    (default: every leg), identity on the others.  The ladder acts on leg x,
-    times q^{+-sum_y (mu_i^y - mu_{i+1}^y)} over the window legs y on the K
-    side (y < x with + for raise, y > x with - for lower)."""
+    """Sparse coproduct_apply on the sites lo <= x < hi of window = (lo, hi)
+    (default: every site), identity on the others.  The ladder acts on site
+    x, times q^{+-sum_y (mu_i^y - mu_{i+1}^y)} over the window sites y on
+    the K side (y < x with + for raise, y > x with - for lower)."""
     _check_ladder(kind, i, basis.n)
-    states, index = _chain(basis)
-    lo, hi = window or (0, len(states[0]))
+    states, index = basis.states, basis.index
+    lo, hi = window or (0, basis.L)
     sign = 1 if kind == "raise" else -1
     out = {}
     for c, st in enumerate(states):
@@ -166,31 +133,30 @@ def _coproduct(kind, i, basis, q, window=None):
     return SparseMatrix(out, (len(states), len(states)))
 
 
-def _weight(i, basis, q, power=1, window=None):
-    """Diagonal entries q^{power * sum_x mu_i^x} over the window legs x."""
+def _weight(i, basis, q, window=None):
+    """Diagonal entries q^{sum_x mu_i^x} over the window sites x."""
     lo, hi = window or (0, None)
-    return [q ** (power * sum(mu[i] for mu in st[lo:hi]))
-            for st in _chain(basis)[0]]
+    return [q ** sum(mu[i] for mu in st[lo:hi]) for st in basis.states]
 
 
 def coproduct_apply(kind, i, basis, q):
-    """One ladder generator on a RepBasis, or its iterated coproduct on a
-    TensorBasis.
+    """The iterated coproduct of one ladder generator on a chain; on a
+    one-site chain, the generator itself.
 
     kind "raise" moves one unit from slot i+1 to slot i, coefficient
     [mu_{i+1}]_q; kind "lower" moves one from slot i to i+1, coefficient
-    [mu_i]_q.  On a chain, raise is the sum over legs x of
-    (K_i K_{i+1}^{-1}) on legs y<x, the raise matrix at x, identity on y>x;
-    lower is identity left, lower at x, (K_i^{-1} K_{i+1}) right.  The
-    weight diagonals are `weight_matrix`.
+    [mu_i]_q.  Raise is the sum over sites x of (K_i K_{i+1}^{-1}) on sites
+    y<x, the raise matrix at x, identity on y>x; lower is identity left,
+    lower at x, (K_i^{-1} K_{i+1}) right.  The weight diagonals are
+    `weight_matrix`.
     """
     return _coproduct(kind, i, basis, _exact_q(q))
 
 
-def weight_matrix(i, basis, q, power=1):
-    """Diagonal q^{power * mu_i} on a RepBasis, q^{power * sum_x mu_i^x} on
-    a TensorBasis."""
-    return SparseMatrix.diag(_weight(i, basis, _exact_q(q), power))
+def weight_matrix(i, basis, q):
+    """Diagonal K_i = q^{sum_x mu_i^x} over the sites x; K_i^{-1} is
+    weight_matrix(i, basis, 1 / q)."""
+    return SparseMatrix.diag(_weight(i, basis, _exact_q(q)))
 
 
 def _ladders(basis, q, window=None):
@@ -231,8 +197,8 @@ def root_vector(i, j, basis, q):
 
 
 def _casimir(basis, q, window=None):
-    """First-order Casimir of the window legs (default: every leg), identity
-    elsewhere: sum_i q^{2i-2n-1} K_i^2 plus (q - q^{-1})^2 times
+    """First-order Casimir of the window sites (default: every site),
+    identity elsewhere: sum_i q^{2i-2n-1} K_i^2 plus (q - q^{-1})^2 times
     sum_{i<j} q^{2j-2n-2} K_i K_j E_{ij} E_{ji}, on the window coproducts."""
     n = basis.n
     ladders = _ladders(basis, q, window)
@@ -251,22 +217,21 @@ def _casimir(basis, q, window=None):
 
 
 def casimir_c1(basis, q):
-    """Casimir matrix: scalar on a RepBasis, and the SUM of bond-embedded
-    two-site coproduct Casimirs on a TensorBasis.
+    """Casimir matrix: the SUM of bond-embedded two-site coproduct Casimirs
+    on a chain of two or more sites, and the module's Casimir, a scalar, on
+    one site.
 
     The bond sum is the operative chain element: the full iterated coproduct
     of the Casimir is not nearest-neighbor, while each bond embedding is, and
-    the sum still commutes with every iterated-coproduct generator.  A
-    single leg is its own module.
+    the sum still commutes with every iterated-coproduct generator.
     """
     q = _exact_q(q)
-    legs = len(_chain(basis)[0][0])
-    bonds = [_casimir(basis, q, (x, x + 2)) for x in range(legs - 1)]
+    bonds = [_casimir(basis, q, (x, x + 2)) for x in range(basis.L - 1)]
     return sum(bonds[1:], bonds[0]) if bonds else _casimir(basis, q)
 
 
 def bond_casimir(tbasis, x, q):
-    """Two-site coproduct Casimir on legs (x, x+1), identity elsewhere."""
+    """Two-site coproduct Casimir on sites (x, x+1), identity elsewhere."""
     if not 0 <= x < tbasis.L - 1:
         raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
     return _casimir(tbasis, _exact_q(q), (x, x + 2))
@@ -276,7 +241,7 @@ def bond_casimir(tbasis, x, q):
 # inner product and *-structure
 
 
-def _leg_weight(mu, q):
+def _site_weight(mu, q):
     val = q ** (-sum(i * c for i, c in enumerate(mu)))
     for c in mu:
         val = val * brace_fact(c, q)
@@ -286,17 +251,17 @@ def _leg_weight(mu, q):
 def inner_product(basis, q):
     """Diagonal inner-product weights <v, v> per basis vector.
 
-    Radical-free normalization: per leg q^{-sum_i i*mu_i} times the product
+    Radical-free normalization: per site q^{-sum_i i*mu_i} times the product
     of curly factorials; this differs from the q^{sum mu_i^2 / 2} form by a
     constant factor per module, which drops out of every adjointness and
     star computation.
     """
     q = _exact_q(q)
     out = []
-    for st in _chain(basis)[0]:
+    for st in basis.states:
         val = Fraction(1)
         for mu in st:
-            val = val * _leg_weight(mu, q)
+            val = val * _site_weight(mu, q)
         out.append(val)
     if not all(v > 0 for v in out):
         raise DomainError("inner product at q=%r is not positive definite" % (q,))

@@ -242,6 +242,28 @@ class TestZRPEnumeration:
         with pytest.raises(lattice.ResourceError):
             lattice.enumerate_zrp_sector((6, 6), 6, cap=10)
 
+    def test_matches_brute_force_grid(self):
+        # each species row is any L-tuple with its total; the grids sorted
+        # descending on the site-major key.  The enumeration builds its
+        # configurations without re-validating them, so each must also be
+        # what the validating constructor gives
+        for n in (1, 2, 3):
+            for counts in itertools.product(range(4), repeat=n):
+                for L in range(1, 5):
+                    rows = [[r for r in itertools.product(range(c + 1), repeat=L)
+                             if sum(r) == c] for c in counts]
+                    want = sorted(itertools.product(*rows), reverse=True,
+                                  key=lambda g: tuple(zip(*g)))
+                    got = lattice.enumerate_zrp_sector(counts, L)
+                    assert [cfg.counts for cfg in got] == want, (counts, L)
+                    for cfg in got:
+                        valid = Config.zero_range(cfg.counts)
+                        assert cfg == valid and hash(cfg) == hash(valid)
+                        assert (cfg.L, cfg.n, cfg.theta) == (L, n, None)
+                        assert all(type(row) is tuple
+                                   and all(type(c) is int for c in row)
+                                   for row in cfg.counts)
+
     @pytest.mark.parametrize("counts,L", [((1,), 3), ((2, 1), 3)])
     def test_cap_boundary(self, counts, L):
         N = len(lattice.enumerate_zrp_sector(counts, L))

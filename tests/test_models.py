@@ -500,7 +500,7 @@ import sys
 from fractions import Fraction as F
 from mpmath import mpf
 from qmdual import models
-from qmdual.errors import DomainError
+from qmdual.errors import DegenerateQError, DomainError
 from qmdual.lattice import Config
 from qmdual.scalars import SNum
 q = F(1, 2)
@@ -541,10 +541,23 @@ checks = {
     "window totals": lambda: models.qhahn_discrete_kernel(
         window([(1, 0)], [(2, 0)]), F(1, 2), F(1, 3), q, "left"),
 }
+degenerate = {
+    "continuous rates, empty site, q = 1":
+        lambda: models.qhahn_continuous_rates((0,), F(1, 3), 1),
+    "continuous generator, empty sites, q = 1":
+        lambda: models.qhahn_continuous_generator(
+            window([(0, 0)]), F(1, 3), 1, "left"),
+}
 for name, call in checks.items():
     try:
         call()
     except DomainError:
+        continue
+    print("accepted:", name)
+for name, call in degenerate.items():
+    try:
+        call()
+    except DegenerateQError:
         continue
     print("accepted:", name)
 print("optimize", sys.flags.optimize)

@@ -177,6 +177,11 @@ DEGENERATE_Q_CALLS = {
         (1,), (2,), Fraction(1, 2), Fraction(1, 3), 1),
     "qhahn_continuous_rates q=1":
         lambda: models.qhahn_continuous_rates((2,), Fraction(1, 3), 1),
+    "qhahn_continuous_rates empty site q=1":
+        lambda: models.qhahn_continuous_rates((0,), Fraction(1, 3), 1),
+    "qhahn_continuous_generator empty sites q=1":
+        lambda: models.qhahn_continuous_generator(
+            [Config.zero_range([(0, 0)])], Fraction(1, 3), 1, "left"),
     "qtazrp_rates q=1": lambda: models.qtazrp_rates((2,), 1),
 }
 

@@ -70,12 +70,12 @@ def root_vector_closed(i, j, basis, q):
     over the slots strictly between i and j."""
     lo, hi = sorted((i, j))
     M = zeros(len(basis))
-    for kk, mu in enumerate(basis.states):
+    for kk, (mu,) in enumerate(basis.states):
         if mu[j]:
             tgt = list(mu)
             tgt[j] -= 1
             tgt[i] += 1
-            M[basis.index[tuple(tgt)], kk] = \
+            M[basis.index[(tuple(tgt),)], kk] = \
                 q ** sum(mu[lo + 1:hi]) * q_int(mu[j], q)
     return M
 
@@ -105,19 +105,20 @@ def closed_block(tb, alphas, q, ridx, cidx):
 
 
 def kron_coproduct_oracle(kind, i, tbasis, q):
-    """coproduct_apply as the sum over legs x of kron products: the weight
-    factor K_i K_{i+1}^{-1} on the legs left of x (raise) or its inverse on
-    the legs right of x (lower), the ladder at x, identities elsewhere."""
+    """coproduct_apply as the sum over sites x of kron products: the weight
+    factor K_i K_{i+1}^{-1} on the sites left of x (raise) or its inverse on
+    the sites right of x (lower), the ladder at x, identities elsewhere."""
     total = None
     for x in range(tbasis.L):
         factors = []
-        for y, leg in enumerate(tbasis.legs):
+        for y, m in enumerate(tbasis.theta):
+            leg = uq.TensorBasis(tbasis.n, (m,))
             if y == x:
                 factors.append(gen(kind, i, leg, q))
             elif (y < x) == (kind == "raise"):
-                sign = 1 if kind == "raise" else -1
-                factors.append(uq.weight_matrix(i, leg, q, power=sign)
-                               @ uq.weight_matrix(i + 1, leg, q, power=-sign))
+                qs = q if kind == "raise" else 1 / q
+                factors.append(uq.weight_matrix(i, leg, qs)
+                               @ uq.weight_matrix(i + 1, leg, 1 / qs))
             else:
                 factors.append(eye(len(leg)))
         term = kron_all(factors)
@@ -126,13 +127,13 @@ def kron_coproduct_oracle(kind, i, tbasis, q):
 
 
 def dense_casimir_oracle(basis, q, bond=None):
-    """casimir_c1 on a RepBasis, or bond_casimir(basis, bond, q) on a
-    TensorBasis, by dense products: the Casimir of the module, or of the
-    two-leg chain on the bond kron'ed with identities on the other legs.
+    """casimir_c1 on a one-site chain, or bond_casimir(basis, bond, q), by
+    dense products: the Casimir of the module, or of the two-site chain on
+    the bond kron'ed with identities on the other sites.
     The root vectors are nested q-commutators of the dense ladders."""
     if bond is not None:
         pair = uq.TensorBasis(basis.n, basis.theta[bond:bond + 2])
-        ids = [eye(len(leg)) for leg in basis.legs]
+        ids = [eye(comb(m + basis.n, basis.n)) for m in basis.theta]
         return kron_all(ids[:bond] + [dense_casimir_oracle(pair, q)]
                         + ids[bond + 2:])
     n = basis.n
@@ -203,18 +204,18 @@ def orthogonality_residual(ad):
 class TestBases:
     def test_rep_dimension(self):
         for n in (1, 2, 3):
-            for m in (0, 1, 2, 3):
-                b = uq.RepBasis(n, m)
+            for m in (1, 2, 3):
+                b = uq.TensorBasis(n, (m,))
                 assert len(b) == comb(m + n, n), (n, m)
 
     def test_rep_order_leading_slot_descends(self):
-        b = uq.RepBasis(1, 2)
-        assert b.states == ((2, 0), (1, 1), (0, 2))
+        b = uq.TensorBasis(1, (2,))
+        assert b.states == (((2, 0),), ((1, 1),), ((0, 2),))
 
     def test_rep_index_roundtrip(self):
-        b = uq.RepBasis(2, 2)
-        for k, mu in enumerate(b.states):
-            assert b.index[mu] == k
+        b = uq.TensorBasis(2, (2,))
+        for k, st_ in enumerate(b.states):
+            assert b.index[st_] == k
 
     def test_tensor_dimension_and_sectors(self):
         tb = uq.TensorBasis(1, (2, 1))
@@ -245,14 +246,14 @@ class TestDefiningRelations:
     @pytest.mark.parametrize("n,m", MODULES)
     def test_ladder_commutator_gives_weight_difference(self, n, m):
         for q in QGRID:
-            b = uq.RepBasis(n, m)
+            b = uq.TensorBasis(n, (m,))
             for i in range(n):
                 E = gen("raise", i, b, q)
                 Fl = gen("lower", i, b, q)
                 Ki = uq.weight_matrix(i, b, q)
                 Ki1 = uq.weight_matrix(i + 1, b, q)
-                KiI = uq.weight_matrix(i, b, q, power=-1)
-                Ki1I = uq.weight_matrix(i + 1, b, q, power=-1)
+                KiI = uq.weight_matrix(i, b, 1 / q)
+                Ki1I = uq.weight_matrix(i + 1, b, 1 / q)
                 want = (Ki @ Ki1I - KiI @ Ki1) * (1 / (q - 1 / q))
                 assert zero(comm(E, Fl) - want), \
                     "[E,F] != weight difference at n=%d m=%d i=%d q=%s" % (n, m, i, q)
@@ -262,7 +263,7 @@ class TestDefiningRelations:
         if n < 2:
             pytest.skip("needs two ladder indices")
         for q in QGRID[:2]:
-            b = uq.RepBasis(n, m)
+            b = uq.TensorBasis(n, (m,))
             assert zero(comm(gen("raise", 0, b, q), gen("lower", 1, b, q)))
             assert zero(comm(gen("raise", 1, b, q), gen("lower", 0, b, q)))
 
@@ -270,7 +271,7 @@ class TestDefiningRelations:
     def test_weight_vs_ladder_commutation(self, n, m):
         # K_i E_j = q^{[i=j] - [i=j+1]} E_j K_i, and the inverse power for F_j
         for q in QGRID[:2]:
-            b = uq.RepBasis(n, m)
+            b = uq.TensorBasis(n, (m,))
             for i in range(n + 1):
                 K = uq.weight_matrix(i, b, q)
                 for j in range(n):
@@ -283,7 +284,7 @@ class TestDefiningRelations:
     def test_serre_adjacent(self):
         for q in QGRID:
             for m in (1, 2, 3):
-                b = uq.RepBasis(2, m)
+                b = uq.TensorBasis(2, (m,))
                 for kind in ("raise", "lower"):
                     for i, j in ((0, 1), (1, 0)):
                         A = gen(kind, i, b, q)
@@ -296,7 +297,7 @@ class TestDefiningRelations:
         # indices two apart need rank three
         for q in QGRID[:2]:
             for m in (1, 2):
-                b = uq.RepBasis(3, m)
+                b = uq.TensorBasis(3, (m,))
                 assert zero(comm(gen("raise", 0, b, q), gen("raise", 2, b, q)))
                 assert zero(comm(gen("lower", 0, b, q), gen("lower", 2, b, q)))
 
@@ -307,7 +308,7 @@ class TestDefiningRelations:
         n = 3
         if j >= n:
             j = n - 1
-        b = uq.RepBasis(n, m)
+        b = uq.TensorBasis(n, (m,))
         K = uq.weight_matrix(i, b, q)
         E = gen("raise", j, b, q)
         d = (1 if i == j else 0) - (1 if i == j + 1 else 0)
@@ -318,7 +319,7 @@ class TestDefiningRelations:
 
 class TestRootVectors:
     def test_adjacent_cases_are_plain_generators(self):
-        b = uq.RepBasis(2, 2)
+        b = uq.TensorBasis(2, (2,))
         q = F(1, 2)
         assert zero(uq.root_vector(0, 1, b, q) - gen("raise", 0, b, q))
         assert zero(uq.root_vector(2, 1, b, q) - gen("lower", 1, b, q))
@@ -326,7 +327,7 @@ class TestRootVectors:
     def test_nested_commutator_matches_closed_form(self):
         cases = [(2, 1), (2, 2), (3, 1)]
         for n, m in cases:
-            b = uq.RepBasis(n, m)
+            b = uq.TensorBasis(n, (m,))
             for q in QGRID:
                 for i in range(n + 1):
                     for j in range(n + 1):
@@ -341,7 +342,7 @@ class TestRootVectors:
         # E_{03} and E_{30} as E_{ik}E_{kj} - q^{-1} E_{kj}E_{ik} through
         # either middle slot k, from the root vectors on both sides of k
         for m in (1, 2):
-            b = uq.RepBasis(3, m)
+            b = uq.TensorBasis(3, (m,))
             for q in QGRID:
                 for i, j in ((0, 3), (3, 0)):
                     want = uq.root_vector(i, j, b, q)
@@ -354,8 +355,6 @@ class TestRootVectors:
     def test_weight_kind_rejected(self):
         # the weight diagonals are weight_matrix
         with pytest.raises(DomainError):
-            uq.coproduct_apply("weight", 0, uq.RepBasis(1, 1), F(1, 2))
-        with pytest.raises(DomainError):
             uq.coproduct_apply("weight", 0, uq.TensorBasis(1, (1,)), F(1, 2))
 
 
@@ -365,8 +364,8 @@ class TestCasimir:
     def test_scalar_on_irreducible(self):
         for q in QGRID:
             for n in (1, 2):
-                for m in (0, 1, 2, 3):
-                    b = uq.RepBasis(n, m)
+                for m in (1, 2, 3):
+                    b = uq.TensorBasis(n, (m,))
                     C = uq.casimir_c1(b, q)
                     lam = casimir_scalar(n, m, q)
                     assert zero(np.asarray(C) - lam * eye(len(b))), \
@@ -397,7 +396,7 @@ class TestCasimir:
 
     def test_casimir_star_invariant(self):
         q = F(2, 3)
-        b = uq.RepBasis(2, 2)
+        b = uq.TensorBasis(2, (2,))
         C = uq.casimir_c1(b, q)
         assert zero(uq.star_transform(C, b, q) - C), "C* != C on the module"
         tb = uq.TensorBasis(1, (2, 1))
@@ -411,14 +410,10 @@ class TestCasimir:
         for x, want in enumerate(bonds):
             assert zero(np.asarray(uq.bond_casimir(tb, x, q)) - want), x
         assert zero(np.asarray(uq.casimir_c1(tb, q)) - sum(bonds[1:], bonds[0]))
-        for leg in tb.legs:
+        for m in tb.theta:
+            leg = uq.TensorBasis(tb.n, (m,))
             assert zero(np.asarray(uq.casimir_c1(leg, q))
                         - dense_casimir_oracle(leg, q))
-
-    def test_single_site_chain_equals_module(self):
-        q = F(1, 2)
-        tb = uq.TensorBasis(2, (2,))
-        assert zero(uq.casimir_c1(tb, q) - uq.casimir_c1(tb.legs[0], q))
 
 
 # -- inner product and star ----------------------------------------------------------
@@ -427,31 +422,32 @@ class TestStarStructure:
     def test_inner_product_hand_values_one_site(self):
         # states (1,0),(0,1): weights 1 and q^{-1}
         q = F(1, 2)
-        b = uq.RepBasis(1, 1)
+        b = uq.TensorBasis(1, (1,))
         w = uq.inner_product(b, q)
         assert w == [F(1), F(2)], "got %s" % (w,)
 
     def test_inner_product_multiplicative_over_legs(self):
         q = F(2, 3)
         tb = uq.TensorBasis(1, (2, 1))
+        left, right = uq.TensorBasis(1, (2,)), uq.TensorBasis(1, (1,))
         w = uq.inner_product(tb, q)
-        wl = uq.inner_product(tb.legs[0], q)
-        wr = uq.inner_product(tb.legs[1], q)
+        wl = uq.inner_product(left, q)
+        wr = uq.inner_product(right, q)
         for k, st_ in enumerate(tb.states):
-            a = tb.legs[0].index[st_[0]]
-            b_ = tb.legs[1].index[st_[1]]
+            a = left.index[st_[:1]]
+            b_ = right.index[st_[1:]]
             assert w[k] == wl[a] * wr[b_]
 
     def test_star_raise_is_dressed_lower(self):
         # star(E_i) = F_i q^{E_ii - E_{i+1,i+1}} as matrices
         for n, m in [(1, 2), (2, 2)]:
             for q in QGRID:
-                b = uq.RepBasis(n, m)
+                b = uq.TensorBasis(n, (m,))
                 for i in range(n):
                     E = gen("raise", i, b, q)
                     Fl = gen("lower", i, b, q)
                     dress = uq.weight_matrix(i, b, q) \
-                        @ uq.weight_matrix(i + 1, b, q, power=-1)
+                        @ uq.weight_matrix(i + 1, b, 1 / q)
                     assert zero(uq.star_transform(E, b, q) - Fl @ dress), \
                         "star(E_%d) mismatch n=%d m=%d q=%s" % (i, n, m, q)
 
@@ -460,25 +456,25 @@ class TestStarStructure:
         # from the raising case
         for n, m in [(1, 2), (2, 2)]:
             for q in QGRID:
-                b = uq.RepBasis(n, m)
+                b = uq.TensorBasis(n, (m,))
                 for i in range(n):
                     E = gen("raise", i, b, q)
                     Fl = gen("lower", i, b, q)
-                    dress = uq.weight_matrix(i, b, q, power=-1) \
+                    dress = uq.weight_matrix(i, b, 1 / q) \
                         @ uq.weight_matrix(i + 1, b, q)
                     assert zero(uq.star_transform(Fl, b, q) - dress @ E), \
                         "star(F_%d) mismatch n=%d m=%d q=%s" % (i, n, m, q)
 
     def test_star_fixes_weights(self):
         q = F(1, 2)
-        b = uq.RepBasis(2, 2)
+        b = uq.TensorBasis(2, (2,))
         for i in range(3):
             K = uq.weight_matrix(i, b, q)
             assert zero(uq.star_transform(K, b, q) - K)
 
     def test_star_is_involution_and_antihomomorphism(self):
         q = F(2, 3)
-        b = uq.RepBasis(2, 2)
+        b = uq.TensorBasis(2, (2,))
         A = gen("raise", 0, b, q)
         B = gen("lower", 1, b, q) @ uq.weight_matrix(1, b, q)
         M = A @ B + sparse(3 * eye(len(b)))
@@ -490,7 +486,7 @@ class TestStarStructure:
     def test_adjointness_against_inner_product(self):
         # <X v_c, v_r> w-weighted equals <v_c, star(X) v_r> entrywise
         q = F(1, 2)
-        b = uq.RepBasis(2, 2)
+        b = uq.TensorBasis(2, (2,))
         w = uq.inner_product(b, q)
         for kind, i in [("raise", 0), ("raise", 1), ("lower", 0), ("lower", 1),
                         ("weight", 1)]:
@@ -505,15 +501,6 @@ class TestStarStructure:
 # -- coproduct ---------------------------------------------------------------------
 
 class TestCoproduct:
-    def test_single_leg_reduces_to_generator(self):
-        q = F(1, 2)
-        tb = uq.TensorBasis(2, (2,))
-        for kind, i in [("raise", 0), ("lower", 1)]:
-            got = uq.coproduct_apply(kind, i, tb, q)
-            want = gen(kind, i, tb.legs[0], q)
-            assert zero(got - want)
-        assert zero(uq.weight_matrix(2, tb, q) - uq.weight_matrix(2, tb.legs[0], q))
-
     def test_chain_relations_survive(self):
         # the coproduct is an algebra map: defining relations hold on legs
         for n, theta in [(1, (1, 1)), (1, (2, 1)), (2, (1, 1))]:
@@ -523,8 +510,8 @@ class TestCoproduct:
                     E = uq.coproduct_apply("raise", i, tb, q)
                     Fl = uq.coproduct_apply("lower", i, tb, q)
                     Ki = uq.weight_matrix(i, tb, q)
-                    Ki1I = uq.weight_matrix(i + 1, tb, q, power=-1)
-                    KiI = uq.weight_matrix(i, tb, q, power=-1)
+                    Ki1I = uq.weight_matrix(i + 1, tb, 1 / q)
+                    KiI = uq.weight_matrix(i, tb, 1 / q)
                     Ki1 = uq.weight_matrix(i + 1, tb, q)
                     want = (Ki @ Ki1I - KiI @ Ki1) * (1 / (q - 1 / q))
                     assert zero(comm(E, Fl) - want), (n, theta, i, q)
@@ -546,7 +533,7 @@ class TestCoproduct:
         tb = uq.TensorBasis(n, theta)
         pair12 = uq.TensorBasis(n, theta[:2])
         pair23 = uq.TensorBasis(n, theta[1:])
-        leg1, leg3 = uq.RepBasis(n, theta[0]), uq.RepBasis(n, theta[2])
+        leg1, leg2, leg3 = (uq.TensorBasis(n, (m,)) for m in theta)
         for i in range(n):
             for kind in ("raise", "lower"):
                 flat = uq.coproduct_apply(kind, i, tb, q)
@@ -556,24 +543,24 @@ class TestCoproduct:
                 X1 = gen(kind, i, leg1, q)
                 if kind == "raise":
                     Kt12 = uq.weight_matrix(i, pair12, q) \
-                        @ uq.weight_matrix(i + 1, pair12, q, power=-1)
+                        @ uq.weight_matrix(i + 1, pair12, 1 / q)
                     Kt1 = uq.weight_matrix(i, leg1, q) \
-                        @ uq.weight_matrix(i + 1, leg1, q, power=-1)
+                        @ uq.weight_matrix(i + 1, leg1, 1 / q)
                     left = kron_all([Dp12, eye(len(leg3))]) \
                         + kron_all([Kt12, X3])
                     right = kron_all([X1, eye(len(pair23))]) \
                         + kron_all([Kt1, Dp23])
                 else:
-                    Kt12I = uq.weight_matrix(i, pair12, q, power=-1) \
+                    Kt12I = uq.weight_matrix(i, pair12, 1 / q) \
                         @ uq.weight_matrix(i + 1, pair12, q)
-                    Kt3I = uq.weight_matrix(i, leg3, q, power=-1) \
+                    Kt3I = uq.weight_matrix(i, leg3, 1 / q) \
                         @ uq.weight_matrix(i + 1, leg3, q)
                     left = kron_all([eye(len(pair12)), X3]) \
                         + kron_all([Dp12, Kt3I])
                     right = kron_all([eye(len(leg1)), Dp23]) \
                         + kron_all([X1, kron_all(
-                            [uq.weight_matrix(i, tb.legs[1], q, power=-1)
-                             @ uq.weight_matrix(i + 1, tb.legs[1], q), Kt3I])])
+                            [uq.weight_matrix(i, leg2, 1 / q)
+                             @ uq.weight_matrix(i + 1, leg2, q), Kt3I])])
                 assert zero(np.asarray(flat) - left), \
                     "left fold differs (%s_%d, theta=%s)" % (kind, i, theta)
                 assert zero(np.asarray(flat) - right), \
@@ -802,8 +789,8 @@ class TestQExponentials:
     def test_factorization_under_q_commutation(self):
         # xy = q^2 yx splits the q-exponential of x + y
         for q in (F(1, 2), F(3, 2)):
-            leg = uq.RepBasis(1, 2)
-            Kt = uq.weight_matrix(0, leg, q) @ uq.weight_matrix(1, leg, q, power=-1)
+            leg = uq.TensorBasis(1, (2,))
+            Kt = uq.weight_matrix(0, leg, q) @ uq.weight_matrix(1, leg, 1 / q)
             E = gen("raise", 0, leg, q)
             x = sparse(kron_all([Kt, E]))
             y = sparse(kron_all([E, eye(len(leg))]))
@@ -913,7 +900,7 @@ class TestUnitary:
         # e(lam K1 E) diag(poch mu_0) e(lam F K0)
         #   = e(lam F K0) diag(poch mu_1) e(lam K1 E)
         for q in (F(1, 2), F(2, 3)):
-            b = uq.RepBasis(1, 2)
+            b = uq.TensorBasis(1, (2,))
             lam = F(1, 3)
             gam = uq.gamma_from_lambda(lam, q)
             z = -gam * lam
@@ -921,7 +908,7 @@ class TestUnitary:
             MF = gen("lower", 0, b, q) @ uq.weight_matrix(0, b, q)
             DP0 = zeros(len(b))
             DP1 = zeros(len(b))
-            for k, mu in enumerate(b.states):
+            for k, (mu,) in enumerate(b.states):
                 DP0[k, k] = q_poch(z, q ** 2, mu[0])
                 DP1[k, k] = q_poch(z, q ** 2, mu[1])
             ex = uq.nilpotent_q_exp
@@ -1109,7 +1096,7 @@ INT_Q_RAISE = uq.coproduct_apply("raise", 0, INT_Q_BASIS, F(2))
 
 INT_Q_CALLS = {
     "coproduct_apply": lambda q: uq.coproduct_apply("lower", 0, INT_Q_BASIS, q),
-    "weight_matrix": lambda q: uq.weight_matrix(1, INT_Q_BASIS, q, power=-1),
+    "weight_matrix": lambda q: uq.weight_matrix(1, INT_Q_BASIS, q),
     "root_vector": lambda q: uq.root_vector(0, 2, INT_Q_BASIS, q),
     "casimir_c1": lambda q: uq.casimir_c1(INT_Q_BASIS, q),
     "bond_casimir": lambda q: uq.bond_casimir(INT_Q_BASIS, 0, q),
@@ -1162,11 +1149,12 @@ from qmdual.ops import SparseMatrix
 q = F(1, 2)
 tb = uq.TensorBasis(1, (1, 1))
 checks = {
-    "module rank": lambda: uq.RepBasis(0, 2),
-    "module degree": lambda: uq.RepBasis(1, -1),
+    "module rank": lambda: uq.TensorBasis(0, (2,)),
+    "module degree": lambda: uq.TensorBasis(1, (-1,)),
     "tensor capacities": lambda: uq.TensorBasis(1, (2, 0)),
     "empty chain": lambda: uq.TensorBasis(1, ()),
-    "ladder index": lambda: uq.coproduct_apply("raise", 1, uq.RepBasis(1, 2), q),
+    "ladder index":
+        lambda: uq.coproduct_apply("raise", 1, uq.TensorBasis(1, (2,)), q),
     "coproduct ladder index": lambda: uq.coproduct_apply("lower", 1, tb, q),
     "q-exponential variant":
         lambda: uq.nilpotent_q_exp(SparseMatrix({}, (2, 2)), F(1, 4), "x"),
@@ -1177,7 +1165,7 @@ checks = {
     "bond index": lambda: uq.bond_casimir(tb, 1, q),
     "star shape":
         lambda: uq.star_transform(SparseMatrix({}, (3, 3)), tb, q),
-    "positive inner product": lambda: uq.inner_product(uq.RepBasis(1, 1), -q),
+    "positive inner product": lambda: uq.inner_product(uq.TensorBasis(1, (1,)), -q),
 }
 for name, call in checks.items():
     try:
