@@ -15,9 +15,10 @@ Conventions:
   hypergeometric series in base q^2.
 - the zero-range exponent h counts the xi suffix in the eta term from the
   site itself; the generator intertwining check fails for the suffix that
-  starts strictly right of it.  That "strict" form, the closed
-  Pochhammer-ratio form of C and the finite-product form of `qhahn_D` live
-  in the tests as oracles.
+  starts strictly right of it.  `qhahn_D` is s^h prod (1 - s^e), its 1phi0
+  series summed in closed form and expanded in s.  The tests hold the
+  oracles: the "strict" h, the closed Pochhammer-ratio form of C, and the
+  series and finite-product forms of `qhahn_D`.
 
 Memo: a `DualityParams` object is what a caller builds once per duality
 matrix, and the exclusion-duality functions that take it read their
@@ -40,13 +41,14 @@ cached at module level.
 """
 
 import math
+from itertools import accumulate
 
 import mpmath
 
 from .errors import DomainError
 from .lattice import Config, intermediate_configs, is_feasible
 from .models import reversible_measure, single_species_measure
-from .qcalc import _check_q, _exact_q, phi10, q_krawtchouk, q_poch, q_poch_ratio
+from .qcalc import _check_q, _exact_q, q_krawtchouk, q_poch, q_poch_ratio
 from .scalars import SNum, is_exact, q_root, sqrt, to_mpf
 
 
@@ -319,26 +321,20 @@ def _check_zrp_pair(xi, eta):
         raise DomainError("zero-range configs disagree in species count or length")
 
 
-def _species_suffix(cfg, m, start):
-    """Total occupancy of species 0..m at sites >= start."""
-    return sum(cfg.range_count(y, 0, m) for y in range(start, cfg.L + 1))
-
-
 def h_exponent(xi, eta):
-    """Integer exponent h coupling the two zero-range configurations; the
-    suffix count of xi in the eta term starts at the site itself."""
+    """Integer exponent h of two zero-range configurations: the sum over
+    sites x and species i < n-1 of eta_i^x xi_m(>= x) - xi_i^x eta_m(> x),
+    m = n-2-i, where cfg_m(>= x) counts species 0..m at sites >= x."""
     _check_zrp_pair(xi, eta)
-    n, L = xi.n, xi.L
+    n = xi.n
+    xi_suffix = eta_suffix = [0] * n
     total = 0
-    for x in range(1, L + 1):
-        for i in range(n - 1):
-            m = n - 2 - i
-            c = xi.count(i, x)
-            if c:
-                total -= c * _species_suffix(eta, m, x + 1)
-            e = eta.count(i, x)
-            if e:
-                total += e * _species_suffix(xi, m, x)
+    sites = zip(zip(*xi.counts), zip(*eta.counts))  # (xi, eta) columns
+    for xi_site, eta_site in reversed(list(sites)):  # right to left
+        xi_suffix = [a + b for a, b in zip(xi_suffix, accumulate(xi_site))]
+        total += sum(eta_site[i] * xi_suffix[n - 2 - i]
+                     - xi_site[i] * eta_suffix[n - 2 - i] for i in range(n - 1))
+        eta_suffix = [a + b for a, b in zip(eta_suffix, accumulate(eta_site))]
     return total
 
 
@@ -350,19 +346,30 @@ def qhahn_D(eta, xi, q):
     when q is a perfect square.  An SNum q or a negative q raises
     `DomainError`, and q in {-1, 0, 1} `DegenerateQError`.  It is also the
     duality of the single-jump chains `qtazrp_generator` at the same base.
+
+    Newton's q-binomial theorem sums the series 1phi0(q^{-c}; -; q, z) =
+    (z q^{-c}; q)_c of each species i and site x where xi holds c > 0, at
+    z = s^{1-2k}, k = xi_i left of x plus the reversed eta row right of x.
+    So D = s^h prod_e (1 - s^e) over odd e = 1 - 2k - 2c + 2j, 0 <= j < c,
+    expanded as a Laurent polynomial in s with int coefficients and
+    evaluated as even + s * odd.  Floats lose digits as q -> 1, more in
+    this sum than in the product.
     """
-    _check_zrp_pair(xi, eta)
+    poly = {h_exponent(xi, eta): 1}  # h_exponent checks the pair
     q = _check_q(q)
     s = q_root(q)
-    n, L = xi.n, xi.L
-    value = s ** h_exponent(xi, eta)
-    for i in range(n):
-        partner = eta.row(n - 1 - i)  # species-reversed dual row
-        left = 0
-        for x in range(1, L + 1):
-            c = xi.count(i, x)
-            if c:
-                right = sum(partner[x:])
-                value = value * phi10(c, q, s ** (-2 * (left + right) + 1))
+    # species i of xi meets the species-reversed row n-1-i of eta
+    for row, partner in zip(xi.counts, reversed(eta.counts)):
+        left, right = 0, sum(partner)
+        for c, p in zip(row, partner):
+            right -= p
+            first = 1 - 2 * (left + right + c)
+            for e in range(first, first + 2 * c, 2):  # times (1 - s^e)
+                for power, v in list(poly.items()):
+                    poly[power + e] = poly.get(power + e, 0) - v
             left += c
-    return value
+    low = min(poly) // 2
+    parts = [0, 0]  # even, odd: s^p = q^(p // 2) s^(p % 2), Horner in q
+    for k in range(max(poly) // 2, low - 1, -1):
+        parts = [v * q + poly.get(2 * k + r, 0) for r, v in enumerate(parts)]
+    return (parts[0] + s * parts[1]) * q ** low

@@ -339,6 +339,7 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
     one site up.  Every site emits simultaneously, so one step multiplies
     independent per-site weights, each computed once per site content.
     """
+    _check_q(q)
     basis, emit, step = _zrp_window(window, direction)
     site_weights = {}
 
@@ -365,7 +366,8 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
     return assemble(basis, moves, "kernel")
 
 
-def _zrp_generator(window, direction, site_rates):
+def _zrp_generator(window, q, direction, site_rates):
+    _check_q(q)
     basis, emit, step = _zrp_window(window, direction)
 
     def moves(cfg):
@@ -378,11 +380,11 @@ def _zrp_generator(window, direction, site_rates):
 
 def qhahn_continuous_generator(window, mu, q, direction):
     """Continuous-time generator matching -d/dlambda of the kernel at 1."""
-    return _zrp_generator(window, direction,
+    return _zrp_generator(window, q, direction,
                           lambda beta: qhahn_continuous_rates(beta, mu, q))
 
 
 def qtazrp_generator(window, q, direction):
     """Generator of the single-jump chain (vanishing-mu limit, per unit mu)."""
-    return _zrp_generator(window, direction,
+    return _zrp_generator(window, q, direction,
                           lambda beta: qtazrp_rates(beta, q))

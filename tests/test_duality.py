@@ -1,5 +1,6 @@
 """Duality functions: Krawtchouk products, corrections, zero-range forms."""
 
+import functools
 import itertools
 import math
 import os
@@ -44,7 +45,7 @@ from qmdual.models import (
     qtazrp_generator,
     reversible_measure,
 )
-from qmdual.qcalc import q_krawtchouk, q_poch, q_poch_ratio
+from qmdual.qcalc import _check_q, _phi_series, q_krawtchouk, q_poch, q_poch_ratio
 from qmdual.scalars import SNum, is_exact, q_root, sqrt, to_mpf
 
 F = Fraction
@@ -102,35 +103,85 @@ def two_species_case(x1, x2, y1, y2):
     return 5 if y2 > x1 else 6
 
 
-def qhahn_product_oracle(eta, xi, q):
-    """Finite-product route for the half-power zero-range duality: the series
-    argument absorbed into a q-Pochhammer with the site-inclusive left count."""
-    s = q_root(q)
-    n, L = xi.n, xi.L
-    value = s ** h_exponent(xi, eta)
-    for i in range(n):
-        partner = eta.row(n - 1 - i)
-        left = 0
-        for x in range(1, L + 1):
-            c = xi.count(i, x)
-            left += c
-            if c:
-                right = sum(partner[x:])
-                value = value * q_poch(s ** (-2 * (left + right) + 1), q, c)
+def _zrp_factor_product(eta, xi, q, h, factor):
+    """s^h times factor(c, q, k) for each species i and site x where xi holds
+    c > 0, with k = xi_i left of x plus the species-reversed eta row right of
+    x: the zero-range duality, given each site's 1phi0 series as factor."""
+    value = _s_power(q, h)
+    for row, partner in zip(xi.counts, reversed(eta.counts)):
+        value = value * _row_factors(row, partner, q, factor)
     return value
 
 
-def strict_h_exponent(xi, eta):
-    """The zero-range exponent with the xi suffix in the eta term starting
-    strictly right of the site; `h_exponent` starts it at the site itself."""
+# the factors are pure functions of exact arguments, kept once per argument
+# so that the oracles can run over thousands of pairs
+@functools.lru_cache(maxsize=None, typed=True)
+def _s_power(q, h):
+    return q_root(q) ** h
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _row_factors(row, partner, q, factor):
+    """The product of one species' site factors in `_zrp_factor_product`."""
+    value, left = 1, 0
+    for x, c in enumerate(row):
+        if c:
+            value = value * factor(c, q, left + sum(partner[x + 1:]))
+        left += c
+    return value
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _pochhammer_factor(c, q, k):
+    """(s^{1-2k} q^{-c}; q)_c as a finite q-Pochhammer product."""
+    return q_poch(q_root(q) ** (1 - 2 * k - 2 * c), q, c)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _series_factor(c, q, k):
+    """1phi0(q^{-c}; -; q, s^{1-2k}), summed term by term."""
+    return _phi_series(c, [q ** (-c)], [], q, q_root(q) ** (1 - 2 * k))
+
+
+def qhahn_product_oracle(eta, xi, q):
+    """Finite-product route for the half-power zero-range duality: each
+    series summed to its q-Pochhammer by Newton's q-binomial theorem."""
+    return _zrp_factor_product(eta, xi, q, h_exponent(xi, eta),
+                               _pochhammer_factor)
+
+
+def _h_double_loop(xi, eta, xi_from):
+    """The zero-range exponent by its double loop over sites x and species
+    i < n-1, m = n-2-i: eta_i^x xi_{[0,m]}(>= x + xi_from)
+    - xi_i^x eta_{[0,m]}(> x), each suffix count summed afresh."""
     n = xi.n
 
     def suffix(cfg, m, start):
         return sum(cfg.range_count(y, 0, m) for y in range(start, cfg.L + 1))
 
-    return sum(eta.count(i, x) * suffix(xi, n - 2 - i, x + 1)
+    return sum(eta.count(i, x) * suffix(xi, n - 2 - i, x + xi_from)
                - xi.count(i, x) * suffix(eta, n - 2 - i, x + 1)
                for x in range(1, xi.L + 1) for i in range(n - 1))
+
+
+def h_exponent_oracle(xi, eta):
+    """`h_exponent` by the double loop, the xi suffix starting at the site."""
+    return _h_double_loop(xi, eta, 0)
+
+
+def strict_h_exponent(xi, eta):
+    """The zero-range exponent with the xi suffix in the eta term starting
+    strictly right of the site; `h_exponent` starts it at the site itself."""
+    return _h_double_loop(xi, eta, 1)
+
+
+def qhahn_series_oracle(eta, xi, q):
+    """The zero-range duality as the product of the 1phi0 series that define
+    it, with h by its double loop; `qhahn_D` sums each series in closed form
+    and expands the product in s."""
+    q = _check_q(q)
+    return _zrp_factor_product(eta, xi, q, h_exponent_oracle(xi, eta),
+                               _series_factor)
 
 
 def colocation_sum(xi, eta):
@@ -621,7 +672,7 @@ class TestZeroRangeCrossDuality:
             for eta in we:
                 a = qhahn_D(eta, xi, q * q)
                 b = qhahn_product_oracle(eta, xi, q * q)
-                assert a == b, "series %s != product %s at %s %s" % (a, b, xi, eta)
+                assert a == b, "qhahn_D %s != product %s at %s %s" % (a, b, xi, eta)
 
 
 class TestQHahnDuality:
@@ -677,7 +728,7 @@ class TestQHahnDuality:
             for eta in we:
                 a = qhahn_D(eta, xi, Q)
                 b = qhahn_product_oracle(eta, xi, Q)
-                assert a == b, "series %s != product %s" % (a, b)
+                assert a == b, "qhahn_D %s != product %s" % (a, b)
 
     def test_exactness_in_quadratic_field(self):
         Q = F(1, 3)
@@ -685,6 +736,53 @@ class TestQHahnDuality:
         eta = Config.zero_range([(1, 0)])
         val = qhahn_D(eta, xi, Q)
         assert is_exact(val), "value should stay exact in Q(s)"
+
+
+# bases and windows on which `qhahn_D` is pinned to both oracles: square and
+# non-square, int, and above-one bases; one to three species
+ZRP_GRID_Q = [F(1, 3), F(1, 4), F(2, 7), 3, F(5, 2), 4, F(9, 10)]
+ZRP_GRID_WINDOWS = [((2, 2), (2, 1), 3), ((1, 1, 1), (2, 1, 1), 3),
+                    ((3,), (2,), 4), ((2, 1), (1, 2), 4), ((3, 3), (3, 2), 3)]
+
+
+def zrp_pairs(counts_xi, counts_eta, L):
+    return [(xi, eta) for xi in enumerate_zrp_sector(counts_xi, L)
+            for eta in enumerate_zrp_sector(counts_eta, L)]
+
+
+class TestQHahnClosedForm:
+    @pytest.mark.parametrize("cx,ce,L", ZRP_GRID_WINDOWS)
+    def test_h_exponent_matches_double_loop(self, cx, ce, L):
+        for xi, eta in zrp_pairs(cx, ce, L):
+            got, want = h_exponent(xi, eta), h_exponent_oracle(xi, eta)
+            assert type(got) is int and got == want, \
+                "h %r != %r at %s %s" % (got, want, xi, eta)
+
+    @pytest.mark.parametrize("q", ZRP_GRID_Q, ids=repr)
+    def test_matches_series_and_product_oracles(self, q):
+        for window in ZRP_GRID_WINDOWS:
+            for xi, eta in zrp_pairs(*window):
+                got = qhahn_D(eta, xi, q)
+                for oracle in (qhahn_series_oracle, qhahn_product_oracle):
+                    want = oracle(eta, xi, q)
+                    assert type(got) is type(want) and got == want, (
+                        "%r != %s %r at %s %s"
+                        % (got, oracle.__name__, want, xi, eta))
+
+    @pytest.mark.parametrize("q", [F(1, 3), F(5, 2)], ids=repr)
+    @pytest.mark.parametrize("cx,ce,L", [((2, 2), (2, 1), 3),
+                                         ((3, 3), (3, 2), 3)])
+    def test_float_path_holds_thirteen_digits(self, cx, ce, L, q):
+        # the expansion sums terms that cancel, which a product of factors
+        # does not; at 15 digits, with q itself rounded, 13 must survive
+        worst = 0
+        for xi, eta in zrp_pairs(cx, ce, L):
+            exact = to_mpf(qhahn_D(eta, xi, q))
+            with mpmath.workdps(15):
+                approx = qhahn_D(eta, xi, to_mpf(q))
+            assert isinstance(approx, mpmath.mpf)
+            worst = max(worst, abs(approx - exact) / abs(exact))
+        assert worst < mpmath.mpf("1e-13"), "relative error %s" % worst
 
 
 class TestTwoSpeciesReduction:

@@ -547,6 +547,14 @@ degenerate = {
     "continuous generator, empty sites, q = 1":
         lambda: models.qhahn_continuous_generator(
             window([(0, 0)]), F(1, 3), 1, "left"),
+    "continuous generator, one site, q = 1":
+        lambda: models.qhahn_continuous_generator(
+            window([(2,)]), F(1, 4), 1, "right"),
+    "single-jump generator, one site, q = 1":
+        lambda: models.qtazrp_generator(window([(2,)]), 1, "right"),
+    "discrete kernel, one site, q = 1":
+        lambda: models.qhahn_discrete_kernel(
+            window([(2,)]), F(1, 2), F(1, 4), 1, "right"),
 }
 for name, call in checks.items():
     try:
