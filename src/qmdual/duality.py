@@ -15,10 +15,9 @@ Conventions:
   hypergeometric series in base q^2.
 - the zero-range exponent h counts the xi suffix in the eta term from the
   site itself; the generator intertwining check fails for the suffix that
-  starts strictly right of it.  `qhahn_D` is s^h prod (1 - s^e), its 1phi0
-  series summed in closed form and expanded in s.  The tests hold the
-  oracles: the "strict" h, the closed Pochhammer-ratio form of C, and the
-  series and finite-product forms of `qhahn_D`.
+  starts strictly right of it.  `qhahn_D` expands s^h prod (1 - s^e) in s;
+  the tests hold the oracles: the "strict" h, the closed Pochhammer-ratio
+  form of C, and the 1phi0-series and finite-product forms of `qhahn_D`.
 
 Memo: a `DualityParams` object is what a caller builds once per duality
 matrix, and the exclusion-duality functions that take it read their
@@ -312,28 +311,23 @@ def orthogonality_range_report(xi, eta, params):
 # -- zero-range duality functions ----------------------------------------------
 
 
-def _check_zrp_pair(xi, eta):
+def h_exponent(xi, eta):
+    """Integer exponent h of two zero-range configurations: the sum over
+    sites x and species i < n-1 of eta_i^x xi_m(>= x) - xi_i^x eta_m(> x),
+    m = n-2-i, where cfg_m(>= x) counts species 0..m at sites >= x."""
     if not (isinstance(xi, Config) and isinstance(eta, Config)):
         raise DomainError("configurations expected")
     if not (xi.is_zero_range and eta.is_zero_range):
         raise DomainError("zero-range configurations expected")
     if xi.n != eta.n or xi.L != eta.L:
         raise DomainError("zero-range configs disagree in species count or length")
-
-
-def h_exponent(xi, eta):
-    """Integer exponent h of two zero-range configurations: the sum over
-    sites x and species i < n-1 of eta_i^x xi_m(>= x) - xi_i^x eta_m(> x),
-    m = n-2-i, where cfg_m(>= x) counts species 0..m at sites >= x."""
-    _check_zrp_pair(xi, eta)
-    n = xi.n
-    xi_suffix = eta_suffix = [0] * n
+    xi_suffix = eta_suffix = [0] * xi.n
     total = 0
     sites = zip(zip(*xi.counts), zip(*eta.counts))  # (xi, eta) columns
     for xi_site, eta_site in reversed(list(sites)):  # right to left
         xi_suffix = [a + b for a, b in zip(xi_suffix, accumulate(xi_site))]
-        total += sum(eta_site[i] * xi_suffix[n - 2 - i]
-                     - xi_site[i] * eta_suffix[n - 2 - i] for i in range(n - 1))
+        total += sum(e * xs - x * es for e, x, xs, es in zip(
+            eta_site, xi_site, xi_suffix[-2::-1], eta_suffix[-2::-1]))
         eta_suffix = [a + b for a, b in zip(eta_suffix, accumulate(eta_site))]
     return total
 
@@ -347,29 +341,27 @@ def qhahn_D(eta, xi, q):
     `DomainError`, and q in {-1, 0, 1} `DegenerateQError`.  It is also the
     duality of the single-jump chains `qtazrp_generator` at the same base.
 
-    Newton's q-binomial theorem sums the series 1phi0(q^{-c}; -; q, z) =
-    (z q^{-c}; q)_c of each species i and site x where xi holds c > 0, at
-    z = s^{1-2k}, k = xi_i left of x plus the reversed eta row right of x.
-    So D = s^h prod_e (1 - s^e) over odd e = 1 - 2k - 2c + 2j, 0 <= j < c,
-    expanded as a Laurent polynomial in s with int coefficients and
-    evaluated as even + s * odd.  Floats lose digits as q -> 1, more in
-    this sum than in the product.
+    Newton's q-binomial theorem sums each 1phi0 series: D = s^h prod_e
+    (1 - s^e) over odd e, expanded in s with int coefficients and summed as
+    even(q) + s odd(q).  The sums cancel at most (2 (1+q) / |1-q|)^N-fold
+    over N factors; an mpf q adds the log2 of that to the working bits.
     """
     poly = {h_exponent(xi, eta): 1}  # h_exponent checks the pair
     q = _check_q(q)
-    s = q_root(q)
-    # species i of xi meets the species-reversed row n-1-i of eta
     for row, partner in zip(xi.counts, reversed(eta.counts)):
-        left, right = 0, sum(partner)
+        k = sum(partner)  # row left of x, plus c, plus partner right of x
         for c, p in zip(row, partner):
-            right -= p
-            first = 1 - 2 * (left + right + c)
-            for e in range(first, first + 2 * c, 2):  # times (1 - s^e)
+            k += c - p
+            for e in range(1 - 2 * k, 1 - 2 * (k - c), 2):  # times (1 - s^e)
                 for power, v in list(poly.items()):
                     poly[power + e] = poly.get(power + e, 0) - v
-            left += c
-    low = min(poly) // 2
-    parts = [0, 0]  # even, odd: s^p = q^(p // 2) s^(p % 2), Horner in q
-    for k in range(max(poly) // 2, low - 1, -1):
-        parts = [v * q + poly.get(2 * k + r, 0) for r, v in enumerate(parts)]
-    return (parts[0] + s * parts[1]) * q ** low
+    low, prec = min(poly) // 2, mpmath.mp.prec
+    if not is_exact(q):  # log2 of len(poly) (2 (1+q) / |1-q|)^N, rounded up
+        n_factors = sum(map(sum, xi.counts))
+        prec += mpmath.mag(len(poly)) + n_factors * mpmath.mag(2 * (1 + q) / (1 - q))
+    with mpmath.workprec(prec):
+        s, parts = q_root(q), [0, 0]  # even, odd: s^p = q^(p // 2) s^(p % 2)
+        for j in range(max(poly) // 2, low - 1, -1):  # Horner in q
+            parts = [v * q + poly.get(2 * j + r, 0) for r, v in enumerate(parts)]
+        value = (parts[0] + s * parts[1]) * q ** low
+    return value if is_exact(q) else +value

@@ -309,9 +309,10 @@ def _move_batch(cfg, x, gamma, step):
     return Config.zero_range(rows)
 
 
-def _zrp_window(window, direction):
+def _zrp_window(window, q, direction):
     """Basis, emitting sites and batch step of a zero-range window of one
-    sector; the direction picks the sites and the step."""
+    sector at a checked q; the direction picks the sites and the step."""
+    _check_q(q)
     basis = list(window)
     if not basis or not all(cfg.is_zero_range for cfg in basis):
         raise DomainError("a window is a nonempty list of zero-range "
@@ -339,8 +340,7 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
     one site up.  Every site emits simultaneously, so one step multiplies
     independent per-site weights, each computed once per site content.
     """
-    _check_q(q)
-    basis, emit, step = _zrp_window(window, direction)
+    basis, emit, step = _zrp_window(window, q, direction)
     site_weights = {}
 
     def weights(beta):
@@ -367,8 +367,7 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
 
 
 def _zrp_generator(window, q, direction, site_rates):
-    _check_q(q)
-    basis, emit, step = _zrp_window(window, direction)
+    basis, emit, step = _zrp_window(window, q, direction)
 
     def moves(cfg):
         for x in emit:

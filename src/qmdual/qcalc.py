@@ -1,7 +1,5 @@
-"""q-deformed integers and factorials, q-Pochhammers and q-Krawtchouk
-polynomials, the last summed as terminating basic hypergeometric series.
-The zero-range 1phi0 series has no function here: `duality.qhahn_D` sums
-it in closed form by Newton's q-binomial theorem.
+"""q-deformed integers and factorials, q-Pochhammers, terminating basic
+hypergeometric series and q-Krawtchouk polynomials.
 
 Every function is generic over the scalar backend: pass q as an int,
 Fraction or SNum for exact arithmetic, or as an mpmath float.  An int q
@@ -132,6 +130,14 @@ def _phi_series(m, nums, dens, q, z):
         term = term * num * z / den
         total = total + term
     return total
+
+
+def phi10(m, q, z):
+    """1phi0(q^{-m}; -; q, z), the series of degree m (an int >= 0)."""
+    if not isinstance(m, int) or m < 0:
+        raise DomainError("1phi0 degree %r is not an int >= 0" % (m,))
+    q = _check_q(q)
+    return _phi_series(m, [q ** (-m)], [], q, z)
 
 
 def q_krawtchouk(n, x, p, c, q):

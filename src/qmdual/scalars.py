@@ -259,9 +259,12 @@ def exact_sqrt(x, sbase=None):
             u = rational_sqrt(usq)
             if u is not None and u != 0:
                 v = b / (2 * u)
-                for cand in (SNum(u, v, base), SNum(-u, -v, base)):
-                    if cand * cand == x and cand.sign() >= 0:
-                        return cand
+                cand = SNum(u, v, base)
+                if cand * cand == x and cand.sign() >= 0:
+                    return cand
+                cand = -cand
+                if cand * cand == x and cand.sign() >= 0:
+                    return cand
         return None
     r = x.a if isinstance(x, SNum) else Fraction(x)
     if r < 0:

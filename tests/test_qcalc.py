@@ -45,12 +45,6 @@ def brute_phi(m, nums, dens, q, z):
     return total
 
 
-def phi10(m, q, z):
-    """1phi0(q^{-m}; -; q, z) of degree m, on the library's series; the
-    library itself sums it in closed form inside `duality.qhahn_D`."""
-    return qcalc._phi_series(m, [q ** (-m)], [], q, z)
-
-
 def phi21(m, a, b, c, q, z):
     """2phi1(a, b; c; q, z) of degree m, on the library's series."""
     return qcalc._phi_series(m, [a, b], [c], q, z)
@@ -154,6 +148,7 @@ INT_Q_CALLS = {
     "q_fact": lambda q: qcalc.q_fact(3, q),
     "q_binom": lambda q: qcalc.q_binom(4, 2, q),
     "brace_fact": lambda q: qcalc.brace_fact(3, q),
+    "phi10": lambda q: qcalc.phi10(2, q, 2),
     "qhahn_D": lambda q: duality.qhahn_D(_ZRP, _ZRP, q * q),
     "q_krawtchouk": lambda q: qcalc.q_krawtchouk(1, 2, 2, 3, q),
 }
@@ -171,6 +166,7 @@ def test_int_q_stays_exact(name):
 _ZRP = Config.zero_range([(1, 0)])
 _CAP = Config.capacity([(1, 0), (0, 1)], (1, 1))
 DEGENERATE_Q_CALLS = {
+    "phi10 q=0": lambda: qcalc.phi10(2, 0, Fraction(1, 2)),
     "q_krawtchouk q=0": lambda: qcalc.q_krawtchouk(1, 1, Fraction(1, 2), 2, 0),
     "qhahn_D q=0": lambda: duality.qhahn_D(_ZRP, _ZRP, 0),
     "multi_species_D q=0": lambda: duality.multi_species_D(
@@ -238,15 +234,19 @@ class TestHypergeometric:
 
     def test_phi10_newton_binomium(self):
         q, z = Fraction(1, 2), Fraction(3)
-        assert phi10(2, q, z) == qcalc.q_poch(z * q ** -2, q, 2)
+        assert qcalc.phi10(2, q, z) == qcalc.q_poch(z * q ** -2, q, 2)
 
     def test_phi10_pochhammer_identity_range(self):
         q = Fraction(2, 3)
         z = Fraction(5, 7)
         for n in range(0, 9):
-            lhs = phi10(n, q, z)
+            lhs = qcalc.phi10(n, q, z)
             rhs = qcalc.q_poch(z * q ** -n, q, n)
             assert lhs == rhs, "1phi0 identity fails at n=%d" % n
+
+    def test_nonterminating_rejected(self):
+        with pytest.raises(DomainError):
+            qcalc.phi10(Fraction(1, 3), Fraction(1, 2), Fraction(1, 5))
 
     def test_phi32_brute_force(self):
         q = Fraction(1, 2)
@@ -257,13 +257,18 @@ class TestHypergeometric:
         total = brute_phi(2, [a1, a2, a3], [b1, b2], q, z)
         assert phi32(2, a1, a2, a3, b1, b2, q, z) == total
 
+    def test_degree_must_be_a_nonnegative_int(self):
+        for m in (-1, 2.0, Fraction(2)):
+            with pytest.raises(DomainError):
+                qcalc.phi10(m, Fraction(1, 2), Fraction(1, 5))
+
     def test_float_series_near_one_run_to_their_degree(self):
         # factors 1 - q^k of size 1e-35 sit below any value tolerance at 60
         # digits; a series that stops on such a test returns 1 here
         with mpmath.workdps(60):
             q = 1 + mpmath.mpf(10) ** -35
             z = mpmath.mpf("0.3")
-            got = [phi10(3, q, z), qcalc.q_krawtchouk(2, 2, 2, 3, q)]
+            got = [qcalc.phi10(3, q, z), qcalc.q_krawtchouk(2, 2, 2, 3, q)]
         with mpmath.workdps(200):
             want = [qcalc.q_poch(z * q ** -3, q, 3),
                     brute_phi(2, [q ** -2, q ** -2], [q ** -3], q, 2 * q ** 3)]
