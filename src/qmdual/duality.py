@@ -54,12 +54,15 @@ from .scalars import SNum, is_exact, q_root, sqrt, to_mpf
 class DualityParams:
     """Per-species parameters of the nested duality function.
 
-    alpha: positive scalar per species (length n, species 0..n-1).
+    a: the coupling a_i = sqrt(alpha_i) per species (length n, species
+    0..n-1), positive.  The formulas read alpha_i = a_i^2; at rational a and
+    q every value of D lies in Q(s), s^2 = q.
     q: the asymmetry parameter, a rational or a float.  An SNum q is refused:
     the sector measures carry q^(1/2), which has no place in the field of q.
+    An mpf among a and q turns them all into mpfs.
     The ground-state correction uses each sector's unnormalized reversible
-    measure.  Weighing sector k by a_k instead only divides D(xi, eta) by
-    sqrt(a_k(xi) a_k(eta)), the sector-constant freedom of any duality.
+    measure.  Weighing sector k by w_k instead only divides D(xi, eta) by
+    sqrt(w_k(xi) w_k(eta)), the sector-constant freedom of any duality.
 
     The object is immutable and carries the memo of pair-independent
     invariants described in the module docstring; it grows with the number
@@ -67,20 +70,20 @@ class DualityParams:
     freed with the object.
     """
 
-    __slots__ = ("alpha", "q", "_memo")
+    __slots__ = ("a", "q", "_memo")
 
-    def __init__(self, alpha, q):
-        alpha = tuple(_exact_q(a) for a in alpha)
+    def __init__(self, a, q):
+        a = tuple(_exact_q(v) for v in a)
         q = _check_q(q)
         if isinstance(q, SNum):
             raise DomainError("q=%r must be a rational or a float" % (q,))
-        if any(not is_exact(v) for v in alpha + (q,)):
-            alpha = tuple(to_mpf(a) for a in alpha)
+        if any(not is_exact(v) for v in a + (q,)):
+            a = tuple(to_mpf(v) for v in a)
             q = to_mpf(q)
-        for a in alpha:
-            if not a > 0:
-                raise DomainError("species parameter alpha=%r must be positive" % (a,))
-        self.alpha = alpha
+        for v in a:
+            if not v > 0:
+                raise DomainError("species coupling a=%r must be positive" % (v,))
+        self.a = a
         self.q = q
         self._memo = {}
 
@@ -91,7 +94,7 @@ class DualityParams:
 
     @property
     def n(self):
-        return len(self.alpha)
+        return len(self.a)
 
     def _cached(self, key, compute):
         """compute(), once per key and working precision."""
@@ -102,7 +105,7 @@ class DualityParams:
         return value
 
     def __repr__(self):
-        return "DualityParams(alpha=%r, q=%r)" % (self.alpha, self.q)
+        return "DualityParams(a=%r, q=%r)" % (self.a, self.q)
 
 
 # -- single-species building block --------------------------------------------
@@ -190,16 +193,18 @@ def _sector_measure(cfg, params):
 
 
 def _species_measure(params, i, row, theta):
-    """Single-species measure of species i's row on capacities theta."""
+    """Single-species measure of species i's row on capacities theta, at
+    fugacity alpha_i = a_i^2."""
     return params._cached(("species", i, row, theta), lambda: single_species_measure(
-        row, theta, params.alpha[i], params.q))
+        row, theta, params.a[i] ** 2, params.q))
 
 
 def _site_p(params, i, shift):
-    """Shifted Krawtchouk parameter p q^{2 shift} of species i, p = 1/(alpha_i q)."""
+    """Shifted Krawtchouk parameter p q^{2 shift} of species i,
+    p = 1/(a_i^2 q)."""
     q = params.q
     return params._cached(("p", i, shift),
-                          lambda: 1 / (params.alpha[i] * q) * (q * q) ** shift)
+                          lambda: 1 / (params.a[i] ** 2 * q) * (q * q) ** shift)
 
 
 def _site_factor(params, i, e, c, t, shift):
@@ -224,7 +229,9 @@ def _G_sq(xi, eta, params, intermediates):
 
 
 def correction_G(xi, eta, params):
-    """Ground-state correction: square root of the measure ratio."""
+    """Ground-state correction: square root of the measure ratio, exact in
+    Q(s) at exact params; a radicand with no root there raises
+    `DomainError`."""
     return sqrt(correction_G_sq(xi, eta, params), params.q)
 
 
@@ -240,8 +247,8 @@ def correction_C_sq(xi, eta, params):
     value = 1
     for iv in intermediates:
         xi_row, zeta_row = xi.row(iv.i), iv.rows[iv.i]
-        num = w_over_h(xi_row, zeta_row, iv.theta,
-                       1 / (params.alpha[iv.i] * q), q * q)
+        num = w_over_h(xi_row, zeta_row, iv.theta, _site_p(params, iv.i, 0),
+                       q * q)
         den = (_species_measure(params, iv.i, xi_row, iv.theta)
                * _species_measure(params, iv.i, zeta_row, iv.theta))
         value = value * num / den
@@ -249,8 +256,10 @@ def correction_C_sq(xi, eta, params):
 
 
 def correction_C(xi, eta, params):
-    """Conserved correction C: square root of `correction_C_sq`."""
-    return sqrt(correction_C_sq(xi, eta, params), params.q)
+    """Conserved correction C: square root of `correction_C_sq`, always an
+    mpf.  The radicand is exact at exact params, but most pairs' C^2 is no
+    square in Q(s), so the root is taken in floats on purpose."""
+    return sqrt(to_mpf(correction_C_sq(xi, eta, params)))
 
 
 def kraw_chain(xi, eta, params):
@@ -274,16 +283,15 @@ def _kraw_chain(xi, params, intermediates):
 
 
 def multi_species_D(xi, eta, params):
-    """Self-duality value for the multi-species exclusion chain."""
+    """Self-duality value for the multi-species exclusion chain: the
+    q-Krawtchouk chain times G.  Exact params give a value in Q(s), s^2 = q,
+    on every pair, cross-sector ones included; mpf params an mpf."""
     _check_pair(xi, eta, params)
     intermediates = intermediate_configs(xi, eta)
     value = _kraw_chain(xi, params, intermediates)
     if not value:
         return 0
-    g = sqrt(_G_sq(xi, eta, params, intermediates), params.q)
-    if not is_exact(g):
-        value = to_mpf(value)  # mpf refuses mixed arithmetic with SNum
-    return g * value
+    return sqrt(_G_sq(xi, eta, params, intermediates), params.q) * value
 
 
 def orthogonality_range_report(xi, eta, params):

@@ -22,7 +22,7 @@ import itertools
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
 from .ops import SparseMatrix
-from .qcalc import _check_q, _div, _exact_q, brace_int, q_binom, q_fact, q_poch, qq_binom
+from .qcalc import _check_q, _div, brace_int, q_binom, q_fact, q_poch, qq_binom
 from .scalars import q_root
 
 
@@ -94,7 +94,7 @@ def asep_two_site_rates(site_x, site_x1, q):
     if len(site_x) != len(site_x1):
         raise DomainError("bond ends %r and %r disagree on the species count"
                           % (site_x, site_x1))
-    q = _exact_q(q)
+    q = _check_q(q)
     rows = len(site_x)
     out = []
     for k in range(rows):
@@ -126,6 +126,7 @@ def asep_moves(q):
     """moves(cfg) for `assemble`: the exclusion chain's (target, rate) per
     bond swap out of cfg.  Each closure computes the rates of a distinct
     (site x, site x+1) pair once and reuses them for every configuration."""
+    q = _check_q(q)
     bond_rates = {}
 
     def moves(cfg):
@@ -165,7 +166,7 @@ def reversible_measure(cfg, q):
     """
     if cfg.is_zero_range:
         raise DomainError("the reversible measure needs capacity mode")
-    q = _exact_q(q)
+    q = _check_q(q)
     s = q_root(q)
     halves = 0  # exponent of q in units of 1/2
     value = 1
@@ -194,7 +195,7 @@ def single_species_measure(xi, theta, alpha, q):
     theta = tuple(theta)
     if len(xi) != len(theta):
         raise DomainError("%d counts for %d capacities" % (len(xi), len(theta)))
-    q = _exact_q(q)
+    q = _check_q(q)
     value = 1
     cap_left = 0  # capacity strictly to the left
     for c, t in zip(xi, theta):

@@ -7,10 +7,10 @@ never sets `mpmath.mp.dps`, so wrap a computation in `mpmath.workdps` to
 choose the digits.
 
 `q_root` is the one root s = sqrt(q) of the deformation parameter q.
-`sqrt` is the one place that decides whether any other square root stays
-exact.  An exact radicand that is a square in the field of q gets an exact
-root.  Any other exact radicand falls back to an mpf, and that fallback
-always emits a `UserWarning` naming the field; it is never silent.
+`sqrt` is the one other square root.  An exact radicand gets its exact
+root in the field of q, or a `DomainError` naming that field; it never
+turns into a float by itself.  A caller who wants the float root passes
+`to_mpf(x)`, so every move from exact to float is written at its call site.
 
 Construction: the public `SNum(a, b, sbase)` validates its input.  It
 coerces both parts to Fraction, requires sbase > 0, and folds a
@@ -22,7 +22,6 @@ a square) and redoes only the fold b == 0 => sbase = None.
 
 import math
 import operator
-import warnings
 from fractions import Fraction
 
 import mpmath
@@ -243,68 +242,42 @@ class SNum:
                                    abs(self.b))
 
 
-def exact_sqrt(x, sbase=None):
-    """Square root inside Q(s), or None when the radicand is not a square there.
-
-    x may be int/Fraction/SNum; sbase gives the ambient field for rationals
-    whose root might be a rational multiple of s.
-    """
-    if isinstance(x, SNum) and x.b != 0:
-        # (u + v s)^2 = a + b s  =>  u^2 = (a +- e)/2 with e = sqrt(a^2 - b^2 s^2)
-        a, b, base = x.a, x.b, x.sbase
-        e = rational_sqrt(a * a - b * b * base)
-        if e is None:
-            return None
-        for usq in ((a + e) / 2, (a - e) / 2):
-            u = rational_sqrt(usq)
-            if u is not None and u != 0:
-                v = b / (2 * u)
-                cand = SNum(u, v, base)
-                if cand * cand == x and cand.sign() >= 0:
-                    return cand
-                cand = -cand
-                if cand * cand == x and cand.sign() >= 0:
-                    return cand
-        return None
-    r = x.a if isinstance(x, SNum) else Fraction(x)
-    if r < 0:
-        return None
-    root = rational_sqrt(r)
-    if root is not None:
-        return SNum(root) if isinstance(x, SNum) else root
-    if sbase is not None:
-        # maybe sqrt(r) = t*s with t rational, t^2 = r / sbase
-        t = rational_sqrt(r / Fraction(sbase))
-        if t is not None:
-            return SNum(0, t, sbase)
-    return None
-
-
 def sqrt(x, q=None):
-    """Principal square root, exact whenever x is a square in Q(s), s^2 = q.
+    """Principal square root: exact for an exact x, an mpf for a float x.
 
-    q is the deformation parameter itself, a rational or a float; a float q
-    (or None) names no field, so only rational squares stay exact.  A
-    negative radicand raises `DomainError`.  An exact x with no root in
-    that field returns an mpf and warns with a `UserWarning` naming the
-    field; a float x returns an mpf.
+    q is the deformation parameter itself.  A rational q names the field
+    Q(s), s^2 = q, in which an exact x is rooted; a float q (or None) names
+    Q.  A negative radicand raises `DomainError`, and so does an exact x
+    that is not a square in that field.
     """
-    exact = is_exact(x)
-    if not exact:
+    if not is_exact(x):
         x = to_mpf(x)
     if x < 0:
         raise DomainError("negative radicand %r has no real square root" % (x,))
-    if exact:
-        sbase = q if is_exact(q) else None
-        root = exact_sqrt(x, sbase)
+    if not is_exact(x):
+        return mpmath.sqrt(x)
+    sbase = q if is_exact(q) else None
+    if isinstance(x, SNum) and x.b != 0:
+        # (u + v s)^2 = a + b s  =>  u^2 = (a +- e)/2 with e = sqrt(a^2 - b^2 s^2)
+        a, b, sbase = x.a, x.b, x.sbase
+        e = rational_sqrt(a * a - b * b * sbase)
+        for usq in () if e is None else ((a + e) / 2, (a - e) / 2):
+            u = rational_sqrt(usq)
+            if u:
+                root = SNum(u, b / (2 * u), sbase)
+                if root * root == x:
+                    return root if root.sign() >= 0 else -root
+    else:
+        r = x.a if isinstance(x, SNum) else Fraction(x)
+        root = rational_sqrt(r)
         if root is not None:
-            return root
-        # the text names the field, not x, so that the default filter
-        # reports once per call site and field rather than once per radicand
-        field = "Q" if sbase is None else "Q(sqrt(%s))" % sbase
-        warnings.warn("exact radicand is not a square in %s; falling back "
-                      "to mpf" % field, stacklevel=2)
-    return mpmath.sqrt(to_mpf(x))
+            return SNum(root) if isinstance(x, SNum) else root
+        # maybe sqrt(r) = t*s with t rational, t^2 = r / sbase
+        t = None if sbase is None else rational_sqrt(r / Fraction(sbase))
+        if t is not None:
+            return SNum(0, t, sbase)
+    field = "Q" if sbase is None else "Q(sqrt(%s))" % sbase
+    raise DomainError("exact radicand %r is not a square in %s" % (x, field))
 
 
 def q_root(q):

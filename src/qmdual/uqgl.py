@@ -30,7 +30,6 @@ from .errors import DomainError
 from .lattice import ResourceError
 from .ops import SparseMatrix
 from .qcalc import _check_q, _exact_q, brace_fact, q_int, q_poch
-from .scalars import is_exact, sqrt, to_mpf
 
 TENSOR_DIM_CAP = 10_000
 
@@ -417,14 +416,12 @@ def reversible_vector(tbasis, q):
 # algebraic duality
 
 
-def duality_lambda(alpha, theta, q, shift=0):
-    """Coupling for one species: sqrt(alpha) (1-q^2) q^{-(N(theta)-shift)},
-    N(theta) = total capacity.  A non-square exact alpha falls back to the
-    float backend through `scalars.sqrt`, which warns."""
-    root = sqrt(alpha)
+def duality_lambda(a, theta, q, shift=0):
+    """Coupling for one species: a (1-q^2) q^{-(N(theta)-shift)}, with
+    a = sqrt(alpha) the species coupling of `duality.DualityParams` and
+    N(theta) the total capacity; exact at rational a and q."""
     q = _check_q(q)
-    value = (1 - q ** 2) * q ** (-(sum(theta) - shift))
-    return root * (value if is_exact(root) else to_mpf(value))
+    return a * (1 - q ** 2) * q ** (-(sum(theta) - shift))
 
 
 class AlgebraicDuality:

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmdual import duality as du
@@ -192,7 +192,7 @@ def pochhammer_C_sq_oracle(xi, eta, params):
         upper = sum(eta.range_count(x, 0, iv.i + 1) - xi.range_count(x, 0, iv.i)
                     for x in range(1, xi.L + 1))
         value = value * q ** (math.comb(n_xi, 2) - math.comb(n_zeta, 2))
-        value = value * q_poch_ratio(params.alpha[iv.i], q, 1 - upper, 1 - n_zeta)
+        value = value * q_poch_ratio(params.a[iv.i] ** 2, q, 1 - upper, 1 - n_zeta)
     return value
 
 
@@ -258,11 +258,11 @@ def one_species(row, theta):
 class TestSingleSpeciesD:
     # kraw_chain on one-species Configs is the library's single-species value
     def test_hand_value_one_site(self):
-        # theta=(1): K_1(q^{-2}; p, 1, q^2) = 1 - p q^2 = 1 - q/alpha
+        # theta=(1): K_1(q^{-2}; p, 1, q^2) = 1 - p q^2 = 1 - q/alpha, alpha = a^2
         cfg = one_species((1,), (1,))
         for q, a in [(F(1, 2), F(2)), (F(2, 3), F(5)), (F(3, 2), F(1))]:
             got = kraw_chain(cfg, cfg, DualityParams((a,), q))
-            assert got == 1 - q / a, "D((1),(1)) = %s, want 1 - q/alpha" % got
+            assert got == 1 - q / a ** 2, "D((1),(1)) = %s, want 1 - q/alpha" % got
 
     def test_degree_zero_rows_give_one(self):
         got = kraw_chain(one_species((1, 2), (2, 2)), one_species((0, 0), (2, 2)),
@@ -278,7 +278,7 @@ class TestSingleSpeciesD:
         th = (2, 1)
         via_cfg = kraw_chain(one_species((1, 1), th), one_species((2, 0), th),
                              DualityParams((F(2),), F(1, 2)))
-        via_rows = single_species_D((1, 1), (2, 0), th, F(2), F(1, 2))
+        via_rows = single_species_D((1, 1), (2, 0), th, F(2) ** 2, F(1, 2))
         assert via_cfg == via_rows
 
     def test_matches_n1_nested_chain(self):
@@ -291,7 +291,7 @@ class TestSingleSpeciesD:
                     for eta in enumerate_sector(Sector((k2, sum(th) - k2), th)):
                         chain = kraw_chain(xi, eta, params)
                         bare = single_species_D(xi.row(0), eta.row(0), th,
-                                                F(3), F(1, 2))
+                                                F(3) ** 2, F(1, 2))
                         assert chain == bare, (
                             "n=1 chain %s != single-species %s at %s %s"
                             % (chain, bare, xi, eta))
@@ -334,7 +334,7 @@ class TestPrintedDualityMatrix:
     @pytest.mark.parametrize("q,a0,a1", POINTS)
     def test_all_sixteen_entries_exact(self, q, a0, a1):
         basis = printed_basis()
-        ref = printed_reference_D(q, a0, a1)
+        ref = printed_reference_D(q, a0 ** 2, a1 ** 2)
         params = DualityParams((a0, a1), q)
         for i, xi in enumerate(basis):
             for j, eta in enumerate(basis):
@@ -408,61 +408,92 @@ class TestSelfDuality:
             "intertwining residual %s on %s" % (residual_max(R), sector))
 
     def test_cross_sector_blocks_intertwine(self):
-        # duality pairs configurations across different conserved counts too;
-        # these radicands are not perfect squares, so the block floats
+        # duality pairs configurations across different conserved counts too,
+        # exactly: a rational coupling a keeps every radicand a square
         q = F(1, 2)
         params = DualityParams((F(2), F(3)), q)
         s_xi, s_eta = Sector((1, 1, 2), (2, 2)), Sector((2, 1, 1), (2, 2))
         bx, be = enumerate_sector(s_xi), enumerate_sector(s_eta)
         Lx = asep_generator(s_xi, q).entries
         Le = asep_generator(s_eta, q).entries
-        with pytest.warns(UserWarning, match="falling back to mpf"):
-            D = d_matrix(bx, be, params)
-        if not all(is_exact(v) for v in D.flat):
-            D = np.array([[to_mpf(v) for v in row] for row in D], dtype=object)
-            Lx = np.array([[to_mpf(v) for v in row] for row in Lx], dtype=object)
-            Le = np.array([[to_mpf(v) for v in row] for row in Le], dtype=object)
+        D = d_matrix(bx, be, params)
+        assert all(is_exact(v) for v in D.flat), "cross block left Q(sqrt(q))"
         R = Lx.T @ D - D @ Le
-        assert residual_max(R) < mpmath.mpf("1e-30"), \
+        assert all(v == 0 for v in R.flat), \
             "cross-sector residual %s" % residual_max(R)
 
-    def test_non_square_radicand_warns(self):
-        # an exact pair whose G radicand has no root in Q(sqrt(q)) leaves the
-        # exact backend, and says so
+    def test_cross_sector_radicand_has_an_exact_root(self):
+        # a cross-sector G radicand: its root stays in the field of q
         params = DualityParams((F(2), F(3)), F(1, 2))
         xi = Config.capacity([(1, 0), (1, 0)], (2, 2))
         eta = Config.capacity([(2, 0), (0, 1)], (2, 2))
-        assert correction_G_sq(xi, eta, params) == 2211840000
-        with pytest.warns(UserWarning, match="falling back to mpf"):
-            g = correction_G(xi, eta, params)
-        assert isinstance(g, mpmath.mpf)
-        assert abs(g ** 2 - 2211840000) < mpmath.mpf(10) ** -40
+        assert correction_G_sq(xi, eta, params) == 477757440000
+        g = correction_G(xi, eta, params)
+        assert type(g) is F and g == 691200
 
-    def test_fallback_warns_once_per_call_site(self):
-        # a cross-sector block meets several distinct non-square radicands;
-        # the warning names only the field, so the default filter reports it
-        # once, not once per radicand
-        params = DualityParams((F(2), F(3)), F(1, 2))
-        bx = enumerate_sector(Sector((1, 2, 3), (2, 2, 2)))
-        be = enumerate_sector(Sector((2, 2, 2), (2, 2, 2)))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            D = d_matrix(bx, be, params)
+    def test_three_site_cross_block_stays_exact(self):
+        # a cross block with many distinct G radicands: every entry is
+        # exact, and it intertwines
+        q = F(1, 2)
+        params = DualityParams((F(2), F(3)), q)
+        s_xi, s_eta = Sector((1, 2, 3), (2, 2, 2)), Sector((2, 2, 2), (2, 2, 2))
+        bx, be = enumerate_sector(s_xi), enumerate_sector(s_eta)
+        D = d_matrix(bx, be, params)
         radicands = {correction_G_sq(xi, eta, params)
                      for (i, xi), (j, eta) in itertools.product(enumerate(bx),
                                                                 enumerate(be))
-                     if not is_exact(D[i, j])}
+                     if D[i, j] != 0}
         assert D.shape == (15, 21) and len(radicands) > 1
-        assert len(caught) == 1
+        assert all(is_exact(v) for v in D.flat)
+        R = (asep_generator(s_xi, q).entries.T @ D
+             - D @ asep_generator(s_eta, q).entries)
+        assert all(v == 0 for v in R.flat)
 
     def test_square_alpha_sector_stays_exact_and_silent(self):
-        # the benchmark's parameters: every radicand is a square in Q(sqrt(q))
+        # the benchmark's couplings a = (4, 9): every radicand is a square in
+        # Q(sqrt(q))
         params = DualityParams((F(4), F(9)), F(1, 3))
         basis = enumerate_sector(Sector((2, 2, 2), (2, 2, 2)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             D = d_matrix(basis, basis, params)
         assert all(is_exact(v) for v in D.flat)
+
+
+# -- the closed exact backend ------------------------------------------------------
+
+rationals = st.builds(F, st.integers(1, 12), st.integers(1, 12))
+
+
+class TestClosedBackend:
+    """At rational couplings a and rational q, every value of the nested D
+    lies in Q(sqrt(q)): no pair raises and none is a float, cross-sector
+    pairs included."""
+
+    @given(a=st.tuples(rationals, rationals, rationals),
+           q=rationals.filter(lambda q: q != 1))
+    @example(a=(F(3, 2), F(5, 7), F(2, 3)), q=F(2, 7))
+    @example(a=(F(4, 3), F(2, 9), F(7, 5)), q=3)
+    @example(a=(F(5, 2), F(1, 3), F(3, 4)), q=F(7, 2))
+    @settings(max_examples=2, deadline=None)
+    def test_every_pair_is_exact(self, a, q):
+        for theta, n in (((2, 2), 2), ((1, 1, 1), 3), ((2, 1, 2), 2)):
+            params = DualityParams(a[:n], q)
+            basis = all_capacity_configs(theta, n)
+            D = {(xi, eta): multi_species_D(xi, eta, params)
+                 for xi in basis for eta in basis}
+            inexact = [pair for pair, v in D.items() if not is_exact(v)]
+            assert not inexact, "%d inexact pairs on %s" % (len(inexact), theta)
+        # one cross-sector block of the last D, theta = (2,1,2), intertwines
+        # exactly
+        q = _check_q(q)
+        s_xi, s_eta = Sector((1, 2, 2), (2, 1, 2)), Sector((2, 1, 2), (2, 1, 2))
+        bx, be = enumerate_sector(s_xi), enumerate_sector(s_eta)
+        block = np.array([[D[xi, eta] for eta in be] for xi in bx], dtype=object)
+        assert any(v != 0 for v in block.flat)
+        R = (asep_generator(s_xi, q).entries.T @ block
+             - block @ asep_generator(s_eta, q).entries)
+        assert all(v == 0 for v in R.flat)
 
 
 # -- orthogonality ---------------------------------------------------------------
@@ -474,13 +505,14 @@ def sector_key(cfg):
 def orthogonality_errors(theta, n, params, weights=None):
     """Worst diagonal/off-diagonal error of the biorthogonality sum.
 
-    weights, if given, maps each sector key k to a_k > 0.  The sum then runs
-    against the mixture measure a_k mu, with D_a(xi, eta) = D(xi, eta) /
-    sqrt(a_k(xi) a_k(eta)): the sector-constant rescaling of the duality.
+    weights, if given, maps each sector key k to w_k > 0.  The sum then runs
+    against the mixture measure w_k mu, with D_w(xi, eta) = D(xi, eta) /
+    sqrt(w_k(xi) w_k(eta)): the sector-constant rescaling of the duality.
+    A product of radicands with no root in Q(sqrt(q)) is rooted in floats.
     """
     basis = all_capacity_configs(theta, n)
-    a = {c: 1 if weights is None else weights[sector_key(c)] for c in basis}
-    mu = {c: a[c] * du._sector_measure(c, params) for c in basis}
+    w = {c: 1 if weights is None else weights[sector_key(c)] for c in basis}
+    mu = {c: w[c] * du._sector_measure(c, params) for c in basis}
     K, rCG = {}, {}
     for xi in basis:
         for eta in basis:
@@ -488,7 +520,7 @@ def orthogonality_errors(theta, n, params, weights=None):
             K[xi, eta] = k
             if k != 0:
                 rad = (correction_C_sq(xi, eta, params)
-                       * correction_G_sq(xi, eta, params) / (a[xi] * a[eta]))
+                       * correction_G_sq(xi, eta, params) / (w[xi] * w[eta]))
                 assert rad >= 0, "negative weight radicand at %s %s" % (xi, eta)
                 rCG[xi, eta] = rad
     worst_diag = mpmath.mpf(0)
@@ -501,7 +533,11 @@ def orthogonality_errors(theta, n, params, weights=None):
                 k1, k2 = K[xi, eta], K[xi, etab]
                 if k1 == 0 or k2 == 0:
                     continue
-                root = sqrt(rCG[xi, eta] * rCG[xi, etab], params.q)
+                rad = rCG[xi, eta] * rCG[xi, etab]
+                try:
+                    root = sqrt(rad, params.q)
+                except DomainError:
+                    root = sqrt(to_mpf(rad))
                 if is_exact(root):
                     exact_tot = exact_tot + mu[xi] * root * k1 * k2
                 else:
@@ -523,9 +559,8 @@ def orthogonality_errors(theta, n, params, weights=None):
 
 class TestOrthogonality:
     def test_unweighted_theta11(self):
-        params = DualityParams((F(1, 2), F(1, 3)), F(2))
-        with pytest.warns(UserWarning, match="falling back to mpf"):
-            wd, wo = orthogonality_errors((1, 1), 2, params)
+        params = DualityParams((F(3, 4), F(1, 2)), F(2))
+        wd, wo = orthogonality_errors((1, 1), 2, params)
         assert wd == 0, "diagonal worst error %s" % wd
         assert wo < mpmath.mpf("1e-30"), "off-diagonal worst error %s" % wo
 
@@ -533,16 +568,14 @@ class TestOrthogonality:
         theta, n = (1, 1), 2
         ks = sorted({sector_key(c) for c in all_capacity_configs(theta, n)})
         weights = {k: F(i + 2, 3) for i, k in enumerate(ks)}
-        params = DualityParams((F(1, 2), F(1, 3)), F(2))
-        with pytest.warns(UserWarning, match="falling back to mpf"):
-            wd, wo = orthogonality_errors(theta, n, params, weights)
+        params = DualityParams((F(3, 4), F(1, 2)), F(2))
+        wd, wo = orthogonality_errors(theta, n, params, weights)
         assert wd == 0, "weighted diagonal worst error %s" % wd
         assert wo < mpmath.mpf("1e-30"), "weighted off-diagonal worst error %s" % wo
 
     def test_single_species_theta21(self):
-        params = DualityParams((F(1, 3),), F(2))
-        with pytest.warns(UserWarning, match="falling back to mpf"):
-            wd, wo = orthogonality_errors((2, 1), 1, params)
+        params = DualityParams((F(1, 2),), F(2))
+        wd, wo = orthogonality_errors((2, 1), 1, params)
         assert wd == 0 and wo < mpmath.mpf("1e-30"), \
             "single-species orthogonality errors %s / %s" % (wd, wo)
 
@@ -582,7 +615,7 @@ class TestCorrectionVariants:
         params = DualityParams((F(2), F(3)), F(1, 2))
         xi = Config.capacity([(0, 0), (0, 0)], (1, 1))
         eta = Config.capacity([(1, 0), (0, 0)], (1, 1))
-        assert correction_C_sq(xi, eta, params) == F(-23)
+        assert correction_C_sq(xi, eta, params) == F(-71)
         with pytest.raises(DomainError, match="negative radicand"):
             correction_C(xi, eta, params)
 
@@ -605,7 +638,7 @@ class TestRangeReport:
         assert n_neg > 0, "fixture should exercise the inadmissible range"
 
     def test_report_separates_pairs_at_admissible_params(self):
-        params = DualityParams((F(1, 2), F(1, 3)), F(2))
+        params = DualityParams((F(3, 4), F(1, 2)), F(2))
         basis = all_capacity_configs((1, 1), 2)
         flags = [bool(orthogonality_range_report(xi, eta, params))
                  for xi in basis for eta in basis
@@ -815,7 +848,7 @@ class TestParamsAndDomain:
 
     def test_float_input_floats_everything(self):
         p = DualityParams((F(2), mpmath.mpf(3)), F(1, 2))
-        assert all(isinstance(a, mpmath.mpf) for a in p.alpha)
+        assert all(isinstance(a, mpmath.mpf) for a in p.a)
         assert isinstance(p.q, mpmath.mpf)
 
     def test_mismatched_profiles_raise(self):
@@ -839,7 +872,7 @@ class TestParamsAndDomain:
     def test_params_are_immutable(self):
         params = DualityParams((F(2), F(3)), F(1, 2))
         with pytest.raises(AttributeError):
-            params.alpha = (F(5), F(3))
+            params.a = (F(5), F(3))
 
 
 # -- the params memo ---------------------------------------------------------------
@@ -856,7 +889,7 @@ MEMO_CASES = {
                    lambda: DualityParams((F(2), F(5)), F(1, 2))),
     # every sector on theta = (2,1): pairs across sectors
     "multi-sector": (lambda: all_capacity_configs((2, 1), 2),
-                     lambda: DualityParams((F(1, 2), F(1, 3)), F(2))),
+                     lambda: DualityParams((F(3, 4), F(1, 2)), F(2))),
 }
 
 
@@ -877,18 +910,14 @@ class TestParamsMemo:
         make_basis, make_params = MEMO_CASES[case]
         basis = make_basis()
         shared = make_params()
-        with warnings.catch_warnings(record=True) as fallbacks:
-            warnings.simplefilter("always")
-            for xi in basis:
-                for eta in basis:
-                    for f in MEMO_QUANTITIES:
-                        got, want = f(xi, eta, shared), f(xi, eta, make_params())
-                        assert type(got) is type(want) and got == want, \
-                            "%s differs at %s %s: %r vs %r" % (
-                                f.__name__, xi, eta, got, want)
-        # only the multi-sector basis spans several sectors; its cross-sector
-        # radicands are the only ones without an exact root
-        assert bool(fallbacks) == (case == "multi-sector")
+        for xi in basis:
+            for eta in basis:
+                for f in MEMO_QUANTITIES:
+                    got, want = f(xi, eta, shared), f(xi, eta, make_params())
+                    assert type(got) is type(want) and got == want, \
+                        "%s differs at %s %s: %r vs %r" % (
+                            f.__name__, xi, eta, got, want)
+                assert is_exact(multi_species_D(xi, eta, shared))
         if case == "odd-counts":
             assert any(isinstance(multi_species_D(xi, eta, shared), SNum)
                        for xi in basis for eta in basis)
@@ -927,7 +956,7 @@ class TestParamsMemo:
                 for eta in basis:
                     multi_species_D(xi, eta, params)
         assert first._memo is not second._memo
-        # the shifted Krawtchouk parameters of species 0 depend on alpha_0
+        # the shifted Krawtchouk parameters of species 0 depend on a_0
         shifted = [key for key in first._memo if key[1:3] == ("p", 0)]
         assert shifted and all(first._memo[key] != second._memo[key]
                                for key in shifted)

@@ -499,9 +499,9 @@ _INPUT_CHECKS = """
 import sys
 from fractions import Fraction as F
 from mpmath import mpf
-from qmdual import models
+from qmdual import models, uqgl
 from qmdual.errors import DegenerateQError, DomainError
-from qmdual.lattice import Config
+from qmdual.lattice import Config, Sector
 from qmdual.scalars import SNum
 q = F(1, 2)
 zrp = Config.zero_range([(1, 0)])
@@ -555,6 +555,18 @@ degenerate = {
     "discrete kernel, one site, q = 1":
         lambda: models.qhahn_discrete_kernel(
             window([(2,)]), F(1, 2), F(1, 4), 1, "right"),
+    "exclusion generator, one species, q = 1":
+        lambda: models.asep_generator(Sector((2, 0), (1, 1)), 1),
+    "exclusion generator, one site, q = 1":
+        lambda: models.asep_generator(Sector((1, 1), (2,)), 1),
+    "bond rates, no exchange, q = 1":
+        lambda: models.asep_two_site_rates((1, 0), (1, 0), 1),
+    "chain generator, one site, q = 1":
+        lambda: uqgl.chain_generator(uqgl.TensorBasis(1, (1,)), 1),
+    "reversible measure, empty site, q = 1":
+        lambda: models.reversible_measure(Config.capacity([(0,)], (0,)), 1),
+    "one-species measure, empty site, q = 1":
+        lambda: models.single_species_measure((0,), (0,), 2, 1),
 }
 for name, call in checks.items():
     try:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from qmdual import duality, models, qcalc, uqgl
 from qmdual.errors import DegenerateQError, DomainError
-from qmdual.lattice import Config
+from qmdual.lattice import Config, Sector
 from qmdual.scalars import SNum, to_mpf
 
 Q_GRID = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
@@ -170,8 +170,8 @@ DEGENERATE_Q_CALLS = {
     "q_krawtchouk q=0": lambda: qcalc.q_krawtchouk(1, 1, Fraction(1, 2), 2, 0),
     "qhahn_D q=0": lambda: duality.qhahn_D(_ZRP, _ZRP, 0),
     "multi_species_D q=0": lambda: duality.multi_species_D(
-        _CAP, _CAP, duality.DualityParams((4,), 0)),
-    "duality_lambda q=1": lambda: uqgl.duality_lambda(4, (1, 1), 1),
+        _CAP, _CAP, duality.DualityParams((2,), 0)),
+    "duality_lambda q=1": lambda: uqgl.duality_lambda(2, (1, 1), 1),
     "gamma_from_lambda q=1": lambda: uqgl.gamma_from_lambda(2, 1),
     "gamma_from_lambda q=-1": lambda: uqgl.gamma_from_lambda(2, -1),
     "phi_weight q=1": lambda: models.phi_weight(
@@ -195,6 +195,20 @@ DEGENERATE_Q_CALLS = {
         lambda: models.qhahn_discrete_kernel(
             [Config.zero_range([(2,)])], Fraction(1, 2), Fraction(1, 4), 1,
             "right"),
+    # one-state exclusion sectors and empty bonds reach no q-integer, so
+    # q is checked where the exclusion functions take it
+    "asep_generator one species q=1":
+        lambda: models.asep_generator(Sector((2, 0), (1, 1)), 1),
+    "asep_generator one site q=1":
+        lambda: models.asep_generator(Sector((1, 1), (2,)), 1),
+    "asep_two_site_rates q=1":
+        lambda: models.asep_two_site_rates((1, 0), (1, 0), 1),
+    "chain_generator one site q=1":
+        lambda: uqgl.chain_generator(uqgl.TensorBasis(1, (1,)), 1),
+    "reversible_measure empty site q=1":
+        lambda: models.reversible_measure(Config.capacity([(0,)], (0,)), 1),
+    "single_species_measure empty site q=1":
+        lambda: models.single_species_measure((0,), (0,), 2, 1),
 }
 
 

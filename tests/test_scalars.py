@@ -42,16 +42,18 @@ class TestSqrt:
 
     def test_float_q_names_no_field(self):
         # 4/3 is a square in Q(sqrt(1/3)) but not in Q
-        with pytest.warns(UserWarning, match=r"not a square in Q;"):
-            root = sqrt(F(4, 3), mpmath.mpf(1) / 3)
-        assert isinstance(root, mpmath.mpf)
+        with pytest.raises(DomainError, match=r"not a square in Q$"):
+            sqrt(F(4, 3), mpmath.mpf(1) / 3)
 
-    def test_non_square_warns_and_falls_back(self):
-        with pytest.warns(UserWarning, match=r"not a square in "
-                          r"Q\(sqrt\(1/3\)\); falling back to mpf"):
-            root = sqrt(F(2), F(1, 3))
-        assert isinstance(root, mpmath.mpf)
-        assert root == mpmath.sqrt(2)
+    def test_non_square_raises(self):
+        # an exact radicand never turns into a float by itself; the float
+        # root is the caller's explicit choice
+        s = SNum(0, 1, F(1, 3))
+        for x in (F(2), 5, SNum(F(2)), 1 + s):
+            with pytest.raises(DomainError,
+                               match=r"not a square in Q\(sqrt\(1/3\)\)$"):
+                sqrt(x, F(1, 3))
+        assert sqrt(scalars.to_mpf(F(2)), F(1, 3)) == mpmath.sqrt(2)
 
     def test_float_radicand_stays_float_without_warning(self):
         with warnings.catch_warnings():

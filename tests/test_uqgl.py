@@ -23,7 +23,7 @@ from qmdual.lattice import ResourceError, Sector
 from qmdual.models import asep_generator
 from qmdual.ops import SparseMatrix
 from qmdual.qcalc import q_int, q_poch
-from qmdual.scalars import to_mpf
+from qmdual.scalars import is_exact, to_mpf
 
 F = Fraction
 
@@ -258,10 +258,9 @@ class TestDefiningRelations:
                 assert zero(comm(E, Fl) - want), \
                     "[E,F] != weight difference at n=%d m=%d i=%d q=%s" % (n, m, i, q)
 
-    @pytest.mark.parametrize("n,m", MODULES)
+    @pytest.mark.parametrize("n,m", [(n, m) for n, m in MODULES if n >= 2])
     def test_mixed_ladder_commutes(self, n, m):
-        if n < 2:
-            pytest.skip("needs two ladder indices")
+        # two ladder indices, so rank n >= 2
         for q in QGRID[:2]:
             b = uq.TensorBasis(n, (m,))
             assert zero(comm(gen("raise", 0, b, q), gen("lower", 1, b, q)))
@@ -939,14 +938,27 @@ class TestUnitary:
 
 class TestAlgebraicDuality:
     def test_coupling_value(self):
-        lam = uq.duality_lambda(4, (2, 2), F(1, 2))
-        # sqrt(4) (1 - 1/4) 2^4 = 24
-        assert lam == 24
+        lam = uq.duality_lambda(2, (2, 2), F(1, 2))
+        # a (1 - q^2) q^-4 at a = sqrt(alpha) = 2: 2 (1 - 1/4) 2^4 = 24
+        assert type(lam) is F and lam == 24
 
-    def test_nonsquare_alpha_warns_and_floats(self):
-        with pytest.warns(UserWarning):
-            lam = uq.duality_lambda(F(2), (1, 1), F(1, 2))
-        assert isinstance(lam, mpmath.mpf)
+    def test_rational_coupling_stays_exact(self):
+        # at a = sqrt(alpha) = (3/2, 5/7), q = 2/7 the algebraic D and its
+        # weights are exact, and both identities hold exactly
+        q, a = F(2, 7), (F(3, 2), F(5, 7))
+        for theta in ((2, 2), (2, 2, 2)):
+            tb = uq.TensorBasis(2, theta)
+            lams = [uq.duality_lambda(v, theta, q) for v in a]
+            assert all(type(lam) is F for lam in lams)
+            ad = uq.algebraic_duality(lams, tb, q)
+            values = [v for row in ad.entries.rows.values() for v in row.values()]
+            assert all(is_exact(v) for v in values + ad.left_weight
+                       + ad.right_weight), theta
+            L, D = uq.chain_generator(tb, q), ad.entries
+            assert (L.T @ D - D @ L).rows == {}, theta
+            left = SparseMatrix.diag(ad.left_weight)
+            right = SparseMatrix.diag(ad.right_weight)
+            assert (D.T @ left @ D - right).rows == {}, theta
 
     @pytest.mark.parametrize("theta", [(1, 1), (2, 1), (2, 2)])
     def test_single_species_matches_closed_form(self, theta):
@@ -954,14 +966,14 @@ class TestAlgebraicDuality:
         # pair, with identical zero patterns
         for q in (F(1, 2), F(3, 2)):
             tb = uq.TensorBasis(1, theta)
-            lam = uq.duality_lambda(4, theta, q)
+            lam = uq.duality_lambda(2, theta, q)
             ad = uq.algebraic_duality([lam], tb, q)
             L = uq.chain_generator(tb, q)
             assert zero(L.T @ ad.entries - ad.entries @ L), \
                 "intertwining fails at theta=%s q=%s" % (theta, q)
             groups = tb.sectors()
             idx = list(range(len(tb)))
-            Dcf = closed_block(tb, [F(4)], q, idx, idx)
+            Dcf = closed_block(tb, [F(2)], q, idx, idx)
             D = np.asarray(ad.entries)
             for rk, ridx in groups.items():
                 for ck, cidx in groups.items():
@@ -975,20 +987,20 @@ class TestAlgebraicDuality:
     def test_single_species_orthogonality_exact(self):
         q = F(1, 2)
         tb = uq.TensorBasis(1, (2, 2))
-        lam = uq.duality_lambda(4, tb.theta, q)
+        lam = uq.duality_lambda(2, tb.theta, q)
         ad = uq.algebraic_duality([lam], tb, q)
         assert zero(orthogonality_residual(ad))
 
     def test_two_species_unit_capacity_full_match(self):
         q = F(1, 2)
         tb = uq.TensorBasis(2, (1, 1))
-        lams = [uq.duality_lambda(4, tb.theta, q), uq.duality_lambda(9, tb.theta, q)]
+        lams = [uq.duality_lambda(2, tb.theta, q), uq.duality_lambda(3, tb.theta, q)]
         ad = uq.algebraic_duality(lams, tb, q)
         L = uq.chain_generator(tb, q)
         assert zero(L.T @ ad.entries - ad.entries @ L)
         assert zero(orthogonality_residual(ad))
         idx = list(range(len(tb)))
-        Dcf = closed_block(tb, [F(4), F(9)], q, idx, idx)
+        Dcf = closed_block(tb, [F(2), F(3)], q, idx, idx)
         groups = tb.sectors()
         D = np.asarray(ad.entries)
         for rk, ridx in groups.items():
@@ -1004,18 +1016,18 @@ class TestAlgebraicDuality:
         q = F(1, 2)
         tb = uq.TensorBasis(2, (2, 2))
         idxs = tb.sectors()[(2, 1, 1)]
-        Dcf = closed_block(tb, [F(4), F(9)], q, idxs, idxs)
+        Dcf = closed_block(tb, [F(2), F(3)], q, idxs, idxs)
 
-        lams = [uq.duality_lambda(4, tb.theta, q, shift=1),
-                uq.duality_lambda(9, tb.theta, q, shift=2)]
+        lams = [uq.duality_lambda(2, tb.theta, q, shift=1),
+                uq.duality_lambda(3, tb.theta, q, shift=2)]
         ad = uq.algebraic_duality(lams, tb, q)
         L = uq.chain_generator(tb, q)
         assert zero(L.T @ ad.entries - ad.entries @ L)
         blk = np.asarray(ad.entries)[np.ix_(idxs, idxs)]
         assert ratio_classes(blk, Dcf) == 1, "sector block must match"
 
-        plain = [uq.duality_lambda(4, tb.theta, q),
-                 uq.duality_lambda(9, tb.theta, q)]
+        plain = [uq.duality_lambda(2, tb.theta, q),
+                 uq.duality_lambda(3, tb.theta, q)]
         ad0 = uq.algebraic_duality(plain, tb, q)
         assert zero(L.T @ ad0.entries - ad0.entries @ L), \
             "intertwining holds for any coupling"
@@ -1027,8 +1039,8 @@ class TestAlgebraicDuality:
     def test_two_species_orthogonality_exact(self):
         q = F(1, 2)
         tb = uq.TensorBasis(2, (2, 2))
-        lams = [uq.duality_lambda(4, tb.theta, q, shift=1),
-                uq.duality_lambda(9, tb.theta, q, shift=2)]
+        lams = [uq.duality_lambda(2, tb.theta, q, shift=1),
+                uq.duality_lambda(3, tb.theta, q, shift=2)]
         ad = uq.algebraic_duality(lams, tb, q)
         assert zero(orthogonality_residual(ad))
 
@@ -1037,7 +1049,7 @@ class TestAlgebraicDuality:
         # identities, with weights left / A^2 and right * A^2
         q = F(1, 2)
         tb = uq.TensorBasis(1, (2, 1))
-        lam = uq.duality_lambda(4, tb.theta, q)
+        lam = uq.duality_lambda(2, tb.theta, q)
         ad = uq.algebraic_duality([lam], tb, q)
         L = uq.chain_generator(tb, q)
         A = [F(1) + tb.sector_key(st_)[0] for st_ in tb.states]
@@ -1058,8 +1070,8 @@ class TestAlgebraicDuality:
         q = F(1, 2)
         tb = uq.TensorBasis(2, (1, 1, 1, 1))
         assert len(tb) == 81
-        lams = [uq.duality_lambda(4, tb.theta, q, shift=1),
-                uq.duality_lambda(9, tb.theta, q, shift=2)]
+        lams = [uq.duality_lambda(2, tb.theta, q, shift=1),
+                uq.duality_lambda(3, tb.theta, q, shift=2)]
         ad = uq.algebraic_duality(lams, tb, q)
         L = np.asarray(uq.chain_generator(tb, q))
         D = np.asarray(ad.entries)
@@ -1079,8 +1091,8 @@ class TestAlgebraicDuality:
         q = F(1, 2)
         tb = uq.TensorBasis(2, (2, 2, 2))
         assert len(tb) == 216
-        lams = [uq.duality_lambda(4, tb.theta, q, shift=1),
-                uq.duality_lambda(9, tb.theta, q, shift=2)]
+        lams = [uq.duality_lambda(2, tb.theta, q, shift=1),
+                uq.duality_lambda(3, tb.theta, q, shift=2)]
         ad = uq.algebraic_duality(lams, tb, q)
         L, D = uq.chain_generator(tb, q), ad.entries
         assert (L.T @ D - D @ L).rows == {}
@@ -1109,7 +1121,7 @@ INT_Q_CALLS = {
     "unitarity_twist": lambda q: uq.unitarity_twist(0, 2, INT_Q_BASIS, q),
     "chain_generator": lambda q: uq.chain_generator(INT_Q_BASIS, q),
     "reversible_vector": lambda q: uq.reversible_vector(INT_Q_BASIS, q),
-    "duality_lambda": lambda q: uq.duality_lambda(4, (1, 1), q),
+    "duality_lambda": lambda q: uq.duality_lambda(2, (1, 1), q),
     "algebraic_duality": lambda q: uq.algebraic_duality([2, 3], INT_Q_BASIS, q),
 }
 
