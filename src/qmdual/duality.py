@@ -23,20 +23,20 @@ Memo: a `DualityParams` object is what a caller builds once per duality
 matrix, and the exclusion-duality functions that take it read their
 pair-independent invariants through a private memo on it:
 - the reversible measure of each configuration's sector;
-- the single-species measure of each (species, row, capacities) that an
-  intermediate configuration shows;
+- the single-species measure of each (species, row, capacities) that a
+  forced row zeta^{(i)}_i or its partner xi_i shows;
 - each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2), keyed by
   species, degree e, argument c, capacity t and shift s, and its shifted
   parameter p q^{2s}.
 No key names a pair.  On a sector of N configurations with n species,
-`multi_species_D` and `correction_C_sq` read measures only on pairs whose
-intermediate configurations are all feasible; each such configuration lies
-in the sector and fixes its (row, capacities) keys, so they store at most
-N sector measures and 2nN species measures.  The site factors and shifted
-parameters are bounded by the capacities alone.  Every key carries the
-working precision, so a float entry is never reused at another one.  The
-memo lives and dies with the params object, which is immutable; nothing is
-cached at module level.
+`multi_species_D` and `correction_C_sq` read measures only on the pairs
+that `intermediate_configs` does not refuse.  There each forced row comes
+from a configuration zeta^{(i)} of the sector, which fixes its (row,
+capacities) keys, so they store at most N sector measures and 2nN species
+measures.  The site factors and shifted parameters are bounded by the
+capacities alone.  Every key carries the working precision, so a float
+entry is never reused at another one.  The memo lives and dies with the
+params object, which is immutable; nothing is cached at module level.
 """
 
 import math
@@ -45,7 +45,7 @@ from itertools import accumulate
 import mpmath
 
 from .errors import DomainError
-from .lattice import Config, intermediate_configs, is_feasible
+from .lattice import Config, intermediate_configs
 from .models import reversible_measure, single_species_measure
 from .qcalc import _check_q, _exact_q, q_krawtchouk, q_poch, q_poch_ratio
 from .scalars import SNum, is_exact, q_root, sqrt, to_mpf
@@ -129,10 +129,8 @@ def _site_shifts(xi_row, eta_row, theta_row):
 def _kraw_sites(xi_row, eta_row, theta_row, params, i):
     """prod_x `_site_factor`(params, i, eta^x, xi^x, theta^x, shift_x) over
     the sites where xi or eta is occupied (an empty site contributes
-    K_0(1) = 1); 0 when an index exceeds its site capacity."""
-    for c, e, t in zip(xi_row, eta_row, theta_row):
-        if not (0 <= c <= t and 0 <= e <= t):
-            return 0
+    K_0(1) = 1).  The rows come from an intermediate that
+    `intermediate_configs` did not refuse, so both lie in 0..theta^x."""
     value = 1
     for x, shift in enumerate(_site_shifts(xi_row, eta_row, theta_row)):
         if eta_row[x] == 0 and xi_row[x] == 0:
@@ -176,13 +174,14 @@ def w_over_h(xi_row, eta_row, theta_row, p, q):
 # -- multi-species duality -----------------------------------------------------
 
 
-def _check_pair(xi, eta, params):
-    """Types and species count; `intermediate_configs` checks the rest."""
-    if not (isinstance(xi, Config) and isinstance(eta, Config)):
-        raise DomainError("configurations expected")
+def _intermediates(xi, eta, params):
+    """`intermediate_configs` of the pair, None when it is infeasible, after
+    checking its species count against params."""
+    intermediates = intermediate_configs(xi, eta)
     if xi.n != params.n:
         raise DomainError("params carry %d species but configs have %d"
                           % (params.n, xi.n))
+    return intermediates
 
 
 def _sector_measure(cfg, params):
@@ -216,15 +215,15 @@ def _site_factor(params, i, e, c, t, shift):
 
 def correction_G_sq(xi, eta, params):
     """Radicand of the ground-state correction G (exact-friendly)."""
-    _check_pair(xi, eta, params)
-    return _G_sq(xi, eta, params, intermediate_configs(xi, eta))
+    intermediates = _intermediates(xi, eta, params)
+    return 0 if intermediates is None else _G_sq(xi, eta, params, intermediates)
 
 
 def _G_sq(xi, eta, params, intermediates):
     num = 1
     for iv in intermediates:
         num = num * _species_measure(params, iv.i, xi.row(iv.i), iv.theta)
-        num = num * _species_measure(params, iv.i, iv.rows[iv.i], iv.theta)
+        num = num * _species_measure(params, iv.i, iv.row, iv.theta)
     return num / (_sector_measure(xi, params) * _sector_measure(eta, params))
 
 
@@ -239,14 +238,13 @@ def correction_C_sq(xi, eta, params):
     """Radicand of the conserved correction C: the orthogonality weight ratio
     divided by the single-species measures, which is the form the
     orthogonality relation guarantees."""
-    _check_pair(xi, eta, params)
     q = params.q
-    intermediates = intermediate_configs(xi, eta)
-    if not all(is_feasible(iv) for iv in intermediates):
+    intermediates = _intermediates(xi, eta, params)
+    if intermediates is None:
         return 0
     value = 1
     for iv in intermediates:
-        xi_row, zeta_row = xi.row(iv.i), iv.rows[iv.i]
+        xi_row, zeta_row = xi.row(iv.i), iv.row
         num = w_over_h(xi_row, zeta_row, iv.theta, _site_p(params, iv.i, 0),
                        q * q)
         den = (_species_measure(params, iv.i, xi_row, iv.theta)
@@ -265,17 +263,15 @@ def correction_C(xi, eta, params):
 def kraw_chain(xi, eta, params):
     """The nested q-Krawtchouk product over intermediate configurations,
     without the ground-state correction; 0 on infeasible pairs."""
-    _check_pair(xi, eta, params)
-    return _kraw_chain(xi, params, intermediate_configs(xi, eta))
+    return _kraw_chain(xi, params, _intermediates(xi, eta, params))
 
 
 def _kraw_chain(xi, params, intermediates):
+    if intermediates is None:
+        return 0
     value = 1
     for iv in intermediates:
-        if not is_feasible(iv):
-            return 0
-        factor = _kraw_sites(xi.row(iv.i), iv.rows[iv.i], iv.theta,
-                             params, iv.i)
+        factor = _kraw_sites(xi.row(iv.i), iv.row, iv.theta, params, iv.i)
         if not factor:
             return 0
         value = value * factor
@@ -286,8 +282,7 @@ def multi_species_D(xi, eta, params):
     """Self-duality value for the multi-species exclusion chain: the
     q-Krawtchouk chain times G.  Exact params give a value in Q(s), s^2 = q,
     on every pair, cross-sector ones included; mpf params an mpf."""
-    _check_pair(xi, eta, params)
-    intermediates = intermediate_configs(xi, eta)
+    intermediates = _intermediates(xi, eta, params)
     value = _kraw_chain(xi, params, intermediates)
     if not value:
         return 0
@@ -298,16 +293,14 @@ def orthogonality_range_report(xi, eta, params):
     """Sites where the q-Krawtchouk orthogonality constraint p q^{2c} > 1 fails.
 
     Violations are reported, not enforced: the duality value itself is still
-    well defined there, only the orthogonality weights lose positivity.
+    well defined there, only the orthogonality weights lose positivity.  An
+    infeasible pair evaluates no Krawtchouk factor, so its report is empty.
     """
-    _check_pair(xi, eta, params)
-    q = params.q
-    q2 = q * q
+    intermediates = _intermediates(xi, eta, params)
+    q2 = params.q * params.q
     report = []
-    for iv in intermediate_configs(xi, eta):
-        if not is_feasible(iv):
-            continue
-        shifts = _site_shifts(xi.row(iv.i), iv.rows[iv.i], iv.theta)
+    for iv in intermediates or ():
+        shifts = _site_shifts(xi.row(iv.i), iv.row, iv.theta)
         for x, (shift, t) in enumerate(zip(shifts, iv.theta), start=1):
             bound = _site_p(params, iv.i, shift) * q2 ** t
             if not bound > 1:

@@ -8,3 +8,6 @@ class DegenerateQError(ValueError):
 class DomainError(ValueError):
     """Input outside the mathematical domain of the operation."""
 
+
+class ResourceError(RuntimeError):
+    """An enumeration or tensor basis exceeded its configured size cap."""

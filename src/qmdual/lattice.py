@@ -8,15 +8,13 @@ Two storage modes share one type:
   per-site counts.
 
 Sites are 1-indexed in the public API to match the usual chain notation.
+`intermediate_configs` gives the forced rows of the nested exclusion duality
+and is the one place that decides whether a pair of configurations is feasible.
 """
 
 from collections import namedtuple
 
-from .errors import DomainError
-
-
-class ResourceError(RuntimeError):
-    """A sector enumeration exceeded its configured size cap."""
+from .errors import DomainError, ResourceError
 
 
 class Config:
@@ -213,43 +211,33 @@ def enumerate_zrp_sector(counts, L, cap=200_000):
             for cfg in enumerate_sector(sector, cap)]
 
 
-Intermediate = namedtuple("Intermediate", ["i", "rows", "theta"])
-# rows: full signed (n+1) x L grid of zeta^{(i)}; theta: signed per-site vector.
+Intermediate = namedtuple("Intermediate", ["i", "row", "theta"])
+# row: the forced row zeta^{(i)}_i; theta: its capacities theta^{(i)}.  On a pair
+# that is not refused, 0 <= row <= theta and xi_i <= theta at every site.
 
 
 def intermediate_configs(xi, eta):
-    """The nested configurations zeta^{(i)} and capacities theta^{(i)}.
+    """The forced rows zeta^{(i)}_i of the nested configurations, or None.
 
-    zeta^{(i)}_k = xi_k for k<i, eta_k for k>i, and the row i is forced by the
-    per-site capacity: zeta^{(i)}_i = eta_{[0,i]} - xi_{[0,i-1]}.  Entries may
-    be negative; that marks the pair infeasible (duality value 0), it is not
-    an error.
+    zeta^{(i)} takes xi_k for k < i and eta_k for k > i, and its row
+    zeta^{(i)}_i = eta_{[0,i]} - xi_{[0,i-1]} lies on the capacities
+    theta^{(i)} = zeta^{(i)}_i + eta_{i+1}.  A negative forced entry marks the
+    pair infeasible (duality value 0) and gives None, not an error.
+    Otherwise every intermediate is in range: eta_{i+1} >= 0 gives
+    zeta^{(i)}_i <= theta^{(i)}, and xi_i <= theta^{(i)} holds because
+    theta^{(i)} - xi_i is the next forced row, or for i = n-1 the holes of xi.
     """
+    if not (isinstance(xi, Config) and isinstance(eta, Config)):
+        raise DomainError("configurations expected")
     if xi.is_zero_range or eta.is_zero_range:
         raise DomainError("intermediate configurations need capacity mode")
     if xi.theta != eta.theta or xi.n != eta.n:
         raise DomainError("configurations disagree in capacities or species count")
-    xi_upto, eta_upto = _species_prefix_sums(xi), _species_prefix_sums(eta)
-    result = []
+    result, row = [], eta.counts[0]  # zeta^{(0)}_0 = eta_0
     for i in range(xi.n):
-        # xi_{[0,i-1]} per site; the empty range for i = 0
-        left = xi_upto[i - 1] if i else (0,) * xi.L
-        zeta_i = tuple(e - c for e, c in zip(eta_upto[i], left))
-        theta_i = tuple(e - c for e, c in zip(eta_upto[i + 1], left))
-        rows = xi.counts[:i] + (zeta_i,) + eta.counts[i + 1:]
-        result.append(Intermediate(i, rows, theta_i))
+        if min(row) < 0:
+            return None
+        theta = tuple(z + e for z, e in zip(row, eta.counts[i + 1]))
+        result.append(Intermediate(i, row, theta))
+        row = tuple(t - c for t, c in zip(theta, xi.counts[i]))
     return result
-
-
-def _species_prefix_sums(cfg):
-    """Per-site partial sums over species: entry k is cfg_{[0,k]}."""
-    out = [cfg.counts[0]]
-    for row in cfg.counts[1:]:
-        out.append(tuple(a + b for a, b in zip(out[-1], row)))
-    return out
-
-
-def is_feasible(intermediate):
-    """True when every zeta row entry and capacity entry is nonnegative."""
-    return (all(c >= 0 for row in intermediate.rows for c in row)
-            and all(t >= 0 for t in intermediate.theta))

@@ -26,8 +26,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from . import lattice, models
-from .errors import DomainError
-from .lattice import ResourceError
+from .errors import DomainError, ResourceError
 from .ops import SparseMatrix
 from .qcalc import _check_q, _exact_q, brace_fact, q_int, q_poch
 
@@ -419,8 +418,11 @@ def reversible_vector(tbasis, q):
 def duality_lambda(a, theta, q, shift=0):
     """Coupling for one species: a (1-q^2) q^{-(N(theta)-shift)}, with
     a = sqrt(alpha) the species coupling of `duality.DualityParams` and
-    N(theta) the total capacity; exact at rational a and q."""
+    N(theta) the total capacity; exact at rational a and q.  A coupling
+    a <= 0 raises `DomainError`, as in `DualityParams`."""
     q = _check_q(q)
+    if not a > 0:
+        raise DomainError("species coupling a=%r must be positive" % (a,))
     return a * (1 - q ** 2) * q ** (-(sum(theta) - shift))
 
 

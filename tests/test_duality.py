@@ -187,7 +187,7 @@ def pochhammer_C_sq_oracle(xi, eta, params):
     q = params.q
     value = 1
     for iv in intermediate_configs(xi, eta):
-        n_xi, n_zeta = sum(xi.row(iv.i)), sum(iv.rows[iv.i])
+        n_xi, n_zeta = sum(xi.row(iv.i)), sum(iv.row)
         # species-count jump across the nesting step
         upper = sum(eta.range_count(x, 0, iv.i + 1) - xi.range_count(x, 0, iv.i)
                     for x in range(1, xi.L + 1))

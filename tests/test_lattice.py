@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from qmdual import lattice
 from qmdual.errors import DomainError
 from qmdual.lattice import (Config, Sector, enumerate_sector,
-                            intermediate_configs, is_feasible, n_total)
+                            intermediate_configs, n_total)
 
 
 def example_sector():
@@ -55,6 +55,7 @@ from qmdual.lattice import (Config, Sector, enumerate_zrp_sector,
 zrp = Config([(1, 0)])
 cap = Config([(1, 0), (0, 1)], theta=(1, 1))
 checks = {
+    "intermediate types": lambda: intermediate_configs(1, 2),
     "intermediate mode": lambda: intermediate_configs(zrp, zrp),
     "intermediate capacities": lambda: intermediate_configs(
         Config([(1, 0), (0, 1)], theta=(1, 1)),
@@ -177,41 +178,76 @@ class TestEnumerateSector:
             assert type(cfg.theta) is tuple
 
 
+def capacity_pairs(theta, n):
+    """Every pair of configurations on the capacity profile theta with n
+    species, cross-sector pairs included."""
+    configs = [cfg for k in itertools.product(range(sum(theta) + 1), repeat=n)
+               if sum(k) <= sum(theta)
+               for cfg in enumerate_sector(Sector(k + (sum(theta) - sum(k),),
+                                                  theta))]
+    return itertools.product(configs, repeat=2)
+
+
+def nested_difference(xi, eta, i, j):
+    """eta_{[0,j]} - xi_{[0,i-1]} per site: the forced row zeta^{(i)}_i at
+    j = i, its capacities theta^{(i)} at j = i + 1."""
+    return tuple(eta.range_count(x, 0, j) - xi.range_count(x, 0, i - 1)
+                 for x in range(1, xi.L + 1))
+
+
 class TestIntermediates:
     def test_single_species_collapse(self):
         xi = Config.capacity([[1, 0]], theta=(2, 2))
         eta = Config.capacity([[0, 1]], theta=(2, 2))
         (mid,) = intermediate_configs(xi, eta)
-        assert mid.rows[0] == eta.row(0)
+        assert mid.row == eta.row(0)
         assert mid.theta == tuple(eta.row(0)[x] + eta.row(1)[x] for x in range(2))
 
     def test_equal_arguments(self):
         cfg = Config.capacity([[1, 0], [0, 1]], theta=(2, 2))
         for mid in intermediate_configs(cfg, cfg):
-            assert mid.rows[mid.i] == cfg.row(mid.i)
+            assert mid.row == cfg.row(mid.i)
             assert mid.theta == tuple(
                 cfg.row(mid.i)[x] + cfg.row(mid.i + 1)[x] for x in range(2))
 
     def test_zeta_rows_sum_to_theta(self):
+        # zeta^{(i)}_i + xi_{[0,i-1]} + eta_{[i+1,n]} = theta at every site
         sec = example_sector()
         for xi in enumerate_sector(sec):
             for eta in enumerate_sector(sec):
-                for mid in intermediate_configs(xi, eta):
-                    if is_feasible(mid):
-                        for x in range(2):
-                            assert (sum(row[x] for row in mid.rows)
-                                    == sec.theta[x])
+                for mid in intermediate_configs(xi, eta) or ():
+                    for x in range(1, 3):
+                        assert (mid.row[x - 1] + xi.range_count(x, 0, mid.i - 1)
+                                + eta.range_count(x, mid.i + 1, sec.n)
+                                == sec.theta[x - 1])
 
     def test_printed_zero_pattern(self):
         # infeasibility of zeta^{(1)} reproduces the 4x4 zero positions
         configs = enumerate_sector(example_sector())
-        zero = set()
-        for a, xi in enumerate(configs):
-            for b, eta in enumerate(configs):
-                mids = intermediate_configs(xi, eta)
-                if not all(is_feasible(m) for m in mids):
-                    zero.add((a + 1, b + 1))
+        zero = {(a + 1, b + 1) for a, xi in enumerate(configs)
+                for b, eta in enumerate(configs)
+                if intermediate_configs(xi, eta) is None}
         assert zero == {(1, 4), (2, 4), (3, 1), (4, 1)}
+
+    @pytest.mark.parametrize("theta,n", [((2, 2), 2), ((2, 1, 2), 2),
+                                         ((3, 2), 2), ((1, 1, 1), 3)])
+    def test_one_feasibility_rule(self, theta, n):
+        # None exactly when a forced row has a negative entry; otherwise
+        # every intermediate is in range, so no caller checks bounds again
+        refused = 0
+        for xi, eta in capacity_pairs(theta, n):
+            want = [(i, nested_difference(xi, eta, i, i),
+                     nested_difference(xi, eta, i, i + 1)) for i in range(n)]
+            mids = intermediate_configs(xi, eta)
+            if any(min(row) < 0 for _, row, _ in want):
+                assert mids is None, (xi, eta)
+                refused += 1
+                continue
+            assert [tuple(m) for m in mids] == want, (xi, eta)
+            for mid in mids:
+                for c, z, t in zip(xi.row(mid.i), mid.row, mid.theta):
+                    assert 0 <= z <= t and c <= t, (xi, eta, mid)
+        assert refused > 0
 
 
 class TestZRPEnumeration:

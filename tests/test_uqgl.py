@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from qmdual import uqgl as uq
 from qmdual.duality import DualityParams, multi_species_D
-from qmdual.errors import DomainError
-from qmdual.lattice import ResourceError, Sector
+from qmdual.errors import DomainError, ResourceError
+from qmdual.lattice import Sector
 from qmdual.models import asep_generator
 from qmdual.ops import SparseMatrix
 from qmdual.qcalc import q_int, q_poch
@@ -942,6 +942,12 @@ class TestAlgebraicDuality:
         # a (1 - q^2) q^-4 at a = sqrt(alpha) = 2: 2 (1 - 1/4) 2^4 = 24
         assert type(lam) is F and lam == 24
 
+    @pytest.mark.parametrize("a", [-2, 0, F(-1, 3)])
+    def test_coupling_must_be_positive(self, a):
+        # a = 0 would make the algebraic duality a trivial diagonal
+        with pytest.raises(DomainError):
+            uq.duality_lambda(a, (1, 1), F(1, 2))
+
     def test_rational_coupling_stays_exact(self):
         # at a = sqrt(alpha) = (3/2, 5/7), q = 2/7 the algebraic D and its
         # weights are exact, and both identities hold exactly
@@ -1178,6 +1184,8 @@ checks = {
     "star shape":
         lambda: uq.star_transform(SparseMatrix({}, (3, 3)), tb, q),
     "positive inner product": lambda: uq.inner_product(uq.TensorBasis(1, (1,)), -q),
+    "negative coupling": lambda: uq.duality_lambda(-2, (1, 1), q),
+    "zero coupling": lambda: uq.duality_lambda(0, (1, 1), q),
 }
 for name, call in checks.items():
     try:
