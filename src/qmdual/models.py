@@ -157,7 +157,9 @@ def _replace_sites(cfg, x, new_x, new_x1):
 # -- reversible measures -----------------------------------------------------
 
 def reversible_measure(cfg, q):
-    """Weight of one configuration under its sector's reversible measure.
+    """Weight of one configuration under its sector's reversible measure,
+    mu(xi) = q^{sum c^2/2 - 2 sum_{y<x} sum_i xi^x_{[0,i]} xi^y_{i+1}}
+    / prod [c]_q!, c running over every count xi^x_i, holes included.
 
     Exact backend: pass q as a Fraction.  The q^{(count^2)/2} factor puts the
     value in Q(s), s = `q_root(q)`: an SNum when the squared counts sum to an
@@ -168,19 +170,21 @@ def reversible_measure(cfg, q):
         raise DomainError("the reversible measure needs capacity mode")
     q = _check_q(q)
     s = q_root(q)
-    halves = 0  # exponent of q in units of 1/2
+    facts = {}
+    left = [0] * cfg.rows  # each row's count strictly left of the site
+    halves = cross = 0  # halves: exponent of q in units of 1/2
     value = 1
-    for x in range(1, cfg.L + 1):
-        for i in range(cfg.rows):
-            c = cfg.count(i, x)
-            if c:
-                value = value / q_fact(c, q)
+    for site in zip(*cfg.counts):
+        below = 0  # rows 0..i-1 at this site
+        for i, c in enumerate(site):
+            cross += below * left[i]
+            left[i] += c
+            below += c
             halves += c * c
-    cross = 0
-    for x in range(2, cfg.L + 1):
-        for y in range(1, x):
-            for i in range(cfg.rows - 1):
-                cross += cfg.range_count(x, 0, i) * cfg.count(i + 1, y)
+            if c:
+                if c not in facts:
+                    facts[c] = q_fact(c, q)
+                value = value / facts[c]
     value = value * q ** (halves // 2 - 2 * cross)
     return value * s if halves % 2 else value
 
@@ -188,19 +192,15 @@ def reversible_measure(cfg, q):
 def single_species_measure(xi, theta, alpha, q):
     """One-species product measure with fugacity alpha on capacities theta.
 
-    xi is the per-site count tuple of the species.  Returns 0 on counts
-    outside [0, theta^x].  Uses the symmetric Gaussian binomial.
+    xi is the per-site count tuple of the species; a count outside
+    [0, theta^x] raises `DomainError`.  Uses the symmetric Gaussian binomial.
     """
-    xi = tuple(xi)
-    theta = tuple(theta)
-    if len(xi) != len(theta):
-        raise DomainError("%d counts for %d capacities" % (len(xi), len(theta)))
+    xi, theta = tuple(xi), tuple(theta)
+    if len(xi) != len(theta) or not all(0 <= c <= t for c, t in zip(xi, theta)):
+        raise DomainError("counts %r do not fit capacities %r" % (xi, theta))
     q = _check_q(q)
-    value = 1
-    cap_left = 0  # capacity strictly to the left
+    value, cap_left = 1, 0  # cap_left: capacity strictly to the left
     for c, t in zip(xi, theta):
-        if c < 0 or c > t:
-            return 0
         value = value * alpha ** c * q_binom(t, c, q) * q ** (-(2 * cap_left + t) * c)
         cap_left += t
     return value

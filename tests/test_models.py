@@ -29,8 +29,8 @@ from qmdual.models import (
     reversible_measure,
     single_species_measure,
 )
-from qmdual.qcalc import q_binom, q_poch
-from qmdual.scalars import SNum
+from qmdual.qcalc import _check_q, q_binom, q_fact, q_poch
+from qmdual.scalars import SNum, q_root
 
 Q_GRID = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
 
@@ -88,6 +88,29 @@ def check_detailed_balance(gen, weights):
             assert lhs == rhs, (
                 "detailed balance fails between %r and %r: %r != %r"
                 % (gen.basis[j], gen.basis[i], lhs, rhs))
+
+
+def reversible_measure_oracle(cfg, q):
+    """The reversible measure by its double sum over site pairs y < x, one
+    `q_fact` per nonzero count, divided in the library's site-major order so
+    that values agree with it in repr and type, mpf rounding included."""
+    q = _check_q(q)
+    s = q_root(q)
+    halves = 0
+    value = 1
+    for x in range(1, cfg.L + 1):
+        for i in range(cfg.rows):
+            c = cfg.count(i, x)
+            if c:
+                value = value / q_fact(c, q)
+            halves += c * c
+    cross = 0
+    for x in range(2, cfg.L + 1):
+        for y in range(1, x):
+            for i in range(cfg.rows - 1):
+                cross += cfg.range_count(x, 0, i) * cfg.count(i + 1, y)
+    value = value * q ** (halves // 2 - 2 * cross)
+    return value * s if halves % 2 else value
 
 
 class TestTwoSiteRates:
@@ -164,6 +187,20 @@ class TestGeneratorAssembly:
                     % (i, j, printed[i][j], q**2 * gen.entries[j][i]))
 
 
+ORACLE_SECTORS = [
+    Sector((3, 3, 2), (1,) * 8),
+    Sector((2, 2, 2), (2, 2, 2)),
+    Sector((1, 2, 2), (3, 2)),
+    Sector((2, 1, 3), (3, 3)),
+    Sector((1, 3, 4), (2, 2, 2, 2)),
+    Sector((1, 1, 1, 1), (1, 1, 1, 1)),
+    Sector((2, 1, 1, 2), (3, 1, 2)),
+]
+ORACLE_Q = [F(1, 3), F(2, 7), 3, F(9, 4), F(7, 2),
+            mpmath.mpf(1) / 3, mpmath.mpf("0.9")]
+ORACLE_Q_IDS = ["1/3", "2/7", "int 3", "9/4", "7/2", "mpf 1/3", "mpf 0.9"]
+
+
 class TestReversibleMeasure:
     def test_single_config_sector(self):
         gen = asep_generator(Sector((2, 0), (1, 1)), F(1, 2))
@@ -184,6 +221,29 @@ class TestReversibleMeasure:
             gen = asep_generator(sector, q)
             weights = [reversible_measure(cfg, q) for cfg in gen.basis]
             check_detailed_balance(gen, weights)
+
+    @pytest.mark.parametrize("q", [3, F(7, 2), F(9, 4)], ids=["3", "7/2", "9/4"])
+    def test_detailed_balance_generic_q(self, q):
+        # an odd sum of squared counts carries q^(1/2): an SNum unless q is a
+        # square, and 9/4 is one, so its weights stay Fractions
+        odd_seen = 0
+        for sector in sector_grid(3, 2, 2):
+            gen = asep_generator(sector, q)
+            weights = [reversible_measure(cfg, q) for cfg in gen.basis]
+            check_detailed_balance(gen, weights)
+            for cfg, w in zip(gen.basis, weights):
+                odd = sum(c * c for row in cfg.counts for c in row) % 2
+                odd_seen += odd
+                assert type(w) is (SNum if odd and q != F(9, 4) else Fraction)
+        assert odd_seen > 0
+
+    @pytest.mark.parametrize("q", ORACLE_Q, ids=ORACLE_Q_IDS)
+    def test_one_pass_matches_double_sum(self, q):
+        for sector in ORACLE_SECTORS:
+            for cfg in enumerate_sector(sector):
+                got = reversible_measure(cfg, q)
+                want = reversible_measure_oracle(cfg, q)
+                assert (type(got), repr(got)) == (type(want), repr(want)), cfg
 
     def test_detailed_balance_against_reference_matrix(self):
         # pairwise against the printed 4x4, row convention: rate(i->j) = L[i][j]
@@ -267,8 +327,11 @@ class TestSingleSpeciesMeasure:
         assert mu_b == F(80, 3)
         assert mu_a / mu_b == q**3 / q_binom(2, 1, q)
 
-    def test_overfilled_site_weighs_zero(self):
-        assert single_species_measure((2, 0), (1, 2), F(1, 3), F(1, 2)) == 0
+    def test_overfilled_site_raises(self):
+        with pytest.raises(DomainError, match="do not fit"):
+            single_species_measure((2, 0), (1, 2), F(1, 3), F(1, 2))
+        with pytest.raises(DomainError, match="do not fit"):
+            single_species_measure((-1, 0), (1, 2), F(1, 3), F(1, 2))
 
     def test_detailed_balance_single_species(self):
         # the fugacity factor is constant on a sector, so the alpha-weighted
@@ -526,6 +589,8 @@ checks = {
         lambda: models.reversible_measure(two, F(-1, 3)),
     "one-species measure lengths":
         lambda: models.single_species_measure((1, 0), (1, 1, 1), F(4), q),
+    "one-species measure, overfilled site":
+        lambda: models.single_species_measure((2, 0), (1, 2), F(1, 3), q),
     "Phi weight lengths":
         lambda: models.phi_weight((1,), (1, 0), F(1, 2), F(1, 3), q),
     "Phi derivative at the empty batch":
