@@ -16,6 +16,8 @@ from collections import namedtuple
 
 from .errors import DomainError, ResourceError
 
+SECTOR_CAP = 200_000
+
 
 class Config:
     """Immutable particle configuration; counts is a species-major grid."""
@@ -90,24 +92,11 @@ class Config:
         """Number of stored rows: n+1 with capacities, n without."""
         return len(self.counts)
 
-    def count(self, i, x):
-        """Occupation of species i at site x (1-indexed site)."""
-        return self.counts[i][x - 1]
-
     def row(self, i):
         return self.counts[i]
 
     def site(self, x):
         return tuple(row[x - 1] for row in self.counts)
-
-    def range_count(self, x, lo, hi):
-        """xi^x_{[lo,hi]} = sum of species lo..hi at site x; empty range -> 0."""
-        if hi < lo:
-            return 0
-        if lo < 0 or hi >= self.rows:
-            raise DomainError("species range [%r, %r] outside 0..%d"
-                              % (lo, hi, self.rows - 1))
-        return sum(self.counts[k][x - 1] for k in range(lo, hi + 1))
 
     def __eq__(self, other):
         return (isinstance(other, Config) and self.counts == other.counts
@@ -158,13 +147,13 @@ def compositions(total, bounds):
             yield (head,) + tail
 
 
-def enumerate_sector(sector, cap=200_000):
+def enumerate_sector(sector):
     """All configurations with the sector's species counts, in a fixed order.
 
     Order: descending lexicographic on the site-major species key
     (site 1 species 0, site 1 species 1, ..., site 2 species 0, ...),
     holes excluded.  This reproduces the printed 4x4 example basis.  More
-    than cap configurations raise `ResourceError`.
+    than `SECTOR_CAP` configurations raise `ResourceError`.
     """
     k, theta = sector.k, sector.theta
     L = len(theta)
@@ -174,8 +163,8 @@ def enumerate_sector(sector, cap=200_000):
     def fill(x, remaining):
         if x > L:
             if all(r == 0 for r in remaining):
-                if len(configs) == cap:
-                    raise ResourceError("sector larger than cap=%d" % cap)
+                if len(configs) == SECTOR_CAP:
+                    raise ResourceError("sector over %d configs" % SECTOR_CAP)
                 # every site composition fills its capacity with
                 # nonnegative ints, so the grid needs no validation
                 counts = tuple(tuple(site[i] for site in sites)
@@ -192,14 +181,14 @@ def enumerate_sector(sector, cap=200_000):
     return configs
 
 
-def enumerate_zrp_sector(counts, L, cap=200_000):
+def enumerate_zrp_sector(counts, L):
     """All zero-range configurations with the given per-species totals.
 
     The species rows of the capacity sector with capacity N = sum(counts)
     at every site and the holes that fill them: a site of capacity N takes
     any load, so that walk meets each zero-range configuration once, in
-    `enumerate_sector`'s order.  More than cap configurations raise
-    `ResourceError`.
+    `enumerate_sector`'s order.  More than `SECTOR_CAP` configurations
+    raise `ResourceError`.
     """
     counts = tuple(int(c) for c in counts)
     if min(counts, default=0) < 0 or L < 1:
@@ -208,7 +197,7 @@ def enumerate_zrp_sector(counts, L, cap=200_000):
     N, nsp = sum(counts), len(counts)
     sector = Sector(counts + ((L - 1) * N,), (N,) * L)
     return [Config._unchecked(cfg.counts[:nsp], None, nsp)
-            for cfg in enumerate_sector(sector, cap)]
+            for cfg in enumerate_sector(sector)]
 
 
 Intermediate = namedtuple("Intermediate", ["i", "row", "theta"])

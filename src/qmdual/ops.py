@@ -15,9 +15,10 @@ Products of exact operands, every entry exactly an int, Fraction or SNum,
 run on Python ints: the rows of the left operand and the columns of the
 right one are lifted by the lcm of their denominators, the sparse k-loop
 sums int products, and each sum is reduced once.  An SNum a + b*s enters as
-its two rational parts.  Each sum keeps the type that Python arithmetic
-gives it; an operand holding an mpf, or any other type, takes the per-entry
-loop of that arithmetic.
+its two rational parts.  It runs when one operand is uniformly of the top
+entry type (int < Fraction < SNum) of the two, so every sum has that type.
+Other operands of mixed entry types, and an operand holding an mpf or any
+other type, take the per-entry loop of Python arithmetic.
 
 Interop with numpy object arrays:
 - `op @ op` is a SparseMatrix; `op @ a` and `a @ op`, for an ndarray `a`,
@@ -44,8 +45,7 @@ import numpy as np
 from .scalars import SNum, is_exact
 
 ZERO = 0
-# the exact entry types by rank: a sum of products has the type of the top
-# rank among its factors
+# the exact entry types by rank: a product has the type of its top factor
 _RANK = {int: 0, Fraction: 1, SNum: 2}
 
 
@@ -94,26 +94,17 @@ def _lift(rows, axis):
               for part in parts))
 
 
-def _ranks(arows, brows):
-    """{r: {c: the top rank among the factors of sum (r, c)}}."""
-    out = {}
-    for r, arow in arows.items():
-        acc = out[r] = {}
-        for k, a in arow.items():
-            for c, b in brows.get(k, {}).items():
-                acc[c] = max(acc.get(c, 0), _RANK[type(a)], _RANK[type(b)])
-    return out
-
-
 def _product(arows, brows):
-    """_loop's sums; for exact operands, sums of their lifts, each reduced
-    once over the lcms of its row and column."""
+    """_loop's sums; for exact operands, one of them uniformly of the top
+    rank, sums of their lifts, each reduced once over the lcms of its row
+    and column."""
     left = _lift(arows, 0)
     right = left and _lift(brows, 1)
-    if not right:
+    top = right and max(left[0] | right[0], default=0)
+    if not right or {top} not in (left[0], right[0]):
         yield from _loop(arows, brows)
         return
-    (ra, fa, lr, a0, a1), (rb, fb, lc, b0, b1) = left, right
+    (_, fa, lr, a0, a1), (_, fb, lc, b0, b1) = left, right
     fields = fa | fb
     if len(fields) > 1:
         raise ValueError("mixing incompatible s-fields: s^2=%s vs s^2=%s"
@@ -130,16 +121,13 @@ def _product(arows, brows):
                         for k, row in b1.items()}} if base else b0)
     ssums = (dict(_loop(a, {**b1, **{~k: row for k, row in b0.items()}}))
              if base else {})
-    top = max(ra | rb, default=0)
-    ranks = None if {top} in (ra, rb) else _ranks(arows, brows)
     for r, acc in sums:
         out, srow = {}, ssums.get(r, {})
         for c, n in acc.items():
             den = lr[r] * lc[c]
-            rank = top if ranks is None else ranks[r][c]
-            x = Fraction(n, qd * den) if rank else n // (qd * den)
+            x = Fraction(n, qd * den) if top else n // (qd * den)
             out[c] = (SNum._make(x, Fraction(srow.get(c, 0), den), base)
-                      if rank == 2 else x)
+                      if top == 2 else x)
         yield r, out
 
 

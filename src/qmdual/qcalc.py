@@ -109,10 +109,7 @@ def q_poch_ratio(a, q, shift1, shift2):
     if not (isinstance(shift1, int) and isinstance(shift2, int)):
         raise DomainError("shifts %r, %r are not ints" % (shift1, shift2))
     if shift1 <= shift2:
-        result = 1
-        for k in range(shift1, shift2):
-            result = result * (1 - a * q ** k)
-        return result
+        return q_poch(a * q ** shift1, q, shift2 - shift1)
     return _div(1, q_poch_ratio(a, q, shift2, shift1))
 
 

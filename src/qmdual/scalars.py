@@ -7,10 +7,13 @@ never sets `mpmath.mp.dps`, so wrap a computation in `mpmath.workdps` to
 choose the digits.
 
 `q_root` is the one root s = sqrt(q) of the deformation parameter q.
-`sqrt` is the one other square root.  An exact radicand gets its exact
-root in the field of q, or a `DomainError` naming that field; it never
-turns into a float by itself.  A caller who wants the float root passes
-`to_mpf(x)`, so every move from exact to float is written at its call site.
+`sqrt` is the one other square root.  It roots a rational-valued radicand
+in Q or in Q*s and refuses an SNum with a nonzero s-part.  No library
+radicand has one: the squared counts at a site sum to its capacity mod 2,
+so all reversible measures on one capacity profile carry the same power of
+s, and G^2, rational weights over two of them, is rational.  An exact
+radicand never turns into a float by itself: a caller who wants the float
+root passes `to_mpf(x)`, so every move to floats is written at its call site.
 
 Construction: the public `SNum(a, b, sbase)` validates its input.  It
 coerces both parts to Fraction, requires sbase > 0, and folds a
@@ -243,13 +246,16 @@ class SNum:
 
 
 def sqrt(x, q=None):
-    """Principal square root: exact for an exact x, an mpf for a float x.
+    """Principal square root of a rational-valued x: exact in Q or Q*s for
+    an exact x, s^2 = q for a rational q; an mpf for a float x.
 
-    q is the deformation parameter itself.  A rational q names the field
-    Q(s), s^2 = q, in which an exact x is rooted; a float q (or None) names
-    Q.  A negative radicand raises `DomainError`, and so does an exact x
-    that is not a square in that field.
+    An SNum x with a nonzero s-part raises `DomainError` first; no library
+    radicand has one, since at every site the squared counts sum to the
+    capacity mod 2.  So do a negative x and an exact x with no root in the
+    field of q (Q for a float q or None).
     """
+    if isinstance(x, SNum) and x.b:
+        raise DomainError("sqrt takes a rational radicand, not %r" % (x,))
     if not is_exact(x):
         x = to_mpf(x)
     if x < 0:
@@ -257,25 +263,14 @@ def sqrt(x, q=None):
     if not is_exact(x):
         return mpmath.sqrt(x)
     sbase = q if is_exact(q) else None
-    if isinstance(x, SNum) and x.b != 0:
-        # (u + v s)^2 = a + b s  =>  u^2 = (a +- e)/2 with e = sqrt(a^2 - b^2 s^2)
-        a, b, sbase = x.a, x.b, x.sbase
-        e = rational_sqrt(a * a - b * b * sbase)
-        for usq in () if e is None else ((a + e) / 2, (a - e) / 2):
-            u = rational_sqrt(usq)
-            if u:
-                root = SNum(u, b / (2 * u), sbase)
-                if root * root == x:
-                    return root if root.sign() >= 0 else -root
-    else:
-        r = x.a if isinstance(x, SNum) else Fraction(x)
-        root = rational_sqrt(r)
-        if root is not None:
-            return SNum(root) if isinstance(x, SNum) else root
-        # maybe sqrt(r) = t*s with t rational, t^2 = r / sbase
-        t = None if sbase is None else rational_sqrt(r / Fraction(sbase))
-        if t is not None:
-            return SNum(0, t, sbase)
+    r = x.a if isinstance(x, SNum) else Fraction(x)
+    root = rational_sqrt(r)
+    if root is not None:
+        return SNum(root) if isinstance(x, SNum) else root
+    # maybe sqrt(r) = t*s with t rational, t^2 = r / sbase
+    t = None if sbase is None else rational_sqrt(r / Fraction(sbase))
+    if t is not None:
+        return SNum(0, t, sbase)
     field = "Q" if sbase is None else "Q(sqrt(%s))" % sbase
     raise DomainError("exact radicand %r is not a square in %s" % (x, field))
 

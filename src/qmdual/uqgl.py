@@ -18,7 +18,7 @@ Every matrix taken or returned is a `qmdual.ops.SparseMatrix` over exact
 scalars unless stated otherwise: each ladder factor shifts the weight by a
 known amount, so the operators stay sparse through every product.  Entry
 (r, c) is the coefficient of basis vector r in the image of basis vector c.
-An int q becomes a Fraction on entry, as in `qcalc`.
+On entry an int q becomes a Fraction, and q in {-1, 0, 1} raises.
 """
 
 import itertools
@@ -28,7 +28,7 @@ from math import comb, prod
 from . import lattice, models
 from .errors import DomainError, ResourceError
 from .ops import SparseMatrix
-from .qcalc import _check_q, _exact_q, brace_fact, q_int, q_poch
+from .qcalc import _check_q, brace_fact, q_int, q_poch
 
 TENSOR_DIM_CAP = 10_000
 
@@ -148,13 +148,13 @@ def coproduct_apply(kind, i, basis, q):
     lower at x, (K_i^{-1} K_{i+1}) right.  The weight diagonals are
     `weight_matrix`.
     """
-    return _coproduct(kind, i, basis, _exact_q(q))
+    return _coproduct(kind, i, basis, _check_q(q))
 
 
 def weight_matrix(i, basis, q):
     """Diagonal K_i = q^{sum_x mu_i^x} over the sites x; K_i^{-1} is
     weight_matrix(i, basis, 1 / q)."""
-    return SparseMatrix.diag(_weight(i, basis, _exact_q(q)))
+    return SparseMatrix.diag(_weight(i, basis, _check_q(q)))
 
 
 def _ladders(basis, q, window=None):
@@ -186,7 +186,7 @@ def root_vector(i, j, basis, q):
     if not (0 <= i <= basis.n and 0 <= j <= basis.n and i != j):
         raise DomainError("no root vector E_{%d%d} at rank %d"
                           % (i, j, basis.n))
-    q = _exact_q(q)
+    q = _check_q(q)
     return _nested_root(i, j, _ladders(basis, q), q)
 
 
@@ -223,7 +223,7 @@ def casimir_c1(basis, q):
     of the Casimir is not nearest-neighbor, while each bond embedding is, and
     the sum still commutes with every iterated-coproduct generator.
     """
-    q = _exact_q(q)
+    q = _check_q(q)
     bonds = [_casimir(basis, q, (x, x + 2)) for x in range(basis.L - 1)]
     return sum(bonds[1:], bonds[0]) if bonds else _casimir(basis, q)
 
@@ -232,7 +232,7 @@ def bond_casimir(tbasis, x, q):
     """Two-site coproduct Casimir on sites (x, x+1), identity elsewhere."""
     if not 0 <= x < tbasis.L - 1:
         raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
-    return _casimir(tbasis, _exact_q(q), (x, x + 2))
+    return _casimir(tbasis, _check_q(q), (x, x + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def inner_product(basis, q):
     constant factor per module, which drops out of every adjointness and
     star computation.
     """
-    q = _exact_q(q)
+    q = _check_q(q)
     out = []
     for st in basis.states:
         val = Fraction(1)
@@ -302,7 +302,7 @@ def ground_state_G(tbasis, q):
     constant would cancel in the conjugation.  Returns a list aligned with
     tbasis.states; entries are exact for exact q.
     """
-    q = _exact_q(q)
+    q = _check_q(q)
     return [q ** (-inversion_exponent(st)) for st in tbasis.states]
 
 
@@ -326,7 +326,7 @@ def nilpotent_q_exp(M, qsq, variant="e"):
     """
     if variant not in ("e", "E"):
         raise DomainError("no q-exponential variant %r" % (variant,))
-    qsq = _exact_q(qsq)
+    qsq = _check_q(qsq)
     N = M.shape[0]
     if M.shape != (N, N):
         raise DomainError("matrix %s is not square" % (M.shape,))
@@ -364,7 +364,7 @@ def unitary_U(i, lam, tbasis, q):
     # F K_i and K_{i+1} E: the lower and raise coproducts with their columns
     # and rows scaled by the weight diagonals
     _check_ladder("raise", i, tbasis.n)
-    q = _exact_q(q)
+    q = _check_q(q)
     N = len(tbasis)
     k_i, k_next = (_weight(j, tbasis, q) for j in (i, i + 1))
     MF = coproduct_apply("lower", i, tbasis, q).scaled([lam] * N, k_i)
@@ -378,7 +378,7 @@ def unitarity_twist(i, lam, tbasis, q):
     unitary: star(U) diag(start) U = diag(end), with the base point
     z = -gamma * lam and gamma = `gamma_from_lambda(lam, q)`."""
     _check_ladder("raise", i, tbasis.n)
-    q = _exact_q(q)
+    q = _check_q(q)
     z = -gamma_from_lambda(lam, q) * lam
     start, end = [], []
     for st in tbasis.states:
@@ -451,7 +451,7 @@ def algebraic_duality(lambdas, tbasis, q):
     For any sector-constant positive diagonal A, diag(A) D diag(A) is a
     duality too, with weights left_weight / A^2 and right_weight * A^2.
     """
-    n, q = tbasis.n, _exact_q(q)
+    n, q = tbasis.n, _check_q(q)
     lambdas = list(lambdas)
     if len(lambdas) != n:
         raise DomainError("need one coupling per species, got %d for %d"

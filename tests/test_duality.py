@@ -102,6 +102,13 @@ def two_species_case(x1, x2, y1, y2):
     return 5 if y2 > x1 else 6
 
 
+def site_count(cfg, x, lo, hi=None):
+    """xi^x_{[lo,hi]} read from cfg.counts: the species rows lo..hi (lo
+    alone when hi is None) at the 1-indexed site x; 0 on an empty range."""
+    hi = lo if hi is None else hi
+    return sum(row[x - 1] for row in cfg.counts[lo:hi + 1])
+
+
 def qhahn_product_oracle(eta, xi, q):
     """Finite-product route for the half-power zero-range duality: the series
     argument absorbed into a q-Pochhammer with the site-inclusive left count."""
@@ -112,7 +119,7 @@ def qhahn_product_oracle(eta, xi, q):
         partner = eta.row(n - 1 - i)
         left = 0
         for x in range(1, L + 1):
-            c = xi.count(i, x)
+            c = site_count(xi, x, i)
             left += c
             if c:
                 right = sum(partner[x:])
@@ -127,10 +134,10 @@ def _h_double_loop(xi, eta, xi_from):
     n = xi.n
 
     def suffix(cfg, m, start):
-        return sum(cfg.range_count(y, 0, m) for y in range(start, cfg.L + 1))
+        return sum(site_count(cfg, y, 0, m) for y in range(start, cfg.L + 1))
 
-    return sum(eta.count(i, x) * suffix(xi, n - 2 - i, x + xi_from)
-               - xi.count(i, x) * suffix(eta, n - 2 - i, x + 1)
+    return sum(site_count(eta, x, i) * suffix(xi, n - 2 - i, x + xi_from)
+               - site_count(xi, x, i) * suffix(eta, n - 2 - i, x + 1)
                for x in range(1, xi.L + 1) for i in range(n - 1))
 
 
@@ -157,7 +164,7 @@ def qhahn_series_oracle(eta, xi, q):
         partner = eta.row(n - 1 - i)  # species-reversed dual row
         left = 0
         for x in range(1, L + 1):
-            c = xi.count(i, x)
+            c = site_count(xi, x, i)
             if c:
                 right = sum(partner[x:])
                 value = value * phi10(c, q, s ** (-2 * (left + right) + 1))
@@ -177,7 +184,7 @@ def assert_matches_oracles(eta, xi, q):
 def colocation_sum(xi, eta):
     """h_exponent minus its strict form: eta against co-located xi."""
     n = xi.n
-    return sum(eta.count(i, x) * xi.range_count(x, 0, n - 2 - i)
+    return sum(site_count(eta, x, i) * site_count(xi, x, 0, n - 2 - i)
                for x in range(1, xi.L + 1) for i in range(n))
 
 
@@ -189,7 +196,7 @@ def pochhammer_C_sq_oracle(xi, eta, params):
     for iv in intermediate_configs(xi, eta):
         n_xi, n_zeta = sum(xi.row(iv.i)), sum(iv.row)
         # species-count jump across the nesting step
-        upper = sum(eta.range_count(x, 0, iv.i + 1) - xi.range_count(x, 0, iv.i)
+        upper = sum(site_count(eta, x, 0, iv.i + 1) - site_count(xi, x, 0, iv.i)
                     for x in range(1, xi.L + 1))
         value = value * q ** (math.comb(n_xi, 2) - math.comb(n_zeta, 2))
         value = value * q_poch_ratio(params.a[iv.i] ** 2, q, 1 - upper, 1 - n_zeta)

@@ -59,7 +59,7 @@ def test_no_unread_private_name():
 
 # the src line budget of ROADMAP.md; the report modules checks.py and cli.py
 # are exempt.  A change that raises it says why in CHANGES.md.
-SRC_LINE_BUDGET = 2245
+SRC_LINE_BUDGET = 2214
 
 
 def test_src_line_budget():

@@ -17,6 +17,13 @@ from qmdual.lattice import (Config, Sector, enumerate_sector,
                             intermediate_configs, n_total)
 
 
+def site_count(cfg, x, lo, hi=None):
+    """xi^x_{[lo,hi]} read from cfg.counts: the species rows lo..hi (lo
+    alone when hi is None) at the 1-indexed site x; 0 on an empty range."""
+    hi = lo if hi is None else hi
+    return sum(row[x - 1] for row in cfg.counts[lo:hi + 1])
+
+
 def example_sector():
     # theta = (2,2), two species, one particle each: the printed 4x4 basis
     return Sector(k=(1, 1, 2), theta=(2, 2))
@@ -53,7 +60,6 @@ from qmdual.errors import DomainError
 from qmdual.lattice import (Config, Sector, enumerate_zrp_sector,
                             intermediate_configs)
 zrp = Config([(1, 0)])
-cap = Config([(1, 0), (0, 1)], theta=(1, 1))
 checks = {
     "intermediate types": lambda: intermediate_configs(1, 2),
     "intermediate mode": lambda: intermediate_configs(zrp, zrp),
@@ -68,8 +74,6 @@ checks = {
     "sector negative hole count": lambda: Sector((3, -1), (1, 1)),
     "sector negative capacity": lambda: Sector((0, 0), (1, -1)),
     "sector without holes": lambda: Sector((2,), (1, 1)),
-    "species range above": lambda: cap.range_count(1, 0, 2),
-    "species range below": lambda: cap.range_count(1, -1, 0),
     "zero-range counts": lambda: enumerate_zrp_sector((-1,), 2),
     "zero-range length": lambda: enumerate_zrp_sector((1,), 0),
 }
@@ -94,7 +98,7 @@ class TestCounters:
     def test_partition_of_total(self, rows):
         cfg = Config.zero_range(rows)
         for i in range(2):
-            assert sum(cfg.count(i, x) for x in range(1, 4)) == n_total(cfg, i)
+            assert sum(site_count(cfg, x, i) for x in range(1, 4)) == n_total(cfg, i)
 
 
 class TestCompositions:
@@ -146,19 +150,22 @@ class TestEnumerateSector:
             assert len(got) == count, "sector %s" % (k,)
             assert len(set(got)) == count, "duplicates in sector %s" % (k,)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(lattice, "SECTOR_CAP", 5)
         with pytest.raises(lattice.ResourceError):
-            enumerate_sector(Sector(k=(6, 6, 6), theta=(3,) * 6), cap=5)
+            enumerate_sector(Sector(k=(6, 6, 6), theta=(3,) * 6))
 
     @pytest.mark.parametrize("sector", [Sector((1, 1), (1, 1)),
                                         Sector((1, 1, 2), (2, 2)),
                                         Sector((2, 2, 2), (1,) * 6)])
-    def test_cap_boundary(self, sector):
+    def test_cap_boundary(self, sector, monkeypatch):
         # the cap counts configurations: N fit in cap = N, not in N - 1
         N = len(enumerate_sector(sector))
-        assert len(enumerate_sector(sector, cap=N)) == N
+        monkeypatch.setattr(lattice, "SECTOR_CAP", N)
+        assert len(enumerate_sector(sector)) == N
+        monkeypatch.setattr(lattice, "SECTOR_CAP", N - 1)
         with pytest.raises(lattice.ResourceError):
-            enumerate_sector(sector, cap=N - 1)
+            enumerate_sector(sector)
 
     @pytest.mark.parametrize("sector", [Sector((1, 1, 2), (2, 2)),
                                         Sector((1, 3, 4), (2, 2, 2, 2)),
@@ -191,7 +198,7 @@ def capacity_pairs(theta, n):
 def nested_difference(xi, eta, i, j):
     """eta_{[0,j]} - xi_{[0,i-1]} per site: the forced row zeta^{(i)}_i at
     j = i, its capacities theta^{(i)} at j = i + 1."""
-    return tuple(eta.range_count(x, 0, j) - xi.range_count(x, 0, i - 1)
+    return tuple(site_count(eta, x, 0, j) - site_count(xi, x, 0, i - 1)
                  for x in range(1, xi.L + 1))
 
 
@@ -217,8 +224,8 @@ class TestIntermediates:
             for eta in enumerate_sector(sec):
                 for mid in intermediate_configs(xi, eta) or ():
                     for x in range(1, 3):
-                        assert (mid.row[x - 1] + xi.range_count(x, 0, mid.i - 1)
-                                + eta.range_count(x, mid.i + 1, sec.n)
+                        assert (mid.row[x - 1] + site_count(xi, x, 0, mid.i - 1)
+                                + site_count(eta, x, mid.i + 1, sec.n)
                                 == sec.theta[x - 1])
 
     def test_printed_zero_pattern(self):
@@ -274,9 +281,10 @@ class TestZRPEnumeration:
                 for cfg in configs]
         assert keys == sorted(keys, reverse=True)
 
-    def test_cap_guard(self):
+    def test_cap_guard(self, monkeypatch):
+        monkeypatch.setattr(lattice, "SECTOR_CAP", 10)
         with pytest.raises(lattice.ResourceError):
-            lattice.enumerate_zrp_sector((6, 6), 6, cap=10)
+            lattice.enumerate_zrp_sector((6, 6), 6)
 
     def test_matches_brute_force_grid(self):
         # each species row is any L-tuple with its total; the grids sorted
@@ -301,8 +309,10 @@ class TestZRPEnumeration:
                                    for row in cfg.counts)
 
     @pytest.mark.parametrize("counts,L", [((1,), 3), ((2, 1), 3)])
-    def test_cap_boundary(self, counts, L):
+    def test_cap_boundary(self, counts, L, monkeypatch):
         N = len(lattice.enumerate_zrp_sector(counts, L))
-        assert len(lattice.enumerate_zrp_sector(counts, L, cap=N)) == N
+        monkeypatch.setattr(lattice, "SECTOR_CAP", N)
+        assert len(lattice.enumerate_zrp_sector(counts, L)) == N
+        monkeypatch.setattr(lattice, "SECTOR_CAP", N - 1)
         with pytest.raises(lattice.ResourceError):
-            lattice.enumerate_zrp_sector(counts, L, cap=N - 1)
+            lattice.enumerate_zrp_sector(counts, L)

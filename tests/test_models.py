@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmdual import models
+from qmdual.duality import DualityParams, correction_G_sq
 from qmdual.errors import DomainError
 from qmdual.lattice import Config, Sector, enumerate_sector, enumerate_zrp_sector
 from qmdual.models import (
@@ -90,6 +91,13 @@ def check_detailed_balance(gen, weights):
                 % (gen.basis[j], gen.basis[i], lhs, rhs))
 
 
+def site_count(cfg, x, lo, hi=None):
+    """xi^x_{[lo,hi]} read from cfg.counts: the species rows lo..hi (lo
+    alone when hi is None) at the 1-indexed site x; 0 on an empty range."""
+    hi = lo if hi is None else hi
+    return sum(row[x - 1] for row in cfg.counts[lo:hi + 1])
+
+
 def reversible_measure_oracle(cfg, q):
     """The reversible measure by its double sum over site pairs y < x, one
     `q_fact` per nonzero count, divided in the library's site-major order so
@@ -100,7 +108,7 @@ def reversible_measure_oracle(cfg, q):
     value = 1
     for x in range(1, cfg.L + 1):
         for i in range(cfg.rows):
-            c = cfg.count(i, x)
+            c = site_count(cfg, x, i)
             if c:
                 value = value / q_fact(c, q)
             halves += c * c
@@ -108,7 +116,7 @@ def reversible_measure_oracle(cfg, q):
     for x in range(2, cfg.L + 1):
         for y in range(1, x):
             for i in range(cfg.rows - 1):
-                cross += cfg.range_count(x, 0, i) * cfg.count(i + 1, y)
+                cross += site_count(cfg, x, 0, i) * site_count(cfg, y, i + 1)
     value = value * q ** (halves // 2 - 2 * cross)
     return value * s if halves % 2 else value
 
@@ -225,17 +233,22 @@ class TestReversibleMeasure:
     @pytest.mark.parametrize("q", [3, F(7, 2), F(9, 4)], ids=["3", "7/2", "9/4"])
     def test_detailed_balance_generic_q(self, q):
         # an odd sum of squared counts carries q^(1/2): an SNum unless q is a
-        # square, and 9/4 is one, so its weights stay Fractions
-        odd_seen = 0
+        # square, and 9/4 is one, so its weights stay Fractions.  At a site
+        # c^2 = c mod 2, so that sum is |theta| mod 2: all weights on one
+        # capacity profile carry the same power of s, which the
+        # rational-radicand contract of `sqrt` rests on
+        parities = set()
         for sector in sector_grid(3, 2, 2):
             gen = asep_generator(sector, q)
             weights = [reversible_measure(cfg, q) for cfg in gen.basis]
             check_detailed_balance(gen, weights)
+            parities.add(sum(sector.theta) % 2)
             for cfg, w in zip(gen.basis, weights):
                 odd = sum(c * c for row in cfg.counts for c in row) % 2
-                odd_seen += odd
+                assert odd == sum(sector.theta) % 2, cfg
                 assert type(w) is (SNum if odd and q != F(9, 4) else Fraction)
-        assert odd_seen > 0
+                assert bool(getattr(w, "b", 0)) == (odd and q != F(9, 4))
+        assert parities == {0, 1}
 
     @pytest.mark.parametrize("q", ORACLE_Q, ids=ORACLE_Q_IDS)
     def test_one_pass_matches_double_sum(self, q):
@@ -271,6 +284,22 @@ class TestReversibleMeasure:
                 assert isinstance(v, (Fraction, SNum)), type(v)
         w = phi_weight((0, 0), (2, 0), F(1, 2), F(1, 3), q)
         assert isinstance(w, Fraction)
+
+    def test_ground_state_radicand_is_rational_on_every_pair(self):
+        # theta = (2,1,2) has an odd |theta|: each measure has an s-part,
+        # and G^2 still has none, cross-sector pairs included
+        theta = (2, 1, 2)
+        params = DualityParams((F(3, 2), F(5, 7)), F(2, 7))
+        configs = [cfg for k in compositions(sum(theta), 3)
+                   for cfg in enumerate_sector(Sector(k, theta))]
+        assert all(getattr(reversible_measure(cfg, params.q), "b", 0)
+                   for cfg in configs)
+        nonzero = 0
+        for xi, eta in itertools.product(configs, repeat=2):
+            g_sq = correction_G_sq(xi, eta, params)
+            assert getattr(g_sq, "b", 0) == 0, (xi, eta, g_sq)
+            nonzero += g_sq != 0
+        assert nonzero > 0
 
     def test_square_q_gives_a_fraction_on_an_odd_half_power(self):
         # one particle on a site of capacity 2: the squared counts sum to 3,

@@ -350,6 +350,30 @@ def test_one_mpf_entry_takes_the_per_entry_loop(monkeypatch):
     assert type(R[1, 0]) is Fraction and R[1, 0] == F(1, 2)
 
 
+def test_mixed_operands_run_the_kernel_only_with_a_uniform_top_side(monkeypatch):
+    # the kernel needs one operand whose entries all have the top type of
+    # the two, so that every sum has that type; other mixed products take
+    # the per-entry loop, whose sums keep their own types
+    calls = []
+    loop = ops._loop
+
+    def spy(arows, brows):
+        calls.append(arows)
+        return loop(arows, brows)
+
+    monkeypatch.setattr(ops, "_loop", spy)
+    s = SNum(0, 1, F(1, 3))
+    A = SparseMatrix({0: {0: 2, 1: F(1, 2)}, 1: {0: s}}, (2, 2))
+    mixed = SparseMatrix({0: {0: 3}, 1: {0: F(1, 3)}}, (2, 1))
+    top = SparseMatrix({0: {0: SNum(3)}, 1: {0: 1 + s}}, (2, 1))
+    for B, kernel in ((mixed, False), (top, True)):
+        calls.clear()
+        got = entries(ops._product(A.rows, B.rows))
+        assert (calls == [A.rows]) is not kernel
+        assert got == entries(loop(A.rows, B.rows))
+    assert [t for _, _, t, _ in entries(loop(A.rows, mixed.rows))] == [F, SNum]
+
+
 def test_one_reduction_per_entry(monkeypatch):
     # one Fraction per sum that a term reaches, cancelled or not
     built = []

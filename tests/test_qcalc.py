@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from qmdual import duality, models, qcalc, uqgl
 from qmdual.errors import DegenerateQError, DomainError
 from qmdual.lattice import Config, Sector
+from qmdual.ops import SparseMatrix
 from qmdual.scalars import SNum, to_mpf
 
 Q_GRID = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
@@ -165,6 +166,8 @@ def test_int_q_stays_exact(name):
 # q = 0 divides by zero or a vanishing factor of q = 1 gives a silent value
 _ZRP = Config.zero_range([(1, 0)])
 _CAP = Config.capacity([(1, 0), (0, 1)], (1, 1))
+_TB = uqgl.TensorBasis(1, (1, 1))
+_NIL = SparseMatrix({0: {1: 1}}, (2, 2))
 DEGENERATE_Q_CALLS = {
     "phi10 q=0": lambda: qcalc.phi10(2, 0, Fraction(1, 2)),
     "q_krawtchouk q=0": lambda: qcalc.q_krawtchouk(1, 1, Fraction(1, 2), 2, 0),
@@ -209,6 +212,21 @@ DEGENERATE_Q_CALLS = {
         lambda: models.reversible_measure(Config.capacity([(0,)], (0,)), 1),
     "single_species_measure empty site q=1":
         lambda: models.single_species_measure((0,), (0,), 2, 1),
+    # every uqgl entry point that takes q checks it, also where no
+    # q-integer is reached: a weight diagonal, a gauge or a q-exponential
+    "weight_matrix q=1": lambda: uqgl.weight_matrix(0, _TB, 1),
+    "weight_matrix q=0": lambda: uqgl.weight_matrix(0, _TB, 0),
+    "ground_state_G q=1": lambda: uqgl.ground_state_G(_TB, 1),
+    "ground_state_G q=-1": lambda: uqgl.ground_state_G(_TB, -1),
+    "nilpotent_q_exp q=1": lambda: uqgl.nilpotent_q_exp(_NIL, 1),
+    "coproduct_apply q=1": lambda: uqgl.coproduct_apply("raise", 0, _TB, 1),
+    "root_vector q=1": lambda: uqgl.root_vector(0, 1, _TB, 1),
+    "casimir_c1 q=1": lambda: uqgl.casimir_c1(_TB, 1),
+    "bond_casimir q=1": lambda: uqgl.bond_casimir(_TB, 0, 1),
+    "inner_product q=1": lambda: uqgl.inner_product(_TB, 1),
+    "unitary_U q=1": lambda: uqgl.unitary_U(0, 2, _TB, 1),
+    "unitarity_twist q=1": lambda: uqgl.unitarity_twist(0, 2, _TB, 1),
+    "algebraic_duality q=1": lambda: uqgl.algebraic_duality([2], _TB, 1),
 }
 
 

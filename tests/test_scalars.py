@@ -19,9 +19,16 @@ from qmdual.scalars import SNum, q_root, sqrt
 
 class TestSqrt:
     def test_negative_radicand_raises(self):
-        s = SNum(0, 1, F(1, 3))
-        for x in (F(-1, 4), -3, 1 - 2 * s, mpmath.mpf(-2)):
+        for x in (F(-1, 4), -3, SNum(-2), mpmath.mpf(-2)):
             with pytest.raises(DomainError, match="negative radicand"):
+                sqrt(x, F(1, 3))
+
+    def test_irrational_radicand_raises(self):
+        # sqrt takes a rational radicand, whatever its sign or whether it
+        # is a square in Q(s): the s-part is refused before any other check
+        s = SNum(0, 1, F(1, 3))
+        for x in (1 - 2 * s, (1 + s) ** 2, 1 + s, s):
+            with pytest.raises(DomainError, match="takes a rational radicand"):
                 sqrt(x, F(1, 3))
 
     def test_rational_square_stays_rational(self):
@@ -35,9 +42,9 @@ class TestSqrt:
         s = SNum(0, 1, q)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # 4/3 = (2 s)^2 and 4/3 + 2 s = (1 + s)^2
+            # 4/3 = (2 s)^2, and 3/16 = (3 s / 4)^2 as an SNum
             assert sqrt(F(4, 3), q) == 2 * s
-            assert sqrt((1 + s) ** 2, q) == 1 + s
+            assert sqrt(SNum(F(3, 16)), q) == SNum(0, F(3, 4), q)
             assert sqrt(12, 3) == SNum(0, 2, 3)
 
     def test_float_q_names_no_field(self):
@@ -48,8 +55,7 @@ class TestSqrt:
     def test_non_square_raises(self):
         # an exact radicand never turns into a float by itself; the float
         # root is the caller's explicit choice
-        s = SNum(0, 1, F(1, 3))
-        for x in (F(2), 5, SNum(F(2)), 1 + s):
+        for x in (F(2), 5, SNum(F(2))):
             with pytest.raises(DomainError,
                                match=r"not a square in Q\(sqrt\(1/3\)\)$"):
                 sqrt(x, F(1, 3))
