@@ -3,12 +3,12 @@
 The exclusion-process self-duality function is a nested product of
 q-Krawtchouk polynomials evaluated on intermediate configurations, times a
 square-root ground-state correction G; the conserved correction C pairs with
-it in the orthogonality relations.  C is the form derived from the
-orthogonality weights.  Degenerating the site capacities yields the
-zero-range duality `qhahn_D`, a half-power form that lives in the quadratic
-field Q(s), s^2 = q, so it stays exact for every rational base.  The
-q-TAZRP duality at asymmetry q is `qhahn_D` at base q^2, with the left
-process as the first argument.
+it in the orthogonality relations.  C^2 is a closed form of sector totals,
+one value per (sector of xi, sector of eta) block.  Degenerating the site
+capacities yields the zero-range duality `qhahn_D`, a half-power form in
+the quadratic field Q(s), s^2 = q, so it stays exact for every rational
+base.  The q-TAZRP duality at asymmetry q is `qhahn_D` at base q^2, with
+the left process as the first argument.
 
 Conventions:
 - public entry points take the exclusion asymmetry parameter q and run the
@@ -16,8 +16,9 @@ Conventions:
 - the zero-range exponent h counts the xi suffix in the eta term from the
   site itself; the generator intertwining check fails for the suffix that
   starts strictly right of it.  `qhahn_D` expands s^h prod (1 - s^e) in s;
-  the tests hold the oracles: the "strict" h, the closed Pochhammer-ratio
-  form of C, and the 1phi0-series and finite-product forms of `qhahn_D`.
+  the tests hold the oracles: the "strict" h, the site-by-site form of C^2
+  derived from the orthogonality weights and its Pochhammer-ratio reading,
+  and the 1phi0-series and finite-product forms of `qhahn_D`.
 
 Memo: a `DualityParams` object is what a caller builds once per duality
 matrix, and the exclusion-duality functions that take it read their
@@ -26,20 +27,18 @@ pair-independent invariants through a private memo on it:
 - the single-species measure of each (species, row, capacities) that a
   forced row zeta^{(i)}_i or its partner xi_i shows;
 - each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2), keyed by
-  species, degree e, argument c, capacity t and shift s, and its shifted
-  parameter p q^{2s}.
+  species, degree e, argument c, capacity t and shift s.
 No key names a pair.  On a sector of N configurations with n species,
-`multi_species_D` and `correction_C_sq` read measures only on the pairs
+`multi_species_D` and `correction_G_sq` read measures only on the pairs
 that `intermediate_configs` does not refuse.  There each forced row comes
 from a configuration zeta^{(i)} of the sector, which fixes its (row,
 capacities) keys, so they store at most N sector measures and 2nN species
-measures.  The site factors and shifted parameters are bounded by the
-capacities alone.  Every key carries the working precision, so a float
-entry is never reused at another one.  The memo lives and dies with the
-params object, which is immutable; nothing is cached at module level.
+measures.  The site factors are bounded by the capacities alone.  Every
+key carries the working precision, so a float entry is never reused at
+another one.  The memo lives and dies with the params object, which is
+immutable; nothing is cached at module level.
 """
 
-import math
 from itertools import accumulate
 
 import mpmath
@@ -47,7 +46,7 @@ import mpmath
 from .errors import DomainError
 from .lattice import Config, intermediate_configs
 from .models import reversible_measure, single_species_measure
-from .qcalc import _check_q, _exact_q, q_krawtchouk, q_poch, q_poch_ratio
+from .qcalc import _check_q, _exact_q, q_krawtchouk, q_poch_ratio
 from .scalars import SNum, is_exact, q_root, sqrt, to_mpf
 
 
@@ -140,37 +139,6 @@ def _kraw_sites(xi_row, eta_row, theta_row, params, i):
     return value
 
 
-def w_over_h(xi_row, eta_row, theta_row, p, q):
-    """Ratio weight(xi)/norm(eta) of the site-nested q-Krawtchouk family.
-
-    Both pieces carry an infinite q-Pochhammer whose tails cancel in the
-    ratio, so the result is a finite product and stays exact on the exact
-    backend.
-    """
-    if not len(xi_row) == len(eta_row) == len(theta_row):
-        raise DomainError("rows %s, %s do not match capacities %s"
-                          % (xi_row, eta_row, theta_row))
-    n_th, n_xi, n_eta = sum(theta_row), sum(xi_row), sum(eta_row)
-    value = _exact_q((-1) ** (n_th - n_xi + n_eta))
-    value = value * q_poch_ratio(p, q, n_eta + 1, n_th - n_xi + 1)
-    value = value * q ** (-math.comb(n_th + 1, 2)) * p ** (-n_th)
-    xi_left = 0
-    eta_right = n_eta
-    for x in range(len(theta_row)):
-        c, e, t = xi_row[x], eta_row[x], theta_row[x]
-        if not (0 <= c <= t and 0 <= e <= t):
-            raise DomainError("occupancy %s or %s outside 0..%s at site %d"
-                              % (c, e, t, x + 1))
-        value = value * q_poch(q, q, t) ** 2
-        value = value * q ** (math.comb(c, 2) + math.comb(e + 1, 2)
-                              + t * (xi_left - eta_right))
-        value = value / (q_poch(q, q, c) * q_poch(q, q, t - c)
-                         * q_poch(q, q, e) * q_poch(q, q, t - e))
-        xi_left += c
-        eta_right -= e
-    return value
-
-
 # -- multi-species duality -----------------------------------------------------
 
 
@@ -202,8 +170,7 @@ def _site_p(params, i, shift):
     """Shifted Krawtchouk parameter p q^{2 shift} of species i,
     p = 1/(a_i^2 q)."""
     q = params.q
-    return params._cached(("p", i, shift),
-                          lambda: 1 / (params.a[i] ** 2 * q) * (q * q) ** shift)
+    return 1 / (params.a[i] ** 2 * q) * (q * q) ** shift
 
 
 def _site_factor(params, i, e, c, t, shift):
@@ -235,29 +202,34 @@ def correction_G(xi, eta, params):
 
 
 def correction_C_sq(xi, eta, params):
-    """Radicand of the conserved correction C: the orthogonality weight ratio
-    divided by the single-species measures, which is the form the
-    orthogonality relation guarantees."""
-    q = params.q
+    """Radicand of the conserved correction C, 0 on an infeasible pair.
+
+    It is the orthogonality weight ratio w(xi_i)/h(zeta_i) on theta^{(i)} at
+    p = 1/(alpha_i q), base q^2, over the measures mu_i(xi_i) mu_i(zeta_i),
+    which closes to prod_i of
+      (-1)^(t-c+e) alpha_i^(t-c-e) q^(-t^2+2tc-c+e)
+        (p q^{2(e+1)}; q^2)_inf / (p q^{2(t-c+1)}; q^2)_inf
+    with c = |xi_i|, e = |zeta^{(i)}_i| and t = |theta^{(i)}|: the
+    q^2-binomials of w/h and of the measures cancel site by site, and the
+    cross-site exponents cancel or sum to these totals.  t and e are sector
+    totals, so C^2 is constant on each (sector of xi, sector of eta) block.
+    """
     intermediates = _intermediates(xi, eta, params)
     if intermediates is None:
         return 0
     value = 1
     for iv in intermediates:
-        xi_row, zeta_row = xi.row(iv.i), iv.row
-        num = w_over_h(xi_row, zeta_row, iv.theta, _site_p(params, iv.i, 0),
-                       q * q)
-        den = (_species_measure(params, iv.i, xi_row, iv.theta)
-               * _species_measure(params, iv.i, zeta_row, iv.theta))
-        value = value * num / den
+        value = value * _C_sq_factor(params, iv.i, sum(xi.row(iv.i)),
+                                     sum(iv.row), sum(iv.theta))
     return value
 
 
-def correction_C(xi, eta, params):
-    """Conserved correction C: square root of `correction_C_sq`, always an
-    mpf.  The radicand is exact at exact params, but most pairs' C^2 is no
-    square in Q(s), so the root is taken in floats on purpose."""
-    return sqrt(to_mpf(correction_C_sq(xi, eta, params)))
+def _C_sq_factor(params, i, c, e, t):
+    """Species i's factor of `correction_C_sq` from its three totals."""
+    q, alpha = params.q, params.a[i] ** 2
+    return ((-1) ** (t - c + e) * alpha ** (t - c - e)
+            * q ** (-t * t + 2 * t * c - c + e)
+            * q_poch_ratio(_site_p(params, i, 0), q * q, e + 1, t - c + 1))
 
 
 def kraw_chain(xi, eta, params):

@@ -249,11 +249,14 @@ def sqrt(x, q=None):
     """Principal square root of a rational-valued x: exact in Q or Q*s for
     an exact x, s^2 = q for a rational q; an mpf for a float x.
 
-    An SNum x with a nonzero s-part raises `DomainError` first; no library
-    radicand has one, since at every site the squared counts sum to the
-    capacity mod 2.  So do a negative x and an exact x with no root in the
-    field of q (Q for a float q or None).
+    An SNum q raises `DomainError`, as in `q_root`.  So does an SNum x with
+    a nonzero s-part, before any check of x; no library radicand has one,
+    since at every site the squared counts sum to the capacity mod 2.  So
+    do a negative x and an exact x with no root in the field of q (Q for a
+    float q or None).
     """
+    if isinstance(q, SNum):
+        raise DomainError("q=%r must be a rational or a float" % (q,))
     if isinstance(x, SNum) and x.b:
         raise DomainError("sqrt takes a rational radicand, not %r" % (x,))
     if not is_exact(x):

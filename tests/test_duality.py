@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from qmdual import duality as du
 from qmdual.duality import (
     DualityParams,
-    correction_C,
     correction_C_sq,
     correction_G,
     correction_G_sq,
@@ -27,7 +26,6 @@ from qmdual.duality import (
     multi_species_D,
     orthogonality_range_report,
     qhahn_D,
-    w_over_h,
 )
 from qmdual.errors import DomainError
 from qmdual.lattice import (
@@ -43,6 +41,7 @@ from qmdual.models import (
     qhahn_discrete_kernel,
     qtazrp_generator,
     reversible_measure,
+    single_species_measure,
 )
 from qmdual.qcalc import _check_q, phi10, q_krawtchouk, q_poch, q_poch_ratio
 from qmdual.scalars import SNum, is_exact, q_root, sqrt, to_mpf
@@ -186,6 +185,59 @@ def colocation_sum(xi, eta):
     n = xi.n
     return sum(site_count(eta, x, i) * site_count(xi, x, 0, n - 2 - i)
                for x in range(1, xi.L + 1) for i in range(n))
+
+
+def w_over_h(xi_row, eta_row, theta_row, p, q):
+    """Ratio weight(xi)/norm(eta) of the site-nested q-Krawtchouk family, on
+    rows within their capacities.
+
+    Both pieces carry an infinite q-Pochhammer whose tails cancel in the
+    ratio, so the result is a finite product and stays exact on the exact
+    backend.
+    """
+    n_th, n_xi, n_eta = sum(theta_row), sum(xi_row), sum(eta_row)
+    value = F((-1) ** (n_th - n_xi + n_eta))
+    value = value * q_poch_ratio(p, q, n_eta + 1, n_th - n_xi + 1)
+    value = value * q ** (-math.comb(n_th + 1, 2)) * p ** (-n_th)
+    xi_left = 0
+    eta_right = n_eta
+    for c, e, t in zip(xi_row, eta_row, theta_row):
+        value = value * q_poch(q, q, t) ** 2
+        value = value * q ** (math.comb(c, 2) + math.comb(e + 1, 2)
+                              + t * (xi_left - eta_right))
+        value = value / (q_poch(q, q, c) * q_poch(q, q, t - c)
+                         * q_poch(q, q, e) * q_poch(q, q, t - e))
+        xi_left += c
+        eta_right -= e
+    return value
+
+
+def derived_C_sq_oracle(xi, eta, params, measures):
+    """The C radicand as derived from the orthogonality weights, site by
+    site: prod_i w/h(xi_i, zeta_i; theta^{(i)}, p, q^2) / (mu_i(xi_i)
+    mu_i(zeta_i)), p = 1/(alpha_i q); 0 on an infeasible pair.
+    `correction_C_sq` is its closed form in the sector totals.  measures
+    is a dict that keeps each single-species measure across calls with the
+    same params."""
+    intermediates = intermediate_configs(xi, eta)
+    if intermediates is None:
+        return 0
+    q = params.q
+
+    def mu(i, row, theta):
+        if (i, row, theta) not in measures:
+            measures[i, row, theta] = single_species_measure(
+                row, theta, params.a[i] ** 2, q)
+        return measures[i, row, theta]
+
+    value = 1
+    for iv in intermediates:
+        xi_row = xi.row(iv.i)
+        num = w_over_h(xi_row, iv.row, iv.theta, 1 / (params.a[iv.i] ** 2 * q),
+                       q * q)
+        value = value * num / (mu(iv.i, xi_row, iv.theta)
+                               * mu(iv.i, iv.row, iv.theta))
+    return value
 
 
 def pochhammer_C_sq_oracle(xi, eta, params):
@@ -586,6 +638,15 @@ class TestOrthogonality:
         assert wd == 0 and wo < mpmath.mpf("1e-30"), \
             "single-species orthogonality errors %s / %s" % (wd, wo)
 
+    @pytest.mark.parametrize("theta,n,a,q", [
+        ((2, 2), 2, (F(3, 4), F(1, 2)), F(2)),
+        ((1, 1, 1), 2, (F(3, 4), F(1, 2)), F(3)),
+    ], ids=repr)
+    def test_more_shapes(self, theta, n, a, q):
+        wd, wo = orthogonality_errors(theta, n, DualityParams(a, q))
+        assert wd == 0, "diagonal worst error %s" % wd
+        assert wo < mpmath.mpf("1e-30"), "off-diagonal worst error %s" % wo
+
 
 class TestCorrectionVariants:
     def test_pochhammer_q_is_sectorwise_constant_multiple(self):
@@ -623,8 +684,48 @@ class TestCorrectionVariants:
         xi = Config.capacity([(0, 0), (0, 0)], (1, 1))
         eta = Config.capacity([(1, 0), (0, 0)], (1, 1))
         assert correction_C_sq(xi, eta, params) == F(-71)
-        with pytest.raises(DomainError, match="negative radicand"):
-            correction_C(xi, eta, params)
+
+    CLOSED_FORM_CASES = [
+        ((2, 2), 2, (F(2), F(3)), F(1, 2)),
+        ((2, 2), 2, (F(3, 2), F(5, 7)), F(3)),
+        ((1, 1, 1), 3, (F(2), F(3), F(5, 4)), F(3)),
+    ]
+
+    @pytest.mark.parametrize("theta,n,a,q", CLOSED_FORM_CASES, ids=repr)
+    def test_closed_form_matches_derived_form(self, theta, n, a, q):
+        # equal in value and type on every pair, and one value per
+        # (sector of xi, sector of eta) block on the feasible pairs
+        params = DualityParams(a, q)
+        basis = all_capacity_configs(theta, n)
+        blocks, measures = {}, {}
+        for xi in basis:
+            for eta in basis:
+                got = correction_C_sq(xi, eta, params)
+                want = derived_C_sq_oracle(xi, eta, params, measures)
+                assert type(got) is type(want) and got == want, (
+                    "closed %r != derived %r at %s %s" % (got, want, xi, eta))
+                if intermediate_configs(xi, eta) is not None:
+                    blocks.setdefault((sector_key(xi), sector_key(eta)),
+                                      set()).add(got)
+        assert all(len(v) == 1 for v in blocks.values())
+        assert len(blocks) > 1 and 0 not in set().union(*blocks.values())
+
+    def test_closed_form_tracks_derived_form_in_floats(self):
+        with mpmath.workdps(60):
+            params = DualityParams((mpmath.mpf(2), mpmath.mpf(3)),
+                                   mpmath.mpf("0.3"))
+            basis = all_capacity_configs((2, 2), 2)
+            worst, measures = 0, {}
+            for xi in basis:
+                for eta in basis:
+                    got = correction_C_sq(xi, eta, params)
+                    want = derived_C_sq_oracle(xi, eta, params, measures)
+                    if intermediate_configs(xi, eta) is None:
+                        assert got == want == 0
+                        continue
+                    assert isinstance(got, mpmath.mpf)
+                    worst = max(worst, abs(got - want) / abs(want))
+            assert worst < mpmath.mpf("1e-40"), worst
 
 
 class TestRangeReport:
@@ -901,7 +1002,7 @@ MEMO_CASES = {
 
 
 def memo_kinds(params):
-    """Number of memo entries per kind (sector, species, p, kraw)."""
+    """Number of memo entries per kind (sector, species, kraw)."""
     kinds = {}
     for key in params._memo:
         kinds[key[1]] = kinds.get(key[1], 0) + 1
@@ -963,10 +1064,12 @@ class TestParamsMemo:
                 for eta in basis:
                     multi_species_D(xi, eta, params)
         assert first._memo is not second._memo
-        # the shifted Krawtchouk parameters of species 0 depend on a_0
-        shifted = [key for key in first._memo if key[1:3] == ("p", 0)]
-        assert shifted and all(first._memo[key] != second._memo[key]
-                               for key in shifted)
+        # species 0's site factors of positive degree and argument depend
+        # on a_0 through their shifted parameter
+        factors = [key for key in first._memo
+                   if key[1:3] == ("kraw", 0) and key[3] and key[4]]
+        assert factors and all(first._memo[key] != second._memo[key]
+                               for key in factors)
         for xi in basis:
             for eta in basis:
                 fresh = DualityParams((F(5), F(9)), F(1, 3))
@@ -1068,10 +1171,6 @@ checks = {
     "pair mode": lambda: du.multi_species_D(zrp, zrp, params),
     "zero-range pair type": lambda: du.h_exponent((1, 0), zrp),
     "zero-range pair mode": lambda: du.h_exponent(one, one),
-    "weight ratio row lengths":
-        lambda: du.w_over_h((1, 0), (0, 1, 0), (1, 1), 2, F(1, 4)),
-    "weight ratio occupancy above capacity":
-        lambda: du.w_over_h((2, 0), (0, 1), (1, 1), 2, F(1, 4)),
 }
 for name, call in checks.items():
     try:

@@ -31,6 +31,14 @@ class TestSqrt:
             with pytest.raises(DomainError, match="takes a rational radicand"):
                 sqrt(x, F(1, 3))
 
+    def test_snum_q_raises(self):
+        # the root of an SNum q lies outside its field; refused at entry,
+        # even where the radicand is a rational square
+        for x, q in ((F(2), SNum(0, 1, 3)), (F(3), SNum(F(1, 4))),
+                     (F(4), SNum(0, 1, 3))):
+            with pytest.raises(DomainError, match="must be a rational or a float"):
+                sqrt(x, q)
+
     def test_rational_square_stays_rational(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
