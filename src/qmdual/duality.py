@@ -2,13 +2,13 @@
 
 The exclusion-process self-duality function is a nested product of
 q-Krawtchouk polynomials evaluated on intermediate configurations, times a
-square-root ground-state correction G; the conserved correction C pairs with
-it in the orthogonality relations.  C^2 is a closed form of sector totals,
-one value per (sector of xi, sector of eta) block.  Degenerating the site
-capacities yields the zero-range duality `qhahn_D`, a half-power form in
-the quadratic field Q(s), s^2 = q, so it stays exact for every rational
-base.  The q-TAZRP duality at asymmetry q is `qhahn_D` at base q^2, with
-the left process as the first argument.
+ground-state correction G, a product of measures; the conserved correction C
+pairs with it in the orthogonality relations.  C^2 is a closed form of
+sector totals, one value per (sector of xi, sector of eta) block.
+Degenerating the site capacities yields the zero-range duality `qhahn_D`, a
+half-power form in the quadratic field Q(s), s^2 = q, so it stays exact for
+every rational base.  The q-TAZRP duality at asymmetry q is `qhahn_D` at
+base q^2, with the left process as the first argument.
 
 Conventions:
 - public entry points take the exclusion asymmetry parameter q and run the
@@ -16,26 +16,27 @@ Conventions:
 - the zero-range exponent h counts the xi suffix in the eta term from the
   site itself; the generator intertwining check fails for the suffix that
   starts strictly right of it.  `qhahn_D` expands s^h prod (1 - s^e) in s;
-  the tests hold the oracles: the "strict" h, the site-by-site form of C^2
-  derived from the orthogonality weights and its Pochhammer-ratio reading,
-  and the 1phi0-series and finite-product forms of `qhahn_D`.
+  the tests hold the oracles: the "strict" h, G^2 as a ratio of four
+  measures, the site-by-site form of C^2 derived from the orthogonality
+  weights and its Pochhammer-ratio reading, and the 1phi0-series and
+  finite-product forms of `qhahn_D`.
 
 Memo: a `DualityParams` object is what a caller builds once per duality
 matrix, and the exclusion-duality functions that take it read their
 pair-independent invariants through a private memo on it:
 - the reversible measure of each configuration's sector;
 - the single-species measure of each (species, row, capacities) that a
-  forced row zeta^{(i)}_i or its partner xi_i shows;
+  row xi_i shows on the capacities theta^{(i)} of its pair;
 - each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2), keyed by
   species, degree e, argument c, capacity t and shift s.
 No key names a pair.  On a sector of N configurations with n species,
-`multi_species_D` and `correction_G_sq` read measures only on the pairs
-that `intermediate_configs` does not refuse.  There each forced row comes
-from a configuration zeta^{(i)} of the sector, which fixes its (row,
-capacities) keys, so they store at most N sector measures and 2nN species
-measures.  The site factors are bounded by the capacities alone.  Every
-key carries the working precision, so a float entry is never reused at
-another one.  The memo lives and dies with the params object, which is
+`multi_species_D` and `correction_G` read xi's measures only, on the pairs
+that `intermediate_configs` does not refuse.  There the key (xi_i,
+theta^{(i)}) holds rows i and i+1 of zeta^{(i+1)}, a configuration of the
+sector (zeta^{(n)} = xi), so they store at most N sector measures and nN
+species measures.  The site factors are bounded by the capacities alone.
+Every key carries the working precision, so a float entry is never reused
+at another one.  The memo lives and dies with the params object, which is
 immutable; nothing is cached at module level.
 """
 
@@ -47,7 +48,7 @@ from .errors import DomainError
 from .lattice import Config, intermediate_configs
 from .models import reversible_measure, single_species_measure
 from .qcalc import _check_q, _exact_q, q_krawtchouk, q_poch_ratio
-from .scalars import SNum, is_exact, q_root, sqrt, to_mpf
+from .scalars import SNum, is_exact, q_root, to_mpf
 
 
 class DualityParams:
@@ -180,25 +181,27 @@ def _site_factor(params, i, e, c, t, shift):
         e, c, _site_p(params, i, shift), t, q * q))
 
 
-def correction_G_sq(xi, eta, params):
-    """Radicand of the ground-state correction G (exact-friendly)."""
-    intermediates = _intermediates(xi, eta, params)
-    return 0 if intermediates is None else _G_sq(xi, eta, params, intermediates)
-
-
-def _G_sq(xi, eta, params, intermediates):
-    num = 1
+def _G(xi, params, intermediates):
+    value, k = 1 / _sector_measure(xi, params), 0
     for iv in intermediates:
-        num = num * _species_measure(params, iv.i, xi.row(iv.i), iv.theta)
-        num = num * _species_measure(params, iv.i, iv.row, iv.theta)
-    return num / (_sector_measure(xi, params) * _sector_measure(eta, params))
+        row = xi.row(iv.i)
+        c, e = sum(row), sum(iv.row)
+        k += c * c - e * e
+        value = value * params.a[iv.i] ** (e - c) * _species_measure(
+            params, iv.i, row, iv.theta)
+    value = value * params.q ** (k // 2)  # an odd k adds s, as in the measure
+    return value * q_root(params.q) if k % 2 else value
 
 
 def correction_G(xi, eta, params):
-    """Ground-state correction: square root of the measure ratio, exact in
-    Q(s) at exact params; a radicand with no root there raises
-    `DomainError`."""
-    return sqrt(correction_G_sq(xi, eta, params), params.q)
+    """Ground-state correction G = prod_i a_i^(e-c) q^((c^2-e^2)/2)
+    mu_i(xi_i; theta^{(i)}) / mu(xi), c = |xi_i|, e = |zeta^{(i)}_i|; 0 on an
+    infeasible pair.  From zeta^{(i)} to zeta^{(i+1)} only rows i and i+1
+    change, so mu changes by mu_i(xi_i) / mu_i(zeta^{(i)}_i) q^(c^2-e^2)
+    alpha_i^(e-c); telescoping from eta to xi makes G the positive root of
+    prod_i mu_i(xi_i) mu_i(zeta^{(i)}_i) / (mu(xi) mu(eta))."""
+    intermediates = _intermediates(xi, eta, params)
+    return 0 if intermediates is None else _G(xi, params, intermediates)
 
 
 def correction_C_sq(xi, eta, params):
@@ -258,7 +261,7 @@ def multi_species_D(xi, eta, params):
     value = _kraw_chain(xi, params, intermediates)
     if not value:
         return 0
-    return sqrt(_G_sq(xi, eta, params, intermediates), params.q) * value
+    return _G(xi, params, intermediates) * value
 
 
 def orthogonality_range_report(xi, eta, params):

@@ -8,12 +8,12 @@ choose the digits.
 
 `q_root` is the one root s = sqrt(q) of the deformation parameter q.
 `sqrt` is the one other square root.  It roots a rational-valued radicand
-in Q or in Q*s and refuses an SNum with a nonzero s-part.  No library
-radicand has one: the squared counts at a site sum to its capacity mod 2,
-so all reversible measures on one capacity profile carry the same power of
-s, and G^2, rational weights over two of them, is rational.  An exact
+in Q or in Q*s and refuses an SNum with a nonzero s-part.  Beyond `q_root`
+the library roots nothing with it, since its dualities are products in
+Q(s); it serves a caller's radicand, such as a ratio of measures.  An exact
 radicand never turns into a float by itself: a caller who wants the float
-root passes `to_mpf(x)`, so every move to floats is written at its call site.
+root passes `to_mpf(x)`, so every move to floats is written at its call
+site.
 
 Construction: the public `SNum(a, b, sbase)` validates its input.  It
 coerces both parts to Fraction, requires sbase > 0, and folds a
@@ -249,14 +249,15 @@ def sqrt(x, q=None):
     """Principal square root of a rational-valued x: exact in Q or Q*s for
     an exact x, s^2 = q for a rational q; an mpf for a float x.
 
-    An SNum q raises `DomainError`, as in `q_root`.  So does an SNum x with
-    a nonzero s-part, before any check of x; no library radicand has one,
-    since at every site the squared counts sum to the capacity mod 2.  So
-    do a negative x and an exact x with no root in the field of q (Q for a
-    float q or None).
+    An SNum q or a q <= 0 raises `DomainError` at entry, as in `q_root`.
+    So does an SNum x with a nonzero s-part, before any other check of x.
+    So do a negative x and an exact x with no root in the field of q (Q for
+    a float q or None).
     """
     if isinstance(q, SNum):
         raise DomainError("q=%r must be a rational or a float" % (q,))
+    if q is not None and not q > 0:
+        raise DomainError("q=%r must be positive" % (q,))
     if isinstance(x, SNum) and x.b:
         raise DomainError("sqrt takes a rational radicand, not %r" % (x,))
     if not is_exact(x):

@@ -282,15 +282,10 @@ def star_transform(M, basis, q):
 def inversion_exponent(state):
     """Number of ordered slot pairs i<j with the slot-i unit left of the
     slot-j unit: sum over site pairs y<x of mu_i^y mu_j^x."""
-    L = len(state)
-    nslots = len(state[0])
-    expo = 0
-    for y in range(L):
-        for x in range(y + 1, L):
-            muy, mux = state[y], state[x]
-            for i in range(nslots):
-                for j in range(i + 1, nslots):
-                    expo += muy[i] * mux[j]
+    expo, left = 0, [0] * len(state[0])  # each slot's units left of the site
+    for mu in state:
+        expo += sum(c * b for c, b in zip(mu[1:], itertools.accumulate(left)))
+        left = [b + c for b, c in zip(left, mu)]
     return expo
 
 

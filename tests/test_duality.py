@@ -20,7 +20,6 @@ from qmdual.duality import (
     DualityParams,
     correction_C_sq,
     correction_G,
-    correction_G_sq,
     h_exponent,
     kraw_chain,
     multi_species_D,
@@ -210,6 +209,33 @@ def w_over_h(xi_row, eta_row, theta_row, p, q):
         xi_left += c
         eta_right -= e
     return value
+
+
+def G_sq_oracle(xi, eta, params, measures=None):
+    """The ground-state radicand by its definition, the measure ratio
+    prod_i mu_i(xi_i) mu_i(zeta^{(i)}_i) / (mu(xi) mu(eta)) on the
+    capacities theta^{(i)} at fugacity alpha_i = a_i^2; 0 on an infeasible
+    pair.  `correction_G` is its root as a product of xi's measures.
+    measures, if given, is a dict that keeps each measure across calls with
+    the same params."""
+    intermediates = intermediate_configs(xi, eta)
+    if intermediates is None:
+        return 0
+    q, measures = params.q, {} if measures is None else measures
+
+    def cached(key, compute):
+        if key not in measures:
+            measures[key] = compute()
+        return measures[key]
+
+    value = 1
+    for iv in intermediates:
+        alpha = params.a[iv.i] ** 2
+        for row in (xi.row(iv.i), iv.row):
+            value = value * cached((iv.i, row, iv.theta), lambda: (
+                single_species_measure(row, iv.theta, alpha, q)))
+    return value / (cached(xi, lambda: reversible_measure(xi, q))
+                    * cached(eta, lambda: reversible_measure(eta, q)))
 
 
 def derived_C_sq_oracle(xi, eta, params, measures):
@@ -403,12 +429,17 @@ class TestPrintedDualityMatrix:
                     "entry (%d,%d) = %s, reference %s at q=%s" % (i, j, got, ref[i][j], q))
 
     def test_structural_zeros(self):
+        # the zeros are the infeasible pairs: every nested quantity is the
+        # exact int 0 there, the ground-state correction included
         basis = printed_basis()
         params = DualityParams((F(2), F(3)), F(1, 2))
         zeros = [(0, 3), (1, 3), (2, 0), (3, 0)]
         for i, j in zeros:
-            assert multi_species_D(basis[i], basis[j], params) == 0, \
-                "expected structural zero at (%d,%d)" % (i, j)
+            assert intermediate_configs(basis[i], basis[j]) is None
+            for f in (kraw_chain, multi_species_D, correction_C_sq, correction_G):
+                got = f(basis[i], basis[j], params)
+                assert type(got) is int and got == 0, \
+                    "%s = %r at structural zero (%d,%d)" % (f.__name__, got, i, j)
 
 
 class TestZeroAndSymmetryPatterns:
@@ -436,9 +467,9 @@ class TestZeroAndSymmetryPatterns:
               Config.capacity([(0, 1, 0), (2, 1, 2)], self.TH),
               Config.capacity([(0, 0, 1), (2, 2, 1)], self.TH)]
         for i in range(3):
-            lhs_sq = correction_G_sq(xs[i], ys[0], params) \
+            lhs_sq = G_sq_oracle(xs[i], ys[0], params) \
                 * kraw_chain(xs[i], ys[0], params) ** 2
-            rhs_sq = correction_G_sq(xs[0], ys[i], params) \
+            rhs_sq = G_sq_oracle(xs[0], ys[i], params) \
                 * kraw_chain(xs[0], ys[i], params) ** 2
             assert lhs_sq == rhs_sq, "squared values differ at i=%d" % (i + 1)
             sl = kraw_chain(xs[i], ys[0], params)
@@ -486,7 +517,7 @@ class TestSelfDuality:
         params = DualityParams((F(2), F(3)), F(1, 2))
         xi = Config.capacity([(1, 0), (1, 0)], (2, 2))
         eta = Config.capacity([(2, 0), (0, 1)], (2, 2))
-        assert correction_G_sq(xi, eta, params) == 477757440000
+        assert G_sq_oracle(xi, eta, params) == 477757440000
         g = correction_G(xi, eta, params)
         assert type(g) is F and g == 691200
 
@@ -498,7 +529,7 @@ class TestSelfDuality:
         s_xi, s_eta = Sector((1, 2, 3), (2, 2, 2)), Sector((2, 2, 2), (2, 2, 2))
         bx, be = enumerate_sector(s_xi), enumerate_sector(s_eta)
         D = d_matrix(bx, be, params)
-        radicands = {correction_G_sq(xi, eta, params)
+        radicands = {G_sq_oracle(xi, eta, params)
                      for (i, xi), (j, eta) in itertools.product(enumerate(bx),
                                                                 enumerate(be))
                      if D[i, j] != 0}
@@ -555,6 +586,46 @@ class TestClosedBackend:
         assert all(v == 0 for v in R.flat)
 
 
+class TestGroundStateCorrection:
+    """G, a product of xi's measures, is the positive root of the measure
+    ratio G^2 on every pair, cross-sector ones included: the root `sqrt`
+    takes in Q(s), in value and type, and 0 as an int on an infeasible
+    pair."""
+
+    SHAPES = [((2, 2), 2, (F(3, 2), F(5, 7))),
+              ((2, 1, 2), 2, (F(2), F(3))),
+              ((1, 1, 1), 3, (F(2), F(3), F(5, 4)))]
+
+    @pytest.mark.parametrize("q", [F(2, 7), F(3)], ids=repr)
+    @pytest.mark.parametrize("theta,n,a", SHAPES, ids=repr)
+    def test_product_is_the_root_of_the_measure_ratio(self, theta, n, a, q):
+        params, measures = DualityParams(a, q), {}
+        basis = all_capacity_configs(theta, n)
+        for xi, eta in itertools.product(basis, repeat=2):
+            g = correction_G(xi, eta, params)
+            g_sq = G_sq_oracle(xi, eta, params, measures)
+            if intermediate_configs(xi, eta) is None:
+                assert type(g) is int and g == 0 == g_sq, (xi, eta)
+                continue
+            root = sqrt(g_sq, q)
+            assert g * g == g_sq and type(g) is type(root) and g == root, (
+                "G %r, root of the ratio %r at %s %s" % (g, root, xi, eta))
+
+    @pytest.mark.parametrize("theta,n,a", SHAPES, ids=repr)
+    def test_product_tracks_the_ratio_in_floats(self, theta, n, a):
+        params = DualityParams([to_mpf(v) for v in a], mpmath.mpf(3) / 7)
+        basis, measures = all_capacity_configs(theta, n), {}
+        for xi, eta in itertools.product(basis, repeat=2):
+            if intermediate_configs(xi, eta) is None:
+                continue
+            g = correction_G(xi, eta, params)
+            g_sq = G_sq_oracle(xi, eta, params, measures)
+            root, tol = sqrt(g_sq, params.q), mpmath.mpf("1e-50")
+            assert isinstance(g, mpmath.mpf) and isinstance(root, mpmath.mpf)
+            assert abs(g - root) < tol * g and abs(g * g - g_sq) < tol * g_sq, \
+                (xi, eta)
+
+
 # -- orthogonality ---------------------------------------------------------------
 
 def sector_key(cfg):
@@ -579,7 +650,7 @@ def orthogonality_errors(theta, n, params, weights=None):
             K[xi, eta] = k
             if k != 0:
                 rad = (correction_C_sq(xi, eta, params)
-                       * correction_G_sq(xi, eta, params) / (w[xi] * w[eta]))
+                       * G_sq_oracle(xi, eta, params) / (w[xi] * w[eta]))
                 assert rad >= 0, "negative weight radicand at %s %s" % (xi, eta)
                 rCG[xi, eta] = rad
     worst_diag = mpmath.mpf(0)
@@ -737,7 +808,7 @@ class TestRangeReport:
             for eta in basis:
                 if kraw_chain(xi, eta, params) == 0:
                     continue
-                rad = correction_C_sq(xi, eta, params) * correction_G_sq(xi, eta, params)
+                rad = correction_C_sq(xi, eta, params) * G_sq_oracle(xi, eta, params)
                 if rad < 0:
                     n_neg += 1
                     assert orthogonality_range_report(xi, eta, params), (
@@ -1029,10 +1100,11 @@ class TestParamsMemo:
         if case == "odd-counts":
             assert any(isinstance(multi_species_D(xi, eta, shared), SNum)
                        for xi in basis for eta in basis)
-        # no entry is per pair: measures grow with the basis, not its square
+        # no entry is per pair: measures grow with the basis, not its square,
+        # and only xi's rows are measured
         kinds = memo_kinds(shared)
         assert kinds["sector"] <= len(basis)
-        assert kinds["species"] <= 2 * shared.n * len(basis)
+        assert kinds["species"] <= shared.n * len(basis)
 
     def test_intermediates_built_once_per_pair(self, monkeypatch):
         # the chain and the correction share one list of intermediates,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmdual import models
-from qmdual.duality import DualityParams, correction_G_sq
+from qmdual.duality import DualityParams, correction_G
 from qmdual.errors import DomainError
 from qmdual.lattice import Config, Sector, enumerate_sector, enumerate_zrp_sector
 from qmdual.models import (
@@ -287,7 +287,8 @@ class TestReversibleMeasure:
 
     def test_ground_state_radicand_is_rational_on_every_pair(self):
         # theta = (2,1,2) has an odd |theta|: each measure has an s-part,
-        # and G^2 still has none, cross-sector pairs included
+        # and G^2 still has none, cross-sector pairs included; so G lies in
+        # Q or in Q*s
         theta = (2, 1, 2)
         params = DualityParams((F(3, 2), F(5, 7)), F(2, 7))
         configs = [cfg for k in compositions(sum(theta), 3)
@@ -296,7 +297,7 @@ class TestReversibleMeasure:
                    for cfg in configs)
         nonzero = 0
         for xi, eta in itertools.product(configs, repeat=2):
-            g_sq = correction_G_sq(xi, eta, params)
+            g_sq = correction_G(xi, eta, params) ** 2
             assert getattr(g_sq, "b", 0) == 0, (xi, eta, g_sq)
             nonzero += g_sq != 0
         assert nonzero > 0

@@ -39,6 +39,14 @@ class TestSqrt:
             with pytest.raises(DomainError, match="must be a rational or a float"):
                 sqrt(x, q)
 
+    def test_nonpositive_q_raises(self):
+        # refused at entry, before the radicand is looked at: q = 0 must not
+        # divide by zero or root 4 in "Q(sqrt(0))", and q = -3 names no field
+        for x, q in ((F(2), F(0)), (F(4), 0), (F(2), F(-3)),
+                     (F(4), mpmath.mpf(-2))):
+            with pytest.raises(DomainError, match="must be positive"):
+                sqrt(x, q)
+
     def test_rational_square_stays_rational(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
