@@ -96,6 +96,8 @@ class Config:
         return self.counts[i]
 
     def site(self, x):
+        if not 1 <= x <= self.L:
+            raise IndexError("site %r outside 1..%d" % (x, self.L))
         return tuple(row[x - 1] for row in self.counts)
 
     def __eq__(self, other):

@@ -18,6 +18,7 @@ stochasticity; both facts are pinned by tests.
 """
 
 import itertools
+import math
 
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
@@ -91,9 +92,9 @@ def asep_two_site_rates(site_x, site_x1, q):
 
     Returns a list of ((new site_x, new site_x1), rate) pairs.
     """
-    if len(site_x) != len(site_x1):
-        raise DomainError("bond ends %r and %r disagree on the species count"
-                          % (site_x, site_x1))
+    if len(site_x) != len(site_x1) or min((*site_x, *site_x1), default=0) < 0:
+        raise DomainError("bond ends %r and %r differ in length or hold a "
+                          "negative count" % (site_x, site_x1))
     q = _check_q(q)
     rows = len(site_x)
     out = []
@@ -118,7 +119,6 @@ def _swap(site_x, site_x1, a, b):
     new_x[b] += 1
     new_x1[a] += 1
     new_x1[b] -= 1
-    assert new_x[a] >= 0 and new_x1[b] >= 0
     return tuple(new_x), tuple(new_x1)
 
 
@@ -270,6 +270,8 @@ def qhahn_continuous_rates(beta, mu, q):
     """
     q = _check_q(q)
     beta = tuple(int(b) for b in beta)
+    if min(beta, default=0) < 0:
+        raise DomainError("negative occupation number in %r" % (beta,))
     rates = {}
     for gamma in itertools.product(*(range(b + 1) for b in beta)):
         if all(g == 0 for g in gamma):
@@ -288,6 +290,8 @@ def qtazrp_rates(beta, q):
     species i departs at rate q^{beta_[0,i-1]} (1 - q^{beta_i})/(1 - q).
     """
     beta = tuple(int(b) for b in beta)
+    if min(beta, default=0) < 0:
+        raise DomainError("negative occupation number in %r" % (beta,))
     q = _check_q(q)
     rates = {}
     prefix = 0
@@ -301,13 +305,15 @@ def qtazrp_rates(beta, q):
 
 # -- zero-range kernels and generators ---------------------------------------
 
-def _move_batch(cfg, x, gamma, step):
+def _move_batches(cfg, batches, step):
+    # move each (x, gamma) of batches from site x to x + step in one edit;
+    # gamma <= site x's content, and `assemble` refuses targets off the window
     rows = [list(row) for row in cfg.counts]
-    for i, g in enumerate(gamma):
-        rows[i][x - 1] -= g
-        rows[i][x - 1 + step] += g
-        assert rows[i][x - 1] >= 0
-    return Config.zero_range(rows)
+    for x, gamma in batches:
+        for row, g in zip(rows, gamma):
+            row[x - 1] -= g
+            row[x - 1 + step] += g
+    return Config._unchecked(tuple(map(tuple, rows)), None, cfg.n)
 
 
 def _zrp_window(window, q, direction):
@@ -354,15 +360,10 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
     def moves(cfg):
         choices = [weights(cfg.site(x)) for x in emit]
         for batches in itertools.product(*choices):
-            prob = 1
-            target = cfg
-            for x, (gamma, weight) in zip(emit, batches):
-                prob = prob * weight
-                if prob == 0:
-                    break
-                target = _move_batch(target, x, gamma, step)
+            prob = math.prod(weight for _, weight in batches)
             if prob != 0:
-                yield target, prob
+                moved = zip(emit, (gamma for gamma, _ in batches))
+                yield _move_batches(cfg, moved, step), prob
 
     return assemble(basis, moves, "kernel")
 
@@ -373,7 +374,7 @@ def _zrp_generator(window, q, direction, site_rates):
     def moves(cfg):
         for x in emit:
             for gamma, rate in site_rates(cfg.site(x)).items():
-                yield _move_batch(cfg, x, gamma, step), rate
+                yield _move_batches(cfg, ((x, gamma),), step), rate
 
     return assemble(basis, moves)
 

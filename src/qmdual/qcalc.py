@@ -39,8 +39,8 @@ def q_int(n, q):
 
 
 def _check_degree(n):
-    if n < 0:
-        raise DomainError("negative degree %r" % (n,))
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("degree %r is not an int >= 0" % (n,))
 
 
 def q_fact(n, q):

@@ -229,7 +229,8 @@ def casimir_c1(basis, q):
 
 
 def bond_casimir(tbasis, x, q):
-    """Two-site coproduct Casimir on sites (x, x+1), identity elsewhere."""
+    """Two-site coproduct Casimir on legs (x, x+1) of tbasis, identity
+    elsewhere; legs count from 0, while `lattice` numbers sites from 1."""
     if not 0 <= x < tbasis.L - 1:
         raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
     return _casimir(tbasis, _check_q(q), (x, x + 2))

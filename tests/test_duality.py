@@ -2,12 +2,8 @@
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -1225,40 +1221,22 @@ class TestStructureProperties:
 
 # -- validation without asserts -----------------------------------------------------
 
-_INPUT_CHECKS = """
-import sys
-from fractions import Fraction as F
-from qmdual import duality as du
-from qmdual.errors import DomainError
-from qmdual.lattice import Config
-from qmdual.scalars import SNum
-q = F(1, 2)
-one = Config.capacity([(1, 0)], (1, 1))
-zrp = Config.zero_range([(1, 0)])
-params = du.DualityParams((F(4),), q)
-checks = {
+# validation raises, never asserts (tests/test_imports.py keeps assert out of
+# src), so these hold under python -O, where CI runs the suite again
+_ONE = Config.capacity([(1, 0)], (1, 1))
+_ZRP = Config.zero_range([(1, 0)])
+_PARAMS = du.DualityParams((F(4),), F(1, 2))
+INPUT_CHECKS = {
     "SNum q": lambda: du.DualityParams((F(4), F(9)), SNum(0, 1, F(1, 3))),
-    "zero-range SNum q": lambda: du.qhahn_D(zrp, zrp, SNum(F(1, 4))),
-    "pair type": lambda: du.multi_species_D((1, 0), one, params),
-    "pair mode": lambda: du.multi_species_D(zrp, zrp, params),
-    "zero-range pair type": lambda: du.h_exponent((1, 0), zrp),
-    "zero-range pair mode": lambda: du.h_exponent(one, one),
+    "zero-range SNum q": lambda: du.qhahn_D(_ZRP, _ZRP, SNum(F(1, 4))),
+    "pair type": lambda: du.multi_species_D((1, 0), _ONE, _PARAMS),
+    "pair mode": lambda: du.multi_species_D(_ZRP, _ZRP, _PARAMS),
+    "zero-range pair type": lambda: du.h_exponent((1, 0), _ZRP),
+    "zero-range pair mode": lambda: du.h_exponent(_ONE, _ONE),
 }
-for name, call in checks.items():
-    try:
-        call()
-    except DomainError:
-        continue
-    print("accepted:", name)
-print("optimize", sys.flags.optimize)
-"""
 
 
-def test_input_checks_raise_under_python_O():
-    # python -O strips asserts; input validation must not rest on them
-    src = str(Path(du.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", _INPUT_CHECKS],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["optimize 1"], proc.stdout
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_check_raises(name):
+    with pytest.raises(DomainError):
+        INPUT_CHECKS[name]()

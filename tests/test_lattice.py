@@ -2,10 +2,6 @@
 
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +10,8 @@ from hypothesis import strategies as st
 from qmdual import lattice
 from qmdual.errors import DomainError
 from qmdual.lattice import (Config, Sector, enumerate_sector,
-                            intermediate_configs, n_total)
+                            enumerate_zrp_sector, intermediate_configs,
+                            n_total)
 
 
 def site_count(cfg, x, lo, hi=None):
@@ -44,25 +41,20 @@ class TestConfig:
         with pytest.raises(AttributeError):
             cfg.L = 5
 
-    def test_input_checks_raise_under_python_O(self):
-        # python -O strips asserts; input validation must not rest on them
-        src = str(Path(lattice.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-O", "-c", _CONFIG_CHECKS],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=src))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["optimize 1"], proc.stdout
+    def test_site_outside_the_chain_raises(self):
+        cfg = Config.capacity([(1, 0, 2)], (1, 1, 2))
+        assert cfg.site(3) == (2, 0)
+        for x in (0, -1, 4):
+            with pytest.raises(IndexError, match="outside 1..3"):
+                cfg.site(x)
 
 
-_CONFIG_CHECKS = """
-import sys
-from qmdual.errors import DomainError
-from qmdual.lattice import (Config, Sector, enumerate_zrp_sector,
-                            intermediate_configs)
-zrp = Config([(1, 0)])
-checks = {
+# validation raises, never asserts (tests/test_imports.py keeps assert out of
+# src), so these hold under python -O, where CI runs the suite again
+_ZRP = Config([(1, 0)])
+INPUT_CHECKS = {
     "intermediate types": lambda: intermediate_configs(1, 2),
-    "intermediate mode": lambda: intermediate_configs(zrp, zrp),
+    "intermediate mode": lambda: intermediate_configs(_ZRP, _ZRP),
     "intermediate capacities": lambda: intermediate_configs(
         Config([(1, 0), (0, 1)], theta=(1, 1)),
         Config([(1, 0), (1, 1)], theta=(2, 1))),
@@ -77,14 +69,12 @@ checks = {
     "zero-range counts": lambda: enumerate_zrp_sector((-1,), 2),
     "zero-range length": lambda: enumerate_zrp_sector((1,), 0),
 }
-for name, call in checks.items():
-    try:
-        call()
-    except DomainError:
-        continue
-    print("accepted:", name)
-print("optimize", sys.flags.optimize)
-"""
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_check_raises(name):
+    with pytest.raises(DomainError):
+        INPUT_CHECKS[name]()
 
 
 class TestCounters:

@@ -2,13 +2,9 @@
 q-exponentials, the unitary symmetry, and the dualities assembled from it."""
 
 import itertools
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from functools import reduce
 from math import comb, lcm
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -18,7 +14,7 @@ from hypothesis import strategies as st
 
 from qmdual import uqgl as uq
 from qmdual.duality import DualityParams, multi_species_D
-from qmdual.errors import DomainError, ResourceError
+from qmdual.errors import DegenerateQError, DomainError, ResourceError
 from qmdual.lattice import Sector
 from qmdual.models import asep_generator
 from qmdual.ops import SparseMatrix
@@ -990,6 +986,22 @@ class TestAlgebraicDuality:
                     assert cls <= 1, \
                         "ratio not constant on block %s x %s" % (rk, ck)
 
+    @pytest.mark.parametrize("n,theta", [(1, (2, 1)), (1, (1, 1, 1, 1)),
+                                         (2, (2, 2)), (2, (3, 2)),
+                                         (2, (1, 1, 1)), (3, (1, 1, 1))])
+    def test_measure_gauge_and_inner_product_give_one_value_per_sector(
+            self, n, theta):
+        # mu g^2 w = c_k on each sector k, which is why algebraic_duality's
+        # weights are mu c_k (left) and c_k / mu (right)
+        tb = uq.TensorBasis(n, theta)
+        for q in (F(2, 7), F(3), F(9, 4)):
+            mu = uq.reversible_vector(tb, q)
+            g = uq.ground_state_G(tb, q)
+            w = uq.inner_product(tb, q)
+            for key, idxs in tb.sectors().items():
+                values = [mu[k] * g[k] ** 2 * w[k] for k in idxs]
+                assert all(v == values[0] for v in values), (q, key, values)
+
     def test_single_species_orthogonality_exact(self):
         q = F(1, 2)
         tb = uq.TensorBasis(1, (2, 2))
@@ -1158,56 +1170,35 @@ def test_int_q_stays_exact(name):
 
 # -- validation without asserts -----------------------------------------------------
 
-_INPUT_CHECKS = """
-import sys
-from fractions import Fraction as F
-from qmdual import uqgl as uq
-from qmdual.errors import DegenerateQError, DomainError
-from qmdual.ops import SparseMatrix
-q = F(1, 2)
-tb = uq.TensorBasis(1, (1, 1))
-checks = {
+# validation raises, never asserts (tests/test_imports.py keeps assert out of
+# src), so these hold under python -O, where CI runs the suite again
+_TB = uq.TensorBasis(1, (1, 1))
+INPUT_CHECKS = {
     "module rank": lambda: uq.TensorBasis(0, (2,)),
     "module degree": lambda: uq.TensorBasis(1, (-1,)),
     "tensor capacities": lambda: uq.TensorBasis(1, (2, 0)),
     "empty chain": lambda: uq.TensorBasis(1, ()),
-    "ladder index":
-        lambda: uq.coproduct_apply("raise", 1, uq.TensorBasis(1, (2,)), q),
-    "coproduct ladder index": lambda: uq.coproduct_apply("lower", 1, tb, q),
+    "ladder index": lambda: uq.coproduct_apply(
+        "raise", 1, uq.TensorBasis(1, (2,)), F(1, 2)),
+    "coproduct ladder index":
+        lambda: uq.coproduct_apply("lower", 1, _TB, F(1, 2)),
     "q-exponential variant":
         lambda: uq.nilpotent_q_exp(SparseMatrix({}, (2, 2)), F(1, 4), "x"),
     "q-exponential shape":
         lambda: uq.nilpotent_q_exp(SparseMatrix({}, (2, 3)), F(1, 4)),
-    "unitary ladder index": lambda: uq.unitary_U(1, 2, tb, q),
-    "twist ladder index": lambda: uq.unitarity_twist(1, 2, tb, q),
-    "bond index": lambda: uq.bond_casimir(tb, 1, q),
+    "unitary ladder index": lambda: uq.unitary_U(1, 2, _TB, F(1, 2)),
+    "twist ladder index": lambda: uq.unitarity_twist(1, 2, _TB, F(1, 2)),
+    "bond index": lambda: uq.bond_casimir(_TB, 1, F(1, 2)),
     "star shape":
-        lambda: uq.star_transform(SparseMatrix({}, (3, 3)), tb, q),
-    "positive inner product": lambda: uq.inner_product(uq.TensorBasis(1, (1,)), -q),
-    "negative coupling": lambda: uq.duality_lambda(-2, (1, 1), q),
-    "zero coupling": lambda: uq.duality_lambda(0, (1, 1), q),
-    "weight diagonal q=1": lambda: uq.weight_matrix(0, tb, 1),
-    "weight diagonal q=0": lambda: uq.weight_matrix(0, tb, 0),
-    "ground-state gauge q=1": lambda: uq.ground_state_G(tb, 1),
-    "ground-state gauge q=-1": lambda: uq.ground_state_G(tb, -1),
-    "q-exponential base 1":
-        lambda: uq.nilpotent_q_exp(SparseMatrix({0: {1: 1}}, (2, 2)), 1),
+        lambda: uq.star_transform(SparseMatrix({}, (3, 3)), _TB, F(1, 2)),
+    "positive inner product":
+        lambda: uq.inner_product(uq.TensorBasis(1, (1,)), F(-1, 2)),
+    "negative coupling": lambda: uq.duality_lambda(-2, (1, 1), F(1, 2)),
+    "zero coupling": lambda: uq.duality_lambda(0, (1, 1), F(1, 2)),
 }
-for name, call in checks.items():
-    try:
-        call()
-    except (DomainError, DegenerateQError):
-        continue
-    print("accepted:", name)
-print("optimize", sys.flags.optimize)
-"""
 
 
-def test_input_checks_raise_under_python_O():
-    # python -O strips asserts; input validation must not rest on them
-    src = str(Path(uq.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", _INPUT_CHECKS],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=src))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["optimize 1"], proc.stdout
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_check_raises(name):
+    with pytest.raises((DomainError, DegenerateQError)):
+        INPUT_CHECKS[name]()
