@@ -24,11 +24,12 @@ Conventions:
 Memo: a `DualityParams` object is what a caller builds once per duality
 matrix, and the exclusion-duality functions that take it read their
 pair-independent invariants through a private memo on it:
-- the reversible measure of each configuration's sector;
+- the inverse 1/mu(xi) of each configuration's reversible measure;
 - the single-species measure of each (species, row, capacities) that a
   row xi_i shows on the capacities theta^{(i)} of its pair;
-- each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2), keyed by
-  species, degree e, argument c, capacity t and shift s.
+- each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2) with e and
+  c positive, keyed by species, degree e, argument c, capacity t and
+  shift s.
 No key names a pair.  On a sector of N configurations with n species,
 `multi_species_D` and `correction_G` read xi's measures only, on the pairs
 that `intermediate_configs` does not refuse.  There the key (xi_i,
@@ -108,38 +109,6 @@ class DualityParams:
         return "DualityParams(a=%r, q=%r)" % (self.a, self.q)
 
 
-# -- single-species building block --------------------------------------------
-
-
-def _site_shifts(xi_row, eta_row, theta_row):
-    """Per-site exponent left(theta) - left(xi) + right(eta) of the shifted
-    Krawtchouk parameter p_x = p q^{shift}."""
-    eta_right = sum(eta_row)
-    theta_cum = 0
-    xi_cum = 0
-    out = []
-    for c, e, t in zip(xi_row, eta_row, theta_row):
-        eta_right -= e
-        out.append(theta_cum - xi_cum + eta_right)
-        theta_cum += t
-        xi_cum += c
-    return out
-
-
-def _kraw_sites(xi_row, eta_row, theta_row, params, i):
-    """prod_x `_site_factor`(params, i, eta^x, xi^x, theta^x, shift_x) over
-    the sites where xi or eta is occupied (an empty site contributes
-    K_0(1) = 1).  The rows come from an intermediate that
-    `intermediate_configs` did not refuse, so both lie in 0..theta^x."""
-    value = 1
-    for x, shift in enumerate(_site_shifts(xi_row, eta_row, theta_row)):
-        if eta_row[x] == 0 and xi_row[x] == 0:
-            continue
-        value = value * _site_factor(params, i, eta_row[x], xi_row[x],
-                                     theta_row[x], shift)
-    return value
-
-
 # -- multi-species duality -----------------------------------------------------
 
 
@@ -153,18 +122,15 @@ def _intermediates(xi, eta, params):
     return intermediates
 
 
-def _sector_measure(cfg, params):
-    """Reversible measure of cfg in the ground-state correction, once per
-    configuration."""
-    return params._cached(("sector", cfg),
-                          lambda: reversible_measure(cfg, params.q))
-
-
-def _species_measure(params, i, row, theta):
-    """Single-species measure of species i's row on capacities theta, at
-    fugacity alpha_i = a_i^2."""
-    return params._cached(("species", i, row, theta), lambda: single_species_measure(
-        row, theta, params.a[i] ** 2, params.q))
+def _sites(xi_row, eta_row, theta_row):
+    """(c, e, t, shift) at each site: the entries of the three rows there and
+    the exponent left(theta) - left(xi) + right(eta), counted strictly left
+    or right of the site, of the shifted Krawtchouk parameter p q^{2 shift}."""
+    shift = sum(eta_row)
+    for c, e, t in zip(xi_row, eta_row, theta_row):
+        shift -= e
+        yield c, e, t, shift
+        shift += t - c
 
 
 def _site_p(params, i, shift):
@@ -174,23 +140,26 @@ def _site_p(params, i, shift):
     return 1 / (params.a[i] ** 2 * q) * (q * q) ** shift
 
 
-def _site_factor(params, i, e, c, t, shift):
-    """K_e(q^{-2c}; p q^{2 shift}, t; q^2) of species i."""
-    q = params.q
-    return params._cached(("kraw", i, e, c, t, shift), lambda: q_krawtchouk(
-        e, c, _site_p(params, i, shift), t, q * q))
-
-
 def _G(xi, params, intermediates):
-    value, k = 1 / _sector_measure(xi, params), 0
+    """`correction_G` of a feasible pair.  A power whose exponent is 0 is 1
+    and skipped: inside a sector e = c for every species, and there
+    G = prod_i mu_i(xi_i; theta^{(i)}) / mu(xi)."""
+    q, a, cached = params.q, params.a, params._cached
+    value = cached(("sector", xi), lambda: 1 / reversible_measure(xi, q))
+    k = 0
     for iv in intermediates:
-        row = xi.row(iv.i)
+        i, row, theta = iv.i, xi.row(iv.i), iv.theta
         c, e = sum(row), sum(iv.row)
-        k += c * c - e * e
-        value = value * params.a[iv.i] ** (e - c) * _species_measure(
-            params, iv.i, row, iv.theta)
-    value = value * params.q ** (k // 2)  # an odd k adds s, as in the measure
-    return value * q_root(params.q) if k % 2 else value
+        if e != c:
+            k += c * c - e * e
+            value = value * a[i] ** (e - c)
+        value = value * cached(("species", i, row, theta),
+                               lambda: single_species_measure(row, theta, a[i] ** 2, q))
+    if k:
+        value = value * q ** (k // 2)  # an odd k adds s, as in the measure
+        if k % 2:
+            value = value * q_root(q)
+    return value
 
 
 def correction_G(xi, eta, params):
@@ -242,14 +211,23 @@ def kraw_chain(xi, eta, params):
 
 
 def _kraw_chain(xi, params, intermediates):
+    """prod over species i and sites x of K_e(q^{-2c}; p q^{2 shift}, t; q^2)
+    with (c, e, t, shift) from `_sites` on xi_i, zeta^{(i)}_i, theta^{(i)};
+    0 if a factor is.  A site with e = 0 or c = 0 contributes
+    K_0(x) = K_e(1) = 1 and is skipped.  The rows come from an intermediate
+    that `intermediate_configs` did not refuse, so e and c lie in 0..t."""
     if intermediates is None:
         return 0
-    value = 1
+    q, value = params.q, 1
     for iv in intermediates:
-        factor = _kraw_sites(xi.row(iv.i), iv.row, iv.theta, params, iv.i)
-        if not factor:
-            return 0
-        value = value * factor
+        i = iv.i
+        for c, e, t, shift in _sites(xi.row(i), iv.row, iv.theta):
+            if c and e:
+                factor = params._cached(("kraw", i, e, c, t, shift), lambda: (
+                    q_krawtchouk(e, c, _site_p(params, i, shift), t, q * q)))
+                if not factor:
+                    return 0
+                value = value * factor
     return value
 
 
@@ -275,8 +253,8 @@ def orthogonality_range_report(xi, eta, params):
     q2 = params.q * params.q
     report = []
     for iv in intermediates or ():
-        shifts = _site_shifts(xi.row(iv.i), iv.row, iv.theta)
-        for x, (shift, t) in enumerate(zip(shifts, iv.theta), start=1):
+        sites = _sites(xi.row(iv.i), iv.row, iv.theta)
+        for x, (_, _, t, shift) in enumerate(sites, start=1):
             bound = _site_p(params, iv.i, shift) * q2 ** t
             if not bound > 1:
                 report.append("species %d site %d: p q^(2 theta) = %s <= 1"

@@ -181,7 +181,7 @@ def reversible_measure(cfg, q):
             left[i] += c
             below += c
             halves += c * c
-            if c:
+            if c > 1:  # [0]_q! = [1]_q! = 1
                 if c not in facts:
                     facts[c] = q_fact(c, q)
                 value = value / facts[c]
@@ -190,20 +190,30 @@ def reversible_measure(cfg, q):
 
 
 def single_species_measure(xi, theta, alpha, q):
-    """One-species product measure with fugacity alpha on capacities theta.
+    """One-species product measure with fugacity alpha on capacities theta,
+    alpha^{sum c} q^{-sum (2 cap_left + t) c} prod [t choose c]_q over the
+    sites, with c = xi^x, t = theta^x and cap_left the capacity strictly
+    left of x.
 
     xi is the per-site count tuple of the species; a count outside
-    [0, theta^x] raises `DomainError`.  Uses the symmetric Gaussian binomial.
+    [0, theta^x] raises `DomainError`.  Uses the symmetric Gaussian binomial,
+    each distinct one with 0 < c < t once per call (the others are 1).
     """
     xi, theta = tuple(xi), tuple(theta)
     if len(xi) != len(theta) or not all(0 <= c <= t for c, t in zip(xi, theta)):
         raise DomainError("counts %r do not fit capacities %r" % (xi, theta))
     q = _check_q(q)
-    value, cap_left = 1, 0  # cap_left: capacity strictly to the left
+    binoms, value = {}, 1
+    count = expo = cap_left = 0  # cap_left: capacity strictly to the left
     for c, t in zip(xi, theta):
-        value = value * alpha ** c * q_binom(t, c, q) * q ** (-(2 * cap_left + t) * c)
+        count += c
+        expo -= (2 * cap_left + t) * c
         cap_left += t
-    return value
+        if 0 < c < t:
+            if (t, c) not in binoms:
+                binoms[t, c] = q_binom(t, c, q)
+            value = value * binoms[t, c]
+    return value * alpha ** count * q ** expo
 
 
 # -- Phi weight and the zero-range chains ------------------------------------
@@ -220,9 +230,9 @@ def _phi(gamma, beta, lead, ratio, mu, q):
     q = _check_q(q)
     gamma = tuple(int(g) for g in gamma)
     beta = tuple(int(b) for b in beta)
-    if len(gamma) != len(beta):
+    if len(gamma) != len(beta) or min(beta, default=0) < 0:
         raise DomainError("batch %r and site %r disagree on the species count"
-                          % (gamma, beta))
+                          " or the site holds a negative count" % (gamma, beta))
     if not all(0 <= g <= b for g, b in zip(gamma, beta)):
         return 0
     g, b = sum(gamma), sum(beta)
@@ -237,7 +247,8 @@ def phi_weight(gamma, beta, lam, mu, q):
     """Probability that batch gamma leaves a site holding beta.
 
     Vector-valued gamma, beta; scalar parameters lam, mu, q.  Zero outside
-    0 <= gamma <= beta componentwise.  Stochastic in gamma for any lam, mu;
+    0 <= gamma <= beta componentwise; a negative entry of beta raises
+    `DomainError`.  Stochastic in gamma for any lam, mu;
     the reversibility lemma additionally wants 0 < lam <= 1, 0 <= mu < 1,
     which is not enforced here (derivative checks step past lam = 1).
     """

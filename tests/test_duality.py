@@ -638,7 +638,7 @@ def orthogonality_errors(theta, n, params, weights=None):
     """
     basis = all_capacity_configs(theta, n)
     w = {c: 1 if weights is None else weights[sector_key(c)] for c in basis}
-    mu = {c: w[c] * du._sector_measure(c, params) for c in basis}
+    mu = {c: w[c] * reversible_measure(c, params.q) for c in basis}
     K, rCG = {}, {}
     for xi in basis:
         for eta in basis:
@@ -1097,10 +1097,31 @@ class TestParamsMemo:
             assert any(isinstance(multi_species_D(xi, eta, shared), SNum)
                        for xi in basis for eta in basis)
         # no entry is per pair: measures grow with the basis, not its square,
-        # and only xi's rows are measured
+        # and only xi's rows are measured; the site factors are bounded by
+        # the capacities alone
         kinds = memo_kinds(shared)
         assert kinds["sector"] <= len(basis)
-        assert kinds["species"] <= shared.n * len(basis)
+        for kind, count in kinds.items():
+            if kind != "kraw":
+                assert count <= shared.n * len(basis), kind
+
+    @pytest.mark.parametrize("case", sorted(MEMO_CASES))
+    def test_chain_matches_the_product_over_every_site(self, case):
+        # the library skips the sites whose factor is K_0 = K_e(1) = 1; the
+        # oracle multiplies every site of every intermediate
+        make_basis, make_params = MEMO_CASES[case]
+        basis, params = make_basis(), make_params()
+        q = params.q
+        for xi in basis:
+            for eta in basis:
+                got, want = kraw_chain(xi, eta, params), 0
+                intermediates = intermediate_configs(xi, eta)
+                if intermediates is not None:
+                    want = math.prod(kraw_product(
+                        xi.row(iv.i), iv.row, iv.theta,
+                        1 / (params.a[iv.i] ** 2 * q), q * q)
+                        for iv in intermediates) or 0
+                assert type(got) is type(want) and got == want, (xi, eta)
 
     def test_intermediates_built_once_per_pair(self, monkeypatch):
         # the chain and the correction share one list of intermediates,

@@ -27,7 +27,7 @@ from qmdual.models import (
     single_species_measure,
 )
 from qmdual.qcalc import _check_q, q_binom, q_fact, q_poch
-from qmdual.scalars import SNum, q_root
+from qmdual.scalars import SNum, is_exact, q_root
 
 Q_GRID = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
 
@@ -115,6 +115,17 @@ def reversible_measure_oracle(cfg, q):
                 cross += site_count(cfg, x, 0, i) * site_count(cfg, y, i + 1)
     value = value * q ** (halves // 2 - 2 * cross)
     return value * s if halves % 2 else value
+
+
+def single_species_measure_oracle(xi, theta, alpha, q):
+    """The one-species measure as its per-site product alpha^c [t choose c]_q
+    q^{-(2 cap_left + t) c}, one `q_binom` per site."""
+    q = _check_q(q)
+    value, cap_left = 1, 0
+    for c, t in zip(xi, theta):
+        value = value * alpha ** c * q_binom(t, c, q) * q ** (-(2 * cap_left + t) * c)
+        cap_left += t
+    return value
 
 
 class TestTwoSiteRates:
@@ -358,6 +369,39 @@ class TestSingleSpeciesMeasure:
             single_species_measure((2, 0), (1, 2), F(1, 3), F(1, 2))
         with pytest.raises(DomainError, match="do not fit"):
             single_species_measure((-1, 0), (1, 2), F(1, 3), F(1, 2))
+
+    @pytest.mark.parametrize("q", ORACLE_Q, ids=ORACLE_Q_IDS)
+    def test_one_pass_matches_per_site_product(self, q):
+        # every row of every configuration, holes included, on its
+        # capacities; exact q gives the oracle's value and type, mpf q its
+        # value up to rounding
+        alphas = (2, F(4, 9)) if is_exact(q) else (2, mpmath.mpf(4) / 9)
+        rows = {(row, sector.theta) for sector in ORACLE_SECTORS
+                for cfg in enumerate_sector(sector) for row in cfg.counts}
+        for (row, theta), alpha in itertools.product(rows, alphas):
+            got = single_species_measure(row, theta, alpha, q)
+            want = single_species_measure_oracle(row, theta, alpha, q)
+            assert type(got) is type(want), (row, theta, alpha)
+            if is_exact(q):
+                assert got == want, (row, theta, alpha)
+            else:
+                assert abs(got - want) <= 1e-13 * abs(want), (row, theta, alpha)
+
+    def test_each_binomial_once_per_call(self, monkeypatch):
+        # [2 choose 1] at two sites and [3 choose 2] once; [t choose 0] and
+        # [t choose t] are 1 and need no call
+        calls = []
+
+        def counted(n, k, q):
+            calls.append((n, k))
+            return q_binom(n, k, q)
+
+        monkeypatch.setattr(models, "q_binom", counted)
+        q, alpha = F(2, 7), F(3)
+        xi, theta = (1, 0, 1, 2, 2), (2, 2, 2, 3, 2)
+        got = single_species_measure(xi, theta, alpha, q)
+        assert sorted(calls) == [(2, 1), (3, 2)]
+        assert got == single_species_measure_oracle(xi, theta, alpha, q)
 
     def test_detailed_balance_single_species(self):
         # the fugacity factor is constant on a sector, so the alpha-weighted
@@ -621,6 +665,10 @@ INPUT_CHECKS = {
         lambda: models.single_species_measure((2, 0), (1, 2), F(1, 3), _Q),
     "Phi weight lengths":
         lambda: models.phi_weight((1,), (1, 0), F(1, 2), F(1, 3), _Q),
+    "Phi weight, negative site count":
+        lambda: models.phi_weight((0,), (-1,), F(1, 2), F(1, 3), _Q),
+    "Phi derivative, negative site count":
+        lambda: models.phi_weight_dlambda((1,), (-1,), F(1, 3), _Q),
     "Phi derivative at the empty batch":
         lambda: models.phi_weight_dlambda((0,), (1,), F(1, 3), _Q),
     "Phi derivative lengths, longer batch":
