@@ -41,6 +41,7 @@ at another one.  The memo lives and dies with the params object, which is
 immutable; nothing is cached at module level.
 """
 
+from fractions import Fraction
 from itertools import accumulate
 
 import mpmath
@@ -296,9 +297,9 @@ def qhahn_D(eta, xi, q):
     duality of the single-jump chains `qtazrp_generator` at the same base.
 
     Newton's q-binomial theorem sums each 1phi0 series: D = s^h prod_e
-    (1 - s^e) over odd e, expanded in s with int coefficients and summed as
-    even(q) + s odd(q).  The sums cancel at most (2 (1+q) / |1-q|)^N-fold
-    over N factors; an mpf q adds the log2 of that to the working bits.
+    (1 - s^e) over odd e, an int Laurent polynomial in s.  Its even and odd
+    parts take one int Horner in q = num/den and one division each, into a
+    Fraction; an mpf q takes (num, den) = (q, 1), with guard bits for cancellation.
     """
     poly = {h_exponent(xi, eta): 1}  # h_exponent checks the pair
     q = _check_q(q)
@@ -309,13 +310,19 @@ def qhahn_D(eta, xi, q):
             for e in range(1 - 2 * k, 1 - 2 * (k - c), 2):  # times (1 - s^e)
                 for power, v in list(poly.items()):
                     poly[power + e] = poly.get(power + e, 0) - v
-    low, prec = min(poly) // 2, mpmath.mp.prec
-    if not is_exact(q):  # log2 of len(poly) (2 (1+q) / |1-q|)^N, rounded up
+    high, low, prec = max(max(poly) // 2, 0), min(poly) // 2, mpmath.mp.prec
+    if not is_exact(q):  # the sums cancel at most len(poly) (2 (1+q) / |1-q|)^N-fold
         n_factors = sum(map(sum, xi.counts))
         prec += mpmath.mag(len(poly)) + n_factors * mpmath.mag(2 * (1 + q) / (1 - q))
     with mpmath.workprec(prec):
-        s, parts = q_root(q), [0, 0]  # even, odd: s^p = q^(p // 2) s^(p % 2)
-        for j in range(max(poly) // 2, low - 1, -1):  # Horner in q
-            parts = [v * q + poly.get(2 * j + r, 0) for r, v in enumerate(parts)]
-        value = (parts[0] + s * parts[1]) * q ** low
-    return value if is_exact(q) else +value
+        s, even, odd, dj = q_root(q), 0, 0, 1  # q_root first: an SNum q raises
+        num, den = (q.numerator, q.denominator) if is_exact(q) else (q, 1)
+        for j in range(high, low - 1, -1):  # s^p = q^(p // 2) s^(p % 2)
+            even = even * num + poly.get(2 * j, 0) * dj  # dj = den^(high - j)
+            odd, dj = odd * num + poly.get(2 * j + 1, 0) * dj, dj * den
+        if is_exact(q):  # one division: sums * num^low / den^high, high >= 0
+            n, d = num ** max(low, 0), num ** max(-low, 0) * den ** high
+            a, b = (Fraction(v * n, d) for v in (even, odd))
+            return SNum._make(a, b, q) if isinstance(s, SNum) else a + s * b
+        value = (even + s * odd) * q ** low
+    return +value

@@ -12,6 +12,7 @@ Sites are 1-indexed in the public API to match the usual chain notation.
 and is the one place that decides whether a pair of configurations is feasible.
 """
 
+import operator
 from collections import namedtuple
 
 from .errors import DomainError, ResourceError
@@ -228,7 +229,7 @@ def intermediate_configs(xi, eta):
     for i in range(xi.n):
         if min(row) < 0:
             return None
-        theta = tuple(z + e for z, e in zip(row, eta.counts[i + 1]))
+        theta = tuple(map(operator.add, row, eta.counts[i + 1]))
         result.append(Intermediate(i, row, theta))
-        row = tuple(t - c for t, c in zip(theta, xi.counts[i]))
+        row = tuple(map(operator.sub, theta, xi.counts[i]))
     return result

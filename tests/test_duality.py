@@ -937,6 +937,27 @@ def zrp_pairs(counts_xi, counts_eta, L):
             for eta in enumerate_zrp_sector(counts_eta, L)]
 
 
+def expansion_span(xi, eta):
+    """Sum of |e| over the factors (1 - s^e) of `qhahn_D`, read off the
+    product oracle's q-Pochhammers: the number of powers of s that its
+    expansion can span."""
+    n, span = xi.n, 0
+    for i in range(n):
+        partner, left = eta.row(n - 1 - i), 0
+        for x in range(1, xi.L + 1):
+            c = site_count(xi, x, i)
+            left += c
+            base = -2 * (left + sum(partner[x:])) + 1
+            span += sum(abs(base + 2 * m) for m in range(c))
+    return span
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                       "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                       "__rfloordiv__", "__mod__", "__rmod__", "__pow__",
+                       "__rpow__", "__neg__", "__pos__", "__abs__")
+
+
 ZRP_GRID_WINDOWS = [((2, 2), (2, 1), 3), ((1, 1, 1), (2, 1, 1), 3),
                     ((3,), (2,), 4), ((2, 1), (1, 2), 4), ((3, 3), (3, 2), 3)]
 
@@ -950,14 +971,45 @@ class TestQHahnClosedForm:
                 "h %r != %r at %s %s" % (got, want, xi, eta)
 
     # what the oracle tests above do not reach: int bases, bases above one,
-    # three species, three particles of a species at one site; every 11th
-    # pair, since the oracles take about a millisecond a pair
-    @pytest.mark.parametrize("q", [3, 4, F(5, 2), F(9, 10)], ids=repr)
+    # square bases (a Fraction value), a base with a large numerator and
+    # denominator, three species, three particles of a species at one site;
+    # every 11th pair, since the oracles take about a millisecond a pair
+    @pytest.mark.parametrize("q", [3, 4, F(5, 2), F(9, 10), F(1, 4), F(9, 4),
+                                   F(1000003, 999983)], ids=repr)
     @pytest.mark.parametrize("cx,ce,L", [((1, 1, 1), (2, 1, 1), 3),
                                          ((3, 3), (3, 2), 3)])
     def test_matches_oracles_off_the_small_windows(self, cx, ce, L, q):
         for xi, eta in zrp_pairs(cx, ce, L)[::11]:
             assert_matches_oracles(eta, xi, q)
+
+    # the Horner and its one division run on q's numerator and denominator
+    # as ints: an exact value costs no Fraction operation at a non-square q
+    # and two (even + s odd) at a square q, not two per Horner step and part.
+    # Checked on the pairs whose expansion in s spans the most powers
+    @pytest.mark.parametrize("q", [F(1, 3), F(9, 4)], ids=repr)
+    def test_few_fraction_operations_per_value(self, q, monkeypatch):
+        pairs = sorted(zrp_pairs((3, 3), (3, 2), 3),
+                       key=lambda pair: expansion_span(*pair))[-20:]
+        calls = []
+
+        def counting(name):
+            op = getattr(F, name)
+
+            def counted(*args):
+                calls.append(name)
+                return op(*args)
+            return counted
+
+        for name in FRACTION_ARITHMETIC:
+            monkeypatch.setattr(F, name, counting(name))
+        worst, types = 0, set()
+        for xi, eta in pairs:
+            calls.clear()
+            types.add(type(qhahn_D(eta, xi, q)))
+            worst = max(worst, len(calls))
+        monkeypatch.undo()
+        assert types == {F if q == F(9, 4) else SNum}
+        assert worst <= 4, "%d Fraction operations in one call" % worst
 
     @pytest.mark.parametrize("q", [F(1, 3), F(5, 2), F(9, 10), F(99, 100)],
                              ids=repr)
