@@ -1,10 +1,11 @@
 """Orthogonal-polynomial duality functions for the exclusion and zero-range chains.
 
 The exclusion-process self-duality function is a nested product of
-q-Krawtchouk polynomials evaluated on intermediate configurations, times a
-ground-state correction G, a product of measures; the conserved correction C
-pairs with it in the orthogonality relations.  C^2 is a closed form of
-sector totals, one value per (sector of xi, sector of eta) block.
+q-Krawtchouk polynomials on intermediate configurations, times a ground-state
+correction G, a product of measures; the conserved correction C pairs with it
+in the orthogonality relations.  C^2 is a closed form of sector totals, one
+value per (sector of xi, sector of eta) block, positive on every pair when
+`outside_orthogonality_range`, which reads only a, q and |theta|, flags none.
 Degenerating the site capacities yields the zero-range duality `qhahn_D`, a
 half-power form in the quadratic field Q(s), s^2 = q, so it stays exact for
 every rational base.  The q-TAZRP duality at asymmetry q is `qhahn_D` at
@@ -41,6 +42,7 @@ at another one.  The memo lives and dies with the params object, which is
 immutable; nothing is cached at module level.
 """
 
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import accumulate
 
@@ -186,6 +188,11 @@ def correction_C_sq(xi, eta, params):
     q^2-binomials of w/h and of the measures cancel site by site, and the
     cross-site exponents cancel or sum to these totals.  t and e are sector
     totals, so C^2 is constant on each (sector of xi, sector of eta) block.
+    Proved: the ratio is m = |t-c-e| factors (1 - p q^{2k})^(+-1), 1 <= k <=
+    |theta|, each negative inside the range of `outside_orthogonality_range`;
+    as (-1)^(t-c+e) = (-1)^m, C^2 > 0 on every feasible pair.  A factor is 0
+    exactly at alpha_i = q^(2k-1), where `DomainError` names the species.
+    That the relation fails outside the range is pinned by tests, not proved.
     """
     intermediates = _intermediates(xi, eta, params)
     if intermediates is None:
@@ -200,9 +207,13 @@ def correction_C_sq(xi, eta, params):
 def _C_sq_factor(params, i, c, e, t):
     """Species i's factor of `correction_C_sq` from its three totals."""
     q, alpha = params.q, params.a[i] ** 2
+    try:
+        ratio = q_poch_ratio(_site_p(params, i, 0), q * q, e + 1, t - c + 1)
+    except ZeroDivisionError:
+        raise DomainError("C^2 has a pole: species %d has alpha = %s, an odd "
+                          "power of q = %s" % (i, alpha, q)) from None
     return ((-1) ** (t - c + e) * alpha ** (t - c - e)
-            * q ** (-t * t + 2 * t * c - c + e)
-            * q_poch_ratio(_site_p(params, i, 0), q * q, e + 1, t - c + 1))
+            * q ** (-t * t + 2 * t * c - c + e) * ratio)
 
 
 def kraw_chain(xi, eta, params):
@@ -243,24 +254,12 @@ def multi_species_D(xi, eta, params):
     return _G(xi, params, intermediates) * value
 
 
-def orthogonality_range_report(xi, eta, params):
-    """Sites where the q-Krawtchouk orthogonality constraint p q^{2c} > 1 fails.
-
-    Violations are reported, not enforced: the duality value itself is still
-    well defined there, only the orthogonality weights lose positivity.  An
-    infeasible pair evaluates no Krawtchouk factor, so its report is empty.
-    """
-    intermediates = _intermediates(xi, eta, params)
-    q2 = params.q * params.q
-    report = []
-    for iv in intermediates or ():
-        sites = _sites(xi.row(iv.i), iv.row, iv.theta)
-        for x, (_, _, t, shift) in enumerate(sites, start=1):
-            bound = _site_p(params, iv.i, shift) * q2 ** t
-            if not bound > 1:
-                report.append("species %d site %d: p q^(2 theta) = %s <= 1"
-                              % (iv.i, x, bound))
-    return report
+def outside_orthogonality_range(params, theta):
+    """The species i whose alpha_i = a_i^2 is not below min(q, q^(2|theta|-1)),
+    |theta| = sum(theta): one answer for every pair (see `correction_C_sq`)."""
+    total = sum(theta)
+    bound = min(params.q, params.q ** (2 * total - 1))
+    return tuple(i for i, a in enumerate(params.a) if not a * a < bound)
 
 
 # -- zero-range duality functions ----------------------------------------------
@@ -314,7 +313,7 @@ def qhahn_D(eta, xi, q):
     if not is_exact(q):  # the sums cancel at most len(poly) (2 (1+q) / |1-q|)^N-fold
         n_factors = sum(map(sum, xi.counts))
         prec += mpmath.mag(len(poly)) + n_factors * mpmath.mag(2 * (1 + q) / (1 - q))
-    with mpmath.workprec(prec):
+    with nullcontext() if is_exact(q) else mpmath.workprec(prec):
         s, even, odd, dj = q_root(q), 0, 0, 1  # q_root first: an SNum q raises
         num, den = (q.numerator, q.denominator) if is_exact(q) else (q, 1)
         for j in range(high, low - 1, -1):  # s^p = q^(p // 2) s^(p % 2)

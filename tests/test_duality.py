@@ -19,7 +19,7 @@ from qmdual.duality import (
     h_exponent,
     kraw_chain,
     multi_species_D,
-    orthogonality_range_report,
+    outside_orthogonality_range,
     qhahn_D,
 )
 from qmdual.errors import DomainError
@@ -546,6 +546,46 @@ class TestSelfDuality:
         assert all(is_exact(v) for v in D.flat)
 
 
+def site_species_reversal(cfg):
+    """RP: site x -> L + 1 - x and species j -> n - j, the holes (row n)
+    included, so the image lives on the reversed capacities."""
+    return Config(tuple(row[::-1] for row in reversed(cfg.counts)),
+                  cfg.theta[::-1])
+
+
+class TestSiteSpeciesReversal:
+    """RP is a symmetry of the exclusion chain: it carries the generator at
+    q on a sector onto the generator at q on the sector with reversed counts
+    and capacities, and so D_q(RP xi, RP eta) is a second self-duality."""
+
+    SECTORS = [Sector((1, 1, 1), (1, 1, 1))] + [
+        Sector(k, theta) for theta in [(2, 1, 1), (1, 2, 1)]
+        for k in [(2, 1, 1), (1, 2, 1), (1, 1, 2)]]
+
+    @pytest.mark.parametrize("sector", SECTORS, ids=str)
+    def test_rates_map_onto_the_reversed_sector(self, sector):
+        q = F(1, 2)
+        L = asep_generator(sector, q)
+        image = asep_generator(Sector(sector.k[::-1], sector.theta[::-1]), q)
+        perm = [image.index[site_species_reversal(c)] for c in L.basis]
+        A, B = L.entries.toarray(), image.entries.toarray()
+        assert all(A[i, j] == B[perm[i], perm[j]]
+                   for i in range(L.size) for j in range(L.size))
+        assert sum(1 for v in A.flat if v) > L.size  # off-diagonal rates
+
+    @pytest.mark.parametrize("sector", SECTORS, ids=str)
+    def test_reversed_duality_intertwines(self, sector):
+        q = F(1, 2)
+        params = DualityParams((F(1, 2), F(1, 2)), q)
+        L = asep_generator(sector, q)
+        reversed_basis = [site_species_reversal(c) for c in L.basis]
+        D_rp = d_matrix(reversed_basis, reversed_basis, params)
+        R = L.entries.T @ D_rp - D_rp @ L.entries
+        assert all(v == 0 for v in R.flat), residual_max(R)
+        # a duality of its own, not the nested D again
+        assert (D_rp != d_matrix(L.basis, L.basis, params)).any()
+
+
 # -- the closed exact backend ------------------------------------------------------
 
 rationals = st.builds(F, st.integers(1, 12), st.integers(1, 12))
@@ -683,6 +723,69 @@ def orthogonality_errors(theta, n, params, weights=None):
     return worst_diag, worst_off
 
 
+def exact_orthogonality_failures(theta, n, params):
+    """The (eta, eta') pairs, over every sector of the capacities theta, on
+    which the orthogonality relation
+      sum_xi mu(xi) D_C(xi, eta) D_C(xi, eta') = delta(eta, eta') / mu(eta),
+      D_C = D sqrt(C^2), D = `multi_species_D` = K G,
+    fails, decided exactly.  Roots are principal: i sqrt(-x) for x < 0.
+
+    C^2 is one rational per (sector of xi, sector of eta) block, so each term
+    is mu(xi) D(xi, eta) D(xi, eta') in Q(s) times the block roots
+    sqrt(C^2(k, a)) sqrt(C^2(k, b)) = e sqrt(|d|), d = C^2(k, a) C^2(k, b),
+    e = i if d < 0, -1 if both radicands are, else 1.  Roots of |d| in
+    distinct rational square classes modulo q (|d'| = |d| w^2, w in Q(s)) are
+    linearly independent over Q(s), and i is not in Q(s).  So the relation
+    holds iff each class sum, written over the class's first radicand,
+    vanishes in Q(s), save the real class of 1 on the diagonal, which must
+    be 1/mu(eta).
+    """
+    basis = all_capacity_configs(theta, n)
+    q = params.q
+    mu = {c: reversible_measure(c, q) for c in basis}
+    D, block_C_sq = {}, {}
+    for xi, eta in itertools.product(basis, repeat=2):
+        D[xi, eta] = multi_species_D(xi, eta, params)
+        if intermediate_configs(xi, eta) is not None:
+            c = correction_C_sq(xi, eta, params)
+            block = (sector_key(xi), sector_key(eta))
+            assert block_C_sq.setdefault(block, c) == c, block
+    reps, classes, one = [F(1)], {}, (False, F(1))
+
+    def root_class(ca, cb):
+        # (class key, coefficient r in Q(s)) with sqrt(ca) sqrt(cb) =
+        # r sqrt(rep), times i when the key says so
+        if (ca, cb) not in classes:
+            d = abs(ca * cb)
+            for rep in reps:
+                try:
+                    w = sqrt(d * rep, q)  # sqrt(d) = (w / rep) sqrt(rep)
+                    break
+                except DomainError:
+                    continue
+            else:
+                rep, w = d, d
+                reps.append(rep)
+            sign = -1 if ca < 0 and cb < 0 else 1
+            classes[ca, cb] = (ca * cb < 0, rep), sign * w / rep
+        return classes[ca, cb]
+
+    failures = set()
+    for eta, etab in itertools.product(basis, repeat=2):
+        a, b, sums = sector_key(eta), sector_key(etab), {}
+        for xi in basis:
+            d1, d2 = D[xi, eta], D[xi, etab]
+            if d1 and d2:
+                k = sector_key(xi)
+                key, r = root_class(block_C_sq[k, a], block_C_sq[k, b])
+                sums[key] = sums.get(key, 0) + r * mu[xi] * d1 * d2
+        if eta == etab:
+            sums[one] = sums.get(one, 0) - 1 / mu[eta]
+        if any(sums.values()):
+            failures.add((eta, etab))
+    return failures
+
+
 class TestOrthogonality:
     def test_unweighted_theta11(self):
         params = DualityParams((F(3, 4), F(1, 2)), F(2))
@@ -713,6 +816,77 @@ class TestOrthogonality:
         wd, wo = orthogonality_errors(theta, n, DualityParams(a, q))
         assert wd == 0, "diagonal worst error %s" % wd
         assert wo < mpmath.mpf("1e-30"), "off-diagonal worst error %s" % wo
+
+
+class TestOrthogonalityRange:
+    """The relation holds on every pair of the capacities theta iff every
+    alpha_i = a_i^2 < min(q, q^(2|theta|-1)): one coupling just inside the
+    range and one just outside, at q = 4 (bound alpha = 4, a = 2) and
+    q = 1/4 (a = 1/32 at |theta| = 3, 1/8 at |theta| = 2), and at q = 2 and
+    1/2 on theta = (2, 1), decided exactly.
+    Outside it the relation fails on some off-diagonal pairs, never on the
+    diagonal; the counts are pinned, and the species that
+    `outside_orthogonality_range` flags are those whose a crosses."""
+
+    # theta, n, q, a, flagged species, failing off-diagonal (eta, eta')
+    CASES = [
+        ((2, 1), 1, F(4), (F(15, 8),), (), 0),
+        ((2, 1), 1, F(4), (F(17, 8),), (0,), 10),
+        ((2, 1), 1, F(1, 4), (F(1, 33),), (), 0),
+        ((2, 1), 1, F(1, 4), (F(1, 31),), (0,), 10),
+        ((1, 1, 1), 1, F(4), (F(15, 8),), (), 0),
+        ((1, 1, 1), 1, F(4), (F(17, 8),), (0,), 14),
+        ((1, 1, 1), 1, F(1, 4), (F(1, 33),), (), 0),
+        ((1, 1, 1), 1, F(1, 4), (F(1, 31),), (0,), 14),
+        ((1, 1), 2, F(4), (F(15, 8), F(15, 8)), (), 0),
+        ((1, 1), 2, F(4), (F(17, 8), F(17, 8)), (0, 1), 40),
+        ((1, 1), 2, F(1, 4), (F(1, 9), F(1, 9)), (), 0),
+        ((1, 1), 2, F(1, 4), (F(1, 7), F(1, 7)), (0, 1), 16),
+        # 1/31 lies inside the range of |theta| = 2
+        ((1, 1), 2, F(1, 4), (F(1, 31), F(1, 31)), (), 0),
+        ((2, 1), 2, F(4), (F(15, 8), F(15, 8)), (), 0),
+        ((2, 1), 2, F(4), (F(17, 8), F(17, 8)), (0, 1), 144),
+        ((2, 1), 2, F(4), (F(17, 8), F(15, 8)), (0,), 24),
+        ((2, 1), 2, F(4), (F(15, 8), F(17, 8)), (1,), 210),
+        ((2, 1), 2, F(1, 4), (F(1, 33), F(1, 33)), (), 0),
+        ((2, 1), 2, F(1, 4), (F(1, 31), F(1, 31)), (0, 1), 34),
+        ((2, 1), 2, F(1, 4), (F(1, 31), F(1, 33)), (0,), 10),
+        ((2, 1), 2, F(1, 4), (F(1, 33), F(1, 31)), (1,), 144),
+        # bases that are not squares, so D and the classes live in Q(s)
+        ((2, 1), 1, F(2), (F(4, 3),), (), 0),
+        ((2, 1), 1, F(2), (F(3, 2),), (0,), 10),
+        ((2, 1), 1, F(1, 2), (F(1, 6),), (), 0),
+        ((2, 1), 1, F(1, 2), (F(1, 5),), (0,), 10),
+    ]
+
+    @pytest.mark.parametrize("theta,n,q,a,flagged,failing", CASES, ids=repr)
+    def test_both_sides_of_the_range(self, theta, n, q, a, flagged, failing):
+        params = DualityParams(a, q)
+        assert outside_orthogonality_range(params, theta) == flagged
+        failures = exact_orthogonality_failures(theta, n, params)
+        assert all(eta != etab for eta, etab in failures), "diagonal fails"
+        assert len(failures) == failing
+
+    @pytest.mark.parametrize("q,a", [(F(4), F(17, 8)), (F(1, 4), F(1, 31)),
+                                     (F(2), F(3, 2))], ids=repr)
+    def test_classes_match_a_complex_float_sum(self, q, a):
+        # the same sum at 60 digits in complex floats, with the principal
+        # roots taken per entry, fails on the same pairs
+        theta, params = (2, 1), DualityParams((a,), q)
+        basis = all_capacity_configs(theta, 1)
+        mu = {c: to_mpf(reversible_measure(c, q)) for c in basis}
+        D_C = {(xi, eta): to_mpf(multi_species_D(xi, eta, params))
+               * mpmath.sqrt(mpmath.mpc(to_mpf(correction_C_sq(xi, eta, params))))
+               for xi in basis for eta in basis}
+        failing = set()
+        for eta, etab in itertools.product(basis, repeat=2):
+            total = sum(mu[xi] * D_C[xi, eta] * D_C[xi, etab] for xi in basis)
+            if eta == etab:
+                total -= 1 / mu[eta]
+            if abs(total) > mpmath.mpf("1e-40"):
+                failing.add((eta, etab))
+        assert failing == exact_orthogonality_failures(theta, 1, params)
+        assert len(failing) == 10
 
 
 class TestCorrectionVariants:
@@ -797,29 +971,23 @@ class TestCorrectionVariants:
 
 class TestRangeReport:
     def test_negative_radicand_pairs_are_flagged(self):
+        # negative C^2 G^2 radicands occur here, and both couplings lie
+        # outside the range
         params = DualityParams((F(2), F(3)), F(1, 2))
         basis = all_capacity_configs((1, 1), 2)
-        n_neg = 0
-        for xi in basis:
-            for eta in basis:
-                if kraw_chain(xi, eta, params) == 0:
-                    continue
-                rad = correction_C_sq(xi, eta, params) * G_sq_oracle(xi, eta, params)
-                if rad < 0:
-                    n_neg += 1
-                    assert orthogonality_range_report(xi, eta, params), (
-                        "negative radicand at %s %s escaped the range report"
-                        % (xi, eta))
+        n_neg = sum(1 for xi in basis for eta in basis
+                    if kraw_chain(xi, eta, params) != 0
+                    and correction_C_sq(xi, eta, params)
+                    * G_sq_oracle(xi, eta, params) < 0)
         assert n_neg > 0, "fixture should exercise the inadmissible range"
+        assert outside_orthogonality_range(params, (1, 1)) == (0, 1)
 
     def test_report_separates_pairs_at_admissible_params(self):
+        # the couplings of `TestOrthogonality`: inside the range, and the
+        # relation holds on every pair, across sectors too
         params = DualityParams((F(3, 4), F(1, 2)), F(2))
-        basis = all_capacity_configs((1, 1), 2)
-        flags = [bool(orthogonality_range_report(xi, eta, params))
-                 for xi in basis for eta in basis
-                 if kraw_chain(xi, eta, params) != 0]
-        assert not all(flags), "every pair flagged at admissible parameters"
-        assert any(flags), "the report should still flag boundary pairs here"
+        assert outside_orthogonality_range(params, (1, 1)) == ()
+        assert exact_orthogonality_failures((1, 1), 2, params) == set()
 
 
 # -- zero-range dualities --------------------------------------------------------
@@ -1104,7 +1272,7 @@ class TestParamsAndDomain:
 
 # -- the params memo ---------------------------------------------------------------
 
-MEMO_QUANTITIES = (multi_species_D, correction_C_sq, orthogonality_range_report)
+MEMO_QUANTITIES = (multi_species_D, correction_C_sq)
 
 
 MEMO_CASES = {
@@ -1299,6 +1467,8 @@ class TestStructureProperties:
 _ONE = Config.capacity([(1, 0)], (1, 1))
 _ZRP = Config.zero_range([(1, 0)])
 _PARAMS = du.DualityParams((F(4),), F(1, 2))
+_FULL = Config.capacity([(2, 1)], (2, 1))
+_SINGLE = Config.capacity([(1, 0)], (2, 1))
 INPUT_CHECKS = {
     "SNum q": lambda: du.DualityParams((F(4), F(9)), SNum(0, 1, F(1, 3))),
     "zero-range SNum q": lambda: du.qhahn_D(_ZRP, _ZRP, SNum(F(1, 4))),
@@ -1306,6 +1476,11 @@ INPUT_CHECKS = {
     "pair mode": lambda: du.multi_species_D(_ZRP, _ZRP, _PARAMS),
     "zero-range pair type": lambda: du.h_exponent((1, 0), _ZRP),
     "zero-range pair mode": lambda: du.h_exponent(_ONE, _ONE),
+    # alpha = q^(2k-1) zeroes a factor of C^2's denominator
+    "C^2 pole, q > 1": lambda: du.correction_C_sq(
+        _FULL, _SINGLE, du.DualityParams((F(2),), F(4))),
+    "C^2 pole, q < 1": lambda: du.correction_C_sq(
+        _SINGLE, _FULL, du.DualityParams((F(1, 32),), F(1, 4))),
 }
 
 
