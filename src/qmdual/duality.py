@@ -31,15 +31,17 @@ pair-independent invariants through a private memo on it:
 - each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2) with e and
   c positive, keyed by species, degree e, argument c, capacity t and
   shift s.
+Measures and site factors are int pairs, or (mpf, 1): a pair multiplies
+them and its powers of a_i and q as ints, then builds one Fraction (or mpf).
 No key names a pair.  On a sector of N configurations with n species,
 `multi_species_D` and `correction_G` read xi's measures only, on the pairs
 that `intermediate_configs` does not refuse.  There the key (xi_i,
 theta^{(i)}) holds rows i and i+1 of zeta^{(i+1)}, a configuration of the
 sector (zeta^{(n)} = xi), so they store at most N sector measures and nN
 species measures.  The site factors are bounded by the capacities alone.
-Every key carries the working precision, so a float entry is never reused
-at another one.  The memo lives and dies with the params object, which is
-immutable; nothing is cached at module level.
+Every key starts with the working precision, read once per pair, so a float
+entry is never reused at another one.  The memo lives and dies with the
+params object, which is immutable; nothing is cached at module level.
 """
 
 from contextlib import nullcontext
@@ -68,10 +70,10 @@ class DualityParams:
     measure.  Weighing sector k by w_k instead only divides D(xi, eta) by
     sqrt(w_k(xi) w_k(eta)), the sector-constant freedom of any duality.
 
-    The object is immutable and carries the memo of pair-independent
-    invariants described in the module docstring; it grows with the number
-    of configurations passed in, never with the number of pairs, and is
-    freed with the object.
+    The object is immutable and carries the memo described in the module
+    docstring: int pairs, or (mpf, 1), whose products give each pair's value
+    as a single Fraction (or mpf).  It grows with the configurations passed
+    in, never with the number of pairs, and is freed with the object.
     """
 
     __slots__ = ("a", "q", "_memo")
@@ -100,14 +102,6 @@ class DualityParams:
     def n(self):
         return len(self.a)
 
-    def _cached(self, key, compute):
-        """compute(), once per key and working precision."""
-        key = (mpmath.mp.prec,) + key
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = compute()
-        return value
-
     def __repr__(self):
         return "DualityParams(a=%r, q=%r)" % (self.a, self.q)
 
@@ -125,17 +119,6 @@ def _intermediates(xi, eta, params):
     return intermediates
 
 
-def _sites(xi_row, eta_row, theta_row):
-    """(c, e, t, shift) at each site: the entries of the three rows there and
-    the exponent left(theta) - left(xi) + right(eta), counted strictly left
-    or right of the site, of the shifted Krawtchouk parameter p q^{2 shift}."""
-    shift = sum(eta_row)
-    for c, e, t in zip(xi_row, eta_row, theta_row):
-        shift -= e
-        yield c, e, t, shift
-        shift += t - c
-
-
 def _site_p(params, i, shift):
     """Shifted Krawtchouk parameter p q^{2 shift} of species i,
     p = 1/(a_i^2 q)."""
@@ -143,26 +126,37 @@ def _site_p(params, i, shift):
     return 1 / (params.a[i] ** 2 * q) * (q * q) ** shift
 
 
-def _G(xi, params, intermediates):
-    """`correction_G` of a feasible pair.  A power whose exponent is 0 is 1
-    and skipped: inside a sector e = c for every species, and there
+def _parts(x):
+    """(numerator, denominator) of an exact rational x as ints; (x, 1) for an mpf."""
+    return (x.numerator, x.denominator) if is_exact(x) else (x, 1)
+
+
+def _G(xi, params, intermediates, prec, num=1, den=1):
+    """`correction_G` of a feasible pair times num/den, by the int pass of the
+    module docstring.  A power whose exponent is 0 is 1 and skipped: inside
+    a sector e = c for every species, and there
     G = prod_i mu_i(xi_i; theta^{(i)}) / mu(xi)."""
-    q, a, cached = params.q, params.a, params._cached
-    value = cached(("sector", xi), lambda: 1 / reversible_measure(xi, q))
-    k = 0
+    memo, q, a, k = params._memo, params.q, params.a, 0
     for iv in intermediates:
-        i, row, theta = iv.i, xi.row(iv.i), iv.theta
+        i, row, theta = iv.i, xi.counts[iv.i], iv.theta
         c, e = sum(row), sum(iv.row)
         if e != c:
             k += c * c - e * e
-            value = value * a[i] ** (e - c)
-        value = value * cached(("species", i, row, theta),
-                               lambda: single_species_measure(row, theta, a[i] ** 2, q))
+            pn, pd = _parts(a[i] ** (e - c))
+            num, den = num * pn, den * pd
+        key = (prec, "species", i, row, theta)
+        mn, md = memo.get(key) or memo.setdefault(key, _parts(
+            single_species_measure(row, theta, a[i] ** 2, q)))
+        num, den = num * mn, den * md
     if k:
-        value = value * q ** (k // 2)  # an odd k adds s, as in the measure
-        if k % 2:
-            value = value * q_root(q)
-    return value
+        pn, pd = _parts(q ** (k // 2))
+        num, den = num * pn, den * pd
+    value = Fraction(num, den) if is_exact(q) else num / den
+    if k % 2:
+        value = value * q_root(q)  # an odd k adds s, as in the measure
+    key = (prec, "sector", xi)
+    return value * (memo.get(key) or memo.setdefault(
+        key, 1 / reversible_measure(xi, q)))
 
 
 def correction_G(xi, eta, params):
@@ -173,7 +167,8 @@ def correction_G(xi, eta, params):
     alpha_i^(e-c); telescoping from eta to xi makes G the positive root of
     prod_i mu_i(xi_i) mu_i(zeta^{(i)}_i) / (mu(xi) mu(eta))."""
     intermediates = _intermediates(xi, eta, params)
-    return 0 if intermediates is None else _G(xi, params, intermediates)
+    return 0 if intermediates is None else _G(xi, params, intermediates,
+                                              mpmath.mp.prec)
 
 
 def correction_C_sq(xi, eta, params):
@@ -219,39 +214,46 @@ def _C_sq_factor(params, i, c, e, t):
 def kraw_chain(xi, eta, params):
     """The nested q-Krawtchouk product over intermediate configurations,
     without the ground-state correction; 0 on infeasible pairs."""
-    return _kraw_chain(xi, params, _intermediates(xi, eta, params))
+    num, den, factors = _kraw_chain(xi, params, _intermediates(xi, eta, params),
+                                    mpmath.mp.prec)
+    if not (num and factors):
+        return num and 1  # 0 if a factor is, 1 if no site contributes
+    return Fraction(num, den) if is_exact(params.q) else num / den
 
 
-def _kraw_chain(xi, params, intermediates):
-    """prod over species i and sites x of K_e(q^{-2c}; p q^{2 shift}, t; q^2)
-    with (c, e, t, shift) from `_sites` on xi_i, zeta^{(i)}_i, theta^{(i)};
-    0 if a factor is.  A site with e = 0 or c = 0 contributes
-    K_0(x) = K_e(1) = 1 and is skipped.  The rows come from an intermediate
-    that `intermediate_configs` did not refuse, so e and c lie in 0..t."""
+def _kraw_chain(xi, params, intermediates, prec):
+    """(num, den, factors): the product over species i and sites x of
+    K_e(q^{-2c}; p q^{2 shift}, t; q^2) is num/den, of `factors` factors;
+    num is 0 on an infeasible pair or if a factor is 0.  (c, e, t) are the
+    entries of xi_i, zeta^{(i)}_i, theta^{(i)} at x, and shift is
+    left(theta) - left(xi) + right(eta), strictly left or right of x.  A
+    site with e = 0 or c = 0 contributes K_0(x) = K_e(1) = 1 and is skipped.
+    `intermediate_configs` checked the rows, so e and c lie in 0..t."""
     if intermediates is None:
-        return 0
-    q, value = params.q, 1
+        return 0, 1, 0
+    memo, q, num, den, factors = params._memo, params.q, 1, 1, 0
     for iv in intermediates:
-        i = iv.i
-        for c, e, t, shift in _sites(xi.row(i), iv.row, iv.theta):
+        i, shift = iv.i, sum(iv.row)
+        for c, e, t in zip(xi.counts[i], iv.row, iv.theta):
+            shift -= e
             if c and e:
-                factor = params._cached(("kraw", i, e, c, t, shift), lambda: (
+                key = (prec, "kraw", i, e, c, t, shift)
+                fn, fd = memo.get(key) or memo.setdefault(key, _parts(
                     q_krawtchouk(e, c, _site_p(params, i, shift), t, q * q)))
-                if not factor:
-                    return 0
-                value = value * factor
-    return value
+                if not fn:
+                    return 0, 1, factors
+                num, den, factors = num * fn, den * fd, factors + 1
+            shift += t - c
+    return num, den, factors
 
 
 def multi_species_D(xi, eta, params):
     """Self-duality value for the multi-species exclusion chain: the
     q-Krawtchouk chain times G.  Exact params give a value in Q(s), s^2 = q,
     on every pair, cross-sector ones included; mpf params an mpf."""
-    intermediates = _intermediates(xi, eta, params)
-    value = _kraw_chain(xi, params, intermediates)
-    if not value:
-        return 0
-    return _G(xi, params, intermediates) * value
+    intermediates, prec = _intermediates(xi, eta, params), mpmath.mp.prec
+    num, den, _ = _kraw_chain(xi, params, intermediates, prec)
+    return num and _G(xi, params, intermediates, prec, num, den)
 
 
 def outside_orthogonality_range(params, theta):

@@ -5,11 +5,11 @@ A `SparseMatrix` stores {row: {col: value}} over its stored entries plus a
 shape (rows, cols).  Entry (r, c) is addressed as in an ndarray, but an
 index outside the shape, a negative one included, raises IndexError.  An
 absent entry reads as the exact zero int 0, which mixes with every scalar
-backend (a Fraction zero cannot divide by an mpf).  Products and sums drop
-the entries that come out as an exact zero (int, Fraction or SNum), so a
-weight-graded product stays as sparse as its factors.  An inexact zero,
-such as an mpf 0 left by cancellation on the float backend, stays stored:
-a float residual must never read as an exact one.
+backend (a Fraction zero cannot divide by an mpf).  Products, sums, scalar
+multiples and `scaled` drop the entries that come out as an exact zero
+(int, Fraction or SNum), so a weight-graded product stays as sparse as its
+factors.  An inexact zero, such as an mpf 0 left by cancellation on the
+float backend, stays stored: a float residual must never read as exact.
 
 Products of exact operands, every entry exactly an int, Fraction or SNum,
 run on Python ints: the rows of the left operand and the columns of the
@@ -27,6 +27,7 @@ Interop with numpy object arrays:
   diagonal makes one multiplication per stored entry; an inexact entry of
   `a`, an mpf 0 included, is always multiplied, so a float product never
   reads as an exact one.  An entry that no product reaches is the int 0;
+- `op[r]` is row r as a list of its entries, not an ndarray;
 - `toarray` is the only densifier, and `__array__` delegates to it, so that
   `np.asarray`, `np.kron` and `np.diag` see the dense matrix.
 
@@ -49,9 +50,11 @@ ZERO = 0
 _RANK = {int: 0, Fraction: 1, SNum: 2}
 
 
-def _kept(row):
-    """The row without its exact zeros."""
-    return {c: v for c, v in row.items() if v or not is_exact(v)}
+def _sparse(rows):
+    """The rows without their exact zeros, and without the rows left empty."""
+    rows = {r: {c: v for c, v in row.items() if v or not is_exact(v)}
+            for r, row in rows.items()}
+    return {r: row for r, row in rows.items() if row}
 
 
 def _loop(arows, brows):
@@ -168,7 +171,7 @@ class SparseMatrix:
                 for c in range(ncols))
 
     def __getitem__(self, key):
-        """[r, c] is one entry; [r] is row r as a dense ndarray."""
+        """[r, c] is one entry; [r] is row r as a list of its shape[1] entries."""
         if isinstance(key, tuple):
             r, c = key
             if not (0 <= r < self.shape[0] and 0 <= c < self.shape[1]):
@@ -178,7 +181,7 @@ class SparseMatrix:
         if not 0 <= key < self.shape[0]:
             raise IndexError("row %r out of range for %d rows"
                              % (key, self.shape[0]))
-        out = np.full(self.shape[1], ZERO, dtype=object)
+        out = [ZERO] * self.shape[1]
         for c, v in self.rows.get(key, {}).items():
             out[c] = v
         return out
@@ -191,12 +194,8 @@ class SparseMatrix:
     def __matmul__(self, other):
         if isinstance(other, SparseMatrix):
             self._inner(other.shape[0])
-            out = {}
-            for r, acc in _product(self.rows, other.rows):
-                acc = _kept(acc)
-                if acc:
-                    out[r] = acc
-            return SparseMatrix(out, (self.shape[0], other.shape[1]))
+            return SparseMatrix(_sparse(dict(_product(self.rows, other.rows))),
+                                (self.shape[0], other.shape[1]))
         if isinstance(other, np.ndarray):
             self._inner(other.shape[0])
             # one path for every ndim: the trailing axes flatten to columns
@@ -227,9 +226,7 @@ class SparseMatrix:
             acc = out.setdefault(r, {})
             for c, v in brow.items():
                 acc[c] = acc[c] + sign * v if c in acc else sign * v
-        out = {r: _kept(row) for r, row in out.items()}
-        return SparseMatrix({r: row for r, row in out.items() if row},
-                            self.shape)
+        return SparseMatrix(_sparse(out), self.shape)
 
     def __add__(self, other):
         return self._plus(other, 1)
@@ -241,15 +238,16 @@ class SparseMatrix:
         """Scalar multiple; a matrix operand is refused."""
         if isinstance(w, (SparseMatrix, np.ndarray)):
             return NotImplemented
-        return SparseMatrix({r: {c: w * v for c, v in row.items()}
-                             for r, row in self.rows.items()}, self.shape)
+        return SparseMatrix(_sparse({r: {c: w * v for c, v in row.items()}
+                                     for r, row in self.rows.items()}), self.shape)
 
     __rmul__ = __mul__
 
     def scaled(self, row, col):
         """diag(row) A diag(col), with row and col sequences of scalars."""
-        return SparseMatrix({r: {c: row[r] * v * col[c] for c, v in arow.items()}
-                             for r, arow in self.rows.items()}, self.shape)
+        return SparseMatrix(_sparse({
+            r: {c: row[r] * v * col[c] for c, v in arow.items()}
+            for r, arow in self.rows.items()}), self.shape)
 
     def column_sums(self):
         """Exact sum of each column over its stored entries, rows in order."""

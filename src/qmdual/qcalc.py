@@ -33,7 +33,9 @@ def _div(a, b):
 
 
 def q_int(n, q):
-    """[n]_q = (q^n - q^-n)/(q - q^-1)."""
+    """[n]_q = (q^n - q^-n)/(q - q^-1) for an int n, negative ones included."""
+    if not isinstance(n, int):
+        raise DomainError("q-integer index n=%r is not an int" % (n,))
     q = _check_q(q)
     return (q ** n - q ** (-n)) / (q - q ** (-1))
 
@@ -74,7 +76,9 @@ def qq_binom(n, k, q):
 
 
 def brace_int(n, q):
-    """{n}_{q^2} = (1 - q^{2n})/(1 - q^2)."""
+    """{n}_{q^2} = (1 - q^{2n})/(1 - q^2) for an int n, negative ones included."""
+    if not isinstance(n, int):
+        raise DomainError("brace-integer index n=%r is not an int" % (n,))
     q = _check_q(q)
     return (1 - q ** (2 * n)) / (1 - q ** 2)
 
@@ -139,7 +143,9 @@ def phi10(m, q, z):
 
 def q_krawtchouk(n, x, p, c, q):
     """K_n(q^{-x}; p, c; q) = 2phi1(q^{-x}, q^{-n}; q^{-c}; q, p q^{n+1}),
-    a series of degree min(n, x)."""
+    a series of degree min(n, x); n, x and c are ints."""
+    if not all(isinstance(v, int) for v in (n, x, c)):
+        raise DomainError("q-Krawtchouk n=%r, x=%r, c=%r must be ints" % (n, x, c))
     if not 0 <= n <= c:
         raise DomainError("q-Krawtchouk degree n=%s outside 0..c=%s" % (n, c))
     if not 0 <= x <= c:

@@ -1285,6 +1285,10 @@ MEMO_CASES = {
     # every sector on theta = (2,1): pairs across sectors
     "multi-sector": (lambda: all_capacity_configs((2, 1), 2),
                      lambda: DualityParams((F(3, 4), F(1, 2)), F(2))),
+    # odd counts at a square q: s = 2/3 is a Fraction, so the measures and
+    # the 256 nonzero pairs with an odd power of s stay rational
+    "square-q": (lambda: all_capacity_configs((1, 1, 1), 2),
+                 lambda: DualityParams((F(2), F(5)), F(4, 9))),
 }
 
 
@@ -1315,6 +1319,9 @@ class TestParamsMemo:
                 assert is_exact(multi_species_D(xi, eta, shared))
         if case == "odd-counts":
             assert any(isinstance(multi_species_D(xi, eta, shared), SNum)
+                       for xi in basis for eta in basis)
+        if case == "square-q":
+            assert all(type(multi_species_D(xi, eta, shared)) in (int, F)
                        for xi in basis for eta in basis)
         # no entry is per pair: measures grow with the basis, not its square,
         # and only xi's rows are measured; the site factors are bounded by
@@ -1352,17 +1359,21 @@ class TestParamsMemo:
             built.append((xi, eta))
             return intermediate_configs(xi, eta)
 
-        basis = enumerate_sector(Sector((1, 2, 3), (2, 2, 2)))
-        params = DualityParams((F(4), F(9)), F(1, 3))
         monkeypatch.setattr(du, "intermediate_configs", counted)
-        values = {(xi, eta): multi_species_D(xi, eta, params)
-                  for xi in basis for eta in basis}
-        assert len(built) == len(values)
-        assert any(values.values())
-        for (xi, eta), value in values.items():
-            chain = kraw_chain(xi, eta, params)
-            want = correction_G(xi, eta, params) * chain if chain else 0
-            assert type(value) is type(want) and value == want, (xi, eta)
+        make_basis, make_params = MEMO_CASES["square-q"]
+        for basis, params in (
+                (enumerate_sector(Sector((1, 2, 3), (2, 2, 2))),
+                 DualityParams((F(4), F(9)), F(1, 3))),
+                (make_basis(), make_params())):
+            built.clear()
+            values = {(xi, eta): multi_species_D(xi, eta, params)
+                      for xi in basis for eta in basis}
+            assert len(built) == len(values)
+            assert any(values.values())
+            for (xi, eta), value in values.items():
+                chain = kraw_chain(xi, eta, params)
+                want = correction_G(xi, eta, params) * chain if chain else 0
+                assert type(value) is type(want) and value == want, (xi, eta)
 
     def test_params_with_different_alpha_share_no_entries(self):
         basis = enumerate_sector(Sector((2, 2, 2), (2, 2, 2)))

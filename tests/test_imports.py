@@ -107,7 +107,7 @@ def test_import_leaves_global_state_alone():
 
 # the src line budget of ROADMAP.md; the report modules checks.py and cli.py
 # are exempt.  A change that raises it says why in CHANGES.md.
-SRC_LINE_BUDGET = 2188
+SRC_LINE_BUDGET = 2194
 
 
 def test_src_line_budget():

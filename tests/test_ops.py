@@ -132,7 +132,7 @@ class TestAgainstDense:
         assert op.size == D.size and op.shape == D.shape
         for r in range(n):
             row = op[r]
-            assert isinstance(row, np.ndarray) and row.shape == (m,)
+            assert type(row) is list and len(row) == m
             for c in range(m):
                 assert op[r, c] == row[c] == D[r][c]
         assert list(op.flat) == list(D.flat)
@@ -209,6 +209,19 @@ def test_inexact_zero_stays_stored():
     for R in (Ae @ Be, Ae - Ae):
         assert R.rows == {}
         assert all(is_exact(v) and v == 0 for v in R.flat)
+
+
+@pytest.mark.parametrize("zero", [0, F(0), SNum(0)])
+def test_scalar_multiples_and_scaling_store_no_exact_zero(zero):
+    op = SparseMatrix({0: {0: F(1, 2), 1: SNum(1, 2, SBASE)}, 1: {1: F(3)}}, (2, 2))
+    assert (op * zero).rows == {} and (zero * op).rows == {}
+    # a zero on the diagonal clears its row (left) or column (right) only
+    assert op.scaled([zero, 1], [1, 1]).rows == {1: {1: F(3)}}
+    assert op.scaled([1, 1], [1, zero]).rows == {0: {0: F(1, 2)}}
+    # an inexact zero stays stored, so a float product never reads as exact
+    kept = SparseMatrix({0: {0: F(1, 2)}, 1: {1: F(3)}}, (2, 2)) * mpmath.mpf(0)
+    assert kept.rows.keys() == {0, 1}
+    assert not any(is_exact(v) for row in kept.rows.values() for v in row.values())
 
 
 # -- ndarray operands full of exact zeros -------------------------------------------

@@ -106,6 +106,14 @@ class TestDeformedIntegers:
             for n in range(1, 9):
                 assert qcalc.q_int(n, q) == brute_q_int(n, q)
 
+    def test_negative_index_stays_legal(self):
+        # [-n]_q = -[n]_q and {-n}_{q^2} = -q^{-2n} {n}_{q^2}, exactly
+        q = Fraction(2, 3)
+        for n in range(4):
+            assert qcalc.q_int(-n, q) == -qcalc.q_int(n, q)
+            assert qcalc.brace_int(-n, q) == -q ** (-2 * n) * qcalc.brace_int(n, q)
+            assert type(qcalc.q_int(-n, q)) is Fraction
+
     def test_q_binom_brute_force(self):
         q = Fraction(1, 2)
         expected = qcalc.q_fact(4, q) / (qcalc.q_fact(2, q) * qcalc.q_fact(2, q))
@@ -445,6 +453,16 @@ INPUT_CHECKS = {
         lambda: qcalc.q_poch(Fraction(1, 3), _Q, 2.0),
     "q-Pochhammer ratio shifts":
         lambda: qcalc.q_poch_ratio(Fraction(1, 3), _Q, 1.0, 2),
+    # a float index or capacity would leave exact arithmetic in silence
+    "q-integer index": lambda: qcalc.q_int(1.5, _Q),
+    "q-integer float index": lambda: qcalc.q_int(2.0, _Q),
+    "brace-integer index": lambda: qcalc.brace_int(1.5, _Q),
+    "q-Krawtchouk float capacity":
+        lambda: qcalc.q_krawtchouk(1, 2, Fraction(1, 2), 2.0, _Q),
+    "q-Krawtchouk float degree":
+        lambda: qcalc.q_krawtchouk(1.5, 2, Fraction(1, 2), 2, _Q),
+    "q-Krawtchouk float argument":
+        lambda: qcalc.q_krawtchouk(1, 2.0, Fraction(1, 2), 2, _Q),
 }
 
 
