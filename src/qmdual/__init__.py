@@ -1,5 +1,5 @@
-"""Exact and floating-point toolkit for q-deformed lattice gases:
-generators, duality functions, and the identities tying them together."""
+"""Exact-arithmetic toolkit for q-deformed lattice gases: generators,
+duality functions, and the identities tying them together."""
 
 __version__ = "0.1.0"
 

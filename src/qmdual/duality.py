@@ -31,49 +31,45 @@ pair-independent invariants through a private memo on it:
 - each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2) with e and
   c positive, keyed by species, degree e, argument c, capacity t and
   shift s.
-Measures and site factors are int pairs, or (mpf, 1): a pair multiplies
-them and its powers of a_i and q as ints, then builds one Fraction (or mpf).
+Measures and site factors are int pairs (numerator, denominator): a pair
+multiplies them and its powers of a_i and q as ints, then builds one Fraction.
 No key names a pair.  On a sector of N configurations with n species,
 `multi_species_D` and `correction_G` read xi's measures only, on the pairs
 that `intermediate_configs` does not refuse.  There the key (xi_i,
 theta^{(i)}) holds rows i and i+1 of zeta^{(i+1)}, a configuration of the
 sector (zeta^{(n)} = xi), so they store at most N sector measures and nN
 species measures.  The site factors are bounded by the capacities alone.
-Every key starts with the working precision, read once per pair, so a float
-entry is never reused at another one.  The memo lives and dies with the
-params object, which is immutable; nothing is cached at module level.
+The memo lives and dies with the params object, which is immutable;
+nothing is cached at module level.
 """
 
-from contextlib import nullcontext
 from fractions import Fraction
 from itertools import accumulate
-
-import mpmath
 
 from .errors import DomainError
 from .lattice import Config, intermediate_configs
 from .models import reversible_measure, single_species_measure
 from .qcalc import _check_q, _exact_q, q_krawtchouk, q_poch_ratio
-from .scalars import SNum, is_exact, q_root, to_mpf
+from .scalars import SNum, is_exact, q_root
 
 
 class DualityParams:
     """Per-species parameters of the nested duality function.
 
     a: the coupling a_i = sqrt(alpha_i) per species (length n, species
-    0..n-1), positive.  The formulas read alpha_i = a_i^2; at rational a and
-    q every value of D lies in Q(s), s^2 = q.
-    q: the asymmetry parameter, a rational or a float.  An SNum q is refused:
-    the sector measures carry q^(1/2), which has no place in the field of q.
-    An mpf among a and q turns them all into mpfs.
+    0..n-1), positive and exact.  The formulas read alpha_i = a_i^2; at
+    rational a and q every value of D lies in Q(s), s^2 = q.
+    q: the asymmetry parameter, a rational.  An SNum q is refused: the
+    sector measures carry q^(1/2), which has no place in the field of q.
+    A float a or q raises `DomainError`.
     The ground-state correction uses each sector's unnormalized reversible
     measure.  Weighing sector k by w_k instead only divides D(xi, eta) by
     sqrt(w_k(xi) w_k(eta)), the sector-constant freedom of any duality.
 
     The object is immutable and carries the memo described in the module
-    docstring: int pairs, or (mpf, 1), whose products give each pair's value
-    as a single Fraction (or mpf).  It grows with the configurations passed
-    in, never with the number of pairs, and is freed with the object.
+    docstring: int pairs whose products give each pair's value as a single
+    Fraction.  It grows with the configurations passed in, never with the
+    number of pairs, and is freed with the object.
     """
 
     __slots__ = ("a", "q", "_memo")
@@ -82,13 +78,10 @@ class DualityParams:
         a = tuple(_exact_q(v) for v in a)
         q = _check_q(q)
         if isinstance(q, SNum):
-            raise DomainError("q=%r must be a rational or a float" % (q,))
-        if any(not is_exact(v) for v in a + (q,)):
-            a = tuple(to_mpf(v) for v in a)
-            q = to_mpf(q)
+            raise DomainError("q=%r must be a rational" % (q,))
         for v in a:
-            if not v > 0:
-                raise DomainError("species coupling a=%r must be positive" % (v,))
+            if not (is_exact(v) and v > 0):
+                raise DomainError("coupling a=%r must be exact and positive" % (v,))
         self.a = a
         self.q = q
         self._memo = {}
@@ -127,11 +120,11 @@ def _site_p(params, i, shift):
 
 
 def _parts(x):
-    """(numerator, denominator) of an exact rational x as ints; (x, 1) for an mpf."""
-    return (x.numerator, x.denominator) if is_exact(x) else (x, 1)
+    """(numerator, denominator) of a rational x as ints."""
+    return x.numerator, x.denominator
 
 
-def _G(xi, params, intermediates, prec, num=1, den=1):
+def _G(xi, params, intermediates, num=1, den=1):
     """`correction_G` of a feasible pair times num/den, by the int pass of the
     module docstring.  A power whose exponent is 0 is 1 and skipped: inside
     a sector e = c for every species, and there
@@ -144,17 +137,17 @@ def _G(xi, params, intermediates, prec, num=1, den=1):
             k += c * c - e * e
             pn, pd = _parts(a[i] ** (e - c))
             num, den = num * pn, den * pd
-        key = (prec, "species", i, row, theta)
+        key = ("species", i, row, theta)
         mn, md = memo.get(key) or memo.setdefault(key, _parts(
             single_species_measure(row, theta, a[i] ** 2, q)))
         num, den = num * mn, den * md
     if k:
         pn, pd = _parts(q ** (k // 2))
         num, den = num * pn, den * pd
-    value = Fraction(num, den) if is_exact(q) else num / den
+    value = Fraction(num, den)
     if k % 2:
         value = value * q_root(q)  # an odd k adds s, as in the measure
-    key = (prec, "sector", xi)
+    key = ("sector", xi)
     return value * (memo.get(key) or memo.setdefault(
         key, 1 / reversible_measure(xi, q)))
 
@@ -167,8 +160,7 @@ def correction_G(xi, eta, params):
     alpha_i^(e-c); telescoping from eta to xi makes G the positive root of
     prod_i mu_i(xi_i) mu_i(zeta^{(i)}_i) / (mu(xi) mu(eta))."""
     intermediates = _intermediates(xi, eta, params)
-    return 0 if intermediates is None else _G(xi, params, intermediates,
-                                              mpmath.mp.prec)
+    return 0 if intermediates is None else _G(xi, params, intermediates)
 
 
 def correction_C_sq(xi, eta, params):
@@ -214,14 +206,13 @@ def _C_sq_factor(params, i, c, e, t):
 def kraw_chain(xi, eta, params):
     """The nested q-Krawtchouk product over intermediate configurations,
     without the ground-state correction; 0 on infeasible pairs."""
-    num, den, factors = _kraw_chain(xi, params, _intermediates(xi, eta, params),
-                                    mpmath.mp.prec)
+    num, den, factors = _kraw_chain(xi, params, _intermediates(xi, eta, params))
     if not (num and factors):
         return num and 1  # 0 if a factor is, 1 if no site contributes
-    return Fraction(num, den) if is_exact(params.q) else num / den
+    return Fraction(num, den)
 
 
-def _kraw_chain(xi, params, intermediates, prec):
+def _kraw_chain(xi, params, intermediates):
     """(num, den, factors): the product over species i and sites x of
     K_e(q^{-2c}; p q^{2 shift}, t; q^2) is num/den, of `factors` factors;
     num is 0 on an infeasible pair or if a factor is 0.  (c, e, t) are the
@@ -237,7 +228,7 @@ def _kraw_chain(xi, params, intermediates, prec):
         for c, e, t in zip(xi.counts[i], iv.row, iv.theta):
             shift -= e
             if c and e:
-                key = (prec, "kraw", i, e, c, t, shift)
+                key = ("kraw", i, e, c, t, shift)
                 fn, fd = memo.get(key) or memo.setdefault(key, _parts(
                     q_krawtchouk(e, c, _site_p(params, i, shift), t, q * q)))
                 if not fn:
@@ -250,10 +241,10 @@ def _kraw_chain(xi, params, intermediates, prec):
 def multi_species_D(xi, eta, params):
     """Self-duality value for the multi-species exclusion chain: the
     q-Krawtchouk chain times G.  Exact params give a value in Q(s), s^2 = q,
-    on every pair, cross-sector ones included; mpf params an mpf."""
-    intermediates, prec = _intermediates(xi, eta, params), mpmath.mp.prec
-    num, den, _ = _kraw_chain(xi, params, intermediates, prec)
-    return num and _G(xi, params, intermediates, prec, num, den)
+    on every pair, cross-sector ones included."""
+    intermediates = _intermediates(xi, eta, params)
+    num, den, _ = _kraw_chain(xi, params, intermediates)
+    return num and _G(xi, params, intermediates, num, den)
 
 
 def outside_orthogonality_range(params, theta):
@@ -300,7 +291,7 @@ def qhahn_D(eta, xi, q):
     Newton's q-binomial theorem sums each 1phi0 series: D = s^h prod_e
     (1 - s^e) over odd e, an int Laurent polynomial in s.  Its even and odd
     parts take one int Horner in q = num/den and one division each, into a
-    Fraction; an mpf q takes (num, den) = (q, 1), with guard bits for cancellation.
+    Fraction.  A float q raises `DomainError`.
     """
     poly = {h_exponent(xi, eta): 1}  # h_exponent checks the pair
     q = _check_q(q)
@@ -311,19 +302,12 @@ def qhahn_D(eta, xi, q):
             for e in range(1 - 2 * k, 1 - 2 * (k - c), 2):  # times (1 - s^e)
                 for power, v in list(poly.items()):
                     poly[power + e] = poly.get(power + e, 0) - v
-    high, low, prec = max(max(poly) // 2, 0), min(poly) // 2, mpmath.mp.prec
-    if not is_exact(q):  # the sums cancel at most len(poly) (2 (1+q) / |1-q|)^N-fold
-        n_factors = sum(map(sum, xi.counts))
-        prec += mpmath.mag(len(poly)) + n_factors * mpmath.mag(2 * (1 + q) / (1 - q))
-    with nullcontext() if is_exact(q) else mpmath.workprec(prec):
-        s, even, odd, dj = q_root(q), 0, 0, 1  # q_root first: an SNum q raises
-        num, den = (q.numerator, q.denominator) if is_exact(q) else (q, 1)
-        for j in range(high, low - 1, -1):  # s^p = q^(p // 2) s^(p % 2)
-            even = even * num + poly.get(2 * j, 0) * dj  # dj = den^(high - j)
-            odd, dj = odd * num + poly.get(2 * j + 1, 0) * dj, dj * den
-        if is_exact(q):  # one division: sums * num^low / den^high, high >= 0
-            n, d = num ** max(low, 0), num ** max(-low, 0) * den ** high
-            a, b = (Fraction(v * n, d) for v in (even, odd))
-            return SNum._make(a, b, q) if isinstance(s, SNum) else a + s * b
-        value = (even + s * odd) * q ** low
-    return +value
+    high, low = max(max(poly) // 2, 0), min(poly) // 2
+    s, even, odd, dj = q_root(q), 0, 0, 1  # q_root first: an SNum q raises
+    num, den = _parts(q)
+    for j in range(high, low - 1, -1):  # s^p = q^(p // 2) s^(p % 2)
+        even = even * num + poly.get(2 * j, 0) * dj  # dj = den^(high - j)
+        odd, dj = odd * num + poly.get(2 * j + 1, 0) * dj, dj * den
+    n, d = num ** max(low, 0), num ** max(-low, 0) * den ** high  # high >= 0
+    a, b = (Fraction(v * n, d) for v in (even, odd))  # sums * num^low / den^high
+    return SNum._make(a, b, q) if isinstance(s, SNum) else a + s * b

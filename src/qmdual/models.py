@@ -9,7 +9,7 @@ Every generator and kernel is a GeneratorMatrix whose entries are an
 `ops.SparseMatrix` in the column convention: entry (i, j) is the rate
 (continuous time) or probability (discrete time) of moving from basis
 state j to basis state i, so columns sum to 0 resp. 1.  Column sums are
-exact on the rational backend, not a floating-point aspiration.
+exact, as all arithmetic is: a float q raises `DomainError`.
 
 Two Gaussian-binomial normalizations coexist on purpose: the reversible
 measures use the symmetric q_binom, the Phi weight uses the
@@ -161,10 +161,10 @@ def reversible_measure(cfg, q):
     mu(xi) = q^{sum c^2/2 - 2 sum_{y<x} sum_i xi^x_{[0,i]} xi^y_{i+1}}
     / prod [c]_q!, c running over every count xi^x_i, holes included.
 
-    Exact backend: pass q as a Fraction.  The q^{(count^2)/2} factor puts the
+    Pass q as an int or a Fraction.  The q^{(count^2)/2} factor puts the
     value in Q(s), s = `q_root(q)`: an SNum when the squared counts sum to an
-    odd number and q is not a square, a Fraction otherwise.  An SNum q or a
-    negative q raises `DomainError`.
+    odd number and q is not a square, a Fraction otherwise.  An SNum, a
+    float or a negative q raises `DomainError`.
     """
     if cfg.is_zero_range:
         raise DomainError("the reversible measure needs capacity mode")

@@ -4,12 +4,12 @@ quantum-group operator.
 A `SparseMatrix` stores {row: {col: value}} over its stored entries plus a
 shape (rows, cols).  Entry (r, c) is addressed as in an ndarray, but an
 index outside the shape, a negative one included, raises IndexError.  An
-absent entry reads as the exact zero int 0, which mixes with every scalar
-backend (a Fraction zero cannot divide by an mpf).  Products, sums, scalar
-multiples and `scaled` drop the entries that come out as an exact zero
-(int, Fraction or SNum), so a weight-graded product stays as sparse as its
-factors.  An inexact zero, such as an mpf 0 left by cancellation on the
-float backend, stays stored: a float residual must never read as exact.
+absent entry reads as the exact zero int 0, which mixes with every entry
+type.  Products, sums, scalar multiples and `scaled` drop the entries that
+come out as an exact zero (int, Fraction or SNum), so a weight-graded
+product stays as sparse as its factors.  An inexact zero, such as a float 0
+that a caller's float entries left by cancellation, stays stored: a float
+residual must never read as exact.
 
 Products of exact operands, every entry exactly an int, Fraction or SNum,
 run on Python ints: the rows of the left operand and the columns of the
@@ -17,7 +17,7 @@ right one are lifted by the lcm of their denominators, the sparse k-loop
 sums int products, and each sum is reduced once.  An SNum a + b*s enters as
 its two rational parts.  It runs when one operand is uniformly of the top
 entry type (int < Fraction < SNum) of the two, so every sum has that type.
-Other operands of mixed entry types, and an operand holding an mpf or any
+Other operands of mixed entry types, and an operand holding a float or any
 other type, take the per-entry loop of Python arithmetic.
 
 Interop with numpy object arrays:
@@ -25,7 +25,7 @@ Interop with numpy object arrays:
   are ndarrays of scalars built from the stored entries alone.  The exact
   zeros of `a` are skipped like absent entries, so a product with a
   diagonal makes one multiplication per stored entry; an inexact entry of
-  `a`, an mpf 0 included, is always multiplied, so a float product never
+  `a`, a float 0 included, is always multiplied, so a float product never
   reads as an exact one.  An entry that no product reaches is the int 0;
 - `op[r]` is row r as a list of its entries, not an ndarray;
 - `toarray` is the only densifier, and `__array__` delegates to it, so that

@@ -1,10 +1,9 @@
 """q-deformed integers and factorials, q-Pochhammers, terminating basic
 hypergeometric series and q-Krawtchouk polynomials.
 
-Every function is generic over the scalar backend: pass q as an int,
-Fraction or SNum for exact arithmetic, or as an mpmath float.  An int q
-becomes a Fraction on entry, since its negative powers would be floats.
-Constants are Python ints so they combine with either backend.  A
+Arithmetic is exact: pass q as an int, Fraction or SNum.  Every function
+that checks q refuses a float q with `DomainError`, and an int q becomes a
+Fraction on entry, since its negative powers would be floats.  A
 terminating series takes its degree m as an int and sums exactly the terms
 k = 0..m; no value is tested against a tolerance to find where it ends.
 """
@@ -12,6 +11,7 @@ k = 0..m; no value is tested against a tolerance to find where it ends.
 from fractions import Fraction
 
 from .errors import DegenerateQError, DomainError
+from .scalars import is_exact
 
 
 def _exact_q(q):
@@ -20,6 +20,8 @@ def _exact_q(q):
 
 
 def _check_q(q):
+    if not is_exact(q):
+        raise DomainError("q=%r is not exact: pass an int, Fraction or SNum" % (q,))
     if q == 0 or q == 1 or q == -1:
         raise DegenerateQError("degenerate q = %s" % (q,))
     return _exact_q(q)
@@ -95,7 +97,7 @@ def brace_fact(n, q):
 def q_poch(a, q, n):
     """(a; q)_n = (1-a)(1-aq)...(1-aq^{n-1}) for an int n >= 0.  The
     library needs (a; q)_inf only in ratios, which `q_poch_ratio` forms
-    exactly; the product itself is mpmath's `qp(a, q)`."""
+    exactly."""
     if not isinstance(n, int) or n < 0:
         raise DomainError("q-Pochhammer length %r is not an int >= 0" % (n,))
     result = 1

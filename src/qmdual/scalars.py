@@ -1,19 +1,17 @@
-"""Scalar backends: exact values in Q(s) with s^2 rational, and mpmath floats.
+"""Scalar backend: exact values in Q(s) with s^2 rational.
 
-The exact backend works in the quadratic field Q(s) where s^2 = q is the
+The backend works in the quadratic field Q(s) where s^2 = q is the
 (rational) deformation parameter, so half-integer powers of q stay exact.
-The float backend is mpmath at the caller's working precision: the library
-never sets `mpmath.mp.dps`, so wrap a computation in `mpmath.workdps` to
-choose the digits.
+A float q or radicand is refused at entry with `DomainError`.  `to_mpf`
+turns an exact value into a float for a caller's own float oracle; it is
+the one function that leaves exact arithmetic, and nothing in the library
+calls it.
 
 `q_root` is the one root s = sqrt(q) of the deformation parameter q.
 `sqrt` is the one other square root.  It roots a rational-valued radicand
 in Q or in Q*s and refuses an SNum with a nonzero s-part.  Beyond `q_root`
 the library roots nothing with it, since its dualities are products in
-Q(s); it serves a caller's radicand, such as a ratio of measures.  An exact
-radicand never turns into a float by itself: a caller who wants the float
-root passes `to_mpf(x)`, so every move to floats is written at its call
-site.
+Q(s); it serves a caller's radicand, such as a ratio of measures.
 
 Construction: the public `SNum(a, b, sbase)` validates its input.  It
 coerces both parts to Fraction, requires sbase > 0, and folds a
@@ -26,8 +24,6 @@ a square) and redoes only the fold b == 0 => sbase = None.
 import math
 import operator
 from fractions import Fraction
-
-import mpmath
 
 from .errors import DomainError
 
@@ -246,50 +242,43 @@ class SNum:
 
 
 def sqrt(x, q=None):
-    """Principal square root of a rational-valued x: exact in Q or Q*s for
-    an exact x, s^2 = q for a rational q; an mpf for a float x.
+    """Principal square root of a rational-valued exact x, in Q or Q*s,
+    s^2 = q for a rational q.
 
-    An SNum q or a q <= 0 raises `DomainError` at entry, as in `q_root`.
-    So does an SNum x with a nonzero s-part, before any other check of x.
-    So do a negative x and an exact x with no root in the field of q (Q for
-    a float q or None).
+    A q that is not a positive rational (an SNum, a float or q <= 0) raises
+    `DomainError` at entry.  So does an x that is a float or an SNum with a
+    nonzero s-part, before any other check of x.  So do a negative x and an
+    x with no root in the field of q (Q for q None).
     """
-    if isinstance(q, SNum):
-        raise DomainError("q=%r must be a rational or a float" % (q,))
-    if q is not None and not q > 0:
-        raise DomainError("q=%r must be positive" % (q,))
-    if isinstance(x, SNum) and x.b:
-        raise DomainError("sqrt takes a rational radicand, not %r" % (x,))
-    if not is_exact(x):
-        x = to_mpf(x)
+    if q is not None and not (isinstance(q, (int, Fraction)) and q > 0):
+        raise DomainError("q=%r must be a positive rational" % (q,))
+    if not is_exact(x) or isinstance(x, SNum) and x.b:
+        raise DomainError("sqrt takes an exact rational radicand, not %r" % (x,))
     if x < 0:
         raise DomainError("negative radicand %r has no real square root" % (x,))
-    if not is_exact(x):
-        return mpmath.sqrt(x)
-    sbase = q if is_exact(q) else None
     r = x.a if isinstance(x, SNum) else Fraction(x)
     root = rational_sqrt(r)
     if root is not None:
         return SNum(root) if isinstance(x, SNum) else root
-    # maybe sqrt(r) = t*s with t rational, t^2 = r / sbase
-    t = None if sbase is None else rational_sqrt(r / Fraction(sbase))
+    # maybe sqrt(r) = t*s with t rational, t^2 = r / q
+    t = None if q is None else rational_sqrt(r / Fraction(q))
     if t is not None:
-        return SNum(0, t, sbase)
-    field = "Q" if sbase is None else "Q(sqrt(%s))" % sbase
-    raise DomainError("exact radicand %r is not a square in %s" % (x, field))
+        return SNum(0, t, q)
+    field = "Q" if q is None else "Q(sqrt(%s))" % q
+    raise DomainError("radicand %r is not a square in %s" % (x, field))
 
 
 def q_root(q):
     """The root s = sqrt(q) of the deformation parameter q.
 
     A square rational q gives a Fraction, any other rational q the generator
-    SNum(0, 1, q) of Q(s), and a float q an mpf.  An SNum q raises
-    `DomainError`, since its root lies outside its field; so does q < 0,
-    through `sqrt`'s negative-radicand check.
+    SNum(0, 1, q) of Q(s).  An SNum q raises `DomainError`, since its root
+    lies outside its field, and so does a float q; so does q < 0, through
+    `sqrt`'s negative-radicand check.
     """
-    if isinstance(q, SNum):
-        raise DomainError("q=%r must be a rational or a float" % (q,))
-    if not is_exact(q) or q < 0:
+    if not isinstance(q, (int, Fraction)):
+        raise DomainError("q=%r must be a rational" % (q,))
+    if q < 0:
         return sqrt(q)
     root = rational_sqrt(q)
     if root is not None:
@@ -299,6 +288,7 @@ def q_root(q):
 
 def to_mpf(x):
     """Convert any supported scalar to an mpmath number at current precision."""
+    import mpmath
     if isinstance(x, SNum):
         v = mpmath.mpf(x.a.numerator) / x.a.denominator
         if x.b != 0:

@@ -355,7 +355,7 @@ def unitary_U(i, lam, tbasis, q):
     E_{q^2}(-lam * K_{i+1} M_raise) on the chain coproduct matrices.  It is
     unitary against the inner product twisted by the Pochhammer diagonals
     of `unitarity_twist`, which is what the half-power factors of the fully
-    unitary form square to; that form is the float image of this core.
+    unitary form square to; those infinite products lie outside Q(s).
     """
     # F K_i and K_{i+1} E: the lower and raise coproducts with their columns
     # and rows scaled by the weight diagonals

@@ -1,8 +1,10 @@
 """Shared test setup.
 
-The library never sets the mpmath precision; float results follow the
-caller's.  The tests hold their float tolerances (down to 1e-40) at 60
-significant digits, so the whole session runs inside `workdps(60)`.
+The library's arithmetic is exact and never touches mpmath.  The tests'
+own float oracles (the orthogonality sums, the q-exponential series and
+infinite q-Pochhammers, the dressed unitary form) hold their tolerances
+(down to 1e-40) at 60 significant digits, so the whole session runs inside
+`workdps(60)`.
 
 The property tests draw their examples from a seed fixed per test, so two
 runs of one tree feed the library the same inputs and a failure repeats.

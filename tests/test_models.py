@@ -27,7 +27,7 @@ from qmdual.models import (
     single_species_measure,
 )
 from qmdual.qcalc import _check_q, q_binom, q_fact, q_poch
-from qmdual.scalars import SNum, is_exact, q_root
+from qmdual.scalars import SNum, q_root
 
 Q_GRID = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
 
@@ -35,16 +35,15 @@ F = Fraction
 
 
 def dphi_dlambda_fd(gamma, beta, mu, q):
-    """Independent derivative oracle: central difference in lambda at 1.
+    """Independent derivative oracle: exact central difference in lambda at 1.
 
-    Step 1e-25 at 60 working digits leaves ~35 significant digits after the
-    cancellation, comfortably below the 1e-20 comparison tolerance.
+    The step 1e-25 leaves a truncation error of order 1e-50, comfortably
+    below the 1e-20 comparison tolerance.
     """
-    with mpmath.workdps(60):
-        h = mpmath.mpf(10) ** -25
-        up = phi_weight(gamma, beta, 1 + h, mu, q)
-        dn = phi_weight(gamma, beta, 1 - h, mu, q)
-        return (up - dn) / (2 * h)
+    h = F(1, 10 ** 25)
+    up = phi_weight(gamma, beta, 1 + h, mu, q)
+    dn = phi_weight(gamma, beta, 1 - h, mu, q)
+    return (up - dn) / (2 * h)
 
 
 def printed_reference_generator(q):
@@ -97,7 +96,7 @@ def site_count(cfg, x, lo, hi=None):
 def reversible_measure_oracle(cfg, q):
     """The reversible measure by its double sum over site pairs y < x, one
     `q_fact` per nonzero count, divided in the library's site-major order so
-    that values agree with it in repr and type, mpf rounding included."""
+    that values agree with it in repr and type."""
     q = _check_q(q)
     s = q_root(q)
     halves = 0
@@ -211,9 +210,8 @@ ORACLE_SECTORS = [
     Sector((1, 1, 1, 1), (1, 1, 1, 1)),
     Sector((2, 1, 1, 2), (3, 1, 2)),
 ]
-ORACLE_Q = [F(1, 3), F(2, 7), 3, F(9, 4), F(7, 2),
-            mpmath.mpf(1) / 3, mpmath.mpf("0.9")]
-ORACLE_Q_IDS = ["1/3", "2/7", "int 3", "9/4", "7/2", "mpf 1/3", "mpf 0.9"]
+ORACLE_Q = [F(1, 3), F(2, 7), 3, F(9, 4), F(7, 2), F(9, 10)]
+ORACLE_Q_IDS = ["1/3", "2/7", "int 3", "9/4", "7/2", "9/10"]
 
 
 class TestReversibleMeasure:
@@ -373,19 +371,13 @@ class TestSingleSpeciesMeasure:
     @pytest.mark.parametrize("q", ORACLE_Q, ids=ORACLE_Q_IDS)
     def test_one_pass_matches_per_site_product(self, q):
         # every row of every configuration, holes included, on its
-        # capacities; exact q gives the oracle's value and type, mpf q its
-        # value up to rounding
-        alphas = (2, F(4, 9)) if is_exact(q) else (2, mpmath.mpf(4) / 9)
+        # capacities, gives the oracle's value and type
         rows = {(row, sector.theta) for sector in ORACLE_SECTORS
                 for cfg in enumerate_sector(sector) for row in cfg.counts}
-        for (row, theta), alpha in itertools.product(rows, alphas):
+        for (row, theta), alpha in itertools.product(rows, (2, F(4, 9))):
             got = single_species_measure(row, theta, alpha, q)
             want = single_species_measure_oracle(row, theta, alpha, q)
-            assert type(got) is type(want), (row, theta, alpha)
-            if is_exact(q):
-                assert got == want, (row, theta, alpha)
-            else:
-                assert abs(got - want) <= 1e-13 * abs(want), (row, theta, alpha)
+            assert type(got) is type(want) and got == want, (row, theta, alpha)
 
     def test_each_binomial_once_per_call(self, monkeypatch):
         # [2 choose 1] at two sites and [3 choose 2] once; [t choose 0] and
@@ -477,19 +469,16 @@ class TestPhiWeight:
 
 class TestContinuousRates:
     def test_closed_form_matches_finite_difference(self):
-        with mpmath.workdps(60):
-            for beta in [(2,), (3,), (1, 1), (2, 1), (2, 0, 1)]:
-                for q in (mpmath.mpf("0.3"), mpmath.mpf("0.5"),
-                          mpmath.mpf("0.7")):
-                    for mu in (mpmath.mpf("0.2"), mpmath.mpf(1) / 3):
-                        for gamma in itertools.product(
-                                *(range(b + 1) for b in beta)):
-                            if sum(gamma) == 0:
-                                continue
-                            closed = phi_weight_dlambda(gamma, beta, mu, q)
-                            fd = dphi_dlambda_fd(gamma, beta, mu, q)
-                            assert abs(closed - fd) < mpmath.mpf(10) ** -20, (
-                                gamma, beta, float(mu), float(q))
+        for beta in [(2,), (3,), (1, 1), (2, 1), (2, 0, 1)]:
+            for q in (F(3, 10), F(1, 2), F(7, 10)):
+                for mu in (F(1, 5), F(1, 3)):
+                    for gamma in itertools.product(*(range(b + 1) for b in beta)):
+                        if sum(gamma) == 0:
+                            continue
+                        closed = phi_weight_dlambda(gamma, beta, mu, q)
+                        fd = dphi_dlambda_fd(gamma, beta, mu, q)
+                        assert abs(closed - fd) < F(1, 10 ** 20), (
+                            gamma, beta, mu, q)
 
     def test_empty_site_has_no_rates(self):
         assert qhahn_continuous_rates((0, 0), F(1, 3), F(1, 2)) == {}
@@ -546,20 +535,18 @@ class TestContinuousRates:
     def test_generator_is_kernel_derivative(self):
         # dual route: the continuous generator must equal -d/dlambda of the
         # one-step kernel at lambda = 1, entry by entry
-        with mpmath.workdps(60):
-            h = mpmath.mpf(10) ** -20
-            mu, q = mpmath.mpf(1) / 3, mpmath.mpf(1) / 2
-            for counts, L in [((1, 1), 2), ((2,), 3)]:
-                window = enumerate_zrp_sector(counts, L)
-                for direction in ("left", "right"):
-                    gen = qhahn_continuous_generator(window, mu, q, direction)
-                    up = qhahn_discrete_kernel(window, 1 + h, mu, q, direction)
-                    dn = qhahn_discrete_kernel(window, 1 - h, mu, q, direction)
-                    for i in range(gen.size):
-                        for j in range(gen.size):
-                            fd = (up.entries[i][j] - dn.entries[i][j]) / (2 * h)
-                            assert abs(-fd - gen.entries[i][j]) < mpmath.mpf(10) ** -18, (
-                                counts, direction, i, j)
+        h, mu, q = F(1, 10 ** 20), F(1, 3), F(1, 2)
+        for counts, L in [((1, 1), 2), ((2,), 3)]:
+            window = enumerate_zrp_sector(counts, L)
+            for direction in ("left", "right"):
+                gen = qhahn_continuous_generator(window, mu, q, direction)
+                up = qhahn_discrete_kernel(window, 1 + h, mu, q, direction)
+                dn = qhahn_discrete_kernel(window, 1 - h, mu, q, direction)
+                for i in range(gen.size):
+                    for j in range(gen.size):
+                        fd = (up.entries[i][j] - dn.entries[i][j]) / (2 * h)
+                        assert abs(-fd - gen.entries[i][j]) < F(1, 10 ** 18), (
+                            counts, direction, i, j)
 
 
 class TestDiscreteKernel:
@@ -651,14 +638,21 @@ INPUT_CHECKS = {
     "reversible measure mode": lambda: models.reversible_measure(_ZRP, _Q),
     "reversible measure SNum q":
         lambda: models.reversible_measure(_ONE, SNum(0, 1, F(1, 3))),
-    "reversible measure float q < 0, odd half power":
-        lambda: models.reversible_measure(_ODD, mpmath.mpf(-0.5)),
+    # a float q is refused by the one check of q, before any value
+    "reversible measure float q, odd half power":
+        lambda: models.reversible_measure(_ODD, mpmath.mpf(0.5)),
     "reversible measure rational q < 0, odd half power":
         lambda: models.reversible_measure(_ODD, F(-1, 3)),
-    "reversible measure float q < 0, even half power":
-        lambda: models.reversible_measure(_TWO, mpmath.mpf(-0.5)),
+    "reversible measure float q, even half power":
+        lambda: models.reversible_measure(_TWO, mpmath.mpf(0.5)),
+    "exclusion generator mpf q":
+        lambda: models.asep_generator(Sector((1, 1), (1, 1)), mpmath.mpf(1) / 3),
     "reversible measure rational q < 0, even half power":
         lambda: models.reversible_measure(_TWO, F(-1, 3)),
+    "one-species measure float q":
+        lambda: models.single_species_measure((1, 0), (1, 1), F(1, 2), 0.5),
+    "Phi weight float q":
+        lambda: models.phi_weight((1,), (2,), F(1, 2), F(1, 3), 0.5),
     "one-species measure lengths":
         lambda: models.single_species_measure((1, 0), (1, 1, 1), F(4), _Q),
     "one-species measure, overfilled site":
@@ -692,3 +686,11 @@ INPUT_CHECKS = {
 def test_input_check_raises(name):
     with pytest.raises(DomainError):
         INPUT_CHECKS[name]()
+
+
+def test_float_q_is_refused_as_inexact():
+    # the float refusals come from the check of q, not from a later step
+    # such as the root of q, which refuses a float too
+    for name in sorted(n for n in INPUT_CHECKS if "float" in n or "mpf" in n):
+        with pytest.raises(DomainError, match="is not exact"):
+            INPUT_CHECKS[name]()

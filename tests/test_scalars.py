@@ -1,4 +1,5 @@
-"""The scalar backends: the one square root, and the precision contract."""
+"""The exact scalar backend: the one square root, its refusal of floats,
+and the precision contract."""
 
 import os
 import subprocess
@@ -19,16 +20,19 @@ from qmdual.scalars import SNum, q_root, sqrt
 
 class TestSqrt:
     def test_negative_radicand_raises(self):
-        for x in (F(-1, 4), -3, SNum(-2), mpmath.mpf(-2)):
+        for x in (F(-1, 4), -3, SNum(-2)):
             with pytest.raises(DomainError, match="negative radicand"):
                 sqrt(x, F(1, 3))
 
     def test_irrational_radicand_raises(self):
-        # sqrt takes a rational radicand, whatever its sign or whether it
-        # is a square in Q(s): the s-part is refused before any other check
+        # sqrt takes an exact rational radicand, whatever its sign or whether
+        # it is a square in Q(s): an s-part or a float is refused before any
+        # other check
         s = SNum(0, 1, F(1, 3))
-        for x in (1 - 2 * s, (1 + s) ** 2, 1 + s, s):
-            with pytest.raises(DomainError, match="takes a rational radicand"):
+        for x in (1 - 2 * s, (1 + s) ** 2, 1 + s, s, mpmath.mpf(2),
+                  mpmath.mpf(-2), scalars.to_mpf(F(4))):
+            with pytest.raises(DomainError,
+                               match="takes an exact rational radicand"):
                 sqrt(x, F(1, 3))
 
     def test_snum_q_raises(self):
@@ -36,15 +40,14 @@ class TestSqrt:
         # even where the radicand is a rational square
         for x, q in ((F(2), SNum(0, 1, 3)), (F(3), SNum(F(1, 4))),
                      (F(4), SNum(0, 1, 3))):
-            with pytest.raises(DomainError, match="must be a rational or a float"):
+            with pytest.raises(DomainError, match="must be a positive rational"):
                 sqrt(x, q)
 
     def test_nonpositive_q_raises(self):
         # refused at entry, before the radicand is looked at: q = 0 must not
         # divide by zero or root 4 in "Q(sqrt(0))", and q = -3 names no field
-        for x, q in ((F(2), F(0)), (F(4), 0), (F(2), F(-3)),
-                     (F(4), mpmath.mpf(-2))):
-            with pytest.raises(DomainError, match="must be positive"):
+        for x, q in ((F(2), F(0)), (F(4), 0), (F(2), F(-3))):
+            with pytest.raises(DomainError, match="must be a positive rational"):
                 sqrt(x, q)
 
     def test_rational_square_stays_rational(self):
@@ -63,25 +66,23 @@ class TestSqrt:
             assert sqrt(SNum(F(3, 16)), q) == SNum(0, F(3, 4), q)
             assert sqrt(12, 3) == SNum(0, 2, 3)
 
-    def test_float_q_names_no_field(self):
-        # 4/3 is a square in Q(sqrt(1/3)) but not in Q
-        with pytest.raises(DomainError, match=r"not a square in Q$"):
-            sqrt(F(4, 3), mpmath.mpf(1) / 3)
+    def test_float_q_raises(self):
+        # a float q is refused at entry, before the radicand is looked at,
+        # even where the radicand is a rational square
+        for x, q in ((F(4, 3), mpmath.mpf(1) / 3), (F(4), mpmath.mpf(-2)),
+                     (F(4), 0.5)):
+            with pytest.raises(DomainError, match="must be a positive rational"):
+                sqrt(x, q)
 
     def test_non_square_raises(self):
-        # an exact radicand never turns into a float by itself; the float
-        # root is the caller's explicit choice
+        # an exact radicand never turns into a float
         for x in (F(2), 5, SNum(F(2))):
             with pytest.raises(DomainError,
                                match=r"not a square in Q\(sqrt\(1/3\)\)$"):
                 sqrt(x, F(1, 3))
-        assert sqrt(scalars.to_mpf(F(2)), F(1, 3)) == mpmath.sqrt(2)
-
-    def test_float_radicand_stays_float_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            root = sqrt(mpmath.mpf(2))
-        assert root == mpmath.sqrt(2)
+        # 4/3 is a square in Q(sqrt(1/3)) but not in Q, the field of no q
+        with pytest.raises(DomainError, match=r"not a square in Q$"):
+            sqrt(F(4, 3))
 
 
 class TestQRoot:
@@ -93,17 +94,27 @@ class TestQRoot:
         root = q_root(F(1, 3))
         assert type(root) is SNum and root == SNum(0, 1, F(1, 3))
 
-    def test_float_q_gives_an_mpf(self):
-        root = q_root(mpmath.mpf(1) / 3)
-        assert isinstance(root, mpmath.mpf)
-        assert root == mpmath.sqrt(mpmath.mpf(1) / 3)
-
     @pytest.mark.parametrize("q", [SNum(0, 1, F(1, 3)), SNum(F(1, 4)),
                                    F(-1, 3), -4, mpmath.mpf(-0.5)],
                              ids=repr)
     def test_snum_or_negative_q_raises(self, q):
         with pytest.raises(DomainError):
             q_root(q)
+
+
+# validation raises, never asserts, so these refusals of a float hold under
+# python -O, where CI runs the suite again
+INPUT_CHECKS = {
+    "q_root, mpf q": lambda: q_root(mpmath.mpf(1) / 3),
+    "sqrt, mpf q": lambda: sqrt(F(4), mpmath.mpf(1) / 3),
+    "sqrt, mpf radicand": lambda: sqrt(mpmath.mpf(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_check_raises(name):
+    with pytest.raises(DomainError):
+        INPUT_CHECKS[name]()
 
 
 def test_import_leaves_the_precision_alone():

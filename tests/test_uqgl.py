@@ -697,6 +697,35 @@ class TestGroundStateTransform:
                 seen.add(tag)
         assert len(seen) == 6, "expected all six move classes, saw %s" % seen
 
+    @pytest.mark.parametrize("n,theta,moves", [(2, (2, 1, 2), 216),
+                                               (1, (1, 2, 1, 1), 44),
+                                               (3, (1, 1, 1), 96)])
+    def test_gauge_ratio_is_local_to_the_bond(self, n, theta, moves):
+        # a move swaps units across one bond and keeps the bond's combined
+        # content, so the inversion terms that pair a bond site with a third
+        # site cancel: g(target) / g(source) on the whole chain is the same
+        # ratio on the two-site chain of the bond that moved
+        q = F(1, 3)
+        tb = uq.TensorBasis(n, theta)
+        g, L = uq.ground_state_G(tb, q), uq.chain_generator(tb, q)
+        bonds, seen = {}, 0
+        for r, row in L.rows.items():
+            for c in row:
+                if r == c:
+                    continue
+                src, dst = tb.states[c], tb.states[r]
+                x = next(k for k, (a, b) in enumerate(zip(src, dst)) if a != b)
+                assert src[x + 2:] == dst[x + 2:], (src, dst)
+                if theta[x:x + 2] not in bonds:
+                    pair = uq.TensorBasis(n, theta[x:x + 2])
+                    bonds[theta[x:x + 2]] = pair, uq.ground_state_G(pair, q)
+                pair, g2 = bonds[theta[x:x + 2]]
+                local = (g2[pair.index[dst[x:x + 2]]]
+                         / g2[pair.index[src[x:x + 2]]])
+                assert g[r] / g[c] == local, (src, dst)
+                seen += 1
+        assert seen == moves
+
     @given(st.integers(1, 3), st.integers(0, 2))
     @settings(max_examples=20, deadline=None)
     def test_prepending_empty_site_preserves_exponent(self, m, pad):
@@ -1187,6 +1216,10 @@ INPUT_CHECKS = {
     "q-exponential shape":
         lambda: uq.nilpotent_q_exp(SparseMatrix({}, (2, 3)), F(1, 4)),
     "unitary ladder index": lambda: uq.unitary_U(1, 2, _TB, F(1, 2)),
+    # arithmetic is exact only: a float q is refused, never converted
+    "unitary float q": lambda: uq.unitary_U(0, 2, _TB, 0.5),
+    "coproduct mpf q":
+        lambda: uq.coproduct_apply("lower", 0, _TB, mpmath.mpf(1) / 2),
     "twist ladder index": lambda: uq.unitarity_twist(1, 2, _TB, F(1, 2)),
     "bond index": lambda: uq.bond_casimir(_TB, 1, F(1, 2)),
     "star shape":
