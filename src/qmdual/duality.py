@@ -49,8 +49,8 @@ from itertools import accumulate
 from .errors import DomainError
 from .lattice import Config, intermediate_configs
 from .models import reversible_measure, single_species_measure
-from .qcalc import _check_q, _exact_q, q_krawtchouk, q_poch_ratio
-from .scalars import SNum, is_exact, q_root
+from .qcalc import _check_exact, _check_q, _exact_q, q_krawtchouk, q_poch_ratio
+from .scalars import SNum, q_root
 
 
 class DualityParams:
@@ -75,13 +75,12 @@ class DualityParams:
     __slots__ = ("a", "q", "_memo")
 
     def __init__(self, a, q):
-        a = tuple(_exact_q(v) for v in a)
+        a = tuple(_exact_q(_check_exact(v, "a")) for v in a)
         q = _check_q(q)
         if isinstance(q, SNum):
             raise DomainError("q=%r must be a rational" % (q,))
-        for v in a:
-            if not (is_exact(v) and v > 0):
-                raise DomainError("coupling a=%r must be exact and positive" % (v,))
+        if not all(v > 0 for v in a):
+            raise DomainError("couplings a=%r must be positive" % (a,))
         self.a = a
         self.q = q
         self._memo = {}

@@ -9,7 +9,7 @@ Every generator and kernel is a GeneratorMatrix whose entries are an
 `ops.SparseMatrix` in the column convention: entry (i, j) is the rate
 (continuous time) or probability (discrete time) of moving from basis
 state j to basis state i, so columns sum to 0 resp. 1.  Column sums are
-exact, as all arithmetic is: a float q raises `DomainError`.
+exact, as all arithmetic is: a float q or coupling raises `DomainError`.
 
 Two Gaussian-binomial normalizations coexist on purpose: the reversible
 measures use the symmetric q_binom, the Phi weight uses the
@@ -23,7 +23,8 @@ import math
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
 from .ops import SparseMatrix
-from .qcalc import _check_q, _div, brace_int, q_binom, q_fact, q_poch, qq_binom
+from .qcalc import (_check_exact, _check_q, _div, brace_int, q_binom, q_fact,
+                    q_poch, qq_binom)
 from .scalars import q_root
 
 
@@ -197,12 +198,13 @@ def single_species_measure(xi, theta, alpha, q):
 
     xi is the per-site count tuple of the species; a count outside
     [0, theta^x] raises `DomainError`.  Uses the symmetric Gaussian binomial,
-    each distinct one with 0 < c < t once per call (the others are 1).
+    each distinct one with 0 < c < t once per call (the others are 1).  A
+    float alpha or q raises `DomainError`.
     """
     xi, theta = tuple(xi), tuple(theta)
     if len(xi) != len(theta) or not all(0 <= c <= t for c, t in zip(xi, theta)):
         raise DomainError("counts %r do not fit capacities %r" % (xi, theta))
-    q = _check_q(q)
+    q, alpha = _check_q(q), _check_exact(alpha, "alpha")
     binoms, value = {}, 1
     count = expo = cap_left = 0  # cap_left: capacity strictly to the left
     for c, t in zip(xi, theta):
@@ -227,7 +229,7 @@ def _phi(gamma, beta, lead, ratio, mu, q):
     """q^chi ratio^|gamma| lead(|gamma|) (ratio; q)_{|beta|-|gamma|}
     / (mu; q)_{|beta|} times the (q;q)-binomials, the product shared by the
     Phi weight and its lambda-derivative; 0 outside 0 <= gamma <= beta."""
-    q = _check_q(q)
+    q, mu = _check_q(q), _check_exact(mu, "mu")
     gamma = tuple(int(g) for g in gamma)
     beta = tuple(int(b) for b in beta)
     if len(gamma) != len(beta) or min(beta, default=0) < 0:
@@ -252,7 +254,7 @@ def phi_weight(gamma, beta, lam, mu, q):
     the reversibility lemma additionally wants 0 < lam <= 1, 0 <= mu < 1,
     which is not enforced here (derivative checks step past lam = 1).
     """
-    if lam == 0:
+    if _check_exact(lam, "lambda") == 0:
         raise DomainError("lambda = 0 collapses the weight")
     return _phi(gamma, beta, lambda g: q_poch(lam, q, g), _div(mu, lam), mu, q)
 

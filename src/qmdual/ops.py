@@ -2,31 +2,26 @@
 quantum-group operator.
 
 A `SparseMatrix` stores {row: {col: value}} over its stored entries plus a
-shape (rows, cols).  Entry (r, c) is addressed as in an ndarray, but an
-index outside the shape, a negative one included, raises IndexError.  An
-absent entry reads as the exact zero int 0, which mixes with every entry
-type.  Products, sums, scalar multiples and `scaled` drop the entries that
-come out as an exact zero (int, Fraction or SNum), so a weight-graded
-product stays as sparse as its factors.  An inexact zero, such as a float 0
-that a caller's float entries left by cancellation, stays stored: a float
-residual must never read as exact.
+shape (rows, cols).  Every entry is an int, a Fraction or an SNum; any
+other value, a float 0 included, raises `DomainError` as an entry, as an
+entry of an ndarray operand of `@`, or as a scalar of `*` or `scaled`.
+Entry (r, c) is addressed as in an ndarray, but an index outside the shape,
+a negative one included, raises IndexError.  An absent entry reads as the
+exact zero int 0, which mixes with every entry type.  Products, sums,
+scalar multiples and `scaled` drop the entries that come out as zero, so a
+weight-graded product stays as sparse as its factors.
 
-Products of exact operands, every entry exactly an int, Fraction or SNum,
-run on Python ints: the rows of the left operand and the columns of the
-right one are lifted by the lcm of their denominators, the sparse k-loop
-sums int products, and each sum is reduced once.  An SNum a + b*s enters as
-its two rational parts.  It runs when one operand is uniformly of the top
-entry type (int < Fraction < SNum) of the two, so every sum has that type.
-Other operands of mixed entry types, and an operand holding a float or any
-other type, take the per-entry loop of Python arithmetic.
+Products run on Python ints: the rows of the left operand and the columns
+of the right one are lifted by the lcm of their denominators, the sparse
+k-loop sums int products, and each sum is reduced once.  An SNum a + b*s
+enters as its two rational parts.  Each entry of a product has the top
+entry type (int < Fraction < SNum) of its two operands.
 
 Interop with numpy object arrays:
 - `op @ op` is a SparseMatrix; `op @ a` and `a @ op`, for an ndarray `a`,
-  are ndarrays of scalars built from the stored entries alone.  The exact
-  zeros of `a` are skipped like absent entries, so a product with a
-  diagonal makes one multiplication per stored entry; an inexact entry of
-  `a`, a float 0 included, is always multiplied, so a float product never
-  reads as an exact one.  An entry that no product reaches is the int 0;
+  are ndarrays of scalars built from the stored entries alone.  The zeros
+  of `a` are skipped like absent entries, so a product with a diagonal
+  forms one term per stored entry; an entry no product reaches is the int 0;
 - `op[r]` is row r as a list of its entries, not an ndarray;
 - `toarray` is the only densifier, and `__array__` delegates to it, so that
   `np.asarray`, `np.kron` and `np.diag` see the dense matrix.
@@ -43,17 +38,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import SNum, is_exact
+from .errors import DomainError
+from .scalars import SNum
 
-ZERO = 0
 # the exact entry types by rank: a product has the type of its top factor
 _RANK = {int: 0, Fraction: 1, SNum: 2}
 
 
+def _check_types(types):
+    """DomainError unless every type is int, Fraction or SNum, not a subclass."""
+    bad = types - _RANK.keys()
+    if bad:
+        raise DomainError("%s is not exact: pass an int, Fraction or SNum"
+                          % ", ".join(sorted(t.__name__ for t in bad)))
+
+
 def _sparse(rows):
-    """The rows without their exact zeros, and without the rows left empty."""
-    rows = {r: {c: v for c, v in row.items() if v or not is_exact(v)}
-            for r, row in rows.items()}
+    """The rows without their zeros, and without the rows left empty."""
+    rows = {r: {c: v for c, v in row.items() if v} for r, row in rows.items()}
     return {r: row for r, row in rows.items() if row}
 
 
@@ -71,12 +73,10 @@ def _loop(arows, brows):
 
 
 def _lift(rows, axis):
-    """(ranks, s-fields, lcms, a, b) of exact rows of entries a + b*s, else
-    None: a and b hold the parts times the lcm of the part denominators of
-    their row (axis 0) or column (axis 1), as ints, b without its zeros."""
+    """(top rank, s-fields, lcms, a, b) of rows of entries a + b*s: a and b
+    hold the parts times the lcm of the part denominators of their row
+    (axis 0) or column (axis 1), as ints, b without its zeros."""
     types = {type(v) for row in rows.values() for v in row.values()}
-    if not types <= _RANK.keys():
-        return None
     parts, fields = [rows, {}], set()
     if SNum in types:
         parts = [{r: {c: v.a if type(v) is SNum else v for c, v in row.items()}
@@ -91,24 +91,18 @@ def _lift(rows, axis):
             for c, x in row.items():
                 i = c if axis else r
                 lcms[i] = math.lcm(lcms.get(i, 1), x.denominator)
-    return ({_RANK[t] for t in types}, fields, lcms,
+    return (max((_RANK[t] for t in types), default=0), fields, lcms,
             *({r: {c: x.numerator * (lcms[c if axis else r] // x.denominator)
                    for c, x in row.items()} for r, row in part.items()}
               for part in parts))
 
 
 def _product(arows, brows):
-    """_loop's sums; for exact operands, one of them uniformly of the top
-    rank, sums of their lifts, each reduced once over the lcms of its row
-    and column."""
-    left = _lift(arows, 0)
-    right = left and _lift(brows, 1)
-    top = right and max(left[0] | right[0], default=0)
-    if not right or {top} not in (left[0], right[0]):
-        yield from _loop(arows, brows)
-        return
-    (_, fa, lr, a0, a1), (_, fb, lc, b0, b1) = left, right
-    fields = fa | fb
+    """_loop's sums of two exact operands, as sums of their lifts, each
+    reduced once over the lcms of its row and column to the top entry type
+    of the two operands."""
+    (ta, fa, lr, a0, a1), (tb, fb, lc, b0, b1) = _lift(arows, 0), _lift(brows, 1)
+    top, fields = max(ta, tb), fa | fb
     if len(fields) > 1:
         raise ValueError("mixing incompatible s-fields: s^2=%s vs s^2=%s"
                          % tuple(fields)[:2])
@@ -141,6 +135,7 @@ class SparseMatrix:
     __array_ufunc__ = None
 
     def __init__(self, rows, shape):
+        _check_types({type(v) for row in rows.values() for v in row.values()})
         self.rows = rows
         self.shape = tuple(shape)
 
@@ -166,7 +161,7 @@ class SparseMatrix:
     def flat(self):
         """Every entry in row-major order, absent ones as exact zeros."""
         ncols = self.shape[1]
-        return (row.get(c, ZERO)
+        return (row.get(c, 0)
                 for row in (self.rows.get(r, {}) for r in range(self.shape[0]))
                 for c in range(ncols))
 
@@ -177,11 +172,11 @@ class SparseMatrix:
             if not (0 <= r < self.shape[0] and 0 <= c < self.shape[1]):
                 raise IndexError("entry %r out of range for shape %s"
                                  % (key, self.shape))
-            return self.rows.get(r, {}).get(c, ZERO)
+            return self.rows.get(r, {}).get(c, 0)
         if not 0 <= key < self.shape[0]:
             raise IndexError("row %r out of range for %d rows"
                              % (key, self.shape[0]))
-        out = [ZERO] * self.shape[1]
+        out = [0] * self.shape[1]
         for c, v in self.rows.get(key, {}).items():
             out[c] = v
         return out
@@ -200,10 +195,11 @@ class SparseMatrix:
             self._inner(other.shape[0])
             # one path for every ndim: the trailing axes flatten to columns
             flat = other.reshape(other.shape[0], math.prod(other.shape[1:]))
-            brows = {k: {c: v for c, v in enumerate(row)
-                         if v or not is_exact(v)}
-                     for k, row in enumerate(flat.tolist())}
-            out = np.full((self.shape[0], flat.shape[1]), ZERO, dtype=object)
+            entries = flat.tolist()
+            _check_types({type(v) for row in entries for v in row})
+            brows = {k: {c: v for c, v in enumerate(row) if v}
+                     for k, row in enumerate(entries)}
+            out = np.full((self.shape[0], flat.shape[1]), 0, dtype=object)
             for r, acc in _product(self.rows, brows):
                 for c, v in acc.items():
                     out[r, c] = v
@@ -238,13 +234,13 @@ class SparseMatrix:
         """Scalar multiple; a matrix operand is refused."""
         if isinstance(w, (SparseMatrix, np.ndarray)):
             return NotImplemented
-        return SparseMatrix(_sparse({r: {c: w * v for c, v in row.items()}
-                                     for r, row in self.rows.items()}), self.shape)
+        return self.scaled([w] * self.shape[0], [1] * self.shape[1])
 
     __rmul__ = __mul__
 
     def scaled(self, row, col):
         """diag(row) A diag(col), with row and col sequences of scalars."""
+        _check_types({type(v) for v in (*row, *col)})
         return SparseMatrix(_sparse({
             r: {c: row[r] * v * col[c] for c, v in arow.items()}
             for r, arow in self.rows.items()}), self.shape)
@@ -258,7 +254,7 @@ class SparseMatrix:
         return sums
 
     def toarray(self):
-        out = np.full(self.shape, ZERO, dtype=object)
+        out = np.full(self.shape, 0, dtype=object)
         for r, row in self.rows.items():
             for c, v in row.items():
                 out[r, c] = v

@@ -1,11 +1,12 @@
 """q-deformed integers and factorials, q-Pochhammers, terminating basic
 hypergeometric series and q-Krawtchouk polynomials.
 
-Arithmetic is exact: pass q as an int, Fraction or SNum.  Every function
-that checks q refuses a float q with `DomainError`, and an int q becomes a
-Fraction on entry, since its negative powers would be floats.  A
-terminating series takes its degree m as an int and sums exactly the terms
-k = 0..m; no value is tested against a tolerance to find where it ends.
+Arithmetic is exact: pass every scalar as an int, Fraction or SNum.  A
+float q, Pochhammer base a or series argument z raises `DomainError` in
+every function whose value depends on it, and an int q becomes a Fraction
+where its negative powers would be floats.  A terminating series takes its
+degree m as an int and sums exactly the terms k = 0..m; no value is tested
+against a tolerance to find where it ends.
 """
 
 from fractions import Fraction
@@ -14,15 +15,20 @@ from .errors import DegenerateQError, DomainError
 from .scalars import is_exact
 
 
+def _check_exact(x, name="q"):
+    if not is_exact(x):
+        raise DomainError("%s=%r is not exact: pass an int, Fraction or SNum"
+                          % (name, x))
+    return x
+
+
 def _exact_q(q):
     """q, an int turned into a Fraction so that q ** -n stays exact."""
     return Fraction(q) if isinstance(q, int) else q
 
 
 def _check_q(q):
-    if not is_exact(q):
-        raise DomainError("q=%r is not exact: pass an int, Fraction or SNum" % (q,))
-    if q == 0 or q == 1 or q == -1:
+    if _check_exact(q) == 0 or q == 1 or q == -1:
         raise DegenerateQError("degenerate q = %s" % (q,))
     return _exact_q(q)
 
@@ -100,6 +106,7 @@ def q_poch(a, q, n):
     exactly."""
     if not isinstance(n, int) or n < 0:
         raise DomainError("q-Pochhammer length %r is not an int >= 0" % (n,))
+    q, a = _check_exact(q), _check_exact(a, "a")  # (a; 1)_n is defined
     result = 1
     for k in range(n):
         result = result * (1 - a * q ** k)
@@ -109,11 +116,12 @@ def q_poch(a, q, n):
 def q_poch_ratio(a, q, shift1, shift2):
     """(a q^{shift1}; q)_inf / (a q^{shift2}; q)_inf as a finite product.
 
-    Valid for integer shifts; exact backend allowed since the infinite tails
-    cancel.
+    Valid for int shifts, negative ones included, since the infinite tails
+    cancel; an int q becomes a Fraction, so that q ** shift stays exact.
     """
     if not (isinstance(shift1, int) and isinstance(shift2, int)):
         raise DomainError("shifts %r, %r are not ints" % (shift1, shift2))
+    q = _exact_q(_check_exact(q))
     if shift1 <= shift2:
         return q_poch(a * q ** shift1, q, shift2 - shift1)
     return _div(1, q_poch_ratio(a, q, shift2, shift1))
@@ -121,6 +129,7 @@ def q_poch_ratio(a, q, shift1, shift2):
 
 def _phi_series(m, nums, dens, q, z):
     """sum_{k=0}^{m} (prod (a;q)_k / prod (b;q)_k) z^k / (q;q)_k."""
+    _check_exact(z, "z")
     term = total = 1
     for k in range(m):
         # factor picked up when passing from term k to term k+1

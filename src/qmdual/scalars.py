@@ -2,10 +2,11 @@
 
 The backend works in the quadratic field Q(s) where s^2 = q is the
 (rational) deformation parameter, so half-integer powers of q stay exact.
-A float q or radicand is refused at entry with `DomainError`.  `to_mpf`
-turns an exact value into a float for a caller's own float oracle; it is
-the one function that leaves exact arithmetic, and nothing in the library
-calls it.
+A float is refused with `DomainError` where it enters: as q, a radicand or
+a part of an SNum here, as any scalar of `qcalc`, as a coupling in
+`models`, `uqgl` and `duality`, and as an entry of an `ops.SparseMatrix`
+or of an ndarray operand of its `@`.  `to_mpf` turns an exact value into a
+float for a caller's own float oracle; nothing in the library calls it.
 
 `q_root` is the one root s = sqrt(q) of the deformation parameter q.
 `sqrt` is the one other square root.  It roots a rational-valued radicand
@@ -14,7 +15,7 @@ the library roots nothing with it, since its dualities are products in
 Q(s); it serves a caller's radicand, such as a ratio of measures.
 
 Construction: the public `SNum(a, b, sbase)` validates its input.  It
-coerces both parts to Fraction, requires sbase > 0, and folds a
+takes int or Fraction parts and base, requires sbase > 0, and folds a
 perfect-square sbase into the rational part.  Arithmetic results skip that
 work: they come from the private `SNum._make`, which relies on the
 invariants every SNum already holds (Fraction parts, sbase positive and not
@@ -34,8 +35,6 @@ _ONE = Fraction(1)
 
 def rational_sqrt(r):
     """Exact square root of a Fraction/int, or None when not a perfect square."""
-    if type(r) is not Fraction:
-        r = Fraction(r)
     num, den = r.numerator, r.denominator
     if num < 0:
         return None
@@ -66,21 +65,19 @@ class SNum:
     __slots__ = ("a", "b", "sbase")
 
     def __init__(self, a, b=0, sbase=None):
-        a = Fraction(a)
-        b = Fraction(b)
-        if b != 0:
-            if sbase is None:
-                raise ValueError("SNum with s-part needs sbase")
-            sbase = Fraction(sbase)
-            if sbase <= 0:
-                raise ValueError("sbase must be positive")
-            root = rational_sqrt(sbase)
-            if root is not None:
-                a, b = a + b * root, Fraction(0)
-                sbase = None
-        else:
-            sbase = None
-        self.a, self.b, self.sbase = a, b, sbase
+        parts = (a, b) if sbase is None else (a, b, sbase)
+        if not all(isinstance(x, (int, Fraction)) for x in parts):
+            raise DomainError("SNum parts %r must be ints or Fractions" % (parts,))
+        a, b = Fraction(a), Fraction(b)
+        if b and sbase is None:
+            raise ValueError("SNum with s-part needs sbase")
+        if b and sbase <= 0:
+            raise ValueError("sbase must be positive")
+        root = rational_sqrt(sbase) if b else None
+        if root is not None:
+            a, b = a + b * root, _ZERO
+        self.a, self.b = a, b
+        self.sbase = Fraction(sbase) if b else None
 
     @classmethod
     def _make(cls, a, b, sbase):
@@ -287,17 +284,12 @@ def q_root(q):
 
 
 def to_mpf(x):
-    """Convert any supported scalar to an mpmath number at current precision."""
+    """An exact scalar as an mpmath number at the current precision."""
     import mpmath
     if isinstance(x, SNum):
-        v = mpmath.mpf(x.a.numerator) / x.a.denominator
-        if x.b != 0:
-            v += (mpmath.mpf(x.b.numerator) / x.b.denominator) * mpmath.sqrt(
-                mpmath.mpf(x.sbase.numerator) / x.sbase.denominator)
-        return v
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpmathify(x)
+        return to_mpf(x.a) + (to_mpf(x.b) * mpmath.sqrt(to_mpf(x.sbase))
+                              if x.b else 0)
+    return mpmath.mpf(x.numerator) / x.denominator
 
 
 def is_exact(x):

@@ -28,7 +28,7 @@ from math import comb, prod
 from . import lattice, models
 from .errors import DomainError, ResourceError
 from .ops import SparseMatrix
-from .qcalc import _check_q, brace_fact, q_int, q_poch
+from .qcalc import _check_exact, _check_q, brace_fact, q_int, q_poch
 
 TENSOR_DIM_CAP = 10_000
 
@@ -345,7 +345,7 @@ def nilpotent_q_exp(M, qsq, variant="e"):
 def gamma_from_lambda(lam, q):
     """Invert lambda = gamma (1-q^2)(q - q^{-1})."""
     q = _check_q(q)
-    return lam / ((1 - q ** 2) * (q - 1 / q))
+    return _check_exact(lam, "lambda") / ((1 - q ** 2) * (q - 1 / q))
 
 
 def unitary_U(i, lam, tbasis, q):
@@ -414,10 +414,10 @@ def reversible_vector(tbasis, q):
 def duality_lambda(a, theta, q, shift=0):
     """Coupling for one species: a (1-q^2) q^{-(N(theta)-shift)}, with
     a = sqrt(alpha) the species coupling of `duality.DualityParams` and
-    N(theta) the total capacity; exact at rational a and q.  A coupling
-    a <= 0 raises `DomainError`, as in `DualityParams`."""
+    N(theta) the total capacity; exact at rational a and q.  A float
+    coupling or a <= 0 raises `DomainError`, as in `DualityParams`."""
     q = _check_q(q)
-    if not a > 0:
+    if not _check_exact(a, "a") > 0:
         raise DomainError("species coupling a=%r must be positive" % (a,))
     return a * (1 - q ** 2) * q ** (-(sum(theta) - shift))
 

@@ -653,6 +653,22 @@ INPUT_CHECKS = {
         lambda: models.single_species_measure((1, 0), (1, 1), F(1, 2), 0.5),
     "Phi weight float q":
         lambda: models.phi_weight((1,), (2,), F(1, 2), F(1, 3), 0.5),
+    # a float coupling is refused where it enters, as q is: these returned
+    # floats before
+    "Phi weight float mu":
+        lambda: models.phi_weight((1,), (2,), F(1, 2), 0.3, F(1, 2)),
+    "Phi weight float lambda":
+        lambda: models.phi_weight((1,), (2,), 0.5, F(1, 3), F(1, 2)),
+    "Phi weight float mu, batch outside the site":
+        lambda: models.phi_weight((3,), (2,), F(1, 2), 0.3, F(1, 2)),
+    "Phi derivative float mu":
+        lambda: models.phi_weight_dlambda((1,), (2,), 0.3, F(1, 2)),
+    "one-species measure float alpha":
+        lambda: models.single_species_measure((1, 0), (1, 1), 0.5, F(1, 2)),
+    "continuous rates float mu":
+        lambda: models.qhahn_continuous_rates((1, 1), 0.5, F(1, 2)),
+    "discrete kernel float lambda": lambda: models.qhahn_discrete_kernel(
+        _window([(1, 0)], [(0, 1)]), 0.5, F(1, 3), _Q, "left"),
     "one-species measure lengths":
         lambda: models.single_species_measure((1, 0), (1, 1, 1), F(4), _Q),
     "one-species measure, overfilled site":

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qmdual import ops
+from qmdual.errors import DomainError
 from qmdual.ops import SparseMatrix
 from qmdual.scalars import SNum, is_exact
 
@@ -193,20 +194,10 @@ def test_shape_mismatch_raises():
         A + SparseMatrix({}, (3, 2))
 
 
-def test_inexact_zero_stays_stored():
-    # a float product that cancels to 0 is a residual, not an exact zero
-    one = mpmath.mpf(1)
-    A = SparseMatrix({0: {0: one, 1: one}}, (1, 2))
-    B = SparseMatrix({0: {0: one}, 1: {0: -one}}, (2, 1))
+def test_cancelled_entries_are_not_stored():
+    A = SparseMatrix({0: {0: F(1), 1: F(1)}}, (1, 2))
+    B = SparseMatrix({0: {0: F(1)}, 1: {0: F(-1)}}, (2, 1))
     for R in (A @ B, A - A):
-        assert R.rows, "the computed mpf zero must stay stored"
-        flat = list(R.flat)
-        assert all(v == 0 for v in flat)
-        assert not any(is_exact(v) for v in flat)
-    # the same products over exact scalars store nothing
-    Ae = SparseMatrix({0: {0: F(1), 1: F(1)}}, (1, 2))
-    Be = SparseMatrix({0: {0: F(1)}, 1: {0: F(-1)}}, (2, 1))
-    for R in (Ae @ Be, Ae - Ae):
         assert R.rows == {}
         assert all(is_exact(v) and v == 0 for v in R.flat)
 
@@ -218,10 +209,62 @@ def test_scalar_multiples_and_scaling_store_no_exact_zero(zero):
     # a zero on the diagonal clears its row (left) or column (right) only
     assert op.scaled([zero, 1], [1, 1]).rows == {1: {1: F(3)}}
     assert op.scaled([1, 1], [1, zero]).rows == {0: {0: F(1, 2)}}
-    # an inexact zero stays stored, so a float product never reads as exact
-    kept = SparseMatrix({0: {0: F(1, 2)}, 1: {1: F(3)}}, (2, 2)) * mpmath.mpf(0)
-    assert kept.rows.keys() == {0, 1}
-    assert not any(is_exact(v) for row in kept.rows.values() for v in row.values())
+
+
+# every entry is an int, a Fraction or an SNum: anything else is refused where
+# it enters, a float 0 included, so no product, sum or scaling can hold a
+# float.  Validation raises, never asserts, so these hold under python -O,
+# where CI runs the suite again
+_OP = SparseMatrix({0: {0: F(1, 2)}, 1: {1: SNum(1, 2, SBASE)}}, (2, 2))
+
+
+def _with(value):
+    """A 2 x 2 object ndarray of exact entries and one value at (0, 0)."""
+    A = np.array([[F(0), F(1)], [2, F(0)]], dtype=object)
+    A[0, 0] = value
+    return A
+
+
+class FractionChild(Fraction):
+    pass
+
+
+INPUT_CHECKS = {
+    "constructor, float entry": lambda: SparseMatrix({0: {0: 0.5}}, (1, 1)),
+    "constructor, float 0": lambda: SparseMatrix({0: {1: 0.0}}, (1, 2)),
+    "constructor, mpf entry":
+        lambda: SparseMatrix({0: {0: F(1)}, 1: {0: mpmath.mpf(1)}}, (2, 1)),
+    "constructor, bool entry": lambda: SparseMatrix({0: {0: True}}, (1, 1)),
+    "constructor, Fraction subclass":
+        lambda: SparseMatrix({0: {0: FractionChild(1, 3)}}, (1, 1)),
+    "diagonal, float": lambda: SparseMatrix.diag([F(1), 0.25]),
+    "scalar multiple, float": lambda: 0.5 * _OP,
+    "scalar multiple, float 0": lambda: 0.0 * _OP,
+    "scalar multiple, mpf 0 on the right": lambda: _OP * mpmath.mpf(0),
+    "scaled, float row": lambda: _OP.scaled([0.5, 1], [1, 1]),
+    "scaled, float 0 column": lambda: _OP.scaled([1, 1], [F(1), 0.0]),
+    "scaled, mpf column": lambda: _OP.scaled([1, 1], [1, mpmath.mpf(2)]),
+    "op @ ndarray, float 0": lambda: _OP @ _with(0.0),
+    "ndarray @ op, float 0": lambda: _with(0.0) @ _OP,
+    "op @ ndarray, mpf 0": lambda: _OP @ _with(mpmath.mpf(0)),
+    "ndarray @ op, mpf entry": lambda: _with(mpmath.mpf(2)) @ _OP,
+    "op @ vector, float 0":
+        lambda: _OP @ np.array([0.0, F(1)], dtype=object),
+    "op @ float64 array": lambda: _OP @ np.zeros((2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_check_raises(name):
+    with pytest.raises(DomainError, match="is not exact"):
+        INPUT_CHECKS[name]()
+
+
+def test_exact_ndarray_operands_of_any_dtype_multiply():
+    # an int64 array lists as Python ints, so it passes the entry check
+    want = np.asarray(_OP) @ np.array([[1, 2], [3, 4]], dtype=object)
+    assert_same(_OP @ np.array([[1, 2], [3, 4]]), want)
+    assert_same(_OP @ np.identity(2, dtype=object), _OP)
 
 
 # -- ndarray operands full of exact zeros -------------------------------------------
@@ -262,51 +305,32 @@ def test_one_dimensional_operand(kind):
     assert all(is_exact(g) and g == 0 for g in op @ zeros)
 
 
-def test_inexact_entries_of_an_ndarray_stay_inexact():
-    # an mpf 0 is multiplied like any float: the product is a float zero,
-    # never the exact zero that an absent or exact-zero entry gives
-    zero, two = mpmath.mpf(0), mpmath.mpf(2)
-    op = SparseMatrix({0: {0: F(1, 2)}, 1: {1: F(3)}}, (2, 2))
-    A = np.array([[zero, F(0)], [F(0), two]], dtype=object)
-    for got, want in ((op @ A, np.asarray(op) @ A), (A @ op, A @ np.asarray(op))):
-        assert_same(got, want)
-        assert not is_exact(got[0, 0]) and got[0, 0] == 0
-        assert is_exact(got[0, 1]) and is_exact(got[1, 0])
-        assert not is_exact(got[1, 1]) and got[1, 1] == 6
-    v = np.array([zero, F(0)], dtype=object)
-    got = op @ v
-    assert not is_exact(got[0]) and got[0] == 0 and is_exact(got[1])
+def test_product_with_a_diagonal_multiplies_stored_entries_only(monkeypatch):
+    # op @ diag(v) forms nnz(op) terms in the kernel's k-loop, not
+    # nnz(op) * cols
+    terms = []
+    loop = ops._loop
 
+    def counted(arows, brows):
+        terms.append(sum(len(brows.get(k, {}))
+                         for arow in arows.values() for k in arow))
+        return loop(arows, brows)
 
-class Counted(Fraction):
-    """A Fraction that counts the scalar products it is the left factor of;
-    a product with an ndarray goes elementwise, one count per element."""
-
-    products = 0
-
-    def __mul__(self, other):
-        if isinstance(other, np.ndarray):
-            return NotImplemented
-        Counted.products += 1
-        return Fraction.__mul__(self, other)
-
-
-def test_product_with_a_diagonal_multiplies_stored_entries_only():
-    # op @ diag(v) costs nnz(op) products, not nnz(op) * cols
+    monkeypatch.setattr(ops, "_loop", counted)
     n = 24
     rng = random.Random(3)
     rows = {}
     for r in range(n):
         for c in rng.sample(range(n), 5):
-            rows.setdefault(r, {})[c] = Counted(rng.randint(1, 9), rng.randint(1, 9))
+            rows.setdefault(r, {})[c] = F(rng.randint(1, 9), rng.randint(1, 9))
     op = SparseMatrix(rows, (n, n))
     nnz = sum(len(row) for row in rows.values())
     W = diagonal([F(k + 1, 2) for k in range(n)])
     dense = np.asarray(op)
     for product, want in ((lambda: op @ W, dense @ W), (lambda: W @ op, W @ dense)):
-        Counted.products = 0
+        terms.clear()
         got = product()
-        assert Counted.products == nnz
+        assert terms == [nnz]
         assert_same(got, want)
 
 
@@ -320,13 +344,21 @@ def entries(sums):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_kernel_matches_the_per_entry_loop(n, m, kind):
-    # the lifted sums give the value, type and order of the per-entry loop,
-    # an int where only ints meet and an SNum where any SNum does
+    # the lifted sums give the values and order of the per-entry loop, each
+    # of the top entry type of the two operands: an int where only ints
+    # meet and an SNum where any SNum does.  With operands of one type, the
+    # types and reprs are the loop's as well
     P, D, Q, _, _ = triple(0, kind, n, m)
     for a, b in ((sparse(P).T, sparse(D)), (sparse(D), sparse(Q)),
                  (sparse(D).T, sparse(D))):
-        want = entries(ops._loop(a.rows, b.rows))
-        assert entries(ops._product(a.rows, b.rows)) == want
+        top = max((type(v) for M in (a, b) for row in M.rows.values()
+                   for v in row.values()), key=ops._RANK.get)
+        got = list(ops._product(a.rows, b.rows))
+        want = list(ops._loop(a.rows, b.rows))
+        assert got == want
+        assert {t for _, _, t, _ in entries(got)} == {top}
+        if kind != "mixed":
+            assert entries(got) == entries(want)
 
 
 def test_all_int_operands_give_int_entries():
@@ -344,47 +376,21 @@ def test_two_fields_in_one_product_raise():
         A @ np.asarray(B)
 
 
-def test_one_mpf_entry_takes_the_per_entry_loop(monkeypatch):
-    # one inexact entry sends the whole product through the per-entry loop,
-    # whose float zero stays stored
-    calls = []
-    loop = ops._loop
-
-    def spy(arows, brows):
-        calls.append(arows)
-        return loop(arows, brows)
-
-    monkeypatch.setattr(ops, "_loop", spy)
-    A = SparseMatrix({0: {0: mpmath.mpf(1), 1: F(1)}, 1: {0: F(1, 2)}}, (2, 2))
-    B = SparseMatrix({0: {0: F(1)}, 1: {0: F(-1)}}, (2, 1))
-    R = A @ B
-    assert calls == [A.rows]
-    assert R.rows[0][0] == 0 and not is_exact(R.rows[0][0])
-    assert type(R[1, 0]) is Fraction and R[1, 0] == F(1, 2)
-
-
-def test_mixed_operands_run_the_kernel_only_with_a_uniform_top_side(monkeypatch):
-    # the kernel needs one operand whose entries all have the top type of
-    # the two, so that every sum has that type; other mixed products take
-    # the per-entry loop, whose sums keep their own types
-    calls = []
-    loop = ops._loop
-
-    def spy(arows, brows):
-        calls.append(arows)
-        return loop(arows, brows)
-
-    monkeypatch.setattr(ops, "_loop", spy)
+def test_mixed_operands_give_the_top_type():
+    # every entry of a product has the top entry type of its two operands,
+    # whatever the types of the terms of its sum
     s = SNum(0, 1, F(1, 3))
     A = SparseMatrix({0: {0: 2, 1: F(1, 2)}, 1: {0: s}}, (2, 2))
-    mixed = SparseMatrix({0: {0: 3}, 1: {0: F(1, 3)}}, (2, 1))
-    top = SparseMatrix({0: {0: SNum(3)}, 1: {0: 1 + s}}, (2, 1))
-    for B, kernel in ((mixed, False), (top, True)):
-        calls.clear()
-        got = entries(ops._product(A.rows, B.rows))
-        assert (calls == [A.rows]) is not kernel
-        assert got == entries(loop(A.rows, B.rows))
-    assert [t for _, _, t, _ in entries(loop(A.rows, mixed.rows))] == [F, SNum]
+    ints = SparseMatrix({0: {0: 3}, 1: {1: 5}}, (2, 2))
+    B = SparseMatrix({0: {0: 3}, 1: {0: F(1, 3)}}, (2, 1))
+    for left, right, top in ((A, B, SNum), (ints, B, F), (ints, ints, int),
+                             (B.T, ints, F)):
+        got = left @ right
+        assert {type(v) for row in got.rows.values() for v in row.values()} \
+            == {top}
+        assert_same(got, np.asarray(left) @ np.asarray(right))
+    # row 0 of A @ B sums int and Fraction terms only, yet is an SNum
+    assert (A @ B).rows[0][0] == SNum(F(37, 6)) and (A @ B)[1, 0] == 3 * s
 
 
 def test_one_reduction_per_entry(monkeypatch):

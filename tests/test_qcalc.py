@@ -242,6 +242,12 @@ class TestPochhammer:
     def test_empty_product(self):
         assert qcalc.q_poch(Fraction(3, 7), Fraction(1, 2), 0) == 1
 
+    def test_base_one_is_defined(self):
+        # q_poch checks that a and q are exact, not that q is regular:
+        # (a; 1)_n = (1 - a)^n
+        assert qcalc.q_poch(Fraction(1, 3), 1, 3) == Fraction(8, 27)
+        assert qcalc.q_poch(Fraction(1, 3), Fraction(1), 2) == Fraction(4, 9)
+
     def test_frozen_value(self):
         q = Fraction(1, 2)
         assert qcalc.q_poch(q, q, 3) == Fraction(21, 64)
@@ -254,6 +260,14 @@ class TestPochhammer:
         num = mpmath.qp(to_mpf(a) * to_mpf(q) ** (1 - A), to_mpf(q))
         den = mpmath.qp(to_mpf(a) * to_mpf(q) ** (1 - B), to_mpf(q))
         assert abs(num / den - to_mpf(exact)) < mpmath.mpf(10) ** -30
+
+    def test_ratio_takes_an_int_q_exactly(self):
+        # a negative shift of an int q is a Fraction power, not a float
+        got = qcalc.q_poch_ratio(Fraction(1, 3), 3, -1, 0)
+        assert type(got) is Fraction and got == Fraction(8, 9)
+        got = qcalc.q_poch_ratio(Fraction(1, 3), 3, 0, -2)
+        assert type(got) is Fraction and got == 1 / ((1 - Fraction(1, 27))
+                                                     * (1 - Fraction(1, 9)))
 
     def test_ratio_direction_inverse(self):
         a, q = Fraction(2, 5), Fraction(2, 3)
@@ -425,6 +439,20 @@ INPUT_CHECKS = {
     "q-Krawtchouk float q":
         lambda: qcalc.q_krawtchouk(1, 2, Fraction(1, 2), 2, 0.5),
     "1phi0 mpf q": lambda: qcalc.phi10(2, mpmath.mpf(1) / 3, Fraction(1, 2)),
+    # so would a float Pochhammer base or series argument, or a float q in
+    # the functions that take it without the check of q; these returned
+    # floats before
+    "(q;q) binomial float q": lambda: qcalc.qq_binom(4, 2, 0.5),
+    "q-Pochhammer float base and q": lambda: qcalc.q_poch(0.5, 0.5, 2),
+    "q-Pochhammer float base, empty product":
+        lambda: qcalc.q_poch(0.5, _Q, 0),
+    "q-Pochhammer float q": lambda: qcalc.q_poch(Fraction(1, 3), 1.0, 2),
+    "q-Pochhammer ratio float q":
+        lambda: qcalc.q_poch_ratio(Fraction(1, 3), 0.5, 1, 2),
+    "q-Pochhammer ratio mpf base":
+        lambda: qcalc.q_poch_ratio(mpmath.mpf(1) / 3, _Q, 3, 1),
+    "q-Krawtchouk float p": lambda: qcalc.q_krawtchouk(1, 2, 0.5, 2, _Q),
+    "1phi0 float z": lambda: qcalc.phi10(2, _Q, 0.5),
     "q-integer index": lambda: qcalc.q_int(1.5, _Q),
     "q-integer float index": lambda: qcalc.q_int(2.0, _Q),
     "brace-integer index": lambda: qcalc.brace_int(1.5, _Q),

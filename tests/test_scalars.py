@@ -108,6 +108,13 @@ INPUT_CHECKS = {
     "q_root, mpf q": lambda: q_root(mpmath.mpf(1) / 3),
     "sqrt, mpf q": lambda: sqrt(F(4), mpmath.mpf(1) / 3),
     "sqrt, mpf radicand": lambda: sqrt(mpmath.mpf(4)),
+    # SNum(0.1) was SNum(3602879701896397/36028797018963968) before
+    "SNum, float part": lambda: SNum(0.1),
+    "SNum, float s-part": lambda: SNum(1, 0.5, F(1, 3)),
+    "SNum, mpf part": lambda: SNum(mpmath.mpf(1), 1, F(1, 3)),
+    "SNum, float base": lambda: SNum(1, 1, 0.5),
+    "SNum, float base of a zero s-part": lambda: SNum(1, 0, 0.5),
+    "SNum, string part": lambda: SNum("1/3"),
 }
 
 

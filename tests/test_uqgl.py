@@ -900,21 +900,26 @@ class TestUnitary:
     def test_dressed_unitarity_float(self):
         # the fully unitary form is the float image of the core: dressed by
         # sqrt((z; q^2)_inf / twist) on either side, star(U) U = Id to 50
-        # digits
+        # digits.  A SparseMatrix holds exact entries only, so the dressed
+        # form and its star are dense mpf matrices.
         old = mpmath.mp.dps
         mpmath.mp.dps = 50
         try:
             q, lam = F(1, 2), F(1, 3)
             tb = uq.TensorBasis(1, (2, 2))
+            N = len(tb)
             z = -uq.gamma_from_lambda(lam, q) * lam
             inf = mpmath.qp(to_mpf(z), to_mpf(q ** 2))
             g, h = ([mpmath.sqrt(inf / to_mpf(p)) for p in twist]
                     for twist in uq.unitarity_twist(0, lam, tb, q))
-            U = uq.unitary_U(0, lam, tb, q).scaled([1 / x for x in g], h)
-            S = uq.star_transform(U, tb, q)
+            core = np.asarray(uq.unitary_U(0, lam, tb, q))
+            U = np.array([[to_mpf(core[r, c]) * h[c] / g[r] for c in range(N)]
+                          for r in range(N)], dtype=object)
+            w = [to_mpf(x) for x in uq.inner_product(tb, q)]
+            S = np.array([[U[c, r] * w[c] / w[r] for c in range(N)]
+                          for r in range(N)], dtype=object)
             P = S @ U
-            N = len(tb)
-            resid = max(abs(to_mpf(P[r, c]) - (1 if r == c else 0))
+            resid = max(abs(P[r, c] - (1 if r == c else 0))
                         for r in range(N) for c in range(N))
             assert resid < mpmath.mpf("1e-30"), "residual %s" % resid
         finally:
@@ -1220,6 +1225,15 @@ INPUT_CHECKS = {
     "unitary float q": lambda: uq.unitary_U(0, 2, _TB, 0.5),
     "coproduct mpf q":
         lambda: uq.coproduct_apply("lower", 0, _TB, mpmath.mpf(1) / 2),
+    # and so is a float coupling; the unitary stored float entries before,
+    # and the SparseMatrix it builds now refuses them
+    "unitary float coupling": lambda: uq.unitary_U(0, 0.25, _TB, F(1, 2)),
+    "unitary float 0 coupling": lambda: uq.unitary_U(0, 0.0, _TB, F(1, 2)),
+    "twist float coupling": lambda: uq.unitarity_twist(0, 0.25, _TB, F(1, 2)),
+    "gamma float coupling": lambda: uq.gamma_from_lambda(0.25, F(1, 2)),
+    "float coupling": lambda: uq.duality_lambda(0.5, (1, 1), F(1, 2)),
+    "algebraic duality float coupling":
+        lambda: uq.algebraic_duality([0.25], _TB, F(1, 2)),
     "twist ladder index": lambda: uq.unitarity_twist(1, 2, _TB, F(1, 2)),
     "bond index": lambda: uq.bond_casimir(_TB, 1, F(1, 2)),
     "star shape":
