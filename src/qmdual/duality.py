@@ -49,8 +49,8 @@ from itertools import accumulate
 from .errors import DomainError
 from .lattice import Config, intermediate_configs
 from .models import reversible_measure, single_species_measure
-from .qcalc import _check_exact, _check_q, _exact_q, q_krawtchouk, q_poch_ratio
-from .scalars import SNum, q_root
+from .qcalc import q_krawtchouk, q_poch_ratio
+from .scalars import SNum, check_q, exact, lift_int, q_root
 
 
 class DualityParams:
@@ -75,8 +75,7 @@ class DualityParams:
     __slots__ = ("a", "q", "_memo")
 
     def __init__(self, a, q):
-        a = tuple(_exact_q(_check_exact(v, "a")) for v in a)
-        q = _check_q(q)
+        a, q = tuple(lift_int(exact(v, "a")) for v in a), check_q(q)
         if isinstance(q, SNum):
             raise DomainError("q=%r must be a rational" % (q,))
         if not all(v > 0 for v in a):
@@ -293,7 +292,7 @@ def qhahn_D(eta, xi, q):
     Fraction.  A float q raises `DomainError`.
     """
     poly = {h_exponent(xi, eta): 1}  # h_exponent checks the pair
-    q = _check_q(q)
+    q = check_q(q)
     for row, partner in zip(xi.counts, reversed(eta.counts)):
         k = sum(partner)  # row left of x, plus c, plus partner right of x
         for c, p in zip(row, partner):

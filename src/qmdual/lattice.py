@@ -16,6 +16,7 @@ import operator
 from collections import namedtuple
 
 from .errors import DomainError, ResourceError
+from .scalars import ints
 
 SECTOR_CAP = 200_000
 
@@ -26,26 +27,18 @@ class Config:
     __slots__ = ("L", "n", "counts", "theta")
 
     def __init__(self, counts, theta=None):
-        counts = tuple(tuple(int(c) for c in row) for row in counts)
+        counts = tuple(ints(row, "counts", 0) for row in counts)
         if not counts or any(len(row) != len(counts[0]) for row in counts):
             raise DomainError("counts must be a nonempty rectangular grid")
-        L = len(counts[0])
+        n = len(counts)
         if theta is not None:
-            theta = tuple(int(t) for t in theta)
-            if len(theta) != L:
-                raise DomainError("%d capacities for %d sites" % (len(theta), L))
-            n = len(counts) - 1
+            theta, n = ints(theta, "capacities", 0), n - 1
             if n < 1:
                 raise DomainError("capacity mode needs a hole row")
-            for x in range(L):
-                col = sum(row[x] for row in counts)
-                if col != theta[x] or any(row[x] < 0 for row in counts):
-                    raise DomainError(
-                        "site %d holds %d of capacity %d" % (x + 1, col, theta[x]))
-        else:
-            n = len(counts)
-            if any(c < 0 for row in counts for c in row):
-                raise DomainError("negative occupation number")
+            columns = tuple(map(sum, zip(*counts)))
+            if columns != theta:
+                raise DomainError("site totals %s do not fill capacities %s"
+                                  % (columns, theta))
         self._fill(counts, theta, n)
 
     @classmethod
@@ -71,11 +64,10 @@ class Config:
     @classmethod
     def capacity(cls, species_counts, theta):
         """Build from species rows 0..n-1 only; the hole row is derived."""
-        species_counts = [tuple(int(c) for c in row) for row in species_counts]
-        theta = tuple(int(t) for t in theta)
-        L = len(theta)
-        holes = tuple(theta[x] - sum(row[x] for row in species_counts)
-                      for x in range(L))
+        species_counts = [ints(row, "counts", 0) for row in species_counts]
+        theta = ints(theta, "capacities", 0)
+        holes = tuple(t - sum(row[x] for row in species_counts)
+                      for x, t in enumerate(theta))
         if any(h < 0 for h in holes):
             raise DomainError("species counts exceed capacity")
         return cls(species_counts + [holes], theta=theta)
@@ -120,12 +112,10 @@ class Sector(namedtuple("Sector", ["k", "theta"])):
     """Conserved species counts k = (k_0..k_n) on capacities theta."""
 
     def __new__(cls, k, theta):
-        k = tuple(int(v) for v in k)
-        theta = tuple(int(t) for t in theta)
-        if len(k) < 2 or min(k + theta) < 0:
-            raise DomainError("a sector needs nonnegative counts for at least "
-                              "one species and the holes, and nonnegative "
-                              "capacities; got %s on %s" % (k, theta))
+        k, theta = ints(k, "sector counts", 0), ints(theta, "capacities", 0)
+        if len(k) < 2:
+            raise DomainError("a sector needs counts for at least one species "
+                              "and the holes; got %s" % (k,))
         if sum(k) != sum(theta):
             raise DomainError("sector counts %s do not fill capacities %s"
                               % (k, theta))
@@ -193,10 +183,7 @@ def enumerate_zrp_sector(counts, L):
     `enumerate_sector`'s order.  More than `SECTOR_CAP` configurations
     raise `ResourceError`.
     """
-    counts = tuple(int(c) for c in counts)
-    if min(counts, default=0) < 0 or L < 1:
-        raise DomainError("need counts >= 0 and L >= 1, got %r and L = %r"
-                          % (counts, L))
+    counts, (L,) = ints(counts, "zero-range counts", 0), ints((L,), "L", 1)
     N, nsp = sum(counts), len(counts)
     sector = Sector(counts + ((L - 1) * N,), (N,) * L)
     return [Config._unchecked(cfg.counts[:nsp], None, nsp)

@@ -23,9 +23,8 @@ import math
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
 from .ops import SparseMatrix
-from .qcalc import (_check_exact, _check_q, _div, brace_int, q_binom, q_fact,
-                    q_poch, qq_binom)
-from .scalars import q_root
+from .qcalc import brace_int, q_binom, q_fact, q_poch, qq_binom
+from .scalars import check_q, div, exact, ints, q_root
 
 
 class GeneratorMatrix:
@@ -59,11 +58,14 @@ def assemble(basis, moves, kind="generator"):
     moves(cfg) yields (target, value) pairs; each value is added at entry
     (target, cfg).  For a generator it is also taken off the diagonal entry
     (cfg, cfg), so that every column sums to zero.  Only the entries that
-    some move reaches are stored.
+    some move reaches are stored.  A basis that repeats a configuration
+    raises `DomainError`, as a move out of the basis does.
     """
     if kind not in ("generator", "kernel"):
         raise DomainError("no matrix kind %r" % (kind,))
     index = {cfg: i for i, cfg in enumerate(basis)}
+    if len(index) != len(basis):
+        raise DomainError("the basis repeats a configuration")
     rows = {}
     for j, cfg in enumerate(basis):
         for target, value in moves(cfg):
@@ -93,10 +95,10 @@ def asep_two_site_rates(site_x, site_x1, q):
 
     Returns a list of ((new site_x, new site_x1), rate) pairs.
     """
-    if len(site_x) != len(site_x1) or min((*site_x, *site_x1), default=0) < 0:
-        raise DomainError("bond ends %r and %r differ in length or hold a "
-                          "negative count" % (site_x, site_x1))
-    q = _check_q(q)
+    site_x, site_x1 = ints(site_x, "bond end", 0), ints(site_x1, "bond end", 0)
+    if len(site_x) != len(site_x1):
+        raise DomainError("bond ends %r, %r differ in length" % (site_x, site_x1))
+    q = check_q(q)
     rows = len(site_x)
     out = []
     for k in range(rows):
@@ -127,7 +129,7 @@ def asep_moves(q):
     """moves(cfg) for `assemble`: the exclusion chain's (target, rate) per
     bond swap out of cfg.  Each closure computes the rates of a distinct
     (site x, site x+1) pair once and reuses them for every configuration."""
-    q = _check_q(q)
+    q = check_q(q)
     bond_rates = {}
 
     def moves(cfg):
@@ -169,7 +171,7 @@ def reversible_measure(cfg, q):
     """
     if cfg.is_zero_range:
         raise DomainError("the reversible measure needs capacity mode")
-    q = _check_q(q)
+    q = check_q(q)
     s = q_root(q)
     facts = {}
     left = [0] * cfg.rows  # each row's count strictly left of the site
@@ -201,10 +203,10 @@ def single_species_measure(xi, theta, alpha, q):
     each distinct one with 0 < c < t once per call (the others are 1).  A
     float alpha or q raises `DomainError`.
     """
-    xi, theta = tuple(xi), tuple(theta)
+    xi, theta = ints(xi, "counts"), ints(theta, "capacities")
     if len(xi) != len(theta) or not all(0 <= c <= t for c, t in zip(xi, theta)):
         raise DomainError("counts %r do not fit capacities %r" % (xi, theta))
-    q, alpha = _check_q(q), _check_exact(alpha, "alpha")
+    q, alpha = check_q(q), exact(alpha, "alpha")
     binoms, value = {}, 1
     count = expo = cap_left = 0  # cap_left: capacity strictly to the left
     for c, t in zip(xi, theta):
@@ -229,12 +231,11 @@ def _phi(gamma, beta, lead, ratio, mu, q):
     """q^chi ratio^|gamma| lead(|gamma|) (ratio; q)_{|beta|-|gamma|}
     / (mu; q)_{|beta|} times the (q;q)-binomials, the product shared by the
     Phi weight and its lambda-derivative; 0 outside 0 <= gamma <= beta."""
-    q, mu = _check_q(q), _check_exact(mu, "mu")
-    gamma = tuple(int(g) for g in gamma)
-    beta = tuple(int(b) for b in beta)
-    if len(gamma) != len(beta) or min(beta, default=0) < 0:
+    q, mu = check_q(q), exact(mu, "mu")
+    gamma, beta = ints(gamma, "batch"), ints(beta, "site counts", 0)
+    if len(gamma) != len(beta):
         raise DomainError("batch %r and site %r disagree on the species count"
-                          " or the site holds a negative count" % (gamma, beta))
+                          % (gamma, beta))
     if not all(0 <= g <= b for g, b in zip(gamma, beta)):
         return 0
     g, b = sum(gamma), sum(beta)
@@ -254,9 +255,9 @@ def phi_weight(gamma, beta, lam, mu, q):
     the reversibility lemma additionally wants 0 < lam <= 1, 0 <= mu < 1,
     which is not enforced here (derivative checks step past lam = 1).
     """
-    if _check_exact(lam, "lambda") == 0:
+    if exact(lam, "lambda") == 0:
         raise DomainError("lambda = 0 collapses the weight")
-    return _phi(gamma, beta, lambda g: q_poch(lam, q, g), _div(mu, lam), mu, q)
+    return _phi(gamma, beta, lambda g: q_poch(lam, q, g), div(mu, lam), mu, q)
 
 
 def phi_weight_dlambda(gamma, beta, mu, q):
@@ -281,10 +282,7 @@ def qhahn_continuous_rates(beta, mu, q):
     Returns {gamma: rate}; rates are nonnegative for mu in [0, 1),
     q in (0, 1), and every rate carries a factor mu^{|gamma|}.
     """
-    q = _check_q(q)
-    beta = tuple(int(b) for b in beta)
-    if min(beta, default=0) < 0:
-        raise DomainError("negative occupation number in %r" % (beta,))
+    q, beta = check_q(q), ints(beta, "site counts", 0)
     rates = {}
     for gamma in itertools.product(*(range(b + 1) for b in beta)):
         if all(g == 0 for g in gamma):
@@ -302,15 +300,12 @@ def qtazrp_rates(beta, q):
     non-degenerate limit is rate/mu: batches of two or more drop out and
     species i departs at rate q^{beta_[0,i-1]} (1 - q^{beta_i})/(1 - q).
     """
-    beta = tuple(int(b) for b in beta)
-    if min(beta, default=0) < 0:
-        raise DomainError("negative occupation number in %r" % (beta,))
-    q = _check_q(q)
+    beta, q = ints(beta, "site counts", 0), check_q(q)
     rates = {}
     prefix = 0
     for i, b in enumerate(beta):
         if b > 0:
-            e_i = tuple(int(j == i) for j in range(len(beta)))
+            e_i = tuple(1 if j == i else 0 for j in range(len(beta)))
             rates[e_i] = q ** prefix * (1 - q ** b) / (1 - q)
         prefix += b
     return rates
@@ -332,7 +327,7 @@ def _move_batches(cfg, batches, step):
 def _zrp_window(window, q, direction):
     """Basis, emitting sites and batch step of a zero-range window of one
     sector at a checked q; the direction picks the sites and the step."""
-    _check_q(q)
+    check_q(q)
     basis = list(window)
     if not basis or not all(cfg.is_zero_range for cfg in basis):
         raise DomainError("a window is a nonempty list of zero-range "

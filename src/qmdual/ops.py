@@ -3,12 +3,13 @@ quantum-group operator.
 
 A `SparseMatrix` stores {row: {col: value}} over its stored entries plus a
 shape (rows, cols).  Every entry is an int, a Fraction or an SNum; any
-other value, a float 0 included, raises `DomainError` as an entry, as an
-entry of an ndarray operand of `@`, or as a scalar of `*` or `scaled`.
+other value, a float 0 included, raises `DomainError` (`scalars.check_types`)
+as an entry, as an entry of an ndarray operand of `@`, or as a scalar of
+`*`, `scaled` or `diag`.
 Entry (r, c) is addressed as in an ndarray, but an index outside the shape,
 a negative one included, raises IndexError.  An absent entry reads as the
 exact zero int 0, which mixes with every entry type.  Products, sums,
-scalar multiples and `scaled` drop the entries that come out as zero, so a
+scalar multiples, `scaled` and `diag` store no zero entry, so a
 weight-graded product stays as sparse as its factors.
 
 Products run on Python ints: the rows of the left operand and the columns
@@ -38,19 +39,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
-from .scalars import SNum
+from .scalars import SNum, check_types
 
 # the exact entry types by rank: a product has the type of its top factor
 _RANK = {int: 0, Fraction: 1, SNum: 2}
-
-
-def _check_types(types):
-    """DomainError unless every type is int, Fraction or SNum, not a subclass."""
-    bad = types - _RANK.keys()
-    if bad:
-        raise DomainError("%s is not exact: pass an int, Fraction or SNum"
-                          % ", ".join(sorted(t.__name__ for t in bad)))
 
 
 def _sparse(rows):
@@ -135,14 +127,16 @@ class SparseMatrix:
     __array_ufunc__ = None
 
     def __init__(self, rows, shape):
-        _check_types({type(v) for row in rows.values() for v in row.values()})
+        check_types({type(v) for row in rows.values() for v in row.values()})
         self.rows = rows
         self.shape = tuple(shape)
 
     @classmethod
     def diag(cls, values):
+        """The diagonal matrix of values, without its zeros."""
         values = list(values)
-        return cls({k: {k: v} for k, v in enumerate(values)},
+        check_types({type(v) for v in values})  # before a float 0 is dropped
+        return cls({k: {k: v} for k, v in enumerate(values) if v},
                    (len(values), len(values)))
 
     @property
@@ -196,7 +190,7 @@ class SparseMatrix:
             # one path for every ndim: the trailing axes flatten to columns
             flat = other.reshape(other.shape[0], math.prod(other.shape[1:]))
             entries = flat.tolist()
-            _check_types({type(v) for row in entries for v in row})
+            check_types({type(v) for row in entries for v in row})
             brows = {k: {c: v for c, v in enumerate(row) if v}
                      for k, row in enumerate(entries)}
             out = np.full((self.shape[0], flat.shape[1]), 0, dtype=object)
@@ -240,7 +234,7 @@ class SparseMatrix:
 
     def scaled(self, row, col):
         """diag(row) A diag(col), with row and col sequences of scalars."""
-        _check_types({type(v) for v in (*row, *col)})
+        check_types({type(v) for v in (*row, *col)})
         return SparseMatrix(_sparse({
             r: {c: row[r] * v * col[c] for c, v in arow.items()}
             for r, arow in self.rows.items()}), self.shape)

@@ -1,61 +1,29 @@
 """q-deformed integers and factorials, q-Pochhammers, terminating basic
 hypergeometric series and q-Krawtchouk polynomials.
 
-Arithmetic is exact: pass every scalar as an int, Fraction or SNum.  A
-float q, Pochhammer base a or series argument z raises `DomainError` in
-every function whose value depends on it, and an int q becomes a Fraction
-where its negative powers would be floats.  A terminating series takes its
-degree m as an int and sums exactly the terms k = 0..m; no value is tested
-against a tolerance to find where it ends.
+Arithmetic is exact: pass every scalar as an int, Fraction or SNum.  The
+helpers of `scalars` check every argument: a float q, Pochhammer base a or
+series argument z raises `DomainError` in every function whose value
+depends on it, an int q becomes a Fraction where its negative powers would
+be floats, and an index, degree or length that is not an integer raises
+instead of being truncated.  A terminating series takes its degree m as an int and
+sums exactly the terms k = 0..m; no value is tested against a tolerance to
+find where it ends.
 """
 
-from fractions import Fraction
-
-from .errors import DegenerateQError, DomainError
-from .scalars import is_exact
-
-
-def _check_exact(x, name="q"):
-    if not is_exact(x):
-        raise DomainError("%s=%r is not exact: pass an int, Fraction or SNum"
-                          % (name, x))
-    return x
-
-
-def _exact_q(q):
-    """q, an int turned into a Fraction so that q ** -n stays exact."""
-    return Fraction(q) if isinstance(q, int) else q
-
-
-def _check_q(q):
-    if _check_exact(q) == 0 or q == 1 or q == -1:
-        raise DegenerateQError("degenerate q = %s" % (q,))
-    return _exact_q(q)
-
-
-def _div(a, b):
-    # int/int true division would silently leave the exact backend
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
+from .errors import DomainError
+from .scalars import check_q, div, exact, ints, lift_int
 
 
 def q_int(n, q):
     """[n]_q = (q^n - q^-n)/(q - q^-1) for an int n, negative ones included."""
-    if not isinstance(n, int):
-        raise DomainError("q-integer index n=%r is not an int" % (n,))
-    q = _check_q(q)
+    (n,), q = ints((n,), "q-integer index"), check_q(q)
     return (q ** n - q ** (-n)) / (q - q ** (-1))
-
-
-def _check_degree(n):
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("degree %r is not an int >= 0" % (n,))
 
 
 def q_fact(n, q):
     """[n]_q! = [1]_q [2]_q ... [n]_q."""
-    _check_degree(n)
+    (n,) = ints((n,), "degree", 0)
     result = 1
     for k in range(1, n + 1):
         result = result * q_int(k, q)
@@ -64,10 +32,10 @@ def q_fact(n, q):
 
 def q_binom(n, k, q):
     """Gaussian binomial; 0 outside 0 <= k <= n (infeasible configurations)."""
-    _check_degree(n)
+    (n,) = ints((n,), "degree", 0)
     if k < 0 or k > n:
         return 0
-    return _div(q_fact(n, q), q_fact(k, q) * q_fact(n - k, q))
+    return div(q_fact(n, q), q_fact(k, q) * q_fact(n - k, q))
 
 
 def qq_binom(n, k, q):
@@ -77,23 +45,21 @@ def qq_binom(n, k, q):
     after q -> q^2.  Transition-kernel weights need this normalization,
     the measures need the symmetric one.
     """
-    _check_degree(n)
+    (n,) = ints((n,), "degree", 0)
     if k < 0 or k > n:
         return 0
-    return _div(q_poch(q, q, n), q_poch(q, q, k) * q_poch(q, q, n - k))
+    return div(q_poch(q, q, n), q_poch(q, q, k) * q_poch(q, q, n - k))
 
 
 def brace_int(n, q):
     """{n}_{q^2} = (1 - q^{2n})/(1 - q^2) for an int n, negative ones included."""
-    if not isinstance(n, int):
-        raise DomainError("brace-integer index n=%r is not an int" % (n,))
-    q = _check_q(q)
+    (n,), q = ints((n,), "brace-integer index"), check_q(q)
     return (1 - q ** (2 * n)) / (1 - q ** 2)
 
 
 def brace_fact(n, q):
     """{n}_{q^2}! = {1}_{q^2} ... {n}_{q^2}."""
-    _check_degree(n)
+    (n,) = ints((n,), "degree", 0)
     result = 1
     for k in range(1, n + 1):
         result = result * brace_int(k, q)
@@ -104,9 +70,8 @@ def q_poch(a, q, n):
     """(a; q)_n = (1-a)(1-aq)...(1-aq^{n-1}) for an int n >= 0.  The
     library needs (a; q)_inf only in ratios, which `q_poch_ratio` forms
     exactly."""
-    if not isinstance(n, int) or n < 0:
-        raise DomainError("q-Pochhammer length %r is not an int >= 0" % (n,))
-    q, a = _check_exact(q), _check_exact(a, "a")  # (a; 1)_n is defined
+    (n,) = ints((n,), "q-Pochhammer length", 0)
+    q, a = exact(q), exact(a, "a")  # (a; 1)_n is defined
     result = 1
     for k in range(n):
         result = result * (1 - a * q ** k)
@@ -119,17 +84,16 @@ def q_poch_ratio(a, q, shift1, shift2):
     Valid for int shifts, negative ones included, since the infinite tails
     cancel; an int q becomes a Fraction, so that q ** shift stays exact.
     """
-    if not (isinstance(shift1, int) and isinstance(shift2, int)):
-        raise DomainError("shifts %r, %r are not ints" % (shift1, shift2))
-    q = _exact_q(_check_exact(q))
+    shift1, shift2 = ints((shift1, shift2), "q-Pochhammer ratio shifts")
+    q = lift_int(exact(q))
     if shift1 <= shift2:
         return q_poch(a * q ** shift1, q, shift2 - shift1)
-    return _div(1, q_poch_ratio(a, q, shift2, shift1))
+    return div(1, q_poch_ratio(a, q, shift2, shift1))
 
 
 def _phi_series(m, nums, dens, q, z):
     """sum_{k=0}^{m} (prod (a;q)_k / prod (b;q)_k) z^k / (q;q)_k."""
-    _check_exact(z, "z")
+    exact(z, "z")
     term = total = 1
     for k in range(m):
         # factor picked up when passing from term k to term k+1
@@ -146,21 +110,16 @@ def _phi_series(m, nums, dens, q, z):
 
 def phi10(m, q, z):
     """1phi0(q^{-m}; -; q, z), the series of degree m (an int >= 0)."""
-    if not isinstance(m, int) or m < 0:
-        raise DomainError("1phi0 degree %r is not an int >= 0" % (m,))
-    q = _check_q(q)
+    (m,), q = ints((m,), "1phi0 degree", 0), check_q(q)
     return _phi_series(m, [q ** (-m)], [], q, z)
 
 
 def q_krawtchouk(n, x, p, c, q):
     """K_n(q^{-x}; p, c; q) = 2phi1(q^{-x}, q^{-n}; q^{-c}; q, p q^{n+1}),
     a series of degree min(n, x); n, x and c are ints."""
-    if not all(isinstance(v, int) for v in (n, x, c)):
-        raise DomainError("q-Krawtchouk n=%r, x=%r, c=%r must be ints" % (n, x, c))
-    if not 0 <= n <= c:
-        raise DomainError("q-Krawtchouk degree n=%s outside 0..c=%s" % (n, c))
-    if not 0 <= x <= c:
-        raise DomainError("q-Krawtchouk argument x=%s outside 0..c=%s" % (x, c))
-    q = _check_q(q)
+    n, x, c = ints((n, x, c), "q-Krawtchouk n, x, c", 0)
+    if n > c or x > c:
+        raise DomainError("q-Krawtchouk n=%s, x=%s outside 0..c=%s" % (n, x, c))
+    q = check_q(q)
     return _phi_series(min(n, x), [q ** (-x), q ** (-n)], [q ** (-c)], q,
                        p * q ** (n + 1))

@@ -1,12 +1,18 @@
-"""Scalar backend: exact values in Q(s) with s^2 rational.
+"""Scalar backend and argument rules: exact values in Q(s), s^2 rational.
 
 The backend works in the quadratic field Q(s) where s^2 = q is the
 (rational) deformation parameter, so half-integer powers of q stay exact.
-A float is refused with `DomainError` where it enters: as q, a radicand or
-a part of an SNum here, as any scalar of `qcalc`, as a coupling in
-`models`, `uqgl` and `duality`, and as an entry of an `ops.SparseMatrix`
-or of an ndarray operand of its `@`.  `to_mpf` turns an exact value into a
-float for a caller's own float oracle; nothing in the library calls it.
+`to_mpf` turns an exact value into a float for a caller's own float
+oracle; nothing in the library calls it.
+
+The package's argument rules live here alone.  A scalar is exact when its
+type is exactly int, Fraction or SNum (`exact`, `is_exact`, `check_types`)
+and rational when it is int or Fraction, so a float, a bool or a subclass
+raises `DomainError` where it enters.  `check_q` takes an exact q outside
+{-1, 0, 1}; it and `lift_int` make an int a Fraction, so that its negative
+powers stay exact.  `ints` takes counts as `operator.index` does: a numpy
+int passes, and a float or a string raises instead of being truncated.
+`div` makes int / int a Fraction.
 
 `q_root` is the one root s = sqrt(q) of the deformation parameter q.
 `sqrt` is the one other square root.  It roots a rational-valued radicand
@@ -15,7 +21,7 @@ the library roots nothing with it, since its dualities are products in
 Q(s); it serves a caller's radicand, such as a ratio of measures.
 
 Construction: the public `SNum(a, b, sbase)` validates its input.  It
-takes int or Fraction parts and base, requires sbase > 0, and folds a
+takes rational parts and base, requires sbase > 0, and folds a
 perfect-square sbase into the rational part.  Arithmetic results skip that
 work: they come from the private `SNum._make`, which relies on the
 invariants every SNum already holds (Fraction parts, sbase positive and not
@@ -26,11 +32,12 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DegenerateQError, DomainError
 
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_RATIONAL = frozenset((int, Fraction))
 
 
 def rational_sqrt(r):
@@ -66,7 +73,7 @@ class SNum:
 
     def __init__(self, a, b=0, sbase=None):
         parts = (a, b) if sbase is None else (a, b, sbase)
-        if not all(isinstance(x, (int, Fraction)) for x in parts):
+        if not all(type(x) in _RATIONAL for x in parts):
             raise DomainError("SNum parts %r must be ints or Fractions" % (parts,))
         a, b = Fraction(a), Fraction(b)
         if b and sbase is None:
@@ -247,7 +254,7 @@ def sqrt(x, q=None):
     nonzero s-part, before any other check of x.  So do a negative x and an
     x with no root in the field of q (Q for q None).
     """
-    if q is not None and not (isinstance(q, (int, Fraction)) and q > 0):
+    if q is not None and not (type(q) in _RATIONAL and q > 0):
         raise DomainError("q=%r must be a positive rational" % (q,))
     if not is_exact(x) or isinstance(x, SNum) and x.b:
         raise DomainError("sqrt takes an exact rational radicand, not %r" % (x,))
@@ -273,7 +280,7 @@ def q_root(q):
     lies outside its field, and so does a float q; so does q < 0, through
     `sqrt`'s negative-radicand check.
     """
-    if not isinstance(q, (int, Fraction)):
+    if type(q) not in _RATIONAL:
         raise DomainError("q=%r must be a rational" % (q,))
     if q < 0:
         return sqrt(q)
@@ -292,5 +299,57 @@ def to_mpf(x):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
+_EXACT = _RATIONAL | {SNum}
+
+
 def is_exact(x):
-    return isinstance(x, (int, Fraction, SNum))
+    return type(x) in _EXACT
+
+
+def exact(x, name="q"):
+    """x itself; `DomainError` names x unless it is exact."""
+    if type(x) not in _EXACT:
+        raise DomainError("%s=%r is not exact: pass an int, Fraction or SNum"
+                          % (name, x))
+    return x
+
+
+def check_types(types):
+    """DomainError unless every type is int, Fraction or SNum, not a subclass."""
+    bad = types - _EXACT
+    if bad:
+        raise DomainError("%s is not exact: pass an int, Fraction or SNum"
+                          % ", ".join(sorted(t.__name__ for t in bad)))
+
+
+def lift_int(x):
+    """x, an int made a Fraction so that x ** -n stays exact."""
+    return Fraction(x) if type(x) is int else x
+
+
+def check_q(q):
+    """The exact q, lifted by `lift_int`; q in {-1, 0, 1} is degenerate."""
+    if exact(q) == 0 or q == 1 or q == -1:
+        raise DegenerateQError("degenerate q = %s" % (q,))
+    return lift_int(q)
+
+
+def div(a, b):
+    """a / b, a Fraction for two ints, whose true division is a float."""
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
+    return a / b
+
+
+def ints(values, what, low=None):
+    """values as a tuple of ints by `operator.index`, or `DomainError` naming
+    `what` if one is not an integer or lies below low."""
+    values = tuple(values)
+    try:
+        out = tuple(map(operator.index, values))
+        if low is None or min(out, default=low) >= low:
+            return out
+    except TypeError:
+        pass
+    raise DomainError("%s %r must be ints%s" % (
+        what, values, "" if low is None else " >= %d" % low))

@@ -18,7 +18,7 @@ Every matrix taken or returned is a `qmdual.ops.SparseMatrix` over exact
 scalars unless stated otherwise: each ladder factor shifts the weight by a
 known amount, so the operators stay sparse through every product.  Entry
 (r, c) is the coefficient of basis vector r in the image of basis vector c.
-On entry an int q becomes a Fraction, and q in {-1, 0, 1} raises.
+Each entry point checks q with `scalars.check_q`.
 """
 
 import itertools
@@ -28,7 +28,8 @@ from math import comb, prod
 from . import lattice, models
 from .errors import DomainError, ResourceError
 from .ops import SparseMatrix
-from .qcalc import _check_exact, _check_q, brace_fact, q_int, q_poch
+from .qcalc import brace_fact, q_int, q_poch
+from .scalars import check_q, exact, ints
 
 TENSOR_DIM_CAP = 10_000
 
@@ -50,11 +51,9 @@ class TensorBasis:
     __slots__ = ("n", "theta", "states", "index")
 
     def __init__(self, n, theta):
-        theta = tuple(int(t) for t in theta)
-        if n < 1:
-            raise DomainError("no modules of rank %r" % (n,))
-        if not theta or min(theta) < 1:
-            raise DomainError("capacities %s must be positive" % (theta,))
+        (n,), theta = ints((n,), "rank", 1), ints(theta, "capacities", 1)
+        if not theta:
+            raise DomainError("a chain needs at least one site")
         dim = prod(comb(m + n, n) for m in theta)
         if dim > TENSOR_DIM_CAP:
             raise ResourceError("tensor dimension %d exceeds cap %d"
@@ -148,13 +147,13 @@ def coproduct_apply(kind, i, basis, q):
     lower at x, (K_i^{-1} K_{i+1}) right.  The weight diagonals are
     `weight_matrix`.
     """
-    return _coproduct(kind, i, basis, _check_q(q))
+    return _coproduct(kind, i, basis, check_q(q))
 
 
 def weight_matrix(i, basis, q):
     """Diagonal K_i = q^{sum_x mu_i^x} over the sites x; K_i^{-1} is
     weight_matrix(i, basis, 1 / q)."""
-    return SparseMatrix.diag(_weight(i, basis, _check_q(q)))
+    return SparseMatrix.diag(_weight(i, basis, check_q(q)))
 
 
 def _ladders(basis, q, window=None):
@@ -186,7 +185,7 @@ def root_vector(i, j, basis, q):
     if not (0 <= i <= basis.n and 0 <= j <= basis.n and i != j):
         raise DomainError("no root vector E_{%d%d} at rank %d"
                           % (i, j, basis.n))
-    q = _check_q(q)
+    q = check_q(q)
     return _nested_root(i, j, _ladders(basis, q), q)
 
 
@@ -223,7 +222,7 @@ def casimir_c1(basis, q):
     of the Casimir is not nearest-neighbor, while each bond embedding is, and
     the sum still commutes with every iterated-coproduct generator.
     """
-    q = _check_q(q)
+    q = check_q(q)
     bonds = [_casimir(basis, q, (x, x + 2)) for x in range(basis.L - 1)]
     return sum(bonds[1:], bonds[0]) if bonds else _casimir(basis, q)
 
@@ -233,7 +232,7 @@ def bond_casimir(tbasis, x, q):
     elsewhere; legs count from 0, while `lattice` numbers sites from 1."""
     if not 0 <= x < tbasis.L - 1:
         raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
-    return _casimir(tbasis, _check_q(q), (x, x + 2))
+    return _casimir(tbasis, check_q(q), (x, x + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +254,7 @@ def inner_product(basis, q):
     constant factor per module, which drops out of every adjointness and
     star computation.
     """
-    q = _check_q(q)
+    q = check_q(q)
     out = []
     for st in basis.states:
         val = Fraction(1)
@@ -298,7 +297,7 @@ def ground_state_G(tbasis, q):
     constant would cancel in the conjugation.  Returns a list aligned with
     tbasis.states; entries are exact for exact q.
     """
-    q = _check_q(q)
+    q = check_q(q)
     return [q ** (-inversion_exponent(st)) for st in tbasis.states]
 
 
@@ -322,7 +321,7 @@ def nilpotent_q_exp(M, qsq, variant="e"):
     """
     if variant not in ("e", "E"):
         raise DomainError("no q-exponential variant %r" % (variant,))
-    qsq = _check_q(qsq)
+    qsq = check_q(qsq)
     N = M.shape[0]
     if M.shape != (N, N):
         raise DomainError("matrix %s is not square" % (M.shape,))
@@ -344,8 +343,8 @@ def nilpotent_q_exp(M, qsq, variant="e"):
 
 def gamma_from_lambda(lam, q):
     """Invert lambda = gamma (1-q^2)(q - q^{-1})."""
-    q = _check_q(q)
-    return _check_exact(lam, "lambda") / ((1 - q ** 2) * (q - 1 / q))
+    q = check_q(q)
+    return exact(lam, "lambda") / ((1 - q ** 2) * (q - 1 / q))
 
 
 def unitary_U(i, lam, tbasis, q):
@@ -360,7 +359,7 @@ def unitary_U(i, lam, tbasis, q):
     # F K_i and K_{i+1} E: the lower and raise coproducts with their columns
     # and rows scaled by the weight diagonals
     _check_ladder("raise", i, tbasis.n)
-    q = _check_q(q)
+    q = check_q(q)
     N = len(tbasis)
     k_i, k_next = (_weight(j, tbasis, q) for j in (i, i + 1))
     MF = coproduct_apply("lower", i, tbasis, q).scaled([lam] * N, k_i)
@@ -374,7 +373,7 @@ def unitarity_twist(i, lam, tbasis, q):
     unitary: star(U) diag(start) U = diag(end), with the base point
     z = -gamma * lam and gamma = `gamma_from_lambda(lam, q)`."""
     _check_ladder("raise", i, tbasis.n)
-    q = _check_q(q)
+    q = check_q(q)
     z = -gamma_from_lambda(lam, q) * lam
     start, end = [], []
     for st in tbasis.states:
@@ -416,8 +415,8 @@ def duality_lambda(a, theta, q, shift=0):
     a = sqrt(alpha) the species coupling of `duality.DualityParams` and
     N(theta) the total capacity; exact at rational a and q.  A float
     coupling or a <= 0 raises `DomainError`, as in `DualityParams`."""
-    q = _check_q(q)
-    if not _check_exact(a, "a") > 0:
+    q = check_q(q)
+    if not exact(a, "a") > 0:
         raise DomainError("species coupling a=%r must be positive" % (a,))
     return a * (1 - q ** 2) * q ** (-(sum(theta) - shift))
 
@@ -447,7 +446,7 @@ def algebraic_duality(lambdas, tbasis, q):
     For any sector-constant positive diagonal A, diag(A) D diag(A) is a
     duality too, with weights left_weight / A^2 and right_weight * A^2.
     """
-    n, q = tbasis.n, _check_q(q)
+    n, q = tbasis.n, check_q(q)
     lambdas = list(lambdas)
     if len(lambdas) != n:
         raise DomainError("need one coupling per species, got %d for %d"

@@ -38,8 +38,8 @@ from qmdual.models import (
     reversible_measure,
     single_species_measure,
 )
-from qmdual.qcalc import _check_q, phi10, q_krawtchouk, q_poch, q_poch_ratio
-from qmdual.scalars import SNum, is_exact, q_root, sqrt, to_mpf
+from qmdual.qcalc import phi10, q_krawtchouk, q_poch, q_poch_ratio
+from qmdual.scalars import SNum, check_q, is_exact, q_root, sqrt, to_mpf
 
 F = Fraction
 
@@ -150,7 +150,7 @@ def qhahn_series_oracle(eta, xi, q):
     """The zero-range duality as the product of the 1phi0 series that define
     it, with h by its double loop; `qhahn_D` sums each series in closed form
     and expands the product in s."""
-    q = _check_q(q)
+    q = check_q(q)
     s = q_root(q)
     n, L = xi.n, xi.L
     value = s ** h_exponent_oracle(xi, eta)
@@ -604,7 +604,7 @@ class TestClosedBackend:
             assert not inexact, "%d inexact pairs on %s" % (len(inexact), theta)
         # one cross-sector block of the last D, theta = (2,1,2), intertwines
         # exactly
-        q = _check_q(q)
+        q = check_q(q)
         s_xi, s_eta = Sector((1, 2, 2), (2, 1, 2)), Sector((2, 1, 2), (2, 1, 2))
         bx, be = enumerate_sector(s_xi), enumerate_sector(s_eta)
         block = np.array([[D[xi, eta] for eta in be] for xi in bx], dtype=object)
@@ -1395,6 +1395,8 @@ INPUT_CHECKS = {
     # arithmetic is exact only: a float is refused, never converted
     "float q": lambda: du.DualityParams((F(4),), 0.5),
     "float coupling": lambda: du.DualityParams((F(4), 3.0), F(1, 2)),
+    # a bool is not an exact scalar: a = (True,) was a = (1,) before
+    "bool coupling": lambda: du.DualityParams((True,), F(1, 2)),
     "zero-range mpf q": lambda: du.qhahn_D(_ZRP, _ZRP, mpmath.mpf(1) / 3),
     "pair type": lambda: du.multi_species_D((1, 0), _ONE, _PARAMS),
     "pair mode": lambda: du.multi_species_D(_ZRP, _ZRP, _PARAMS),

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,17 @@ INPUT_CHECKS = {
     "sector without holes": lambda: Sector((2,), (1, 1)),
     "zero-range counts": lambda: enumerate_zrp_sector((-1,), 2),
     "zero-range length": lambda: enumerate_zrp_sector((1,), 0),
+    # a count that is not an integer is refused, never truncated; each of
+    # these was accepted as its int() before, or failed in arithmetic
+    "float count": lambda: Config([[2.7], [0]], theta=(2,)),
+    "float capacity": lambda: Config([[2], [0]], theta=(2.0,)),
+    "float zero-range count": lambda: Config([(1.5, 0)]),
+    "float count of a capacity build": lambda: Config.capacity([(0.5,)], (1,)),
+    "string count": lambda: Config([["2"], [0]], theta=(2,)),
+    "sector float count": lambda: Sector((2.9, 0), (2,)),
+    "sector float capacity": lambda: Sector((2, 0), (2.0,)),
+    "zero-range float count": lambda: enumerate_zrp_sector((1.9,), 2),
+    "zero-range float length": lambda: enumerate_zrp_sector((1,), 2.0),
 }
 
 
@@ -75,6 +87,15 @@ INPUT_CHECKS = {
 def test_input_check_raises(name):
     with pytest.raises(DomainError):
         INPUT_CHECKS[name]()
+
+
+def test_integer_counts_of_any_int_type_become_ints():
+    # operator.index takes a numpy int and a bool, as int() did
+    cfg = Config([[np.int64(2), True], [0, np.int8(0)]], theta=(2, 1))
+    assert cfg == Config([[2, 1], [0, 0]], theta=(2, 1))
+    assert all(type(c) is int for row in cfg.counts for c in row)
+    assert all(type(t) is int for t in cfg.theta)
+    assert Sector(np.array([1, 1]), np.array([1, 1])) == Sector((1, 1), (1, 1))
 
 
 class TestCounters:

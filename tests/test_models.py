@@ -26,8 +26,8 @@ from qmdual.models import (
     reversible_measure,
     single_species_measure,
 )
-from qmdual.qcalc import _check_q, q_binom, q_fact, q_poch
-from qmdual.scalars import SNum, q_root
+from qmdual.qcalc import q_binom, q_fact, q_poch
+from qmdual.scalars import SNum, check_q, q_root
 
 Q_GRID = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
 
@@ -97,7 +97,7 @@ def reversible_measure_oracle(cfg, q):
     """The reversible measure by its double sum over site pairs y < x, one
     `q_fact` per nonzero count, divided in the library's site-major order so
     that values agree with it in repr and type."""
-    q = _check_q(q)
+    q = check_q(q)
     s = q_root(q)
     halves = 0
     value = 1
@@ -119,7 +119,7 @@ def reversible_measure_oracle(cfg, q):
 def single_species_measure_oracle(xi, theta, alpha, q):
     """The one-species measure as its per-site product alpha^c [t choose c]_q
     q^{-(2 cap_left + t) c}, one `q_binom` per site."""
-    q = _check_q(q)
+    q = check_q(q)
     value, cap_left = 1, 0
     for c, t in zip(xi, theta):
         value = value * alpha ** c * q_binom(t, c, q) * q ** (-(2 * cap_left + t) * c)
@@ -695,6 +695,23 @@ INPUT_CHECKS = {
         _window([(1, 0)], [(1, 0, 0)]), _Q, "left"),
     "window totals": lambda: models.qhahn_discrete_kernel(
         _window([(1, 0)], [(2, 0)]), F(1, 2), F(1, 3), _Q, "left"),
+    # a repeated configuration gave a 3 x 3 kernel with row 0 empty whose
+    # column sums still read 1
+    "window repeats a configuration": lambda: models.qhahn_discrete_kernel(
+        _window([(1, 0)], [(0, 1)], [(1, 0)]), F(1, 2), F(1, 3), _Q, "left"),
+    # a count that is not an integer is refused, never truncated: the batch
+    # 0.5 read as 0 and the site 1.5 as 1 before, and the count 2.0 gave a
+    # float measure
+    "Phi weight, non-integer batch":
+        lambda: models.phi_weight((0.5,), (1,), F(1, 2), F(1, 3), _Q),
+    "single-jump rates, non-integer count":
+        lambda: models.qtazrp_rates((1.5,), _Q),
+    "continuous rates, non-integer count":
+        lambda: models.qhahn_continuous_rates((1.5,), F(1, 3), _Q),
+    "one-species measure, non-integer count":
+        lambda: models.single_species_measure((2.0, 0), (2, 1), F(1, 3), _Q),
+    "bond, non-integer count":
+        lambda: models.asep_two_site_rates((1.0, 0), (0, 1), _Q),
 }
 
 

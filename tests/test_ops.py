@@ -209,6 +209,10 @@ def test_scalar_multiples_and_scaling_store_no_exact_zero(zero):
     # a zero on the diagonal clears its row (left) or column (right) only
     assert op.scaled([zero, 1], [1, 1]).rows == {1: {1: F(3)}}
     assert op.scaled([1, 1], [1, zero]).rows == {0: {0: F(1, 2)}}
+    # and so does a diagonal: its zero rows are empty, not stored zeros
+    D = SparseMatrix.diag([zero, F(1)])
+    assert D.rows == {1: {1: F(1)}} and D.shape == (2, 2)
+    assert (D @ D).rows == D.rows and D[0, 0] == 0
 
 
 # every entry is an int, a Fraction or an SNum: anything else is refused where
@@ -238,6 +242,7 @@ INPUT_CHECKS = {
     "constructor, Fraction subclass":
         lambda: SparseMatrix({0: {0: FractionChild(1, 3)}}, (1, 1)),
     "diagonal, float": lambda: SparseMatrix.diag([F(1), 0.25]),
+    "diagonal, float 0": lambda: SparseMatrix.diag([0.0, F(1)]),
     "scalar multiple, float": lambda: 0.5 * _OP,
     "scalar multiple, float 0": lambda: 0.0 * _OP,
     "scalar multiple, mpf 0 on the right": lambda: _OP * mpmath.mpf(0),

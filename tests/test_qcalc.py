@@ -454,6 +454,8 @@ INPUT_CHECKS = {
     "q-Krawtchouk float p": lambda: qcalc.q_krawtchouk(1, 2, 0.5, 2, _Q),
     "1phi0 float z": lambda: qcalc.phi10(2, _Q, 0.5),
     "q-integer index": lambda: qcalc.q_int(1.5, _Q),
+    # a bool is not an exact scalar: True raised DegenerateQError before
+    "q-integer bool q": lambda: qcalc.q_int(2, True),
     "q-integer float index": lambda: qcalc.q_int(2.0, _Q),
     "brace-integer index": lambda: qcalc.brace_int(1.5, _Q),
     "q-Krawtchouk float capacity":

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,11 @@ INPUT_CHECKS = {
     "SNum, float base": lambda: SNum(1, 1, 0.5),
     "SNum, float base of a zero s-part": lambda: SNum(1, 0, 0.5),
     "SNum, string part": lambda: SNum("1/3"),
+    # a bool is not rational: SNum(True) was SNum(1) before
+    "SNum, bool part": lambda: SNum(True),
+    "SNum, bool base": lambda: SNum(1, 1, True),
+    "sqrt, bool q": lambda: sqrt(F(4), True),
+    "q_root, bool q": lambda: q_root(True),
 }
 
 
@@ -122,6 +128,16 @@ INPUT_CHECKS = {
 def test_input_check_raises(name):
     with pytest.raises(DomainError):
         INPUT_CHECKS[name]()
+
+
+def test_counts_are_whatever_operator_index_takes():
+    got = scalars.ints((np.int64(2), True, 3), "counts", 0)
+    assert got == (2, 1, 3) and all(type(v) is int for v in got)
+    assert scalars.ints((), "counts", 1) == ()
+    for values, low in (((1, 2.0), None), ((F(2),), None), (("2",), None),
+                        ((np.float64(1),), None), ((0, -1), 0), ((0,), 1)):
+        with pytest.raises(DomainError, match="^counts .* must be ints"):
+            scalars.ints(values, "counts", low)
 
 
 def test_import_leaves_the_precision_alone():

@@ -1212,6 +1212,10 @@ INPUT_CHECKS = {
     "module degree": lambda: uq.TensorBasis(1, (-1,)),
     "tensor capacities": lambda: uq.TensorBasis(1, (2, 0)),
     "empty chain": lambda: uq.TensorBasis(1, ()),
+    # a rank or capacity that is not an integer is refused, never truncated;
+    # TensorBasis(1, (2.5,)) had dimension 3 before
+    "float capacity": lambda: uq.TensorBasis(1, (2.5,)),
+    "float rank": lambda: uq.TensorBasis(1.5, (2,)),
     "ladder index": lambda: uq.coproduct_apply(
         "raise", 1, uq.TensorBasis(1, (2,)), F(1, 2)),
     "coproduct ladder index":
