@@ -10,7 +10,9 @@ Entry (r, c) is addressed as in an ndarray, but an index outside the shape,
 a negative one included, raises IndexError.  An absent entry reads as the
 exact zero int 0, which mixes with every entry type.  Products, sums,
 scalar multiples, `scaled` and `diag` store no zero entry, so a
-weight-graded product stays as sparse as its factors.
+weight-graded product stays as sparse as its factors.  `w * op` forms
+w * v once per stored entry v; `a - b` forms a - v where both store an
+entry and -v where only b does, so an int minus an int stays an int.
 
 Products run on Python ints: the rows of the left operand and the columns
 of the right one are lifted by the lcm of their denominators, the sparse
@@ -205,7 +207,7 @@ class SparseMatrix:
             return NotImplemented
         return (self.T @ other.T).T
 
-    def _plus(self, other, sign):
+    def _plus(self, other, add):
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         if other.shape != self.shape:
@@ -215,20 +217,26 @@ class SparseMatrix:
         for r, brow in other.rows.items():
             acc = out.setdefault(r, {})
             for c, v in brow.items():
-                acc[c] = acc[c] + sign * v if c in acc else sign * v
+                if c in acc:
+                    acc[c] = acc[c] + v if add else acc[c] - v
+                else:
+                    acc[c] = v if add else -v
         return SparseMatrix(_sparse(out), self.shape)
 
     def __add__(self, other):
-        return self._plus(other, 1)
+        return self._plus(other, True)
 
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return self._plus(other, False)
 
     def __mul__(self, w):
-        """Scalar multiple; a matrix operand is refused."""
+        """w * v for each stored entry v; a matrix operand is refused."""
         if isinstance(w, (SparseMatrix, np.ndarray)):
             return NotImplemented
-        return self.scaled([w] * self.shape[0], [1] * self.shape[1])
+        check_types({type(w)})  # before a float 0 empties the matrix
+        return SparseMatrix({r: {c: w * v for c, v in row.items()}
+                             for r, row in self.rows.items()} if w else {},
+                            self.shape)
 
     __rmul__ = __mul__
 

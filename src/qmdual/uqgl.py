@@ -28,7 +28,7 @@ from math import comb, prod
 from . import lattice, models
 from .errors import DomainError, ResourceError
 from .ops import SparseMatrix
-from .qcalc import brace_fact, q_int, q_poch
+from .qcalc import brace_fact, q_int
 from .scalars import check_q, exact, ints
 
 TENSOR_DIM_CAP = 10_000
@@ -91,10 +91,13 @@ class TensorBasis:
 
 
 def _check_ladder(kind, i, n):
+    """The ladder index i as an int, checked against kind and rank n."""
+    (i,) = ints((i,), "ladder index")
     if kind not in ("raise", "lower"):
         raise DomainError("no ladder kind %r" % (kind,))
     if not 0 <= i < n:
         raise DomainError("ladder index %r out of range for rank %d" % (i, n))
+    return i
 
 
 def _ladder(kind, i, mu, q):
@@ -113,20 +116,25 @@ def _coproduct(kind, i, basis, q, window=None):
     """Sparse coproduct_apply on the sites lo <= x < hi of window = (lo, hi)
     (default: every site), identity on the others.  The ladder acts on site
     x, times q^{+-sum_y (mu_i^y - mu_{i+1}^y)} over the window sites y on
-    the K side (y < x with + for raise, y > x with - for lower)."""
-    _check_ladder(kind, i, basis.n)
+    the K side (y < x with + for raise, y > x with - for lower).  Each
+    site composition's move and each power of q are formed once a call."""
+    i = _check_ladder(kind, i, basis.n)
     states, index = basis.states, basis.index
     lo, hi = window or (0, basis.L)
     sign = 1 if kind == "raise" else -1
-    out = {}
+    moves = {mu: _ladder(kind, i, mu, q)
+             for mu in {mu for st in states for mu in st[lo:hi]}}
+    powers, out = {}, {}
     for c, st in enumerate(states):
         diffs = [mu[i] - mu[i + 1] for mu in st]
         for x in range(lo, hi):
-            move = _ladder(kind, i, st[x], q)
+            move = moves[st[x]]
             if move:
-                side = diffs[lo:x] if kind == "raise" else diffs[x + 1:hi]
+                e = sign * sum(diffs[lo:x] if kind == "raise" else diffs[x + 1:hi])
+                if e not in powers:
+                    powers[e] = q ** e
                 r = index[st[:x] + (move[0],) + st[x + 1:]]
-                out.setdefault(r, {})[c] = q ** (sign * sum(side)) * move[1]
+                out.setdefault(r, {})[c] = powers[e] * move[1]
     return SparseMatrix(out, (len(states), len(states)))
 
 
@@ -182,6 +190,7 @@ def root_vector(i, j, basis, q):
     """Off-diagonal algebra element E_{ij} via the nested q-commutator
     through the slots between i and j, taken from i's side.  Any other
     chain of intermediates gives the same element."""
+    i, j = ints((i, j), "root vector slots")
     if not (0 <= i <= basis.n and 0 <= j <= basis.n and i != j):
         raise DomainError("no root vector E_{%d%d} at rank %d"
                           % (i, j, basis.n))
@@ -230,6 +239,7 @@ def casimir_c1(basis, q):
 def bond_casimir(tbasis, x, q):
     """Two-site coproduct Casimir on legs (x, x+1) of tbasis, identity
     elsewhere; legs count from 0, while `lattice` numbers sites from 1."""
+    (x,) = ints((x,), "bond leg")
     if not 0 <= x < tbasis.L - 1:
         raise DomainError("no bond (%r, %r) on %d sites" % (x, x + 1, tbasis.L))
     return _casimir(tbasis, check_q(q), (x, x + 2))
@@ -252,15 +262,13 @@ def inner_product(basis, q):
     Radical-free normalization: per site q^{-sum_i i*mu_i} times the product
     of curly factorials; this differs from the q^{sum mu_i^2 / 2} form by a
     constant factor per module, which drops out of every adjointness and
-    star computation.
+    star computation.  Each site composition's weight is formed once.
     """
     q = check_q(q)
-    out = []
-    for st in basis.states:
-        val = Fraction(1)
-        for mu in st:
-            val = val * _site_weight(mu, q)
-        out.append(val)
+    sites = {mu: _site_weight(mu, q) for mu in {mu for st in basis.states
+                                                for mu in st}}
+    out = [prod((sites[mu] for mu in st), start=Fraction(1))
+           for st in basis.states]
     if not all(v > 0 for v in out):
         raise DomainError("inner product at q=%r is not positive definite" % (q,))
     return out
@@ -325,15 +333,14 @@ def nilpotent_q_exp(M, qsq, variant="e"):
     N = M.shape[0]
     if M.shape != (N, N):
         raise DomainError("matrix %s is not square" % (M.shape,))
-    total = term = SparseMatrix.diag([Fraction(1)] * N)
-    denom = 1
-    for k in range(1, N + 2):
-        term = term @ M
+    total, term, denom = SparseMatrix.diag([Fraction(1)] * N), M, 1
+    for k in range(1, N + 2):  # term = M^k
         if not term.rows:
             return total
         denom = denom * (1 - qsq ** k)
         w = (qsq ** (k * (k - 1) // 2) if variant == "E" else 1) / denom
         total = total + w * term
+        term = term @ M
     raise DomainError("matrix is not nilpotent")
 
 
@@ -358,7 +365,7 @@ def unitary_U(i, lam, tbasis, q):
     """
     # F K_i and K_{i+1} E: the lower and raise coproducts with their columns
     # and rows scaled by the weight diagonals
-    _check_ladder("raise", i, tbasis.n)
+    i = _check_ladder("raise", i, tbasis.n)
     q = check_q(q)
     N = len(tbasis)
     k_i, k_next = (_weight(j, tbasis, q) for j in (i, i + 1))
@@ -371,15 +378,16 @@ def unitary_U(i, lam, tbasis, q):
 def unitarity_twist(i, lam, tbasis, q):
     """Pochhammer diagonals (start, end) that make the core U exactly
     unitary: star(U) diag(start) U = diag(end), with the base point
-    z = -gamma * lam and gamma = `gamma_from_lambda(lam, q)`."""
-    _check_ladder("raise", i, tbasis.n)
+    z = -gamma * lam and gamma = `gamma_from_lambda(lam, q)`.  The values
+    (z; q^2)_m are running products over m, up to the total capacity."""
+    i = _check_ladder("raise", i, tbasis.n)
     q = check_q(q)
     z = -gamma_from_lambda(lam, q) * lam
-    start, end = [], []
-    for st in tbasis.states:
-        start.append(q_poch(z, q ** 2, sum(mu[i] for mu in st)))
-        end.append(q_poch(z, q ** 2, sum(mu[i + 1] for mu in st)))
-    return start, end
+    poch = [1]
+    for k in range(sum(tbasis.theta)):
+        poch.append(poch[-1] * (1 - z * (q ** 2) ** k))
+    return tuple([poch[sum(mu[j] for mu in st)] for st in tbasis.states]
+                 for j in (i, i + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +422,10 @@ def duality_lambda(a, theta, q, shift=0):
     """Coupling for one species: a (1-q^2) q^{-(N(theta)-shift)}, with
     a = sqrt(alpha) the species coupling of `duality.DualityParams` and
     N(theta) the total capacity; exact at rational a and q.  A float
-    coupling or a <= 0 raises `DomainError`, as in `DualityParams`."""
+    coupling or a <= 0 raises `DomainError`, as in `DualityParams`, and so
+    does a capacity or shift that is not an int."""
     q = check_q(q)
+    theta, (shift,) = ints(theta, "capacities"), ints((shift,), "shift")
     if not exact(a, "a") > 0:
         raise DomainError("species coupling a=%r must be positive" % (a,))
     return a * (1 - q ** 2) * q ** (-(sum(theta) - shift))
@@ -436,9 +446,11 @@ class AlgebraicDuality:
 
 
 def algebraic_duality(lambdas, tbasis, q):
-    """Duality matrix diag(1/mu) G^-1 M_U G, with M_U the product of
-    per-species unitaries (descending species order) and G the ground-state
-    gauge.
+    """Duality matrix D = diag(1/(g mu)) U_{n-1} ... U_0 diag(g), with U_i
+    the per-species unitaries, g the ground-state gauge and mu the
+    reversible measure.  diag(g) scales the columns of U_0 and
+    diag(1/(g mu)) the rows of U_{n-1} (the same factor at n = 1) before
+    the products, so no diagonal meets the product itself.
 
     Satisfies L^T D = D L exactly, and the orthogonality identity
     D^T diag(left_weight) D = diag(right_weight) with the returned exact
@@ -460,11 +472,13 @@ def algebraic_duality(lambdas, tbasis, q):
     w = inner_product(tbasis, q)
     left = [row[k] ** 2 * w[k] for k in range(N)]
     right = [g[k] ** 2 * w[k] for k in range(N)]
-    MU = SparseMatrix.diag([Fraction(1)] * N)
+    ones, inv_row = [1] * N, [1 / x for x in row]
     for i, lam in enumerate(lambdas):
-        MU = unitary_U(i, lam, tbasis, q) @ MU
+        U = unitary_U(i, lam, tbasis, q)
+        if i in (0, n - 1):
+            U = U.scaled(inv_row if i == n - 1 else ones, g if i == 0 else ones)
+        D = U @ D if i else U
         start, end = unitarity_twist(i, lam, tbasis, q)
         left = [a * b for a, b in zip(left, start)]
         right = [a * b for a, b in zip(right, end)]
-    D = MU.scaled([1 / x for x in row], g)
     return AlgebraicDuality(tbasis, D, lambdas, left, right)

@@ -57,6 +57,12 @@ def assert_same(got, want):
             assert got[r, c] == want[r, c], (r, c, got[r, c], want[r, c])
 
 
+def typed(M):
+    """{(r, c): (type, value)} over the stored entries of a SparseMatrix."""
+    return {(r, c): (type(v), v) for r, row in M.rows.items()
+            for c, v in row.items()}
+
+
 def assert_scalar_array(R):
     assert isinstance(R, np.ndarray) and R.dtype == object
     assert all(is_exact(v) for v in R.flat), "entries must be scalars"
@@ -112,6 +118,16 @@ class TestAgainstDense:
         assert_same(s * sparse(D), D * s)
         # D - D stores nothing: every entry cancels to an exact zero
         assert (sparse(D) - sparse(D)).rows == {}
+
+    def test_scalar_multiple_keeps_entry_types(self, n, m, seed, kind):
+        # w * op forms w * v per stored entry: the values and entry types
+        # of op.scaled([w] * n, [1] * m), on either side of the product;
+        # test_add_sub_and_scalar_multiples checks that op - op is empty
+        _, D, _, _, _ = triple(seed, kind, n, m)
+        op = sparse(D)
+        for w in (3, F(-2, 3), SNum(F(1, 2), F(3, 4), SBASE)):
+            want = typed(op.scaled([w] * n, [1] * m))
+            assert typed(w * op) == want and typed(op * w) == want, w
 
     def test_scaled(self, n, m, seed, kind):
         _, D, _, _, _ = triple(seed, kind, n, m)
@@ -200,6 +216,16 @@ def test_cancelled_entries_are_not_stored():
     for R in (A @ B, A - A):
         assert R.rows == {}
         assert all(is_exact(v) and v == 0 for v in R.flat)
+
+
+def test_difference_of_ints_stays_int():
+    # a - v where both store an entry, -v where only the right one does
+    A = SparseMatrix({0: {0: 5, 1: 2}}, (2, 2))
+    B = SparseMatrix({0: {0: 3}, 1: {1: 4}}, (2, 2))
+    assert typed(A - B) == {(0, 0): (int, 2), (0, 1): (int, 2),
+                            (1, 1): (int, -4)}
+    assert typed(B - A) == {(0, 0): (int, -2), (0, 1): (int, -2),
+                            (1, 1): (int, 4)}
 
 
 @pytest.mark.parametrize("zero", [0, F(0), SNum(0)])

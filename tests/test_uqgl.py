@@ -169,6 +169,12 @@ def dense_q_exp_oracle(M, qsq, variant):
     raise DomainError("matrix is not nilpotent")
 
 
+def typed(M):
+    """{(r, c): (type, value)} over the stored entries of a SparseMatrix."""
+    return {(r, c): (type(v), v) for r, row in M.rows.items()
+            for c, v in row.items()}
+
+
 def ratio_classes(A, B):
     """Distinct values of A/B over the block; None on zero-pattern mismatch."""
     ratios = set()
@@ -828,6 +834,19 @@ class TestQExponentials:
                         - ex(lam * y, qq, "e") @ ex(lam * x, qq, "e")), \
                 "lower variant must factor y then x"
 
+    @pytest.mark.parametrize("variant", ["e", "E"])
+    def test_series_ends_at_the_first_zero_power(self, variant):
+        # an empty M gives the identity at once, and an M with M^2 = 0
+        # stops after its first term
+        q = F(1, 3)
+        square_zero = zeros(3)
+        square_zero[0, 2], square_zero[1, 2] = F(2, 5), 3
+        for M in (zeros(3), square_zero):
+            got = uq.nilpotent_q_exp(sparse(M), q ** 2, variant)
+            want = dense_q_exp_oracle(M, q ** 2, variant)
+            assert got.shape == (3, 3)
+            assert zero(np.asarray(got) - want), (variant, M)
+
     def test_non_nilpotent_rejected(self):
         with pytest.raises(DomainError):
             uq.nilpotent_q_exp(sparse(eye(2)), F(1, 4))
@@ -995,6 +1014,23 @@ class TestAlgebraicDuality:
             left = SparseMatrix.diag(ad.left_weight)
             right = SparseMatrix.diag(ad.right_weight)
             assert (D.T @ left @ D - right).rows == {}, theta
+
+    @pytest.mark.parametrize("q", [F(1, 3), F(2)])
+    @pytest.mark.parametrize("n,theta", [(1, (3, 2)), (2, (2, 1, 2))])
+    def test_matches_the_gauged_product_of_unitaries(self, n, theta, q):
+        # D is diag(1/(g mu)) U_{n-1} ... U_0 diag(g) with the diagonals
+        # applied to the product, in value and in entry type
+        tb = uq.TensorBasis(n, theta)
+        lams = [uq.duality_lambda(a, theta, q, shift=s)
+                for a, s in zip((2, F(3, 2)), (0, 1))][:n]
+        MU = reduce(lambda P, i: uq.unitary_U(i, lams[i], tb, q) @ P,
+                    range(1, n), uq.unitary_U(0, lams[0], tb, q))
+        g = uq.ground_state_G(tb, q)
+        mu = uq.reversible_vector(tb, q)
+        want = MU.scaled([1 / (a * b) for a, b in zip(g, mu)], g)
+        got = uq.algebraic_duality(lams, tb, q).entries
+        assert got.shape == want.shape
+        assert typed(got) == typed(want)
 
     @pytest.mark.parametrize("theta", [(1, 1), (2, 1), (2, 2)])
     def test_single_species_matches_closed_form(self, theta):
@@ -1246,6 +1282,19 @@ INPUT_CHECKS = {
         lambda: uq.inner_product(uq.TensorBasis(1, (1,)), F(-1, 2)),
     "negative coupling": lambda: uq.duality_lambda(-2, (1, 1), F(1, 2)),
     "zero coupling": lambda: uq.duality_lambda(0, (1, 1), F(1, 2)),
+    # a capacity or shift that is not an int made the coupling a float
+    # before (2.1213... here), refused only later by the unitary's entries
+    "coupling float capacity": lambda: uq.duality_lambda(1, (1.5,), F(1, 2)),
+    "coupling float shift":
+        lambda: uq.duality_lambda(1, (1,), F(1, 2), shift=0.5),
+    # a float index raised TypeError before, or in root_vector found the
+    # int key (1, 2) and returned a 9 x 9 matrix
+    "float ladder index":
+        lambda: uq.coproduct_apply("raise", 0.0, _TB, F(1, 2)),
+    "unitary float ladder index": lambda: uq.unitary_U(0.0, 2, _TB, F(1, 2)),
+    "float root vector slot": lambda: uq.root_vector(
+        0.0, 2, uq.TensorBasis(2, (1, 1)), F(1, 2)),
+    "float bond index": lambda: uq.bond_casimir(_TB, 0.0, F(1, 2)),
 }
 
 
