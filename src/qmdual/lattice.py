@@ -155,18 +155,17 @@ def enumerate_sector(sector):
 
     def fill(x, remaining):
         if x > L:
-            if all(r == 0 for r in remaining):
+            if not any(remaining):
                 if len(configs) == SECTOR_CAP:
                     raise ResourceError("sector over %d configs" % SECTOR_CAP)
-                # every site composition fills its capacity with
-                # nonnegative ints, so the grid needs no validation
-                counts = tuple(tuple(site[i] for site in sites)
-                               for i in range(nsp + 1))
+                # the site compositions fill their capacities, so the grid
+                # needs no validation; an empty chain has nsp + 1 empty rows
+                counts = tuple(zip(*sites)) or ((),) * (nsp + 1)
                 configs.append(Config._unchecked(counts, theta, nsp))
             return
         for comp in compositions(theta[x - 1], remaining):
             sites.append(comp)
-            fill(x + 1, tuple(r - c for r, c in zip(remaining, comp)))
+            fill(x + 1, tuple(map(operator.sub, remaining, comp)))
             sites.pop()
 
     sites = []

@@ -19,6 +19,7 @@ stochasticity; both facts are pinned by tests.
 
 import itertools
 import math
+from fractions import Fraction
 
 from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
@@ -56,10 +57,12 @@ def assemble(basis, moves, kind="generator"):
     """The chain on `basis` as a GeneratorMatrix.
 
     moves(cfg) yields (target, value) pairs; each value is added at entry
-    (target, cfg).  For a generator it is also taken off the diagonal entry
-    (cfg, cfg), so that every column sums to zero.  Only the entries that
-    some move reaches are stored.  A basis that repeats a configuration
-    raises `DomainError`, as a move out of the basis does.
+    (target, cfg).  For a generator, the diagonal entry (cfg, cfg) of a
+    column with a move is then the value landing there, if any, minus the
+    column's sum from `SparseMatrix.column_sums`, so that every column sums
+    to zero.  Only the entries that some move reaches are stored.  A basis
+    that repeats a configuration raises `DomainError`, as a move out of the
+    basis does.
     """
     if kind not in ("generator", "kernel"):
         raise DomainError("no matrix kind %r" % (kind,))
@@ -75,11 +78,13 @@ def assemble(basis, moves, kind="generator"):
                                   % (cfg, target))
             row = rows.setdefault(i, {})
             row[j] = row[j] + value if j in row else value
-            if kind == "generator":
-                diag = rows.setdefault(j, {})
-                diag[j] = diag[j] - value if j in diag else -value
-    entries = SparseMatrix(rows, (len(basis), len(basis)))
-    return GeneratorMatrix(basis, index, entries, kind)
+    shape = (len(basis), len(basis))
+    if kind == "generator":
+        sums = SparseMatrix(rows, shape).column_sums()
+        for j in sorted({c for row in rows.values() for c in row}):
+            diag = rows.setdefault(j, {})
+            diag[j] = diag[j] - sums[j] if j in diag else -sums[j]
+    return GeneratorMatrix(basis, index, SparseMatrix(rows, shape), kind)
 
 
 # -- exclusion chain ---------------------------------------------------------
@@ -138,8 +143,11 @@ def asep_moves(q):
             pair = sites[x - 1], sites[x]
             if pair not in bond_rates:
                 bond_rates[pair] = asep_two_site_rates(*pair, q)
-            for (new_x, new_x1), rate in bond_rates[pair]:
-                yield _replace_sites(cfg, x, new_x, new_x1), rate
+            # a bond swap keeps every column sum and sign, so the target
+            # needs no second validation
+            for swapped, rate in bond_rates[pair]:
+                counts = tuple(zip(*sites[:x - 1], *swapped, *sites[x + 1:]))
+                yield Config._unchecked(counts, cfg.theta, cfg.n), rate
 
     return moves
 
@@ -149,14 +157,6 @@ def asep_generator(sector, q):
     return assemble(enumerate_sector(sector), asep_moves(q))
 
 
-def _replace_sites(cfg, x, new_x, new_x1):
-    # a bond swap keeps every column sum and sign, so the target needs no
-    # second validation
-    counts = tuple(row[:x - 1] + (a, b) + row[x + 1:]
-                   for row, a, b in zip(cfg.counts, new_x, new_x1))
-    return Config._unchecked(counts, cfg.theta, cfg.n)
-
-
 # -- reversible measures -----------------------------------------------------
 
 def reversible_measure(cfg, q):
@@ -164,10 +164,12 @@ def reversible_measure(cfg, q):
     mu(xi) = q^{sum c^2/2 - 2 sum_{y<x} sum_i xi^x_{[0,i]} xi^y_{i+1}}
     / prod [c]_q!, c running over every count xi^x_i, holes included.
 
-    Pass q as an int or a Fraction.  The q^{(count^2)/2} factor puts the
-    value in Q(s), s = `q_root(q)`: an SNum when the squared counts sum to an
-    odd number and q is not a square, a Fraction otherwise.  An SNum, a
-    float or a negative q raises `DomainError`.
+    Pass q as an int or a Fraction.  The factorials and the integral power
+    of q are kept as an int pair and reduced once to a Fraction.  The
+    q^{(count^2)/2} factor puts the value in Q(s), s = `q_root(q)`: an
+    SNum when the squared counts sum to an odd number and q is not a
+    square, a Fraction otherwise.  An SNum, a float or a negative q raises
+    `DomainError`.
     """
     if cfg.is_zero_range:
         raise DomainError("the reversible measure needs capacity mode")
@@ -176,7 +178,7 @@ def reversible_measure(cfg, q):
     facts = {}
     left = [0] * cfg.rows  # each row's count strictly left of the site
     halves = cross = 0  # halves: exponent of q in units of 1/2
-    value = 1
+    num = den = 1  # the value as an int pair, reduced once at the end
     for site in zip(*cfg.counts):
         below = 0  # rows 0..i-1 at this site
         for i, c in enumerate(site):
@@ -187,8 +189,11 @@ def reversible_measure(cfg, q):
             if c > 1:  # [0]_q! = [1]_q! = 1
                 if c not in facts:
                     facts[c] = q_fact(c, q)
-                value = value / facts[c]
-    value = value * q ** (halves // 2 - 2 * cross)
+                num *= facts[c].denominator
+                den *= facts[c].numerator
+    e = halves // 2 - 2 * cross
+    p, r = q.numerator ** abs(e), q.denominator ** abs(e)
+    value = Fraction(num * p, den * r) if e >= 0 else Fraction(num * r, den * p)
     return value * s if halves % 2 else value
 
 

@@ -14,11 +14,13 @@ weight-graded product stays as sparse as its factors.  `w * op` forms
 w * v once per stored entry v; `a - b` forms a - v where both store an
 entry and -v where only b does, so an int minus an int stays an int.
 
-Products run on Python ints: the rows of the left operand and the columns
-of the right one are lifted by the lcm of their denominators, the sparse
-k-loop sums int products, and each sum is reduced once.  An SNum a + b*s
+Products and column sums run on Python ints: the rows of the left operand
+and the columns of the right one, or of a summed matrix, are lifted by the
+lcm of their denominators, the sparse k-loop sums int products, a column
+sum sums its lifted entries, and each sum is reduced once.  An SNum a + b*s
 enters as its two rational parts.  Each entry of a product has the top
-entry type (int < Fraction < SNum) of its two operands.
+entry type (int < Fraction < SNum) of its two operands, and each column sum
+the top type of its column.
 
 Interop with numpy object arrays:
 - `op @ op` is a SparseMatrix; `op @ a` and `a @ op`, for an ndarray `a`,
@@ -91,16 +93,20 @@ def _lift(rows, axis):
               for part in parts))
 
 
+def _field(fields):
+    """The one s^2 of a set of s-fields, None for none; two raise ValueError."""
+    if len(fields) > 1:
+        raise ValueError("mixing incompatible s-fields: s^2=%s vs s^2=%s"
+                         % tuple(fields)[:2])
+    return fields.pop() if fields else None
+
+
 def _product(arows, brows):
     """_loop's sums of two exact operands, as sums of their lifts, each
     reduced once over the lcms of its row and column to the top entry type
     of the two operands."""
     (ta, fa, lr, a0, a1), (tb, fb, lc, b0, b1) = _lift(arows, 0), _lift(brows, 1)
-    top, fields = max(ta, tb), fa | fb
-    if len(fields) > 1:
-        raise ValueError("mixing incompatible s-fields: s^2=%s vs s^2=%s"
-                         % tuple(fields)[:2])
-    base = fields.pop() if fields else None
+    top, base = max(ta, tb), _field(fa | fb)
     qn, qd = (base.numerator, base.denominator) if base else (1, 1)
     # (a0 + a1 s)(b0 + b1 s) = a0 b0 + q a1 b1 + (a0 b1 + a1 b0) s, with the
     # s parts of a under the keys ~k
@@ -248,11 +254,19 @@ class SparseMatrix:
             for r, arow in self.rows.items()}), self.shape)
 
     def column_sums(self):
-        """Exact sum of each column over its stored entries, rows in order."""
+        """Exact sum of each column over its stored entries, lifted as in a
+        product and reduced once to the column's top entry type: the int 0
+        for an empty column; a column of two s-fields raises ValueError."""
+        cols = self.T.rows
+        _, _, lcms, a, b = _lift(cols, 0)
         sums = [0] * self.shape[1]
-        for r in sorted(self.rows):
-            for c, v in self.rows[r].items():
-                sums[c] = sums[c] + v
+        for c, col in cols.items():
+            top = max(map(_RANK.__getitem__, map(type, col.values())))
+            n = sum(a[c].values())
+            x = Fraction(n, lcms[c]) if top else n
+            sums[c] = x if top < 2 else SNum._make(
+                x, Fraction(sum(b[c].values()), lcms[c]),
+                _field({v.sbase for v in col.values() if type(v) is SNum and v.b}))
         return sums
 
     def toarray(self):

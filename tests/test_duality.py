@@ -801,7 +801,8 @@ class TestOrthogonalityRange:
     alpha_i = a_i^2 < min(q, q^(2|theta|-1)): one coupling just inside the
     range and one just outside, at q = 4 (bound alpha = 4, a = 2) and
     q = 1/4 (a = 1/32 at |theta| = 3, 1/8 at |theta| = 2), and at q = 2 and
-    1/2 on theta = (2, 1), decided exactly.
+    1/2 on theta = (2, 1) and, for n = 3, on theta = (1, 1), decided
+    exactly.
     Outside it the relation fails on some off-diagonal pairs, never on the
     diagonal; the counts are pinned, and the species that
     `outside_orthogonality_range` flags are those whose a crosses."""
@@ -835,6 +836,13 @@ class TestOrthogonalityRange:
         ((2, 1), 1, F(2), (F(3, 2),), (0,), 10),
         ((2, 1), 1, F(1, 2), (F(1, 6),), (), 0),
         ((2, 1), 1, F(1, 2), (F(1, 5),), (0,), 10),
+        # n = 3 on theta = (1, 1), bound min(q, q^3): alpha < 2 at q = 2
+        # and alpha < 1/8 at q = 1/2
+        ((1, 1), 3, F(2), (F(7, 5),) * 3, (), 0),
+        ((1, 1), 3, F(2), (F(3, 2),) * 3, (0, 1, 2), 126),
+        ((1, 1), 3, F(2), (F(3, 2), F(1), F(1)), (0,), 14),
+        ((1, 1), 3, F(1, 2), (F(1, 3),) * 3, (), 0),
+        ((1, 1), 3, F(1, 2), (F(3, 8),) * 3, (0, 1, 2), 30),
     ]
 
     @pytest.mark.parametrize("theta,n,q,a,flagged,failing", CASES, ids=repr)

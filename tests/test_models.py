@@ -93,10 +93,32 @@ def site_count(cfg, x, lo, hi=None):
     return sum(row[x - 1] for row in cfg.counts[lo:hi + 1])
 
 
+def assemble_oracle(basis, moves, kind="generator"):
+    """`models.assemble` move by move: each value is added at (target, cfg)
+    and, for a generator, taken off (cfg, cfg) at once, one reduction per
+    move."""
+    index = {cfg: i for i, cfg in enumerate(basis)}
+    rows = {}
+    for j, cfg in enumerate(basis):
+        for target, value in moves(cfg):
+            row = rows.setdefault(index[target], {})
+            row[j] = row[j] + value if j in row else value
+            if kind == "generator":
+                diag = rows.setdefault(j, {})
+                diag[j] = diag[j] - value if j in diag else -value
+    return rows
+
+
+def typed_entries(rows):
+    """{(r, c): (type, repr)} over stored entries, zeros included."""
+    return {(r, c): (type(v), repr(v)) for r, row in rows.items()
+            for c, v in row.items()}
+
+
 def reversible_measure_oracle(cfg, q):
-    """The reversible measure by its double sum over site pairs y < x, one
-    `q_fact` per nonzero count, divided in the library's site-major order so
-    that values agree with it in repr and type."""
+    """The reversible measure by its double sum over site pairs y < x, as a
+    Fraction chain: one division by `q_fact` per nonzero count, in
+    site-major order, then one multiplication by the power of q."""
     q = check_q(q)
     s = q_root(q)
     halves = 0
@@ -150,7 +172,85 @@ class TestTwoSiteRates:
                             "bond move must conserve each species"
 
 
+ZRP_WINDOWS = [((2,), 3), ((1, 1), 3), ((2, 1), 2)]
+# builds of every matrix kind the library assembles; ORACLE_SECTORS below
+GENERATOR_BUILDS = {
+    "exclusion, q = %s" % q: lambda q=q: [asep_generator(sector, q)
+                                          for sector in ORACLE_SECTORS]
+    for q in (F(1, 3), F(2), F(4))}
+GENERATOR_BUILDS.update({
+    "q-Hahn continuous": lambda: [
+        qhahn_continuous_generator(enumerate_zrp_sector(*w), F(1, 3), F(1, 2), d)
+        for w in ZRP_WINDOWS for d in ("left", "right")],
+    "single jump": lambda: [
+        qtazrp_generator(enumerate_zrp_sector(*w), F(1, 2), d)
+        for w in ZRP_WINDOWS for d in ("left", "right")],
+    "q-Hahn kernel": lambda: [
+        qhahn_discrete_kernel(enumerate_zrp_sector(*w), F(1, 2), F(1, 3),
+                              F(1, 2), d)
+        for w in ZRP_WINDOWS for d in ("left", "right")],
+})
+
+
 class TestGeneratorAssembly:
+    def test_empty_chain(self):
+        # no sites: one configuration of empty rows, a 1 x 1 generator that
+        # stores nothing, and the measure 1
+        sector = Sector((0, 0), ())
+        basis = enumerate_sector(sector)
+        assert basis == [Config(((), ()), theta=())] and basis[0].L == 0
+        gen = asep_generator(sector, F(1, 3))
+        assert gen.size == 1 and gen.entries.rows == {}
+        assert gen.entries.shape == (1, 1)
+        sums = gen.column_sums()
+        assert sums == [0] and type(sums[0]) is int
+        w = reversible_measure(basis[0], F(1, 3))
+        assert (type(w), w) == (Fraction, 1)
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_BUILDS))
+    def test_entries_match_move_by_move(self, name, monkeypatch):
+        # every matrix the library assembles, against the oracle fed the
+        # same basis and moves
+        want, assemble = [], models.assemble
+
+        def spy(basis, moves, kind="generator"):
+            want.append(typed_entries(assemble_oracle(basis, moves, kind)))
+            return assemble(basis, moves, kind)
+
+        monkeypatch.setattr(models, "assemble", spy)
+        got = [typed_entries(g.entries.rows) for g in GENERATOR_BUILDS[name]()]
+        assert got == want and len(got) > 1
+
+    # moves as (target index, value) out of each basis index; a column that
+    # moves onto its own configuration has the value landing there minus
+    # the column's sum on its diagonal, and a zero move is stored
+    SELF_MOVES = {
+        "fraction": {0: [(0, F(1, 2)), (1, F(1, 3))], 1: [(0, F(2, 5))]},
+        "int and fraction": {0: [(0, 2), (1, F(1, 3)), (2, 1)],
+                             1: [(1, 1)], 2: [(0, 3), (1, 4)]},
+        "snum": {0: [(1, SNum(1, 1, 2)), (0, SNum(F(1, 2), 2, 2))],
+                 1: [(0, 3), (1, F(1, 2))]},
+        "only onto itself": {0: [(0, F(3, 7))], 1: [(0, 1)]},
+        "zero value": {0: [(1, 0)], 1: [(0, F(0)), (0, F(1, 2))]},
+    }
+
+    @pytest.mark.parametrize("name", sorted(SELF_MOVES))
+    def test_moves_onto_the_same_configuration(self, name):
+        table = self.SELF_MOVES[name]
+        basis = enumerate_sector(Sector((1, 2), (1, 1, 1)))
+        index = {cfg: i for i, cfg in enumerate(basis)}
+
+        def moves(cfg):
+            for i, value in table.get(index[cfg], ()):
+                yield basis[i], value
+
+        for kind in ("generator", "kernel"):
+            got = models.assemble(basis, moves, kind).entries
+            want = assemble_oracle(basis, moves, kind)
+            assert typed_entries(got.rows) == typed_entries(want), kind
+        sums = models.assemble(basis, moves).column_sums()
+        assert all(s == 0 for s in sums)
+
     def test_single_site_chain_is_frozen(self):
         gen = asep_generator(Sector((1, 1), (2,)), F(1, 2))
         assert gen.size == 1 and gen.entries[0][0] == 0
@@ -210,8 +310,10 @@ ORACLE_SECTORS = [
     Sector((1, 1, 1, 1), (1, 1, 1, 1)),
     Sector((2, 1, 1, 2), (3, 1, 2)),
 ]
-ORACLE_Q = [F(1, 3), F(2, 7), 3, F(9, 4), F(7, 2), F(9, 10)]
-ORACLE_Q_IDS = ["1/3", "2/7", "int 3", "9/4", "7/2", "9/10"]
+# capacities > 1 give factorials, and |theta| = 5 an odd half power: an
+# SNum unless q is a square, as 9/4 and 4 are
+ORACLE_Q = [F(1, 3), F(2, 7), 3, F(9, 4), F(7, 2), F(9, 10), F(2), F(4)]
+ORACLE_Q_IDS = ["1/3", "2/7", "int 3", "9/4", "7/2", "9/10", "2", "4"]
 
 
 class TestReversibleMeasure:

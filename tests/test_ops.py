@@ -63,6 +63,22 @@ def typed(M):
             for c, v in row.items()}
 
 
+def column_sums_oracle(op):
+    """Each column summed entry by entry from the int 0, rows in order: one
+    reduction per entry, with the type of the sequential sum."""
+    sums = [0] * op.shape[1]
+    for r in sorted(op.rows):
+        for c, v in op.rows[r].items():
+            sums[c] = sums[c] + v
+    return sums
+
+
+def assert_same_typed(got, want):
+    """Equal lists of scalars, entry by entry in type and repr."""
+    assert [(type(v), repr(v)) for v in got] \
+        == [(type(v), repr(v)) for v in want]
+
+
 def assert_scalar_array(R):
     assert isinstance(R, np.ndarray) and R.dtype == object
     assert all(is_exact(v) for v in R.flat), "entries must be scalars"
@@ -141,7 +157,9 @@ class TestAgainstDense:
 
     def test_column_sums(self, n, m, seed, kind):
         _, D, _, _, _ = triple(seed, kind, n, m)
-        assert sparse(D).column_sums() == [sum(D[:, c]) for c in range(m)]
+        got = sparse(D).column_sums()
+        assert got == [sum(D[:, c]) for c in range(m)]
+        assert_same_typed(got, column_sums_oracle(sparse(D)))
 
     def test_reads(self, n, m, seed, kind):
         _, D, _, _, _ = triple(seed, kind, n, m)
@@ -440,3 +458,56 @@ def test_one_reduction_per_entry(monkeypatch):
     got = a @ b
     assert len(built) == len(reached)
     assert_same(got, PtD)
+
+
+S2 = SNum(0, 1, 2)  # s^2 = 2
+# column sums against the sequential oracle: {name: (rows, shape)}
+COLUMN_CASES = {
+    "int": ({0: {0: 3, 1: -2}, 2: {0: 5, 1: 2}}, (3, 2)),
+    "fraction": ({0: {0: F(1, 2), 1: F(2, 3)}, 1: {0: F(1, 6), 1: F(-2, 3)}},
+                 (2, 2)),
+    # an integral sum of Fractions stays a Fraction
+    "integral fraction": ({0: {0: F(3)}, 1: {0: F(1, 2)}, 2: {0: F(-1, 2)}},
+                          (3, 1)),
+    "snum": ({0: {0: SNum(F(1, 2), F(1, 3), 2)}, 1: {0: SNum(1, -1, 2)}},
+             (2, 1)),
+    # the s-parts cancel: an SNum without a field
+    "snum, s-parts cancel": ({0: {0: S2}, 1: {0: -S2}, 2: {0: SNum(1)}},
+                             (3, 1)),
+    "mixed column": ({0: {0: 2}, 1: {0: F(1, 3)}, 2: {0: S2}}, (3, 1)),
+    "mixed columns": ({0: {0: 2, 1: F(1, 3), 2: S2},
+                       1: {0: 4, 1: F(2, 3), 2: SNum(F(1, 2))}}, (2, 4)),
+    "empty": ({}, (2, 3)),
+    "one field per column": ({0: {0: S2, 1: SNum(0, 1, 3)},
+                              1: {0: S2, 1: SNum(1, 1, 3)}}, (2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_CASES))
+def test_column_sums_match_sequential_sums(name):
+    rows, shape = COLUMN_CASES[name]
+    op = SparseMatrix(rows, shape)
+    assert_same_typed(op.column_sums(), column_sums_oracle(op))
+
+
+def test_column_sums_refuse_two_fields_in_a_column():
+    op = SparseMatrix({0: {0: S2}, 1: {0: SNum(0, 1, 3)}}, (2, 1))
+    with pytest.raises(ValueError, match="s-fields"):
+        op.column_sums()
+    with pytest.raises(ValueError, match="s-fields"):
+        column_sums_oracle(op)
+
+
+def test_one_reduction_per_column(monkeypatch):
+    # one Fraction per nonempty Fraction column, whatever its length
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(ops, "Fraction", counted)
+    _, D, _, _, _ = triple(0, "fraction", 36, 18)
+    got = sparse(D).column_sums()
+    assert len(built) == sum(1 for c in range(18) if any(D[:, c]))
+    assert got == [sum(D[:, c]) for c in range(18)]
