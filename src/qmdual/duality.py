@@ -16,11 +16,12 @@ Conventions:
   hypergeometric series in base q^2.
 - the zero-range exponent h counts the xi suffix in the eta term from the
   site itself; the generator intertwining check fails for the suffix that
-  starts strictly right of it.  `qhahn_D` expands s^h prod (1 - s^e) in s;
-  the tests hold the oracles: the "strict" h, G^2 as a ratio of four
-  measures, the site-by-site form of C^2 derived from the orthogonality
-  weights and its Pochhammer-ratio reading, and the 1phi0-series and
-  finite-product forms of `qhahn_D`.
+  starts strictly right of it.  `qhahn_D` multiplies s^h by its factors
+  (1 - s^e) as one running int triple (A + B s)/C, then makes A/C and B/C
+  two Fractions; the tests hold the oracles: the "strict" h, G^2 as a ratio
+  of four measures, the site-by-site form of C^2 derived from the
+  orthogonality weights and its Pochhammer-ratio reading, and the
+  1phi0-series and finite-product forms of `qhahn_D`.
 
 Memo: a `DualityParams` object is what a caller builds once per duality
 matrix, and the exclusion-duality functions that take it read their
@@ -282,30 +283,27 @@ def qhahn_D(eta, xi, q):
 
     Argument order follows the left process first: eta moves left, xi moves
     right.  For rational q the value is exact in Q(s), s^2 = q, and rational
-    when q is a perfect square.  An SNum q or a negative q raises
+    when q is a perfect square.  An SNum, a float or a negative q raises
     `DomainError`, and q in {-1, 0, 1} `DegenerateQError`.  It is also the
     duality of the single-jump chains `qtazrp_generator` at the same base.
 
     Newton's q-binomial theorem sums each 1phi0 series: D = s^h prod_e
-    (1 - s^e) over odd e, an int Laurent polynomial in s.  Its even and odd
-    parts take one int Horner in q = num/den and one division each, into a
-    Fraction.  A float q raises `DomainError`.
+    (1 - s^e), each e odd and negative, so each factor is 1 - q^-j s with
+    j = (1 - e)/2.  For q = num/den the running product is one int triple
+    (A + B s)/C: a factor maps it to (A num^j - B den^(j-1) num + (B num^j
+    - A den^j) s) / (C num^j).  A/C and B/C are the only divisions.
     """
-    poly = {h_exponent(xi, eta): 1}  # h_exponent checks the pair
-    q = check_q(q)
+    h, q = h_exponent(xi, eta), check_q(q)  # h_exponent checks the pair
+    s, (num, den) = q_root(q), _parts(q)  # q_root first: an SNum q raises
+    k, odd = divmod(h, 2)  # s^h = q^k s^odd
+    top, low = (num ** k, den ** k) if k >= 0 else (den ** -k, num ** -k)
+    a, b = (0, top) if odd else (top, 0)
     for row, partner in zip(xi.counts, reversed(eta.counts)):
         k = sum(partner)  # row left of x, plus c, plus partner right of x
         for c, p in zip(row, partner):
             k += c - p
-            for e in range(1 - 2 * k, 1 - 2 * (k - c), 2):  # times (1 - s^e)
-                for power, v in list(poly.items()):
-                    poly[power + e] = poly.get(power + e, 0) - v
-    high, low = max(max(poly) // 2, 0), min(poly) // 2
-    s, even, odd, dj = q_root(q), 0, 0, 1  # q_root first: an SNum q raises
-    num, den = _parts(q)
-    for j in range(high, low - 1, -1):  # s^p = q^(p // 2) s^(p % 2)
-        even = even * num + poly.get(2 * j, 0) * dj  # dj = den^(high - j)
-        odd, dj = odd * num + poly.get(2 * j + 1, 0) * dj, dj * den
-    n, d = num ** max(low, 0), num ** max(-low, 0) * den ** high  # high >= 0
-    a, b = (Fraction(v * n, d) for v in (even, odd))  # sums * num^low / den^high
+            for j in range(k - c + 1, k + 1):  # times (1 - q^-j s)
+                nj, dj = num ** j, den ** (j - 1)
+                a, b, low = a * nj - b * dj * num, b * nj - a * dj * den, low * nj
+    a, b = Fraction(a, low), Fraction(b, low)
     return SNum._make(a, b, q) if isinstance(s, SNum) else a + s * b

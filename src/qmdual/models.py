@@ -232,23 +232,46 @@ def _chi(beta, gamma):
                for i in range(len(beta)) for j in range(i + 1, len(beta)))
 
 
-def _phi(gamma, beta, lead, ratio, mu, q):
+def _phi(gamma, beta, lead, ratio, mu, q, memo):
     """q^chi ratio^|gamma| lead(|gamma|) (ratio; q)_{|beta|-|gamma|}
-    / (mu; q)_{|beta|} times the (q;q)-binomials, the product shared by the
-    Phi weight and its lambda-derivative; 0 outside 0 <= gamma <= beta."""
-    q, mu = check_q(q), exact(mu, "mu")
+    / (mu; q)_{|beta|} times the (q;q)-binomials at a checked q and mu, the
+    product shared by the Phi weight and its lambda-derivative; 0 outside
+    0 <= gamma <= beta.  Each q-scalar is read from memo, computed there
+    on first use: lead(g), (ratio; q)_m, (mu; q)_b and qq_binom(b, g, q)."""
     gamma, beta = ints(gamma, "batch"), ints(beta, "site counts", 0)
     if len(gamma) != len(beta):
         raise DomainError("batch %r and site %r disagree on the species count"
                           % (gamma, beta))
     if not all(0 <= g <= b for g, b in zip(gamma, beta)):
         return 0
+
+    def scalar(key, compute, *args):
+        if key not in memo:
+            memo[key] = compute(*args)
+        return memo[key]
+
     g, b = sum(gamma), sum(beta)
-    value = (q ** _chi(beta, gamma) * ratio ** g * lead(g)
-             * q_poch(ratio, q, b - g) / q_poch(mu, q, b))
+    value = (q ** _chi(beta, gamma) * ratio ** g * scalar(("lead", g), lead, g)
+             * scalar(("ratio", b - g), q_poch, ratio, q, b - g)
+             / scalar(("mu", b), q_poch, mu, q, b))
     for bi, gi in zip(beta, gamma):
-        value = value * qq_binom(bi, gi, q)
+        value = value * scalar((bi, gi), qq_binom, bi, gi, q)
     return value
+
+
+def _weights(lam, mu, q):
+    """The Phi weight at lambda, or for lam None its lambda-derivative at
+    lambda = 1, as a function weight(gamma, beta) of `_phi`: lead(g) is
+    (lambda; q)_g resp. -(q; q)_{g-1}, ratio is mu/lambda resp. mu, and one
+    memo keeps each q-scalar for the life of the function."""
+    q, mu, memo = check_q(q), exact(mu, "mu"), {}
+    if lam is None:
+        lead, ratio = (lambda g: -q_poch(q, q, g - 1)), mu
+    elif exact(lam, "lambda") == 0:
+        raise DomainError("lambda = 0 collapses the weight")
+    else:
+        lead, ratio = (lambda g: q_poch(lam, q, g)), div(mu, lam)
+    return lambda gamma, beta: _phi(gamma, beta, lead, ratio, mu, q, memo)
 
 
 def phi_weight(gamma, beta, lam, mu, q):
@@ -260,9 +283,7 @@ def phi_weight(gamma, beta, lam, mu, q):
     the reversibility lemma additionally wants 0 < lam <= 1, 0 <= mu < 1,
     which is not enforced here (derivative checks step past lam = 1).
     """
-    if exact(lam, "lambda") == 0:
-        raise DomainError("lambda = 0 collapses the weight")
-    return _phi(gamma, beta, lambda g: q_poch(lam, q, g), div(mu, lam), mu, q)
+    return _weights(lam, mu, q)(gamma, beta)
 
 
 def phi_weight_dlambda(gamma, beta, mu, q):
@@ -272,30 +293,24 @@ def phi_weight_dlambda(gamma, beta, mu, q):
     differentiating that factor survives: replace it by -(q; q)_{|gamma|-1}
     and evaluate everything else at lambda = 1.
     """
-    def lead(g):
-        if g < 1:
-            raise DomainError("the lambda-derivative at the empty batch is "
-                              "minus the rest")
-        return -q_poch(q, q, g - 1)
-
-    return _phi(gamma, beta, lead, mu, mu, q)
+    if not any(ints(gamma, "batch")):
+        raise DomainError("the lambda-derivative at the empty batch is "
+                          "minus the rest")
+    return _weights(None, mu, q)(gamma, beta)
 
 
 def qhahn_continuous_rates(beta, mu, q):
-    """Continuous-time departure rates -Phi' for every nonzero batch.
+    """Continuous-time departure rates -Phi' for every nonzero batch, by one
+    weight function of `_weights`.
 
     Returns {gamma: rate}; rates are nonnegative for mu in [0, 1),
     q in (0, 1), and every rate carries a factor mu^{|gamma|}.
     """
-    q, beta = check_q(q), ints(beta, "site counts", 0)
-    rates = {}
-    for gamma in itertools.product(*(range(b + 1) for b in beta)):
-        if all(g == 0 for g in gamma):
-            continue
-        r = -phi_weight_dlambda(gamma, beta, mu, q)
-        if r != 0:
-            rates[gamma] = r
-    return rates
+    beta, weight = ints(beta, "site counts", 0), _weights(None, mu, q)
+    rates = {gamma: -weight(gamma, beta)
+             for gamma in itertools.product(*(range(b + 1) for b in beta))
+             if any(gamma)}
+    return {gamma: r for gamma, r in rates.items() if r != 0}
 
 
 def qtazrp_rates(beta, q):
@@ -358,15 +373,16 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
     (one conserved-counts sector).  direction "left": sites 2..L emit and
     batches land one site down; "right": sites 1..L-1 emit, batches land
     one site up.  Every site emits simultaneously, so one step multiplies
-    independent per-site weights, each computed once per site content.
+    independent per-site weights, each computed once per site content by
+    one weight function of `_weights`: each q-scalar once per kernel.
     """
     basis, emit, step = _zrp_window(window, q, direction)
-    site_weights = {}
+    weight, site_weights = _weights(lam, mu, q), {}
 
     def weights(beta):
         if beta not in site_weights:
             site_weights[beta] = [
-                (gamma, phi_weight(gamma, beta, lam, mu, q))
+                (gamma, weight(gamma, beta))
                 for gamma in itertools.product(*(range(c + 1) for c in beta))]
         return site_weights[beta]
 

@@ -149,7 +149,7 @@ def strict_h_exponent(xi, eta):
 def qhahn_series_oracle(eta, xi, q):
     """The zero-range duality as the product of the 1phi0 series that define
     it, with h by its double loop; `qhahn_D` sums each series in closed form
-    and expands the product in s."""
+    and multiplies the closed forms as one int product in Q(s)."""
     q = check_q(q)
     s = q_root(q)
     n, L = xi.n, xi.L
@@ -1073,8 +1073,8 @@ def zrp_pairs(counts_xi, counts_eta, L):
 
 def expansion_span(xi, eta):
     """Sum of |e| over the factors (1 - s^e) of `qhahn_D`, read off the
-    product oracle's q-Pochhammers: the number of powers of s that its
-    expansion can span."""
+    product oracle's q-Pochhammers: it bounds the powers of q's numerator
+    and denominator that the running int product carries."""
     n, span = xi.n, 0
     for i in range(n):
         partner, left = eta.row(n - 1 - i), 0
@@ -1118,10 +1118,11 @@ class TestQHahnClosedForm:
         for xi, eta in zrp_pairs(cx, ce, L)[::11]:
             assert_matches_oracles(eta, xi, q)
 
-    # the Horner and its one division run on q's numerator and denominator
-    # as ints: an exact value costs no Fraction operation at a non-square q
-    # and two (even + s odd) at a square q, not two per Horner step and part.
-    # Checked on the pairs whose expansion in s spans the most powers
+    # the running product (A + B s)/C runs on q's numerator and denominator
+    # as ints, and A/C, B/C are the only divisions: an exact value costs no
+    # Fraction operation at a non-square q and two (A/C + s B/C) at a square
+    # q, not one per factor.  Checked on the pairs whose factors carry the
+    # largest powers of q
     @pytest.mark.parametrize("q", [F(1, 3), F(9, 4)], ids=repr)
     def test_few_fraction_operations_per_value(self, q, monkeypatch):
         pairs = sorted(zrp_pairs((3, 3), (3, 2), 3),

@@ -26,7 +26,7 @@ from qmdual.models import (
     reversible_measure,
     single_species_measure,
 )
-from qmdual.qcalc import q_binom, q_fact, q_poch
+from qmdual.qcalc import q_binom, q_fact, q_poch, qq_binom
 from qmdual.scalars import SNum, check_q, q_root
 
 Q_GRID = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
@@ -695,24 +695,133 @@ class TestDiscreteKernel:
             for j in range(ker.size):
                 assert ker.entries[i][j] >= 0
 
+    # the benchmark's two kernels as (counts, direction, emitting sites),
+    # on L = 3
+    KERNELS = (((2, 2), "right", (1, 2)), ((2, 1), "left", (2, 3)))
+
     def test_weights_computed_once_per_site_content(self, monkeypatch):
-        # one phi_weight call per batch of each distinct emitting site
-        # content beta, that is prod_i (beta_i + 1) calls per content
-        calls = []
+        # one shared _phi evaluation per batch of each distinct emitting site
+        # content beta, that is prod_i (beta_i + 1) evaluations per content
+        calls, phi = [], models._phi
 
         def counted(gamma, beta, *args):
             calls.append(beta)
-            return phi_weight(gamma, beta, *args)
+            return phi(gamma, beta, *args)
 
-        monkeypatch.setattr(models, "phi_weight", counted)
+        monkeypatch.setattr(models, "_phi", counted)
         want = 0
-        for counts, direction, emit in (((2, 2), "right", (1, 2)),
-                                        ((2, 1), "left", (2, 3))):
+        for counts, direction, emit in self.KERNELS:
             window = enumerate_zrp_sector(counts, 3)
             contents = {cfg.site(x) for cfg in window for x in emit}
             want += sum(math.prod(b + 1 for b in beta) for beta in contents)
             qhahn_discrete_kernel(window, F(1, 2), F(1, 3), F(1, 3), direction)
         assert len(calls) == want == 54
+
+    def test_q_scalars_computed_once_per_kernel(self, monkeypatch):
+        # each distinct (lambda; q)_g, (mu/lambda; q)_m, (mu; q)_b and
+        # (q;q)-binomial [b, g] is evaluated once per kernel, not once per
+        # weight; at lambda = 1/2, mu = 1/3 no two Pochhammers share their
+        # arguments
+        poch, binom = [], []
+
+        def recorded(calls, compute):
+            def call(*args):
+                calls.append(args)
+                return compute(*args)
+            return call
+
+        monkeypatch.setattr(models, "q_poch", recorded(poch, q_poch))
+        monkeypatch.setattr(models, "qq_binom", recorded(binom, qq_binom))
+        total = 0
+        for counts, direction, emit in self.KERNELS:
+            poch.clear()
+            binom.clear()
+            window = enumerate_zrp_sector(counts, 3)
+            pairs = [(gamma, beta) for beta in
+                     {cfg.site(x) for cfg in window for x in emit}
+                     for gamma in itertools.product(*map(range, (
+                         b + 1 for b in beta)))]
+            lead = {sum(g) for g, _ in pairs}
+            ratio = {sum(b) - sum(g) for g, b in pairs}
+            mu = {sum(b) for _, b in pairs}
+            binoms = {bg for g, b in pairs for bg in zip(b, g)}
+            qhahn_discrete_kernel(window, F(1, 2), F(1, 3), F(1, 3), direction)
+            assert len(set(poch)) == len(poch) == len(lead) + len(ratio) + len(mu)
+            assert sorted(args[:2] for args in binom) == sorted(binoms)
+            total += len(poch) + 3 * len(binom)
+        # the Pochhammers behind the traced benchmark's qcalc.q_poch.calls,
+        # three per (q;q)-binomial
+        assert total == 63
+
+
+def zrp_moves_oracle(sitewise, direction, L, jointly):
+    """moves(cfg) of a zero-range chain from sitewise(gamma, beta), a public
+    weight or rate of batch gamma at a site holding beta.  jointly: every
+    emitting site moves a batch at once, weighed by the product of their
+    values (the kernel); otherwise one nonzero batch moves (the generator).
+    Each value is read by its own call."""
+    emit, step = (range(2, L + 1), -1) if direction == "left" else (range(1, L), 1)
+
+    def moved(cfg, batches):
+        rows = [list(row) for row in cfg.counts]
+        for x, gamma in batches:
+            for row, g in zip(rows, gamma):
+                row[x - 1] -= g
+                row[x - 1 + step] += g
+        return Config.zero_range([tuple(row) for row in rows])
+
+    def batches(beta):
+        return itertools.product(*(range(c + 1) for c in beta))
+
+    def moves(cfg):
+        sites = [cfg.site(x) for x in emit]
+        if jointly:
+            for choice in itertools.product(*map(batches, sites)):
+                value = math.prod(sitewise(gamma, beta)
+                                  for gamma, beta in zip(choice, sites))
+                if value != 0:
+                    yield moved(cfg, zip(emit, choice)), value
+            return
+        for x, beta in zip(emit, sites):
+            for gamma in batches(beta):
+                value = sitewise(gamma, beta) if any(gamma) else 0
+                if value != 0:
+                    yield moved(cfg, [(x, gamma)]), value
+
+    return moves
+
+
+# windows as (counts, L): the workload's two, and one of three species
+ZRP_ORACLE_WINDOWS = [((2, 2), 3), ((2, 1), 3), ((2, 1, 1), 3)]
+
+
+class TestZeroRangeAgainstPublicWeights:
+    # each stored entry in type and repr; q = 9/4 is a square, and at
+    # lambda = 1 every weight with a nonempty batch vanishes
+    @pytest.mark.parametrize("q", [F(1, 3), 2, F(9, 4)], ids=repr)
+    @pytest.mark.parametrize("lam", [F(1, 2), 1], ids=repr)
+    @pytest.mark.parametrize("counts,L", ZRP_ORACLE_WINDOWS)
+    def test_kernel_entries_are_products_of_phi_weights(self, counts, L, lam, q):
+        window = enumerate_zrp_sector(counts, L)
+        for direction in ("left", "right"):
+            got = qhahn_discrete_kernel(window, lam, F(1, 3), q, direction)
+            weight = lambda gamma, beta: phi_weight(gamma, beta, lam, F(1, 3), q)
+            want = models.assemble(
+                window, zrp_moves_oracle(weight, direction, L, True), "kernel")
+            assert typed_entries(got.entries.rows) == typed_entries(
+                want.entries.rows), direction
+
+    @pytest.mark.parametrize("q", [F(1, 3), 2, F(9, 4)], ids=repr)
+    @pytest.mark.parametrize("counts,L", ZRP_ORACLE_WINDOWS)
+    def test_generator_rates_are_phi_derivatives(self, counts, L, q):
+        window = enumerate_zrp_sector(counts, L)
+        for direction in ("left", "right"):
+            got = qhahn_continuous_generator(window, F(1, 3), q, direction)
+            rate = lambda gamma, beta: -phi_weight_dlambda(gamma, beta, F(1, 3), q)
+            want = models.assemble(
+                window, zrp_moves_oracle(rate, direction, L, False))
+            assert typed_entries(got.entries.rows) == typed_entries(
+                want.entries.rows), direction
 
 
 # -- validation without asserts -----------------------------------------------------
