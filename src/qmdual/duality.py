@@ -26,14 +26,17 @@ Conventions:
 Memo: a `DualityParams` object is what a caller builds once per duality
 matrix, and the exclusion-duality functions that take it read their
 pair-independent invariants through a private memo on it:
-- the inverse 1/mu(xi) of each configuration's reversible measure;
+- the inverse 1/mu(xi) of each configuration's reversible measure, as an
+  int pair with its s-parity: mu(xi) is r s^odd with r rational, and the
+  entry is (num, den, odd) with 1/mu(xi) = num/den s^odd;
 - the single-species measure of each (species, row, capacities) that a
   row xi_i shows on the capacities theta^{(i)} of its pair;
 - each q-Krawtchouk site factor K_e(q^{-2c}; p q^{2s}, t; q^2) with e and
   c positive, keyed by species, degree e, argument c, capacity t and
   shift s.
-Measures and site factors are int pairs (numerator, denominator): a pair
-multiplies them and its powers of a_i and q as ints, then builds one Fraction.
+Species measures and site factors are int pairs (numerator, denominator): a
+pair multiplies them, 1/mu(xi) and its powers of a_i and q as ints, then
+builds one Fraction, times s once when its power of s is odd.
 No key names a pair.  On a sector of N configurations with n species,
 `multi_species_D` and `correction_G` read xi's measures only, on the pairs
 that `intermediate_configs` does not refuse.  There the key (xi_i,
@@ -45,13 +48,14 @@ nothing is cached at module level.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from operator import add
 
 from .errors import DomainError
 from .lattice import Config, intermediate_configs
 from .models import reversible_measure, single_species_measure
 from .qcalc import q_krawtchouk, q_poch_ratio
-from .scalars import SNum, check_q, exact, lift_int, q_root
+from .scalars import (SNum, check_q, exact, lift_int, power_parts, q_root,
+                      rational_q)
 
 
 class DualityParams:
@@ -76,9 +80,7 @@ class DualityParams:
     __slots__ = ("a", "q", "_memo")
 
     def __init__(self, a, q):
-        a, q = tuple(lift_int(exact(v, "a")) for v in a), check_q(q)
-        if isinstance(q, SNum):
-            raise DomainError("q=%r must be a rational" % (q,))
+        a, q = tuple(lift_int(exact(v, "a")) for v in a), rational_q(q)
         if not all(v > 0 for v in a):
             raise DomainError("couplings a=%r must be positive" % (a,))
         self.a = a
@@ -118,37 +120,43 @@ def _site_p(params, i, shift):
     return 1 / (params.a[i] ** 2 * q) * (q * q) ** shift
 
 
-def _parts(x):
-    """(numerator, denominator) of a rational x as ints."""
-    return x.numerator, x.denominator
+def _inverse_measure(mu):
+    """The sector memo entry (num, den, odd) of a measure mu = r s^odd, r
+    rational: 1/mu = num/den s^odd, since 1/(r s) = s/(r q)."""
+    odd = type(mu) is SNum
+    inverse = 1 / (mu.b * mu.sbase) if odd else 1 / mu
+    return inverse.numerator, inverse.denominator, int(odd)
 
 
 def _G(xi, params, intermediates, num=1, den=1):
     """`correction_G` of a feasible pair times num/den, by the int pass of the
-    module docstring.  A power whose exponent is 0 is 1 and skipped: inside
+    module docstring.  A power of a_i whose exponent is 0 is skipped: inside
     a sector e = c for every species, and there
-    G = prod_i mu_i(xi_i; theta^{(i)}) / mu(xi)."""
-    memo, q, a, k = params._memo, params.q, params.a, 0
+    G = prod_i mu_i(xi_i; theta^{(i)}) / mu(xi).  k counts the powers of s,
+    those of 1/mu(xi) included, so one q_root product serves an odd k."""
+    memo, q, a = params._memo, params.q, params.a
+    key = ("sector", xi)
+    mn, md, odd = memo.get(key) or memo.setdefault(
+        key, _inverse_measure(reversible_measure(xi, q)))
+    num, den, k = num * mn, den * md, odd
     for iv in intermediates:
         i, row, theta = iv.i, xi.counts[iv.i], iv.theta
         c, e = sum(row), sum(iv.row)
         if e != c:
             k += c * c - e * e
-            pn, pd = _parts(a[i] ** (e - c))
+            pn, pd = power_parts(a[i], e - c)
             num, den = num * pn, den * pd
         key = ("species", i, row, theta)
-        mn, md = memo.get(key) or memo.setdefault(key, _parts(
+        mn, md = memo.get(key) or memo.setdefault(key, power_parts(
             single_species_measure(row, theta, a[i] ** 2, q)))
         num, den = num * mn, den * md
-    if k:
-        pn, pd = _parts(q ** (k // 2))
-        num, den = num * pn, den * pd
-    value = Fraction(num, den)
+    pn, pd = power_parts(q, k // 2)  # s^k = q^(k//2) s^(k%2)
+    value = Fraction(num * pn, den * pd)
     if k % 2:
-        value = value * q_root(q)  # an odd k adds s, as in the measure
-    key = ("sector", xi)
-    return value * (memo.get(key) or memo.setdefault(
-        key, 1 / reversible_measure(xi, q)))
+        return value * q_root(q)  # an odd k adds s, as in the measure
+    # an even k with an odd 1/mu(xi) has s^2 from two SNum factors, so the
+    # value is a product of SNums: an SNum with a zero s-part
+    return SNum(value) if odd else value
 
 
 def correction_G(xi, eta, params):
@@ -228,7 +236,7 @@ def _kraw_chain(xi, params, intermediates):
             shift -= e
             if c and e:
                 key = ("kraw", i, e, c, t, shift)
-                fn, fd = memo.get(key) or memo.setdefault(key, _parts(
+                fn, fd = memo.get(key) or memo.setdefault(key, power_parts(
                     q_krawtchouk(e, c, _site_p(params, i, shift), t, q * q)))
                 if not fn:
                     return 0, 1, factors
@@ -260,21 +268,27 @@ def outside_orthogonality_range(params, theta):
 def h_exponent(xi, eta):
     """Integer exponent h of two zero-range configurations: the sum over
     sites x and species i < n-1 of eta_i^x xi_m(>= x) - xi_i^x eta_m(> x),
-    m = n-2-i, where cfg_m(>= x) counts species 0..m at sites >= x."""
+    m = n-2-i, where cfg_m(>= x) counts species 0..m at sites >= x.  With
+    the sum over x taken inside the sum over the suffix sites y, it is one
+    pass per species with two running sums: the sum over y of
+    Xi_m^y eta_i(<= y) - Eta_m^y xi_i(< y), Xi_m^y and Eta_m^y the counts of
+    species 0..m at y."""
     if not (isinstance(xi, Config) and isinstance(eta, Config)):
         raise DomainError("configurations expected")
     if not (xi.is_zero_range and eta.is_zero_range):
         raise DomainError("zero-range configurations expected")
     if xi.n != eta.n or xi.L != eta.L:
         raise DomainError("zero-range configs disagree in species count or length")
-    xi_suffix = eta_suffix = [0] * xi.n
-    total = 0
-    sites = zip(zip(*xi.counts), zip(*eta.counts))  # (xi, eta) columns
-    for xi_site, eta_site in reversed(list(sites)):  # right to left
-        xi_suffix = [a + b for a, b in zip(xi_suffix, accumulate(xi_site))]
-        total += sum(e * xs - x * es for e, x, xs, es in zip(
-            eta_site, xi_site, xi_suffix[-2::-1], eta_suffix[-2::-1]))
-        eta_suffix = [a + b for a, b in zip(eta_suffix, accumulate(eta_site))]
+    total, xi_m, eta_m = 0, (0,) * xi.L, (0,) * xi.L
+    for m in range(xi.n - 1):
+        i = xi.n - 2 - m
+        xi_m = tuple(map(add, xi_m, xi.counts[m]))
+        eta_m = tuple(map(add, eta_m, eta.counts[m]))
+        eta_upto = xi_before = 0  # eta_i at sites <= y, xi_i at sites < y
+        for e, c, xs, es in zip(eta.counts[i], xi.counts[i], xi_m, eta_m):
+            eta_upto += e
+            total += xs * eta_upto - es * xi_before
+            xi_before += c
     return total
 
 
@@ -294,9 +308,9 @@ def qhahn_D(eta, xi, q):
     - A den^j) s) / (C num^j).  A/C and B/C are the only divisions.
     """
     h, q = h_exponent(xi, eta), check_q(q)  # h_exponent checks the pair
-    s, (num, den) = q_root(q), _parts(q)  # q_root first: an SNum q raises
+    s, (num, den) = q_root(q), power_parts(q)  # q_root refuses an SNum q
     k, odd = divmod(h, 2)  # s^h = q^k s^odd
-    top, low = (num ** k, den ** k) if k >= 0 else (den ** -k, num ** -k)
+    top, low = power_parts(q, k)
     a, b = (0, top) if odd else (top, 0)
     for row, partner in zip(xi.counts, reversed(eta.counts)):
         k = sum(partner)  # row left of x, plus c, plus partner right of x

@@ -25,7 +25,7 @@ from .errors import DomainError
 from .lattice import Config, enumerate_sector, n_total
 from .ops import SparseMatrix
 from .qcalc import brace_int, q_binom, q_fact, q_poch, qq_binom
-from .scalars import check_q, div, exact, ints, q_root
+from .scalars import check_q, div, exact, ints, power_parts, q_root
 
 
 class GeneratorMatrix:
@@ -192,8 +192,8 @@ def reversible_measure(cfg, q):
                 num *= facts[c].denominator
                 den *= facts[c].numerator
     e = halves // 2 - 2 * cross
-    p, r = q.numerator ** abs(e), q.denominator ** abs(e)
-    value = Fraction(num * p, den * r) if e >= 0 else Fraction(num * r, den * p)
+    p, r = power_parts(q, e)
+    value = Fraction(num * p, den * r)
     return value * s if halves % 2 else value
 
 
@@ -398,11 +398,17 @@ def qhahn_discrete_kernel(window, lam, mu, q, direction):
 
 
 def _zrp_generator(window, q, direction, site_rates):
+    """The single-site moves of a window, site_rates(beta) read once per
+    distinct site content beta, as the kernel reads its weights."""
     basis, emit, step = _zrp_window(window, q, direction)
+    rates = {}
 
     def moves(cfg):
         for x in emit:
-            for gamma, rate in site_rates(cfg.site(x)).items():
+            beta = cfg.site(x)
+            if beta not in rates:
+                rates[beta] = site_rates(beta)
+            for gamma, rate in rates[beta].items():
                 yield _move_batches(cfg, ((x, gamma),), step), rate
 
     return assemble(basis, moves)

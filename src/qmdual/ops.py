@@ -15,9 +15,10 @@ w * v once per stored entry v; `a - b` forms a - v where both store an
 entry and -v where only b does, so an int minus an int stays an int.
 
 Products and column sums run on Python ints: the rows of the left operand
-and the columns of the right one, or of a summed matrix, are lifted by the
-lcm of their denominators, the sparse k-loop sums int products, a column
-sum sums its lifted entries, and each sum is reduced once.  An SNum a + b*s
+and the columns of the right one are lifted by the lcm of their
+denominators and the sparse k-loop sums int products; a column sum lifts
+each entry as it adds it, over the lcm of the column so far; and each sum
+is reduced once.  An SNum a + b*s
 enters as its two rational parts.  Each entry of a product has the top
 entry type (int < Fraction < SNum) of its two operands, and each column sum
 the top type of its column.
@@ -254,19 +255,32 @@ class SparseMatrix:
             for r, arow in self.rows.items()}), self.shape)
 
     def column_sums(self):
-        """Exact sum of each column over its stored entries, lifted as in a
-        product and reduced once to the column's top entry type: the int 0
-        for an empty column; a column of two s-fields raises ValueError."""
-        cols = self.T.rows
-        _, _, lcms, a, b = _lift(cols, 0)
+        """Exact sum of each column over its stored entries, reduced once to
+        the column's top entry type: the int 0 for an empty column; a column
+        of two s-fields raises ValueError.  Each entry is lifted as it is
+        added: a column keeps the sums of its rational parts and s-parts as
+        ints over the lcm of the denominators seen, rescaled as it grows."""
+        cols = {}  # column: [rational sum, s sum, lcm, top rank, s-fields]
+        for row in self.rows.values():
+            for c, v in row.items():
+                col = cols.get(c) or cols.setdefault(c, [0, 0, 1, 0, set()])
+                parts, col[3] = (v,), max(col[3], _RANK[type(v)])
+                if type(v) is SNum:
+                    parts = v.a, v.b
+                    if v.b:
+                        col[4].add(v.sbase)
+                for k, x in enumerate(parts):
+                    d = x.denominator
+                    if col[2] % d:
+                        scale = d // math.gcd(col[2], d)
+                        col[0], col[1], col[2] = (col[0] * scale, col[1] * scale,
+                                                  col[2] * scale)
+                    col[k] += x.numerator * (col[2] // d)
         sums = [0] * self.shape[1]
-        for c, col in cols.items():
-            top = max(map(_RANK.__getitem__, map(type, col.values())))
-            n = sum(a[c].values())
-            x = Fraction(n, lcms[c]) if top else n
-            sums[c] = x if top < 2 else SNum._make(
-                x, Fraction(sum(b[c].values()), lcms[c]),
-                _field({v.sbase for v in col.values() if type(v) is SNum and v.b}))
+        for c, (n, sn, lcm, top, fields) in cols.items():
+            x = Fraction(n, lcm) if top else n
+            sums[c] = x if top < 2 else SNum._make(x, Fraction(sn, lcm),
+                                                   _field(fields))
         return sums
 
     def toarray(self):

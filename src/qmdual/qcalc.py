@@ -9,33 +9,52 @@ be floats, and an index, degree or length that is not an integer raises
 instead of being truncated.  A terminating series takes its degree m as an int and
 sums exactly the terms k = 0..m; no value is tested against a tolerance to
 find where it ends.
+
+Which q each function takes: `q_int`, `q_fact`, `q_binom`, `brace_int` and
+`brace_fact` take a rational q = a/b only (`scalars.rational_q`; an SNum q
+raises `DomainError`).  The first four form their value from a and b as
+int products, [n]_q! in `_fact_parts` alone, and build one Fraction per
+call; `brace_fact` multiplies `brace_int`s.  The Pochhammers, `qq_binom`,
+the series and `q_krawtchouk` take any exact q.
 """
 
+from fractions import Fraction
+
 from .errors import DomainError
-from .scalars import check_q, div, exact, ints, lift_int
+from .scalars import check_q, div, exact, ints, lift_int, rational_q
+
+
+def _fact_parts(lo, hi, q):
+    """[hi]_q! / [lo]_q!, 0 <= lo <= hi, as an int pair (num, den) at a
+    rational q = a/b: [j]_q = (a^{2j} - b^{2j}) / ((ab)^{j-1} (a^2 - b^2))."""
+    a, b, num = q.numerator, q.denominator, 1
+    for j in range(lo + 1, hi + 1):
+        num *= a ** (2 * j) - b ** (2 * j)
+    return num, ((a * b) ** ((hi * (hi - 1) - lo * (lo - 1)) // 2)
+                 * (a * a - b * b) ** (hi - lo))
 
 
 def q_int(n, q):
     """[n]_q = (q^n - q^-n)/(q - q^-1) for an int n, negative ones included."""
-    (n,), q = ints((n,), "q-integer index"), check_q(q)
-    return (q ** n - q ** (-n)) / (q - q ** (-1))
+    (n,), q = ints((n,), "q-integer index"), rational_q(q)
+    num, den = _fact_parts(abs(n) - 1, abs(n), q) if n else (0, 1)
+    return Fraction(num if n > 0 else -num, den)  # [-n]_q = -[n]_q
 
 
 def q_fact(n, q):
-    """[n]_q! = [1]_q [2]_q ... [n]_q."""
-    (n,) = ints((n,), "degree", 0)
-    result = 1
-    for k in range(1, n + 1):
-        result = result * q_int(k, q)
-    return result
+    """[n]_q! = [1]_q [2]_q ... [n]_q, the int 1 for n = 0."""
+    (n,), q = ints((n,), "degree", 0), rational_q(q)
+    return Fraction(*_fact_parts(0, n, q)) if n else 1
 
 
 def q_binom(n, k, q):
     """Gaussian binomial; 0 outside 0 <= k <= n (infeasible configurations)."""
-    (n,) = ints((n,), "degree", 0)
+    (n,), (k,) = ints((n,), "degree", 0), ints((k,), "Gaussian binomial index")
+    q = rational_q(q)
     if k < 0 or k > n:
         return 0
-    return div(q_fact(n, q), q_fact(k, q) * q_fact(n - k, q))
+    (num, den), (knum, kden) = _fact_parts(n - k, n, q), _fact_parts(0, k, q)
+    return Fraction(num * kden, den * knum)
 
 
 def qq_binom(n, k, q):
@@ -53,13 +72,16 @@ def qq_binom(n, k, q):
 
 def brace_int(n, q):
     """{n}_{q^2} = (1 - q^{2n})/(1 - q^2) for an int n, negative ones included."""
-    (n,), q = ints((n,), "brace-integer index"), check_q(q)
-    return (1 - q ** (2 * n)) / (1 - q ** 2)
+    (n,), q = ints((n,), "brace-integer index"), rational_q(q)
+    a, b = q.numerator, q.denominator
+    u, v = (a, b) if n >= 0 else (b, a)  # q^{2n} = u^{2|n|} / v^{2|n|}
+    u, v = u ** (2 * abs(n)), v ** (2 * abs(n))
+    return Fraction((v - u) * b * b, v * (b * b - a * a))
 
 
 def brace_fact(n, q):
     """{n}_{q^2}! = {1}_{q^2} ... {n}_{q^2}."""
-    (n,) = ints((n,), "degree", 0)
+    (n,), q = ints((n,), "degree", 0), rational_q(q)
     result = 1
     for k in range(1, n + 1):
         result = result * brace_int(k, q)

@@ -10,9 +10,12 @@ type is exactly int, Fraction or SNum (`exact`, `is_exact`, `check_types`)
 and rational when it is int or Fraction, so a float, a bool or a subclass
 raises `DomainError` where it enters.  `check_q` takes an exact q outside
 {-1, 0, 1}; it and `lift_int` make an int a Fraction, so that its negative
-powers stay exact.  `ints` takes counts as `operator.index` does: a numpy
-int passes, and a float or a string raises instead of being truncated.
-`div` makes int / int a Fraction.
+powers stay exact.  `rational_q` is `check_q` that also refuses an SNum q,
+where a value is formed from q's numerator and denominator.  `ints` takes
+counts as `operator.index` does: a numpy int passes, and a float or a
+string raises instead of being truncated.
+`div` makes int / int a Fraction, and `power_parts` gives a rational power
+as an int pair.
 
 `q_root` is the one root s = sqrt(q) of the deformation parameter q.
 `sqrt` is the one other square root.  It roots a rational-valued radicand
@@ -332,6 +335,20 @@ def check_q(q):
     if exact(q) == 0 or q == 1 or q == -1:
         raise DegenerateQError("degenerate q = %s" % (q,))
     return lift_int(q)
+
+
+def rational_q(q):
+    """The q of `check_q`, a Fraction; an SNum q raises `DomainError`."""
+    if type(check_q(q)) is SNum:
+        raise DomainError("q=%r must be a rational" % (q,))
+    return lift_int(q)
+
+
+def power_parts(x, e=1):
+    """(numerator, denominator) of the rational x ** e as ints, for an int e
+    of either sign; the Fraction built from them carries the sign."""
+    num, den = x.numerator ** abs(e), x.denominator ** abs(e)
+    return (num, den) if e >= 0 else (den, num)
 
 
 def div(a, b):

@@ -140,6 +140,20 @@ def h_exponent_oracle(xi, eta):
     return _h_double_loop(xi, eta, 0)
 
 
+def h_suffix_oracle(xi, eta):
+    """`h_exponent` by site columns right to left, with fresh suffix lists
+    of species 0..m at every site."""
+    xi_suffix = eta_suffix = [0] * xi.n
+    total = 0
+    sites = zip(zip(*xi.counts), zip(*eta.counts))
+    for xi_site, eta_site in reversed(list(sites)):
+        xi_suffix = [a + b for a, b in zip(xi_suffix, itertools.accumulate(xi_site))]
+        total += sum(e * xs - x * es for e, x, xs, es in zip(
+            eta_site, xi_site, xi_suffix[-2::-1], eta_suffix[-2::-1]))
+        eta_suffix = [a + b for a, b in zip(eta_suffix, itertools.accumulate(eta_site))]
+    return total
+
+
 def strict_h_exponent(xi, eta):
     """The zero-range exponent with the xi suffix in the eta term starting
     strictly right of the site; `h_exponent` starts it at the site itself."""
@@ -232,6 +246,27 @@ def G_sq_oracle(xi, eta, params, measures=None):
                 single_species_measure(row, iv.theta, alpha, q)))
     return value / (cached(xi, lambda: reversible_measure(xi, q))
                     * cached(eta, lambda: reversible_measure(eta, q)))
+
+
+def G_product_oracle(xi, eta, params):
+    """`correction_G` by its product form in Fraction and SNum arithmetic:
+    prod_i a_i^(e-c) mu_i(xi_i; theta^{(i)}) q^(k/2) / mu(xi), k = sum_i
+    c^2 - e^2, with q^(k/2) = q^(k//2) q_root(q)^(k%2); 0 on an infeasible
+    pair."""
+    intermediates = intermediate_configs(xi, eta)
+    if intermediates is None:
+        return 0
+    q, value, k = params.q, F(1), 0
+    for iv in intermediates:
+        a, row = params.a[iv.i], xi.row(iv.i)
+        c, e = sum(row), sum(iv.row)
+        k += c * c - e * e
+        value = value * a ** (e - c) * single_species_measure(
+            row, iv.theta, a * a, q)
+    value = value * q ** (k // 2)
+    if k % 2:
+        value = value * q_root(q)
+    return value / reversible_measure(xi, q)
 
 
 def derived_C_sq_oracle(xi, eta, params, measures):
@@ -638,6 +673,36 @@ class TestGroundStateCorrection:
             root = sqrt(g_sq, q)
             assert g * g == g_sq and type(g) is type(root) and g == root, (
                 "G %r, root of the ratio %r at %s %s" % (g, root, xi, eta))
+
+    # the parities of the s-power: k = sum_i c^2 - e^2 odd or even, times
+    # mu(xi) in Q or in Q*s.  Only cross-sector pairs have k != 0, and mu's
+    # parity is that of |theta|, so it takes the two profiles.  An even
+    # total with both parts odd is an SNum with a zero s-part, and at a
+    # square q every value is a Fraction
+    @pytest.mark.parametrize("q", [F(1, 3), 2, F(4, 9)], ids=repr)
+    def test_every_parity_matches_the_product_form(self, q):
+        params, seen = DualityParams((F(3, 4), F(5)), q), set()
+        square = not isinstance(q_root(q), SNum)
+        pairs = [pair for theta in ((2, 1), (1, 1)) for pair in
+                 itertools.product(all_capacity_configs(theta, 2), repeat=2)]
+        for xi, eta in pairs:
+            g, want = correction_G(xi, eta, params), G_product_oracle(xi, eta, params)
+            assert type(g) is type(want) and g == want, (xi, eta, g, want)
+            chain = kraw_chain(xi, eta, params)
+            d, want_d = multi_species_D(xi, eta, params), chain * want if chain else 0
+            assert type(d) is type(want_d) and d == want_d, (xi, eta, d, want_d)
+            if not want:
+                continue
+            k = sum(sum(xi.row(iv.i)) ** 2 - sum(iv.row) ** 2
+                    for iv in intermediate_configs(xi, eta))
+            odd_mu = isinstance(reversible_measure(xi, q), SNum)
+            seen.add((k % 2, odd_mu))
+            if square:
+                assert type(g) is F
+            else:
+                assert isinstance(g, SNum) == bool(k % 2 or odd_mu)
+                assert bool(isinstance(g, SNum) and g.b) == bool((k + odd_mu) % 2)
+        assert square or seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
 # -- orthogonality ---------------------------------------------------------------
@@ -1103,6 +1168,16 @@ class TestQHahnClosedForm:
             got, want = h_exponent(xi, eta), h_exponent_oracle(xi, eta)
             assert type(got) is int and got == want, \
                 "h %r != %r at %s %s" % (got, want, xi, eta)
+
+    # the running sums per species against the suffix lists per site, on
+    # every pair of the windows in both orders; the first window is the one
+    # whose kernels the benchmark checks
+    @pytest.mark.parametrize("cx,ce,L", ZRP_GRID_WINDOWS)
+    def test_h_exponent_matches_suffix_lists(self, cx, ce, L):
+        pairs = zrp_pairs(cx, ce, L)
+        for xi, eta in pairs + [(eta, xi) for xi, eta in pairs]:
+            got, want = h_exponent(xi, eta), h_suffix_oracle(xi, eta)
+            assert type(got) is int and got == want, (xi, eta)
 
     # what the oracle tests above do not reach: int bases, bases above one,
     # square bases (a Fraction value), a base with a large numerator and

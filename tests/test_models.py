@@ -650,6 +650,32 @@ class TestContinuousRates:
                         assert abs(-fd - gen.entries[i][j]) < F(1, 10 ** 18), (
                             counts, direction, i, j)
 
+    def test_rates_computed_once_per_site_content(self, monkeypatch):
+        # on (2,2) with L = 3, direction right, sites 1 and 2 of the 36
+        # configurations make 72 site visits over 9 distinct contents; the
+        # generator reads each content's rates once, as the kernel reads
+        # its weights, and stores what per-visit rates would store
+        window = enumerate_zrp_sector((2, 2), 3)
+        want = qhahn_continuous_generator(window, F(1, 3), F(1, 3), "right")
+        calls, rates = [], models.qhahn_continuous_rates
+
+        def counted(beta, mu, q):
+            calls.append(beta)
+            return rates(beta, mu, q)
+
+        monkeypatch.setattr(models, "qhahn_continuous_rates", counted)
+        got = qhahn_continuous_generator(window, F(1, 3), F(1, 3), "right")
+        visits = [cfg.site(x) for cfg in window for x in (1, 2)]
+        assert len(visits) == 72 and len(set(visits)) == 9
+        assert sorted(calls) == sorted(set(visits))
+        assert got.entries.rows == want.entries.rows
+        # the single-jump generator shares the per-content table
+        jumps, single = [], models.qtazrp_rates
+        monkeypatch.setattr(models, "qtazrp_rates",
+                            lambda beta, q: jumps.append(beta) or single(beta, q))
+        qtazrp_generator(window, F(1, 3), "right")
+        assert sorted(jumps) == sorted(set(visits))
+
 
 class TestDiscreteKernel:
     def test_empty_configuration_is_fixed(self):

@@ -1,9 +1,10 @@
 """Tests for the q-deformed scalar toolbox.
 
 Oracles: brute-force products/sums written inline (independent of the library
-code paths), the q-Krawtchouk weights and norms, the series forms of the
-infinite q-Pochhammers, plus a handful of frozen rational values computed by
-hand.
+code paths), the Fraction expressions of the q-integers, factorials and
+Gaussian binomials, the q-Krawtchouk weights and norms, the series forms of
+the infinite q-Pochhammers, plus a handful of frozen rational values computed
+by hand.
 """
 
 import math
@@ -24,6 +25,34 @@ Q_GRID = [Fraction(1, 2), Fraction(2, 3), Fraction(3, 2)]
 def brute_q_int(n, q):
     # [n]_q as an explicit geometric sum q^{n-1} + q^{n-3} + ... + q^{1-n}
     return sum((q ** (n - 1 - 2 * j) for j in range(n)), Fraction(0))
+
+
+def q_int_oracle(n, q):
+    """[n]_q as the Fraction expression (q^n - q^-n)/(q - q^-1)."""
+    q = Fraction(q)
+    return (q ** n - q ** (-n)) / (q - q ** (-1))
+
+
+def q_fact_oracle(n, q):
+    """[n]_q! as the product of the q-integers, the int 1 for n = 0."""
+    result = 1
+    for k in range(1, n + 1):
+        result = result * q_int_oracle(k, q)
+    return result
+
+
+def q_binom_oracle(n, k, q):
+    """The Gaussian binomial as the ratio of three factorials."""
+    if k < 0 or k > n:
+        return 0
+    return Fraction(q_fact_oracle(n, q)) / (q_fact_oracle(k, q)
+                                            * q_fact_oracle(n - k, q))
+
+
+def brace_int_oracle(n, q):
+    """{n}_{q^2} as the Fraction expression (1 - q^{2n})/(1 - q^2)."""
+    q = Fraction(q)
+    return (1 - q ** (2 * n)) / (1 - q ** 2)
 
 
 def brute_phi(m, nums, dens, q, z):
@@ -142,6 +171,26 @@ class TestDeformedIntegers:
         expected = (qcalc.brace_int(1, q) * qcalc.brace_int(2, q)
                     * qcalc.brace_int(3, q))
         assert qcalc.brace_fact(3, q) == expected
+
+
+# the int products against their Fraction expressions: rational q
+# on both sides of 1, negative q and int q
+ORACLE_Q = [Fraction(1, 3), Fraction(2, 3), Fraction(3, 2), Fraction(7, 5),
+            Fraction(-2, 5), Fraction(-3, 2), 2, 3, -2]
+
+
+@pytest.mark.parametrize("q", ORACLE_Q, ids=repr)
+def test_int_products_match_the_fraction_forms(q):
+    def same(got, want):
+        return type(got) is type(want) and got == want
+
+    for n in range(-8, 9):
+        assert same(qcalc.q_int(n, q), q_int_oracle(n, q)), n
+        assert same(qcalc.brace_int(n, q), brace_int_oracle(n, q)), n
+    for n in range(9):
+        assert same(qcalc.q_fact(n, q), q_fact_oracle(n, q)), n
+        for k in range(-1, n + 2):
+            assert same(qcalc.q_binom(n, k, q), q_binom_oracle(n, k, q)), (n, k)
 
 
 # an int q must give the value and type of the equal Fraction q: its
@@ -464,6 +513,16 @@ INPUT_CHECKS = {
         lambda: qcalc.q_krawtchouk(1.5, 2, Fraction(1, 2), 2, _Q),
     "q-Krawtchouk float argument":
         lambda: qcalc.q_krawtchouk(1, 2.0, Fraction(1, 2), 2, _Q),
+    # the q-integers and factorials are int products of q's numerator and
+    # denominator: an SNum q is refused, a rational one as well as s
+    "q-integer SNum q": lambda: qcalc.q_int(2, SNum(0, 1, _Q)),
+    "q-factorial SNum q": lambda: qcalc.q_fact(2, SNum(0, 1, _Q)),
+    "q-factorial rational SNum q": lambda: qcalc.q_fact(2, SNum(_Q)),
+    "Gaussian binomial SNum q": lambda: qcalc.q_binom(2, 1, SNum(0, 1, _Q)),
+    "Gaussian binomial SNum q, out of range":
+        lambda: qcalc.q_binom(2, 3, SNum(0, 1, _Q)),
+    "brace-integer SNum q": lambda: qcalc.brace_int(2, SNum(0, 1, _Q)),
+    "curly factorial SNum q": lambda: qcalc.brace_fact(2, SNum(0, 1, _Q)),
 }
 
 
