@@ -193,7 +193,7 @@ def correction_C_sq(xi, eta, params):
         return 0
     value = 1
     for iv in intermediates:
-        value = value * _C_sq_factor(params, iv.i, sum(xi.row(iv.i)),
+        value = value * _C_sq_factor(params, iv.i, sum(xi.counts[iv.i]),
                                      sum(iv.row), sum(iv.theta))
     return value
 
@@ -238,8 +238,6 @@ def _kraw_chain(xi, params, intermediates):
                 key = ("kraw", i, e, c, t, shift)
                 fn, fd = memo.get(key) or memo.setdefault(key, power_parts(
                     q_krawtchouk(e, c, _site_p(params, i, shift), t, q * q)))
-                if not fn:
-                    return 0, 1, factors
                 num, den, factors = num * fn, den * fd, factors + 1
             shift += t - c
     return num, den, factors

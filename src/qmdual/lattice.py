@@ -7,7 +7,10 @@ Two storage modes share one type:
 * zero-range mode (theta is None): species rows 0..n-1 only, unbounded
   per-site counts.
 
-Sites are 1-indexed in the public API to match the usual chain notation.
+`Config` is a validated named tuple like `Sector`: its constructor checks
+the grid, and `Config._unchecked` is the one trusted constructor, for parts
+already known to be valid.  Sites are 1-indexed in the public API to match
+the usual chain notation.
 `intermediate_configs` gives the forced rows of the nested exclusion duality
 and is the one place that decides whether a pair of configurations is feasible.
 """
@@ -21,12 +24,12 @@ from .scalars import ints
 SECTOR_CAP = 200_000
 
 
-class Config:
-    """Immutable particle configuration; counts is a species-major grid."""
+class Config(namedtuple("Config", ["counts", "theta", "n", "L"])):
+    """Particle configuration: counts a species-major grid, n species, L sites."""
 
-    __slots__ = ("L", "n", "counts", "theta")
+    __slots__ = ()
 
-    def __init__(self, counts, theta=None):
+    def __new__(cls, counts, theta=None):
         counts = tuple(ints(row, "counts", 0) for row in counts)
         if not counts or any(len(row) != len(counts[0]) for row in counts):
             raise DomainError("counts must be a nonempty rectangular grid")
@@ -39,27 +42,14 @@ class Config:
             if columns != theta:
                 raise DomainError("site totals %s do not fill capacities %s"
                                   % (columns, theta))
-        self._fill(counts, theta, n)
+        return cls._unchecked(counts, theta, n)
 
     @classmethod
     def _unchecked(cls, counts, theta, n):
         """A Config from parts already known to be valid: counts a
-        rectangular tuple of int tuples that satisfies theta as `__init__`
+        rectangular tuple of int tuples that satisfies theta as `__new__`
         requires, and n its species count."""
-        cfg = object.__new__(cls)
-        cfg._fill(counts, theta, n)
-        return cfg
-
-    def _fill(self, counts, theta, n):
-        # the one writer of the slots; `__setattr__` refuses every other
-        init = object.__setattr__
-        init(self, "L", len(counts[0]))
-        init(self, "n", n)
-        init(self, "counts", counts)
-        init(self, "theta", theta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Config is immutable")
+        return tuple.__new__(cls, (counts, theta, n, len(counts[0])))
 
     @classmethod
     def capacity(cls, species_counts, theta):
@@ -72,10 +62,6 @@ class Config:
             raise DomainError("species counts exceed capacity")
         return cls(species_counts + [holes], theta=theta)
 
-    @classmethod
-    def zero_range(cls, species_counts):
-        return cls(species_counts, theta=None)
-
     @property
     def is_zero_range(self):
         return self.theta is None
@@ -85,27 +71,10 @@ class Config:
         """Number of stored rows: n+1 with capacities, n without."""
         return len(self.counts)
 
-    def row(self, i):
-        return self.counts[i]
-
     def site(self, x):
         if not 1 <= x <= self.L:
             raise IndexError("site %r outside 1..%d" % (x, self.L))
         return tuple(row[x - 1] for row in self.counts)
-
-    def __eq__(self, other):
-        return (isinstance(other, Config) and self.counts == other.counts
-                and self.theta == other.theta and self.n == other.n)
-
-    def __hash__(self):
-        return hash((self.counts, self.theta, self.n))
-
-    def __repr__(self):
-        return "Config(counts=%r, theta=%r)" % (self.counts, self.theta)
-
-
-def n_total(cfg, i):
-    return sum(cfg.counts[i])
 
 
 class Sector(namedtuple("Sector", ["k", "theta"])):

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .lattice import Config, enumerate_sector, n_total
+from .lattice import Config, enumerate_sector
 from .ops import SparseMatrix
 from .qcalc import brace_int, q_binom, q_fact, q_poch, qq_binom
 from .scalars import check_q, div, exact, ints, power_parts, q_root
@@ -353,11 +353,11 @@ def _zrp_window(window, q, direction):
         raise DomainError("a window is a nonempty list of zero-range "
                           "configurations")
     L = basis[0].L
-    totals = tuple(n_total(basis[0], i) for i in range(basis[0].rows))
+    totals = tuple(map(sum, basis[0].counts))
     for cfg in basis:
         if cfg.L != L or cfg.rows != basis[0].rows:
             raise DomainError("window configurations differ in shape")
-        if tuple(n_total(cfg, i) for i in range(cfg.rows)) != totals:
+        if tuple(map(sum, cfg.counts)) != totals:
             raise DomainError("window configurations differ in totals")
     if direction == "left":
         return basis, range(2, L + 1), -1

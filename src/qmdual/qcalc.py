@@ -12,10 +12,10 @@ find where it ends.
 
 Which q each function takes: `q_int`, `q_fact`, `q_binom`, `brace_int` and
 `brace_fact` take a rational q = a/b only (`scalars.rational_q`; an SNum q
-raises `DomainError`).  The first four form their value from a and b as
-int products, [n]_q! in `_fact_parts` alone, and build one Fraction per
-call; `brace_fact` multiplies `brace_int`s.  The Pochhammers, `qq_binom`,
-the series and `q_krawtchouk` take any exact q.
+raises `DomainError`).  All five form their value from a and b as int
+products, [n]_q! in `_fact_parts` alone (`brace_fact` times a power of q),
+and build one Fraction per call.  The Pochhammers, `qq_binom`, the series
+and `q_krawtchouk` take any exact q.
 """
 
 from fractions import Fraction
@@ -80,12 +80,13 @@ def brace_int(n, q):
 
 
 def brace_fact(n, q):
-    """{n}_{q^2}! = {1}_{q^2} ... {n}_{q^2}."""
+    """{n}_{q^2}! = {1}_{q^2} ... {n}_{q^2} = q^{n(n-1)/2} [n]_q!, the int 1
+    for n = 0."""
     (n,), q = ints((n,), "degree", 0), rational_q(q)
-    result = 1
-    for k in range(1, n + 1):
-        result = result * brace_int(k, q)
-    return result
+    if not n:
+        return 1
+    (num, den), m = _fact_parts(0, n, q), n * (n - 1) // 2
+    return Fraction(num * q.numerator ** m, den * q.denominator ** m)
 
 
 def q_poch(a, q, n):

@@ -22,6 +22,7 @@ Each entry point checks q with `scalars.check_q`.
 """
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, prod
 
@@ -431,18 +432,12 @@ def duality_lambda(a, theta, q, shift=0):
     return a * (1 - q ** 2) * q ** (-(sum(theta) - shift))
 
 
-class AlgebraicDuality:
+class AlgebraicDuality(namedtuple("AlgebraicDuality", [
+        "tbasis", "entries", "lambdas", "left_weight", "right_weight"])):
     """Duality matrix assembled from the unitary symmetry, plus the exact
     diagonal weights of its orthogonality identity."""
 
-    __slots__ = ("tbasis", "entries", "lambdas", "left_weight", "right_weight")
-
-    def __init__(self, tbasis, entries, lambdas, left_weight, right_weight):
-        self.tbasis = tbasis
-        self.entries = entries
-        self.lambdas = tuple(lambdas)
-        self.left_weight = left_weight
-        self.right_weight = right_weight
+    __slots__ = ()
 
 
 def algebraic_duality(lambdas, tbasis, q):
@@ -481,4 +476,4 @@ def algebraic_duality(lambdas, tbasis, q):
         start, end = unitarity_twist(i, lam, tbasis, q)
         left = [a * b for a, b in zip(left, start)]
         right = [a * b for a, b in zip(right, end)]
-    return AlgebraicDuality(tbasis, D, lambdas, left, right)
+    return AlgebraicDuality(tbasis, D, tuple(lambdas), left, right)

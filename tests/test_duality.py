@@ -110,7 +110,7 @@ def qhahn_product_oracle(eta, xi, q):
     n, L = xi.n, xi.L
     value = s ** h_exponent(xi, eta)
     for i in range(n):
-        partner = eta.row(n - 1 - i)
+        partner = eta.counts[n - 1 - i]
         left = 0
         for x in range(1, L + 1):
             c = site_count(xi, x, i)
@@ -169,7 +169,7 @@ def qhahn_series_oracle(eta, xi, q):
     n, L = xi.n, xi.L
     value = s ** h_exponent_oracle(xi, eta)
     for i in range(n):
-        partner = eta.row(n - 1 - i)  # species-reversed dual row
+        partner = eta.counts[n - 1 - i]  # species-reversed dual row
         left = 0
         for x in range(1, L + 1):
             c = site_count(xi, x, i)
@@ -241,7 +241,7 @@ def G_sq_oracle(xi, eta, params, measures=None):
     value = 1
     for iv in intermediates:
         alpha = params.a[iv.i] ** 2
-        for row in (xi.row(iv.i), iv.row):
+        for row in (xi.counts[iv.i], iv.row):
             value = value * cached((iv.i, row, iv.theta), lambda: (
                 single_species_measure(row, iv.theta, alpha, q)))
     return value / (cached(xi, lambda: reversible_measure(xi, q))
@@ -258,7 +258,7 @@ def G_product_oracle(xi, eta, params):
         return 0
     q, value, k = params.q, F(1), 0
     for iv in intermediates:
-        a, row = params.a[iv.i], xi.row(iv.i)
+        a, row = params.a[iv.i], xi.counts[iv.i]
         c, e = sum(row), sum(iv.row)
         k += c * c - e * e
         value = value * a ** (e - c) * single_species_measure(
@@ -289,7 +289,7 @@ def derived_C_sq_oracle(xi, eta, params, measures):
 
     value = 1
     for iv in intermediates:
-        xi_row = xi.row(iv.i)
+        xi_row = xi.counts[iv.i]
         num = w_over_h(xi_row, iv.row, iv.theta, 1 / (params.a[iv.i] ** 2 * q),
                        q * q)
         value = value * num / (mu(iv.i, xi_row, iv.theta)
@@ -303,7 +303,7 @@ def pochhammer_C_sq_oracle(xi, eta, params):
     q = params.q
     value = 1
     for iv in intermediate_configs(xi, eta):
-        n_xi, n_zeta = sum(xi.row(iv.i)), sum(iv.row)
+        n_xi, n_zeta = sum(xi.counts[iv.i]), sum(iv.row)
         # species-count jump across the nesting step
         upper = sum(site_count(eta, x, 0, iv.i + 1) - site_count(xi, x, 0, iv.i)
                     for x in range(1, xi.L + 1))
@@ -406,8 +406,8 @@ class TestSingleSpeciesD:
                 for xi in enumerate_sector(Sector((k1, sum(th) - k1), th)):
                     for eta in enumerate_sector(Sector((k2, sum(th) - k2), th)):
                         chain = kraw_chain(xi, eta, params)
-                        bare = single_species_D(xi.row(0), eta.row(0), th,
-                                                F(3) ** 2, F(1, 2))
+                        bare = single_species_D(xi.counts[0], eta.counts[0],
+                                                th, F(3) ** 2, F(1, 2))
                         assert chain == bare, (
                             "n=1 chain %s != single-species %s at %s %s"
                             % (chain, bare, xi, eta))
@@ -562,6 +562,21 @@ class TestSelfDuality:
              - D @ asep_generator(s_eta, q).entries)
         assert all(v == 0 for v in R.flat)
 
+    def test_zero_krawtchouk_factor_gives_the_int_zero(self):
+        # at q = 4 and a = (2,), alpha = q sits at the C^2 pole, and the
+        # diagonal pair of ((2,0),(0,1)) has a zero site factor: D is the
+        # int 0 there, and the sector still intertwines exactly
+        q, sector = F(4), Sector((2, 1), (2, 1))
+        params = DualityParams((F(2),), q)
+        xi = Config(((2, 0), (0, 1)), theta=(2, 1))
+        for f in (kraw_chain, multi_species_D):
+            assert type(f(xi, xi, params)) is int and f(xi, xi, params) == 0
+        basis = enumerate_sector(sector)
+        D = d_matrix(basis, basis, params)
+        assert [v == 0 for v in D.flat] == [True, False, False, False]
+        L = asep_generator(sector, q).entries
+        assert all(v == 0 for v in (L.T @ D - D @ L).flat)
+
     def test_square_alpha_sector_stays_exact_and_silent(self):
         # the benchmark's couplings a = (4, 9): every radicand is a square in
         # Q(sqrt(q))
@@ -693,7 +708,7 @@ class TestGroundStateCorrection:
             assert type(d) is type(want_d) and d == want_d, (xi, eta, d, want_d)
             if not want:
                 continue
-            k = sum(sum(xi.row(iv.i)) ** 2 - sum(iv.row) ** 2
+            k = sum(sum(xi.counts[iv.i]) ** 2 - sum(iv.row) ** 2
                     for iv in intermediate_configs(xi, eta))
             odd_mu = isinstance(reversible_measure(xi, q), SNum)
             seen.add((k % 2, odd_mu))
@@ -1125,8 +1140,8 @@ class TestQHahnDuality:
 
     def test_exactness_in_quadratic_field(self):
         Q = F(1, 3)
-        xi = Config.zero_range([(2, 0)])
-        eta = Config.zero_range([(1, 0)])
+        xi = Config([(2, 0)])
+        eta = Config([(1, 0)])
         val = qhahn_D(eta, xi, Q)
         assert is_exact(val), "value should stay exact in Q(s)"
 
@@ -1142,7 +1157,7 @@ def expansion_span(xi, eta):
     and denominator that the running int product carries."""
     n, span = xi.n, 0
     for i in range(n):
-        partner, left = eta.row(n - 1 - i), 0
+        partner, left = eta.counts[n - 1 - i], 0
         for x in range(1, xi.L + 1):
             c = site_count(xi, x, i)
             left += c
@@ -1230,10 +1245,10 @@ class TestTwoSpeciesReduction:
         q, L, x1, x2 = F(1, 2), 4, 2, 3
         row0 = tuple(n1 if x == x1 else 0 for x in range(1, L + 1))
         row1 = tuple(n2 if x == x2 else 0 for x in range(1, L + 1))
-        xi = Config.zero_range([row0, row1])
+        xi = Config([row0, row1])
         for y1 in range(1, L + 1):
             for y2 in range(1, L + 1):
-                eta = Config.zero_range([
+                eta = Config([
                     tuple(int(x == y1) for x in range(1, L + 1)),
                     tuple(int(x == y2) for x in range(1, L + 1))])
                 got = qhahn_D(eta, xi, q * q)
@@ -1262,7 +1277,7 @@ class TestParamsAndDomain:
         cfg = Config.capacity([(1, 0), (0, 1)], (1, 1))
         with pytest.raises(DomainError):
             reversible_measure(cfg, s)
-        xi = Config.zero_range([(1, 0)])
+        xi = Config([(1, 0)])
         for q in (s, SNum(F(1, 4)), (1 + s) ** 2):
             with pytest.raises(DomainError):
                 qhahn_D(xi, xi, q)
@@ -1355,7 +1370,7 @@ class TestParamsMemo:
                 intermediates = intermediate_configs(xi, eta)
                 if intermediates is not None:
                     want = math.prod(kraw_product(
-                        xi.row(iv.i), iv.row, iv.theta,
+                        xi.counts[iv.i], iv.row, iv.theta,
                         1 / (params.a[iv.i] ** 2 * q), q * q)
                         for iv in intermediates) or 0
                 assert type(got) is type(want) and got == want, (xi, eta)
@@ -1412,8 +1427,8 @@ def zrp_config_pairs():
     """Small random zero-range configuration pairs with matching shape."""
     def build(draw_counts):
         n, L, flat_xi, flat_eta = draw_counts
-        xi = Config.zero_range([tuple(flat_xi[i * L:(i + 1) * L]) for i in range(n)])
-        eta = Config.zero_range([tuple(flat_eta[i * L:(i + 1) * L]) for i in range(n)])
+        xi = Config([tuple(flat_xi[i * L:(i + 1) * L]) for i in range(n)])
+        eta = Config([tuple(flat_eta[i * L:(i + 1) * L]) for i in range(n)])
         return xi, eta
     return st.tuples(
         st.integers(min_value=1, max_value=3),
@@ -1449,15 +1464,15 @@ class TestStructureProperties:
            st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
     @settings(max_examples=30, deadline=None)
     def test_empty_process_side_gives_one(self, a, b, c, d):
-        xi = Config.zero_range([(0, 0), (0, 0)])
-        eta = Config.zero_range([(a, b), (c, d)])
+        xi = Config([(0, 0), (0, 0)])
+        eta = Config([(a, b), (c, d)])
         assert qhahn_D(eta, xi, F(1, 4)) == 1, "empty xi must give 1"
 
     def test_empty_dual_is_sector_constant(self):
         # against the empty dual the value is harmonic, hence constant on
         # each conserved-counts window (but not 1)
         q = F(1, 2)
-        eta = Config.zero_range([(0, 0, 0), (0, 0, 0)])
+        eta = Config([(0, 0, 0), (0, 0, 0)])
         for counts in [(2, 1), (1, 1), (3, 0)]:
             window = enumerate_zrp_sector(counts, 3)
             vals = {qhahn_D(eta, xi, q * q) for xi in window}
@@ -1469,7 +1484,7 @@ class TestStructureProperties:
 # validation raises, never asserts (tests/test_imports.py keeps assert out of
 # src), so these hold under python -O, where CI runs the suite again
 _ONE = Config.capacity([(1, 0)], (1, 1))
-_ZRP = Config.zero_range([(1, 0)])
+_ZRP = Config([(1, 0)])
 _PARAMS = du.DualityParams((F(4),), F(1, 2))
 _FULL = Config.capacity([(2, 1)], (2, 1))
 _SINGLE = Config.capacity([(1, 0)], (2, 1))
@@ -1486,6 +1501,9 @@ INPUT_CHECKS = {
     "pair mode": lambda: du.multi_species_D(_ZRP, _ZRP, _PARAMS),
     "zero-range pair type": lambda: du.h_exponent((1, 0), _ZRP),
     "zero-range pair mode": lambda: du.h_exponent(_ONE, _ONE),
+    "zero-range pair lengths": lambda: du.h_exponent(_ZRP, Config([(1, 0, 0)])),
+    "params species count": lambda: du.multi_species_D(
+        _ONE, _ONE, du.DualityParams((F(4), F(9)), F(1, 2))),
     # alpha = q^(2k-1) zeroes a factor of C^2's denominator
     "C^2 pole, q > 1": lambda: du.correction_C_sq(
         _FULL, _SINGLE, du.DualityParams((F(2),), F(4))),

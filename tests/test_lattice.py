@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from qmdual import lattice
 from qmdual.errors import DomainError
 from qmdual.lattice import (Config, Sector, enumerate_sector,
-                            enumerate_zrp_sector, intermediate_configs,
-                            n_total)
+                            enumerate_zrp_sector, intermediate_configs)
 
 
 def site_count(cfg, x, lo, hi=None):
@@ -30,7 +29,7 @@ def example_sector():
 class TestConfig:
     def test_capacity_mode_sums(self):
         cfg = Config.capacity([[1, 0], [1, 0]], theta=(2, 2))
-        assert cfg.row(2) == (0, 2)  # holes derived
+        assert cfg.counts[2] == (0, 2)  # holes derived
         assert cfg.site(1) == (1, 1, 0)
 
     def test_capacity_violation(self):
@@ -38,7 +37,7 @@ class TestConfig:
             Config.capacity([[2, 0], [1, 0]], theta=(2, 2))
 
     def test_immutability(self):
-        cfg = Config.zero_range([[1, 2, 0]])
+        cfg = Config([[1, 2, 0]])
         with pytest.raises(AttributeError):
             cfg.L = 5
 
@@ -67,6 +66,7 @@ INPUT_CHECKS = {
     "sector negative hole count": lambda: Sector((3, -1), (1, 1)),
     "sector negative capacity": lambda: Sector((0, 0), (1, -1)),
     "sector without holes": lambda: Sector((2,), (1, 1)),
+    "sector counts off the capacities": lambda: Sector((1, 1), (1, 2)),
     "zero-range counts": lambda: enumerate_zrp_sector((-1,), 2),
     "zero-range length": lambda: enumerate_zrp_sector((1,), 0),
     # a count that is not an integer is refused, never truncated; each of
@@ -100,16 +100,17 @@ def test_integer_counts_of_any_int_type_become_ints():
 
 class TestCounters:
     def test_empty_config(self):
-        cfg = Config.zero_range([[0, 0, 0]])
-        assert n_total(cfg, 0) == 0
+        cfg = Config([[0, 0, 0]])
+        assert sum(cfg.counts[0]) == 0
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3),
                     min_size=2, max_size=2))
     def test_partition_of_total(self, rows):
-        cfg = Config.zero_range(rows)
+        cfg = Config(rows)
         for i in range(2):
-            assert sum(site_count(cfg, x, i) for x in range(1, 4)) == n_total(cfg, i)
+            assert (sum(site_count(cfg, x, i) for x in range(1, 4))
+                    == sum(cfg.counts[i]))
 
 
 class TestCompositions:
@@ -218,15 +219,16 @@ class TestIntermediates:
         xi = Config.capacity([[1, 0]], theta=(2, 2))
         eta = Config.capacity([[0, 1]], theta=(2, 2))
         (mid,) = intermediate_configs(xi, eta)
-        assert mid.row == eta.row(0)
-        assert mid.theta == tuple(eta.row(0)[x] + eta.row(1)[x] for x in range(2))
+        assert mid.row == eta.counts[0]
+        assert mid.theta == tuple(
+            eta.counts[0][x] + eta.counts[1][x] for x in range(2))
 
     def test_equal_arguments(self):
         cfg = Config.capacity([[1, 0], [0, 1]], theta=(2, 2))
         for mid in intermediate_configs(cfg, cfg):
-            assert mid.row == cfg.row(mid.i)
+            assert mid.row == cfg.counts[mid.i]
             assert mid.theta == tuple(
-                cfg.row(mid.i)[x] + cfg.row(mid.i + 1)[x] for x in range(2))
+                cfg.counts[mid.i][x] + cfg.counts[mid.i + 1][x] for x in range(2))
 
     def test_zeta_rows_sum_to_theta(self):
         # zeta^{(i)}_i + xi_{[0,i-1]} + eta_{[i+1,n]} = theta at every site
@@ -263,7 +265,7 @@ class TestIntermediates:
                 continue
             assert [tuple(m) for m in mids] == want, (xi, eta)
             for mid in mids:
-                for c, z, t in zip(xi.row(mid.i), mid.row, mid.theta):
+                for c, z, t in zip(xi.counts[mid.i], mid.row, mid.theta):
                     assert 0 <= z <= t and c <= t, (xi, eta, mid)
         assert refused > 0
 
@@ -284,7 +286,7 @@ class TestZRPEnumeration:
             for cfg in configs:
                 assert cfg.is_zero_range
                 for i, c in enumerate(counts):
-                    assert n_total(cfg, i) == c
+                    assert sum(cfg.counts[i]) == c
 
     def test_descending_site_major_order(self):
         configs = lattice.enumerate_zrp_sector((1, 1), 2)
@@ -312,7 +314,7 @@ class TestZRPEnumeration:
                     got = lattice.enumerate_zrp_sector(counts, L)
                     assert [cfg.counts for cfg in got] == want, (counts, L)
                     for cfg in got:
-                        valid = Config.zero_range(cfg.counts)
+                        valid = Config(cfg.counts)
                         assert cfg == valid and hash(cfg) == hash(valid)
                         assert (cfg.L, cfg.n, cfg.theta) == (L, n, None)
                         assert all(type(row) is tuple

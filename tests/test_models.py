@@ -504,7 +504,7 @@ class TestSingleSpeciesMeasure:
         for sector in sector_grid(3, 1, 2):
             gen = asep_generator(sector, q)
             weights = [
-                single_species_measure(cfg.row(0), cfg.theta, alpha, q)
+                single_species_measure(cfg.counts[0], cfg.theta, alpha, q)
                 for cfg in gen.basis
             ]
             assert all(w > 0 for w in weights)
@@ -709,8 +709,8 @@ class TestDiscreteKernel:
         lam, mu, q = F(1, 2), F(1, 3), F(1, 2)
         window = enumerate_zrp_sector((2, 1), 2)
         ker = qhahn_discrete_kernel(window, lam, mu, q, "left")
-        source = Config.zero_range([(1, 1), (0, 1)])   # species rows
-        target = Config.zero_range([(2, 0), (1, 0)])   # batch (1,1) moved left
+        source = Config([(1, 1), (0, 1)])   # species rows
+        target = Config([(2, 0), (1, 0)])   # batch (1,1) moved left
         entry = ker.entries[ker.index[target], ker.index[source]]
         assert entry == phi_weight((1, 1), (1, 1), lam, mu, q)
 
@@ -794,7 +794,7 @@ def zrp_moves_oracle(sitewise, direction, L, jointly):
             for row, g in zip(rows, gamma):
                 row[x - 1] -= g
                 row[x - 1 + step] += g
-        return Config.zero_range([tuple(row) for row in rows])
+        return Config([tuple(row) for row in rows])
 
     def batches(beta):
         return itertools.product(*(range(c + 1) for c in beta))
@@ -856,18 +856,21 @@ class TestZeroRangeAgainstPublicWeights:
 # src), so these hold under python -O, where CI runs the suite again; the
 # degenerate-q calls are tests/test_qcalc.py's DEGENERATE_Q_CALLS
 _Q = F(1, 2)
-_ZRP = Config.zero_range([(1, 0)])
+_ZRP = Config([(1, 0)])
 _ONE = Config.capacity([(1, 0)], (1, 1))
 _TWO = Config.capacity([(1, 0), (0, 1)], (1, 1))
 _ODD = Config.capacity([(1, 0)], (2, 1))
 
 
 def _window(*rows):
-    return [Config.zero_range(r) for r in rows]
+    return [Config(r) for r in rows]
 
 
 INPUT_CHECKS = {
     "matrix kind": lambda: models.assemble([], lambda cfg: (), "matrix"),
+    "move off the basis": lambda: models.assemble(
+        [_ONE], lambda cfg: [(Config.capacity([(0, 1)], (1, 1)), 1)],
+        "generator"),
     "bond species count":
         lambda: models.asep_two_site_rates((1, 0), (0, 1, 0), _Q),
     "bond, negative count":
@@ -930,6 +933,8 @@ INPUT_CHECKS = {
     "window mode": lambda: models.qtazrp_generator([_ONE], _Q, "left"),
     "window shapes": lambda: models.qtazrp_generator(
         _window([(1, 0)], [(1, 0, 0)]), _Q, "left"),
+    "kernel direction": lambda: models.qhahn_discrete_kernel(
+        _window([(1, 0)], [(0, 1)]), F(1, 2), F(1, 3), _Q, "up"),
     "window totals": lambda: models.qhahn_discrete_kernel(
         _window([(1, 0)], [(2, 0)]), F(1, 2), F(1, 3), _Q, "left"),
     # a repeated configuration gave a 3 x 3 kernel with row 0 empty whose

@@ -55,6 +55,14 @@ def brace_int_oracle(n, q):
     return (1 - q ** (2 * n)) / (1 - q ** 2)
 
 
+def brace_fact_oracle(n, q):
+    """{n}_{q^2}! as the product of the brace integers, the int 1 for n = 0."""
+    result = 1
+    for k in range(1, n + 1):
+        result = result * brace_int_oracle(k, q)
+    return result
+
+
 def brute_phi(m, nums, dens, q, z):
     """Terminating series of degree m, summed term by term from
     q-Pochhammers: sum_k prod (a;q)_k / prod (b;q)_k z^k / (q;q)_k."""
@@ -189,6 +197,7 @@ def test_int_products_match_the_fraction_forms(q):
         assert same(qcalc.brace_int(n, q), brace_int_oracle(n, q)), n
     for n in range(9):
         assert same(qcalc.q_fact(n, q), q_fact_oracle(n, q)), n
+        assert same(qcalc.brace_fact(n, q), brace_fact_oracle(n, q)), n
         for k in range(-1, n + 2):
             assert same(qcalc.q_binom(n, k, q), q_binom_oracle(n, k, q)), (n, k)
 
@@ -215,7 +224,7 @@ def test_int_q_stays_exact(name):
 
 # q in {-1, 0, 1} is refused where a q enters, before a negative power of
 # q = 0 divides by zero or a vanishing factor of q = 1 gives a silent value
-_ZRP = Config.zero_range([(1, 0)])
+_ZRP = Config([(1, 0)])
 _CAP = Config.capacity([(1, 0), (0, 1)], (1, 1))
 _TB = uqgl.TensorBasis(1, (1, 1))
 _NIL = SparseMatrix({0: {1: 1}}, (2, 2))
@@ -236,18 +245,18 @@ DEGENERATE_Q_CALLS = {
         lambda: models.qhahn_continuous_rates((0,), Fraction(1, 3), 1),
     "qhahn_continuous_generator empty sites q=1":
         lambda: models.qhahn_continuous_generator(
-            [Config.zero_range([(0, 0)])], Fraction(1, 3), 1, "left"),
+            [Config([(0, 0)])], Fraction(1, 3), 1, "left"),
     "qtazrp_rates q=1": lambda: models.qtazrp_rates((2,), 1),
     # a one-site window has no emitting site, so no per-site rate or weight
     # ever sees q
     "qhahn_continuous_generator one site q=1":
         lambda: models.qhahn_continuous_generator(
-            [Config.zero_range([(2,)])], Fraction(1, 4), 1, "right"),
+            [Config([(2,)])], Fraction(1, 4), 1, "right"),
     "qtazrp_generator one site q=1": lambda: models.qtazrp_generator(
-        [Config.zero_range([(2,)])], 1, "right"),
+        [Config([(2,)])], 1, "right"),
     "qhahn_discrete_kernel one site q=1":
         lambda: models.qhahn_discrete_kernel(
-            [Config.zero_range([(2,)])], Fraction(1, 2), Fraction(1, 4), 1,
+            [Config([(2,)])], Fraction(1, 2), Fraction(1, 4), 1,
             "right"),
     # one-state exclusion sectors and empty bonds reach no q-integer, so
     # q is checked where the exclusion functions take it

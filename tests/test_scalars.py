@@ -260,6 +260,26 @@ class TestArithmetic:
                 with pytest.raises(TypeError):
                     compare()
 
+    def test_sign_with_both_parts_nonzero(self):
+        # a + b s with a, b != 0 at s^2 = 2: the sign weighs a^2 against
+        # 2 b^2 when a and b differ in sign
+        cases = {(1, 1): 1, (-1, -1): -1, (2, -1): 1, (1, -2): -1,
+                 (-2, 1): -1, (-1, 2): 1}
+        for (a, b), want in cases.items():
+            x = SNum(a, b, 2)
+            assert x.sign() == want == mpmath.sign(scalars.to_mpf(x)), (a, b)
+
+    def test_float_operand_raises(self):
+        # every operator hands a float back as NotImplemented, so Python
+        # raises TypeError rather than mixing exact and float values
+        x = SNum(1, 1, 2)
+        for mixed in (lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5,
+                      lambda: 0.5 - x, lambda: x * 0.5, lambda: 0.5 * x,
+                      lambda: x / 0.5, lambda: 0.5 / x, lambda: x < 0.5,
+                      lambda: 0.5 < x):
+            with pytest.raises(TypeError):
+                mixed()
+
     def test_orderings_agree_with_the_sign(self):
         s = SNum(0, 1, F(1, 3))  # 0.577...
         for other, below in ((1, True), (F(1, 2), False), (SNum(1, -1, F(1, 3)), False)):

@@ -1261,6 +1261,10 @@ INPUT_CHECKS = {
     "q-exponential shape":
         lambda: uq.nilpotent_q_exp(SparseMatrix({}, (2, 3)), F(1, 4)),
     "unitary ladder index": lambda: uq.unitary_U(1, 2, _TB, F(1, 2)),
+    "root vector on the diagonal":
+        lambda: uq.root_vector(0, 0, uq.TensorBasis(2, (1, 1)), F(1, 2)),
+    "algebraic duality coupling count":
+        lambda: uq.algebraic_duality([2], uq.TensorBasis(2, (1, 1)), F(1, 2)),
     # arithmetic is exact only: a float q is refused, never converted
     "unitary float q": lambda: uq.unitary_U(0, 2, _TB, 0.5),
     "coproduct mpf q":
