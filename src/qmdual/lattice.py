@@ -10,7 +10,9 @@ Two storage modes share one type:
 `Config` is a validated named tuple like `Sector`: its constructor checks
 the grid, and `Config._unchecked` is the one trusted constructor, for parts
 already known to be valid.  Sites are 1-indexed in the public API to match
-the usual chain notation.
+the usual chain notation.  Both enumerators run one memoized walk over the
+(site, remaining counts) states, which counts a sector against `SECTOR_CAP`
+before it builds any configuration.
 `intermediate_configs` gives the forced rows of the nested exclusion duality
 and is the one place that decides whether a pair of configurations is feasible.
 """
@@ -51,6 +53,9 @@ class Config(namedtuple("Config", ["counts", "theta", "n", "L"])):
         requires, and n its species count."""
         return tuple.__new__(cls, (counts, theta, n, len(counts[0])))
 
+    def __getnewargs__(self):  # pickle and copy go through __new__
+        return self.counts, self.theta
+
     @classmethod
     def capacity(cls, species_counts, theta):
         """Build from species rows 0..n-1 only; the hole row is derived."""
@@ -79,6 +84,8 @@ class Config(namedtuple("Config", ["counts", "theta", "n", "L"])):
 
 class Sector(namedtuple("Sector", ["k", "theta"])):
     """Conserved species counts k = (k_0..k_n) on capacities theta."""
+
+    __slots__ = ()
 
     def __new__(cls, k, theta):
         k, theta = ints(k, "sector counts", 0), ints(theta, "capacities", 0)
@@ -109,53 +116,58 @@ def compositions(total, bounds):
             yield (head,) + tail
 
 
+def _site_walk(sector):
+    """The site tuples of the sector's configurations, the walk that both
+    enumerators share; `enumerate_sector` describes its order and passes."""
+    k, layers, reach = sector.k, [], {sector.k: 1}
+    for t in sector.theta:  # forward: each state's moves and prefix count
+        layers.append({rem: [(c, tuple(map(operator.sub, rem, c)))
+                             for c in compositions(t, rem)] for rem in reach})
+        ahead = {}
+        for rem, moves in layers[-1].items():
+            for _, after in moves:
+                ahead[after] = ahead.get(after, 0) + reach[rem]
+        reach = ahead
+    done = (0,) * len(k)
+    if reach.get(done, 0) > SECTOR_CAP:
+        raise ResourceError("sector over %d configs" % SECTOR_CAP)
+    suffixes = {done: [()]}
+    for steps in reversed(layers):  # backward: each state's suffixes once
+        suffixes = {rem: [(c,) + tail for c, after in moves
+                          for tail in suffixes.get(after, ())]
+                    for rem, moves in steps.items()}
+    return suffixes.get(k, [])
+
+
 def enumerate_sector(sector):
     """All configurations with the sector's species counts, in a fixed order.
 
     Order: descending lexicographic on the site-major species key
     (site 1 species 0, site 1 species 1, ..., site 2 species 0, ...),
-    holes excluded.  This reproduces the printed 4x4 example basis.  More
-    than `SECTOR_CAP` configurations raise `ResourceError`.
+    holes excluded.  This reproduces the printed 4x4 example basis.  The
+    walk visits each (site, remaining counts) state once: a forward pass
+    counts the prefixes that reach it, so that more than `SECTOR_CAP`
+    configurations raise `ResourceError` before any is built, and a
+    backward pass builds its list of suffixes once, in the order above.
     """
-    k, theta = sector.k, sector.theta
-    L = len(theta)
-    nsp = len(k) - 1  # species rows, excluding holes
-    configs = []
-
-    def fill(x, remaining):
-        if x > L:
-            if not any(remaining):
-                if len(configs) == SECTOR_CAP:
-                    raise ResourceError("sector over %d configs" % SECTOR_CAP)
-                # the site compositions fill their capacities, so the grid
-                # needs no validation; an empty chain has nsp + 1 empty rows
-                counts = tuple(zip(*sites)) or ((),) * (nsp + 1)
-                configs.append(Config._unchecked(counts, theta, nsp))
-            return
-        for comp in compositions(theta[x - 1], remaining):
-            sites.append(comp)
-            fill(x + 1, tuple(map(operator.sub, remaining, comp)))
-            sites.pop()
-
-    sites = []
-    fill(1, k)
-    return configs
+    theta, nsp = sector.theta, len(sector.k) - 1
+    # the site compositions fill their capacities, so the grid needs no
+    # validation; an empty chain has nsp + 1 empty rows
+    return [Config._unchecked(tuple(zip(*sites)) or ((),) * (nsp + 1),
+                              theta, nsp) for sites in _site_walk(sector)]
 
 
 def enumerate_zrp_sector(counts, L):
-    """All zero-range configurations with the given per-species totals.
-
-    The species rows of the capacity sector with capacity N = sum(counts)
-    at every site and the holes that fill them: a site of capacity N takes
-    any load, so that walk meets each zero-range configuration once, in
-    `enumerate_sector`'s order.  More than `SECTOR_CAP` configurations
-    raise `ResourceError`.
-    """
+    """All zero-range configurations with the given per-species totals, in
+    `enumerate_sector`'s order and from its walk, over capacity N =
+    sum(counts) at every site: such a site takes any load.  Each site's
+    hole entry is dropped.  More than `SECTOR_CAP` configurations raise
+    `ResourceError` before any is built."""
     counts, (L,) = ints(counts, "zero-range counts", 0), ints((L,), "L", 1)
     N, nsp = sum(counts), len(counts)
     sector = Sector(counts + ((L - 1) * N,), (N,) * L)
-    return [Config._unchecked(cfg.counts[:nsp], None, nsp)
-            for cfg in enumerate_sector(sector)]
+    return [Config._unchecked(tuple(zip(*sites))[:nsp], None, nsp)
+            for sites in _site_walk(sector)]
 
 
 Intermediate = namedtuple("Intermediate", ["i", "row", "theta"])

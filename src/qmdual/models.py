@@ -25,7 +25,7 @@ from .errors import DomainError
 from .lattice import Config, enumerate_sector
 from .ops import SparseMatrix
 from .qcalc import brace_int, q_binom, q_fact, q_poch, qq_binom
-from .scalars import check_q, div, exact, ints, power_parts, q_root
+from .scalars import check_q, div, exact, ints, power_parts, q_root, rational_q
 
 
 class GeneratorMatrix:
@@ -173,8 +173,9 @@ def reversible_measure(cfg, q):
     """
     if cfg.is_zero_range:
         raise DomainError("the reversible measure needs capacity mode")
-    q = check_q(q)
-    s = q_root(q)
+    q = rational_q(q)
+    if q < 0:  # q_root refuses it too, but runs only for an odd half power
+        raise DomainError("q=%r must be a positive rational" % (q,))
     facts = {}
     left = [0] * cfg.rows  # each row's count strictly left of the site
     halves = cross = 0  # halves: exponent of q in units of 1/2
@@ -194,7 +195,7 @@ def reversible_measure(cfg, q):
     e = halves // 2 - 2 * cross
     p, r = power_parts(q, e)
     value = Fraction(num * p, den * r)
-    return value * s if halves % 2 else value
+    return value * q_root(q) if halves % 2 else value
 
 
 def single_species_measure(xi, theta, alpha, q):

@@ -248,11 +248,17 @@ class SparseMatrix:
     __rmul__ = __mul__
 
     def scaled(self, row, col):
-        """diag(row) A diag(col), with row and col sequences of scalars."""
-        check_types({type(v) for v in (*row, *col)})
-        return SparseMatrix(_sparse({
-            r: {c: row[r] * v * col[c] for c, v in arow.items()}
-            for r, arow in self.rows.items()}), self.shape)
+        """diag(row) A diag(col) for sequences of scalars; None is identity."""
+        check_types({type(v) for side in (row, col) if side is not None
+                     for v in side})
+        rows = self.rows
+        if row is not None:
+            rows = {r: {c: row[r] * v for c, v in arow.items()}
+                    for r, arow in rows.items()}
+        if col is not None:
+            rows = {r: {c: v * col[c] for c, v in arow.items()}
+                    for r, arow in rows.items()}
+        return SparseMatrix(_sparse(rows), self.shape)
 
     def column_sums(self):
         """Exact sum of each column over its stored entries, reduced once to

@@ -219,7 +219,7 @@ def _casimir(basis, q, window=None):
             P = _nested_root(i, j, ladders, q) @ _nested_root(j, i, ladders, q)
             scale = [coeff * q ** (2 * j - 2 * n - 2) * a * b
                      for a, b in zip(K[i], K[j])]
-            C = C + P.scaled(scale, [1] * len(scale))
+            C = C + P.scaled(scale, None)
     return C
 
 
@@ -372,7 +372,7 @@ def unitary_U(i, lam, tbasis, q):
     k_i, k_next = (_weight(j, tbasis, q) for j in (i, i + 1))
     MF = coproduct_apply("lower", i, tbasis, q).scaled([lam] * N, k_i)
     ME = coproduct_apply("raise", i, tbasis, q).scaled(
-        [-lam * k for k in k_next], [1] * N)
+        [-lam * k for k in k_next], None)
     return nilpotent_q_exp(MF, q ** 2, "e") @ nilpotent_q_exp(ME, q ** 2, "E")
 
 
@@ -467,11 +467,11 @@ def algebraic_duality(lambdas, tbasis, q):
     w = inner_product(tbasis, q)
     left = [row[k] ** 2 * w[k] for k in range(N)]
     right = [g[k] ** 2 * w[k] for k in range(N)]
-    ones, inv_row = [1] * N, [1 / x for x in row]
+    inv_row = [1 / x for x in row]
     for i, lam in enumerate(lambdas):
         U = unitary_U(i, lam, tbasis, q)
         if i in (0, n - 1):
-            U = U.scaled(inv_row if i == n - 1 else ones, g if i == 0 else ones)
+            U = U.scaled(inv_row if i == n - 1 else None, g if i == 0 else None)
         D = U @ D if i else U
         start, end = unitarity_twist(i, lam, tbasis, q)
         left = [a * b for a, b in zip(left, start)]

@@ -1,7 +1,10 @@
 """Tests for configurations, sectors, counters, and intermediates."""
 
+import copy
 import itertools
 import math
+import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmdual import lattice
-from qmdual.errors import DomainError
+from qmdual.errors import DomainError, ResourceError
 from qmdual.lattice import (Config, Sector, enumerate_sector,
                             enumerate_zrp_sector, intermediate_configs)
 
@@ -26,6 +29,45 @@ def example_sector():
     return Sector(k=(1, 1, 2), theta=(2, 2))
 
 
+def enumerate_sector_oracle(sector):
+    """The recursive walk that `enumerate_sector` replaced, as its order
+    oracle: every prefix of site compositions re-enters the walk of the
+    sites after it.  Each configuration goes through the validating
+    constructor."""
+    k, theta = sector.k, sector.theta
+    L, nsp = len(theta), len(k) - 1
+    configs, sites = [], []
+
+    def fill(x, remaining):
+        if x > L:
+            if not any(remaining):
+                counts = tuple(zip(*sites)) or ((),) * (nsp + 1)
+                configs.append(Config(counts, theta))
+            return
+        for comp in lattice.compositions(theta[x - 1], remaining):
+            sites.append(comp)
+            fill(x + 1, tuple(map(operator.sub, remaining, comp)))
+            sites.pop()
+
+    fill(1, k)
+    return configs
+
+
+def enumerate_zrp_oracle(counts, L):
+    """The zero-range windows as the species rows of the capacity-N walk."""
+    N, nsp = sum(counts), len(counts)
+    sector = Sector(tuple(counts) + ((L - 1) * N,), (N,) * L)
+    return [Config(cfg.counts[:nsp]) for cfg in enumerate_sector_oracle(sector)]
+
+
+def typed_configs(configs):
+    """Each configuration's type, fields, hash and field types, in order."""
+    return [(type(cfg), tuple(cfg), hash(cfg), type(cfg.counts),
+             {type(row) for row in cfg.counts},
+             {type(c) for row in cfg.counts for c in row},
+             type(cfg.theta), type(cfg.n), type(cfg.L)) for cfg in configs]
+
+
 class TestConfig:
     def test_capacity_mode_sums(self):
         cfg = Config.capacity([[1, 0], [1, 0]], theta=(2, 2))
@@ -40,6 +82,34 @@ class TestConfig:
         cfg = Config([[1, 2, 0]])
         with pytest.raises(AttributeError):
             cfg.L = 5
+
+    @pytest.mark.parametrize("record", [
+        Config.capacity([(1, 0, 2), (0, 1, 0)], (2, 1, 2)),
+        Config([(1, 0, 3), (0, 2, 0)]),
+        Sector((1, 1, 2), (2, 2))])
+    def test_pickle_and_copy_round_trip(self, record):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     copy.deepcopy(record)):
+            assert type(twin) is type(record)
+            assert twin == record and hash(twin) == hash(record)
+            assert tuple(map(type, twin)) == tuple(map(type, record))
+
+    def test_unpickling_validates(self):
+        # the round trip rebuilds through the validating constructor, so a
+        # grid that breaks its capacities is refused on the way back
+        bad = Config._unchecked(((1, 0), (1, 1)), (1, 1), 1)
+        with pytest.raises(DomainError):
+            pickle.loads(pickle.dumps(bad))
+        with pytest.raises(DomainError):
+            copy.copy(bad)
+
+    @pytest.mark.parametrize("record", [
+        Config.capacity([(1, 0)], (1, 1)), Config([(1, 0)]),
+        Sector((1, 1), (1, 1))])
+    def test_records_take_no_new_attributes(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
     def test_site_outside_the_chain_raises(self):
         cfg = Config.capacity([(1, 0, 2)], (1, 1, 2))
@@ -195,6 +265,71 @@ class TestEnumerateSector:
             assert all(type(row) is tuple and all(type(c) is int for c in row)
                        for row in cfg.counts)
             assert type(cfg.theta) is tuple
+
+
+# the sectors the walk is checked on against its oracle: the printed basis,
+# capacities above 1, a zero capacity, the empty chain, one to three species
+# and N = 4,200
+WALK_SECTORS = [
+    Sector((1, 1, 2), (2, 2)),
+    Sector((1, 3, 4), (2, 2, 2, 2)),
+    Sector((2, 1, 3), (3, 1, 2)),
+    Sector((0, 0, 4), (2, 2)),
+    Sector((1, 1), (0, 2)),
+    Sector((0, 2, 1), (0, 3, 0)),
+    Sector((0, 0), ()),
+    Sector((0, 0, 0), ()),
+    Sector((1, 1), (1, 1)),
+    Sector((3, 4), (2, 3, 2)),
+    Sector((1, 1, 1, 2), (2, 1, 2)),
+    Sector((2, 1, 1, 3), (3, 2, 2)),
+    Sector((3, 3, 2), (1,) * 8),
+    Sector((4, 3, 3), (1,) * 10),
+]
+
+# the zero-range windows of the duality tests, as (counts, L)
+ZRP_WINDOWS = sorted({(c, L) for cx, ce, L in [
+    ((2, 1), (1, 1), 3), ((1, 1), (2, 1), 3), ((1, 1), (1, 1), 2),
+    ((2, 2), (2, 1), 3), ((1, 1, 1), (2, 1, 1), 3), ((3,), (2,), 4),
+    ((2, 1), (1, 2), 4), ((3, 3), (3, 2), 3), ((3,), (2,), 3),
+    ((2,), (1,), 2), ((3, 0), (1, 1), 3)] for c in (cx, ce)})
+
+
+class TestWalk:
+    @pytest.mark.parametrize("sector", WALK_SECTORS)
+    def test_matches_the_recursive_oracle(self, sector):
+        want = enumerate_sector_oracle(sector)
+        assert want, sector
+        assert typed_configs(enumerate_sector(sector)) == typed_configs(want)
+
+    def test_sector_table_sizes(self):
+        # the table reaches what it claims: the empty chain's one empty
+        # configuration and the 4,200 states of the largest sector
+        assert [len(enumerate_sector(s)) for s in WALK_SECTORS[6:8]] == [1, 1]
+        assert enumerate_sector(WALK_SECTORS[6])[0].counts == ((), ())
+        assert len(enumerate_sector(WALK_SECTORS[-1])) == 4200
+
+    @pytest.mark.parametrize("counts,L", ZRP_WINDOWS)
+    def test_zero_range_matches_the_oracle(self, counts, L):
+        want = enumerate_zrp_oracle(counts, L)
+        assert typed_configs(enumerate_zrp_sector(counts, L)) \
+            == typed_configs(want)
+
+    def test_nothing_is_built_past_the_cap(self, monkeypatch):
+        # the walk counts the sector before it builds: over the cap, no
+        # configuration is made, neither capacity nor zero-range
+        built = []
+        monkeypatch.setattr(Config, "_unchecked", classmethod(
+            lambda cls, *parts: built.append(parts)))
+        monkeypatch.setattr(lattice, "SECTOR_CAP", 5)
+        with pytest.raises(ResourceError):
+            enumerate_sector(Sector((6, 6, 6), (3,) * 6))
+        with pytest.raises(ResourceError):
+            enumerate_zrp_sector((6, 6), 6)
+        assert built == []
+        # the patched constructor does run where the cap admits the sector
+        enumerate_sector(Sector((1, 1), (1, 1)))
+        assert len(built) == 2
 
 
 def capacity_pairs(theta, n):

@@ -409,6 +409,17 @@ class TestReversibleMeasure:
             nonzero += g_sq != 0
         assert nonzero > 0
 
+    def test_q_is_rooted_only_for_an_odd_half_power(self, monkeypatch):
+        # the squared counts sum to 2 on one particle over (1, 1) and to 3
+        # on one particle over (2, 1): only the second needs s = sqrt(q)
+        roots, root = [], models.q_root
+        monkeypatch.setattr(models, "q_root",
+                            lambda q: roots.append(q) or root(q))
+        even = reversible_measure(Config.capacity([(1, 0)], (1, 1)), F(1, 3))
+        assert roots == [] and type(even) is Fraction
+        odd = reversible_measure(Config.capacity([(1, 0)], (2, 1)), F(1, 3))
+        assert roots == [F(1, 3)] and type(odd) is SNum
+
     def test_square_q_gives_a_fraction_on_an_odd_half_power(self):
         # one particle on a site of capacity 2: the squared counts sum to 3,
         # so the measure carries q^(3/2), which is rational at q = 1/4

@@ -155,6 +155,19 @@ class TestAgainstDense:
                 * np.array(col, dtype=object)[None, :])
         assert_same(sparse(D).scaled(row, col), want)
 
+    def test_scaled_with_an_identity_side(self, n, m, seed, kind):
+        # None on a side multiplies nothing: the values and entry types of
+        # the all-ones diagonal there, for int, Fraction and SNum scales
+        _, D, _, _, _ = triple(seed, kind, n, m)
+        op, rng = sparse(D), random.Random(seed + 300)
+        for unit in (1, F(1, 7), SNum(F(1, 2), F(3, 4), SBASE)):
+            row = [unit * rng.randint(-9, 9) for _ in range(n)]
+            col = [unit * rng.randint(-9, 9) for _ in range(m)]
+            assert typed(op.scaled(None, col)) == typed(op.scaled([1] * n, col))
+            assert typed(op.scaled(row, None)) == typed(op.scaled(row, [1] * m))
+        assert typed(op.scaled(None, None)) \
+            == typed(op.scaled([1] * n, [1] * m)) == typed(op)
+
     def test_column_sums(self, n, m, seed, kind):
         _, D, _, _, _ = triple(seed, kind, n, m)
         got = sparse(D).column_sums()
@@ -293,6 +306,9 @@ INPUT_CHECKS = {
     "scaled, float row": lambda: _OP.scaled([0.5, 1], [1, 1]),
     "scaled, float 0 column": lambda: _OP.scaled([1, 1], [F(1), 0.0]),
     "scaled, mpf column": lambda: _OP.scaled([1, 1], [1, mpmath.mpf(2)]),
+    "scaled, float row, identity column": lambda: _OP.scaled([0.5, 1], None),
+    "scaled, identity row, mpf column":
+        lambda: _OP.scaled(None, [1, mpmath.mpf(2)]),
     "op @ ndarray, float 0": lambda: _OP @ _with(0.0),
     "ndarray @ op, float 0": lambda: _with(0.0) @ _OP,
     "op @ ndarray, mpf 0": lambda: _OP @ _with(mpmath.mpf(0)),
