@@ -10,9 +10,7 @@ Two storage modes share one type:
 `Config` is a validated named tuple like `Sector`: its constructor checks
 the grid, and `Config._unchecked` is the one trusted constructor, for parts
 already known to be valid.  Sites are 1-indexed in the public API to match
-the usual chain notation.  Both enumerators run one memoized walk over the
-(site, remaining counts) states, which counts a sector against `SECTOR_CAP`
-before it builds any configuration.
+the usual chain notation.
 `intermediate_configs` gives the forced rows of the nested exclusion duality
 and is the one place that decides whether a pair of configurations is feasible.
 """
@@ -117,21 +115,24 @@ def compositions(total, bounds):
 
 
 def _site_walk(sector):
-    """The site tuples of the sector's configurations, the walk that both
-    enumerators share; `enumerate_sector` describes its order and passes."""
+    """Site tuples of the sector's configurations; see `enumerate_sector`."""
     k, layers, reach = sector.k, [], {sector.k: 1}
     for t in sector.theta:  # forward: each state's moves and prefix count
-        layers.append({rem: [(c, tuple(map(operator.sub, rem, c)))
-                             for c in compositions(t, rem)] for rem in reach})
-        ahead = {}
-        for rem, moves in layers[-1].items():
-            for _, after in moves:
-                ahead[after] = ahead.get(after, 0) + reach[rem]
+        steps, ahead, prefixes = {}, {}, 0
+        for rem, count in reach.items():
+            moves = steps[rem] = []
+            for c in compositions(t, rem):
+                after = tuple(map(operator.sub, rem, c))
+                moves.append((c, after))
+                ahead[after] = ahead.get(after, 0) + count
+                prefixes += count  # each prefix completes: a lower bound
+                if prefixes > SECTOR_CAP:
+                    raise ResourceError("sector over %d configs" % SECTOR_CAP)
+        layers.append(steps)
         reach = ahead
-    done = (0,) * len(k)
-    if reach.get(done, 0) > SECTOR_CAP:
+    if reach[(0,) * len(k)] > SECTOR_CAP:  # the empty chain's one config
         raise ResourceError("sector over %d configs" % SECTOR_CAP)
-    suffixes = {done: [()]}
+    suffixes = {(0,) * len(k): [()]}
     for steps in reversed(layers):  # backward: each state's suffixes once
         suffixes = {rem: [(c,) + tail for c, after in moves
                           for tail in suffixes.get(after, ())]
@@ -145,10 +146,10 @@ def enumerate_sector(sector):
     Order: descending lexicographic on the site-major species key
     (site 1 species 0, site 1 species 1, ..., site 2 species 0, ...),
     holes excluded.  This reproduces the printed 4x4 example basis.  The
-    walk visits each (site, remaining counts) state once: a forward pass
-    counts the prefixes that reach it, so that more than `SECTOR_CAP`
-    configurations raise `ResourceError` before any is built, and a
-    backward pass builds its list of suffixes once, in the order above.
+    walk builds each (site, remaining counts) state's suffixes once.  It
+    counts prefixes, each of which completes, as it draws site moves, so
+    more than `SECTOR_CAP` configurations raise `ResourceError` within
+    about `SECTOR_CAP` moves a site and before any is built.
     """
     theta, nsp = sector.theta, len(sector.k) - 1
     # the site compositions fill their capacities, so the grid needs no

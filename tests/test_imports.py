@@ -158,7 +158,7 @@ def test_to_mpf_imports_mpmath_on_demand():
 
 # the src line budget of ROADMAP.md; the report modules checks.py and cli.py
 # are exempt.  A change that raises it says why in CHANGES.md.
-SRC_LINE_BUDGET = 2269
+SRC_LINE_BUDGET = 2270
 
 
 def test_src_line_budget():

@@ -331,6 +331,25 @@ class TestWalk:
         enumerate_sector(Sector((1, 1), (1, 1)))
         assert len(built) == 2
 
+    def test_over_the_real_cap_within_cap_moves_a_site(self, monkeypatch):
+        # every prefix completes, so the walk stops as soon as the prefixes
+        # it counted pass the cap: at most SECTOR_CAP + 1 site compositions
+        # a site, where this sector has about 12.3 million at sites 2 and 3
+        drawn, full = [], lattice.compositions
+        bound = 4 * (lattice.SECTOR_CAP + 1)
+
+        def counted(total, bounds):
+            for c in full(total, bounds):
+                if len(c) == 4:  # a whole site, not a recursive tail
+                    drawn.append(c)
+                    assert len(drawn) <= bound
+                yield c
+
+        monkeypatch.setattr(lattice, "compositions", counted)
+        with pytest.raises(ResourceError):
+            enumerate_zrp_sector((20, 20, 20), 4)
+        assert lattice.SECTOR_CAP < len(drawn) <= bound
+
 
 def capacity_pairs(theta, n):
     """Every pair of configurations on the capacity profile theta with n
